@@ -64,7 +64,10 @@ non-zero when
 * a supported-opcode workload triggers kernel bails or scalar fallback
   rows (the compiler stopped covering the paper workloads), or
 * the sustained mixed-tenant :class:`TrafficEngine` round rate falls
-  below ``min_engine_pps``.
+  below ``min_engine_pps``, or
+* the MLAgg engine rate over ~200k live register cells falls below
+  ``min_sustained_pps_ratio`` of its rate from empty state (a batch is
+  paying for what the device remembers again, not for its packets).
 
 ``--suite gateway`` runs the multi-tenant gateway QoS benchmark
 (:mod:`benchmarks.bench_gateway_qos`) and fails when
@@ -119,6 +122,7 @@ from benchmarks.bench_obs_overhead import (  # noqa: E402
     run_all as run_obs_overhead,
 )
 from benchmarks.bench_dataplane import (  # noqa: E402
+    SUSTAINED_CELLS,
     run_all as run_dataplane,
 )
 from benchmarks.bench_sharded_scaling import (  # noqa: E402
@@ -280,6 +284,7 @@ def measure_dataplane() -> dict:
         measured[f"dataplane_{kind}_fallback_rows"] = w["packets_fallback"]
     aggregate = results["aggregate"]
     engine = results["engine"]
+    sustained = results["sustained"]
     measured.update({
         "dataplane_min_speedup": round(aggregate["min_speedup"], 3),
         "dataplane_geomean_speedup": round(aggregate["geomean_speedup"], 3),
@@ -287,6 +292,10 @@ def measure_dataplane() -> dict:
         "engine_round_packets": engine["round_packets"],
         "engine_pps": round(engine["pps"], 1),
         "engine_ips": round(engine["ips"], 1),
+        "sustained_live_cells": sustained["live_cells"],
+        "sustained_empty_pps": round(sustained["empty_pps"], 1),
+        "sustained_loaded_pps": round(sustained["loaded_pps"], 1),
+        "sustained_pps_ratio": round(sustained["ratio"], 3),
     })
     return measured
 
@@ -324,6 +333,23 @@ def check_dataplane(measured: dict, baseline: dict) -> list:
             f"the sustained traffic engine pushed only"
             f" {measured['engine_pps']:.0f} packets/s through the mixed"
             f" tenant rounds (needs >= {min_pps:.0f})"
+        )
+    min_ratio = float(baseline.get("min_sustained_pps_ratio", 0.8))
+    if measured["sustained_live_cells"] < SUSTAINED_CELLS:
+        failures.append(
+            f"the sustained-state scenario only reached"
+            f" {measured['sustained_live_cells']} live register cells"
+            f" (needs >= {SUSTAINED_CELLS}) — it no longer measures rounds"
+            " over loaded devices"
+        )
+    elif measured["sustained_pps_ratio"] < min_ratio:
+        failures.append(
+            f"MLAgg rounds over {measured['sustained_live_cells']} live"
+            f" register cells run at {measured['sustained_pps_ratio']:.2f}x"
+            f" their rate from empty state (needs >= {min_ratio:.2f}:"
+            f" empty {measured['sustained_empty_pps']:.0f} pps, loaded"
+            f" {measured['sustained_loaded_pps']:.0f} pps) — a batch pays"
+            " for the device's live cells, not for its packets"
         )
     return failures
 

@@ -136,8 +136,9 @@ class MemoCounters(CounterMixin):
 class DataplaneStats(CounterMixin):
     """Activity of the vectorized batch data plane, one bag per emulator.
 
-    Maintained by :class:`~repro.emulator.engine.BatchRunner` (and the
-    compiled kernels it calls); surfaced through
+    Maintained by :class:`~repro.emulator.engine.BatchRunner`, the compiled
+    kernels it calls and the emulator's
+    :class:`~repro.emulator.state.RegisterFile` objects; surfaced through
     ``TrafficEngine.bind_metrics`` as the ``clickinc_dataplane_*`` counter
     family.  The vectorized/fallback split is the first thing to read when
     throughput disappoints: fallback rows mean an owner group demoted to
@@ -159,6 +160,11 @@ class DataplaneStats(CounterMixin):
     kernel_bails: int = 0
     #: conflict-free row slices executed across all kernel calls
     slices: int = 0
+    #: register files moved from their dict into columns (first kernel touch)
+    state_promotions: int = 0
+    #: register cells moved between backings, either direction; flat under
+    #: steady traffic — growth per batch means state is being re-converted
+    state_cells_converted: int = 0
 
 
 

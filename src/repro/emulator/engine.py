@@ -17,8 +17,8 @@ throughput the paper's evaluation needs:
   reach each device in stream order, which is all the scalar semantics
   require.  Any vectorization obstacle (heterogeneous columns, unsupported
   opcode, a plan or runtime bail, paths that revisit a device) demotes the
-  *whole owner group* to the scalar interpreter before any of its state was
-  flushed, so mixing vector and scalar owners in one batch stays exact.
+  *whole owner group* to the scalar interpreter with its in-place state
+  writes undone, so mixing vector and scalar owners in one batch stays exact.
 
 * :class:`TrafficEngine` — sustained load: per-tenant workload generators
   (:mod:`repro.emulator.traffic`) emitted in timed batch rounds through
@@ -44,7 +44,7 @@ from repro.emulator.kernels import (
     DEFAULT_KERNEL_CACHE,
     BatchColumns,
     KernelCache,
-    MirrorSet,
+    UndoScope,
     VectorBail,
 )
 from repro.emulator.metrics import RunMetrics
@@ -71,10 +71,11 @@ class BatchReport:
 class _OwnerRun:
     """Buffered outcome of one owner group's vectorized traversal.
 
-    Nothing here touches the packets, the runtimes or the metrics until the
-    owner group completes — a mid-path :class:`VectorBail` just drops this
-    object (and the owner's unflushed state mirrors) and the rows re-route
-    through the scalar interpreter.
+    Nothing here touches the packets or the metrics until the owner group
+    completes — a mid-path :class:`VectorBail` just drops this object, rolls
+    back the owner's :class:`~repro.emulator.kernels.UndoScope` (kernels
+    write device state in place) and the rows re-route through the scalar
+    interpreter.
     """
 
     def __init__(self, owner: str, rows: List[int], cols: BatchColumns,
@@ -212,7 +213,6 @@ class BatchRunner:
         groups: Dict[str, List[int]] = {}
         for i, packet in enumerate(packets):
             groups.setdefault(packet.owner, []).append(i)
-        mirrors = MirrorSet()
         handled: Dict[int, Tuple[_OwnerRun, int]] = {}
         owner_runs: List[_OwnerRun] = []
         report = BatchReport(packets=len(packets))
@@ -222,8 +222,7 @@ class BatchRunner:
             if owner and owner in self.emulator.deployments:
                 if stats is not None:
                     stats.increment("owner_groups")
-                orun = self._run_owner(owner, idxs, packets, mirrors,
-                                       link_latency_ns)
+                orun = self._run_owner(owner, idxs, packets, link_latency_ns)
             if orun is None:
                 report.fallback_rows += len(idxs)
                 if stats is not None:
@@ -235,7 +234,6 @@ class BatchRunner:
             report.vector_rows += len(idxs)
             if stats is not None:
                 stats.increment("packets_vectorized", len(idxs))
-        mirrors.flush()
         # owner-level aggregates: every RunMetrics field is a commutative
         # sum (integer counts, dyadic-rational bytes and latencies whose
         # float addition is exact), so applying them grouped instead of
@@ -272,7 +270,7 @@ class BatchRunner:
             metrics.bytes_reflected += float(
                 int(orun.base_bits[orun.finished == 2].sum())) / 8.0
         # materialize per packet in stream order; fallback rows run the
-        # ordinary scalar path (their owner's state was never flushed)
+        # ordinary scalar path (their owner's state is as the batch found it)
         for i, packet in enumerate(packets):
             hit = handled.get(i)
             if hit is None:
@@ -292,29 +290,24 @@ class BatchRunner:
         return metrics
 
     # ------------------------------------------------------------------ #
-    def _owner_states(self, context) -> set:
-        names: set = set()
-        for snippet in context.plan.device_snippets().values():
-            names.update(snippet.states)
-        return names
-
     def _run_owner(self, owner: str, idxs: List[int], packets,
-                   mirrors: MirrorSet,
                    link_latency_ns: float) -> Optional[_OwnerRun]:
-        emu = self.emulator
-        context = emu.deployments[owner]
+        context = self.emulator.deployments[owner]
         group = [packets[i] for i in idxs]
+        undo = UndoScope()
         try:
-            return self._run_owner_inner(owner, idxs, group, context,
-                                         mirrors, link_latency_ns)
+            orun = self._run_owner_inner(owner, idxs, group, context,
+                                         undo, link_latency_ns)
         except (_OwnerBail, VectorBail):
-            mirrors.discard(self._owner_states(context))
+            undo.rollback()
             if self.stats is not None:
                 self.stats.increment("kernel_bails")
             return None
+        undo.commit()
+        return orun
 
     def _run_owner_inner(self, owner: str, idxs: List[int], group,
-                         context, mirrors: MirrorSet,
+                         context, undo: UndoScope,
                          link_latency_ns: float) -> _OwnerRun:
         emu = self.emulator
         cols = BatchColumns.from_packets(group)
@@ -450,7 +443,7 @@ class BatchRunner:
             kernel = self.cache.get(snippets[target])
             if self.stats is not None:
                 self.stats.increment("kernel_calls")
-            result = kernel.execute(runtime, cols, sel, mirrors, self.stats)
+            result = kernel.execute(runtime, cols, sel, undo, self.stats)
             if result is None:
                 raise _OwnerBail("kernel bailed")
             orun.lat[sel] += runtime.device.processing_latency_ns

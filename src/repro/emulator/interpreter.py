@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.devices.base import Device
 from repro.exceptions import EmulationError
 from repro.emulator.packet import Packet
+from repro.emulator.state import RegisterFile
 from repro.ir.instructions import Instruction, Opcode, StateDecl, StateKind
 from repro.ir.program import IRProgram
 
@@ -38,12 +39,19 @@ class ExecutionResult:
 
 
 class StateStore:
-    """Persistent state objects of one device."""
+    """Persistent state objects of one device.
 
-    def __init__(self) -> None:
-        self.registers: Dict[str, Dict[Tuple[int, int], int]] = {}
+    ``registers[name]`` is a :class:`~repro.emulator.state.RegisterFile` —
+    the one resident copy of that array's cells, shared by the scalar
+    accessors below and the vector kernels.
+    """
+
+    def __init__(self, stats=None) -> None:
+        self.registers: Dict[str, RegisterFile] = {}
         self.tables: Dict[str, Dict[int, int]] = {}
         self.decls: Dict[str, StateDecl] = {}
+        #: optional ``DataplaneStats`` bag handed to every register file
+        self.stats = stats
 
     def ensure(self, decl: StateDecl) -> None:
         if decl.name in self.decls:
@@ -53,25 +61,39 @@ class StateStore:
                          StateKind.DIRECT_TABLE):
             self.tables[decl.name] = {}
         else:
-            self.registers[decl.name] = {}
+            self.registers[decl.name] = RegisterFile(decl, self.stats)
+
+    def drop(self, name: str) -> None:
+        """Forget state *name*: its declaration and everything it holds."""
+        self.decls.pop(name, None)
+        self.registers.pop(name, None)
+        self.tables.pop(name, None)
+
+    def register_file(self, name: str) -> RegisterFile:
+        file = self.registers.get(name)
+        if file is None:
+            file = self.registers[name] = RegisterFile(
+                self.decls.get(name), self.stats)
+        return file
 
     def reg_read(self, name: str, index: int, row: int = 0) -> int:
-        return self.registers.setdefault(name, {}).get((row, index), 0)
+        return self.register_file(name).get((row, index), 0)
 
     def reg_write(self, name: str, index: int, value: int, row: int = 0) -> None:
-        self.registers.setdefault(name, {})[(row, index)] = int(value)
+        self.register_file(name)[(row, index)] = int(value)
 
     def reg_add(self, name: str, index: int, amount: int, row: int = 0) -> int:
-        store = self.registers.setdefault(name, {})
-        store[(row, index)] = store.get((row, index), 0) + int(amount)
-        return store[(row, index)]
+        file = self.register_file(name)
+        value = file.get((row, index), 0) + int(amount)
+        file[(row, index)] = value
+        return value
 
     def reg_clear(self, name: str, index: Optional[int] = None, row: int = 0) -> None:
-        store = self.registers.setdefault(name, {})
+        file = self.register_file(name)
         if index is None:
-            store.clear()
+            file.clear()
         else:
-            store.pop((row, index), None)
+            file.pop((row, index), None)
 
     def table_lookup(self, name: str, key: int) -> int:
         return self.tables.setdefault(name, {}).get(int(key), MISS)
@@ -92,9 +114,9 @@ def crc_hash(value: int, modulus: int = 1 << 16, salt: int = 0) -> int:
 class DeviceRuntime:
     """Executes IR snippets on packets for one device."""
 
-    def __init__(self, device: Device) -> None:
+    def __init__(self, device: Device, stats=None) -> None:
         self.device = device
-        self.state = StateStore()
+        self.state = StateStore(stats)
         self.snippets: List[Tuple[str, IRProgram, Dict[int, int]]] = []
         self.packets_processed = 0
         self.instructions_executed = 0
@@ -109,7 +131,18 @@ class DeviceRuntime:
         self.snippets.append((owner, snippet, dict(steps or {})))
 
     def remove_snippet(self, owner: str) -> None:
+        """Uninstall *owner*'s snippet and the states only it declared.
+
+        A state another installed snippet still declares survives; anything
+        else would be inherited by the next program that reuses the name.
+        """
+        removed = [s for o, s, _ in self.snippets if o == owner]
         self.snippets = [(o, s, st) for o, s, st in self.snippets if o != owner]
+        kept = {name for _, s, _ in self.snippets for name in s.states}
+        for snippet in removed:
+            for name in snippet.states:
+                if name not in kept:
+                    self.state.drop(name)
 
     def installed_owners(self) -> List[str]:
         return [owner for owner, _, _ in self.snippets]

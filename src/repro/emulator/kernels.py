@@ -3,10 +3,24 @@
 The scalar :class:`~repro.emulator.interpreter.DeviceRuntime` executes one
 instruction on one packet at a time.  This module compiles an IR snippet into
 a *kernel* that executes the same instruction list over a whole column-major
-packet batch with numpy: header and param fields become arrays, register
-states become dense mirrors, exact tables become vectorized dictionary
-lookups, guards become boolean masks, and the packet-flow primitives
-(drop/forward/reflect/mirror/copy-to-CPU) become per-row outcome bits.
+packet batch with numpy: header and param fields become arrays, exact tables
+become vectorized dictionary lookups, guards become boolean masks, and the
+packet-flow primitives (drop/forward/reflect/mirror/copy-to-CPU) become
+per-row outcome bits.
+
+State residency
+---------------
+Register state is not checked out per ``run_batch`` and flushed back: each
+register array is one :class:`~repro.emulator.state.RegisterFile` that lives
+in ``StateStore.registers`` and that the scalar interpreter and these kernels
+share.  The first kernel to touch a file promotes it from its dict to
+``(rows, size)`` columns, once; from then on kernels gather from and scatter
+into ``file.cells`` / ``file.present`` in place, so a batch costs O(packets),
+not O(cells the device remembers).  Tables are written through to the live
+dict.  Because writes land immediately, every owner group runs inside an
+:class:`UndoScope` — a column checkpoint per written file plus a
+``(key, previous)`` journal per table write — which a bail rolls back before
+the rows re-route through the scalar interpreter.
 
 Exactness contract
 ------------------
@@ -51,6 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.emulator.state import RegisterFile
 from repro.ir.instructions import Instruction, Opcode, StateKind
 from repro.ir.program import IRProgram
 
@@ -73,16 +88,12 @@ _CMP_OPS = (Opcode.CMP_LT, Opcode.CMP_LE, Opcode.CMP_GT, Opcode.CMP_GE,
             Opcode.CMP_EQ, Opcode.CMP_NE)
 _PASS_OPS = (Opcode.NOP, Opcode.DECL_STATE, Opcode.PARSE, Opcode.HDR_INSERT)
 
-#: Dense register mirrors above this many cells fall back to the dict store.
-_MIRROR_CELL_CAP = 1 << 25
-
 
 class VectorBail(Exception):
     """Raised when a batch turns out to be non-vectorizable at runtime.
 
-    Mirrors are per-owner and unflushed, so the caller can discard them and
-    re-route the owner's rows through the scalar interpreter from pristine
-    device state.
+    The caller rolls back the owner's :class:`UndoScope` and re-routes the
+    owner's rows through the scalar interpreter from the pre-batch state.
     """
 
 
@@ -226,99 +237,60 @@ def _kind_of(col: np.ndarray) -> Tuple:
 
 
 # --------------------------------------------------------------------------- #
-# state mirrors
+# in-place state access
 # --------------------------------------------------------------------------- #
-class RegisterMirror:
-    """Dense (rows, size) mirror of one register dict, with presence bits.
-
-    The presence mask preserves dict-level equality with the scalar store: an
-    explicitly written zero and a never-written cell are different states.
-    """
-
-    def __init__(self, store: Dict[Tuple[int, int], int], decl) -> None:
-        rows = decl.rows if decl is not None else 1
-        size = decl.size if decl is not None else 1
-        if store:
-            rows = max(rows, max(r for r, _ in store) + 1)
-            size = max(size, max(i for _, i in store) + 1)
-            if any(r < 0 or i < 0 for r, i in store):
-                raise VectorBail("register store holds negative cells")
-        if rows * size > _MIRROR_CELL_CAP:
-            raise VectorBail("register state too large to mirror")
-        self.values = np.zeros((rows, size), dtype=np.int64)
-        self.present = np.zeros((rows, size), dtype=bool)
-        for (r, i), v in store.items():
-            if abs(v) > (1 << 62):
-                raise VectorBail("register value exceeds int64 mirror range")
-            self.values[r, i] = v
-            self.present[r, i] = True
-
-    def ensure(self, rows: int, size: int) -> None:
-        grown_r = max(rows, self.values.shape[0])
-        grown_s = max(size, self.values.shape[1])
-        if (grown_r, grown_s) == self.values.shape:
-            return
-        if grown_r * grown_s > _MIRROR_CELL_CAP:
-            raise VectorBail("register growth exceeds mirror cap")
-        values = np.zeros((grown_r, grown_s), dtype=np.int64)
-        present = np.zeros((grown_r, grown_s), dtype=bool)
-        values[: self.values.shape[0], : self.values.shape[1]] = self.values
-        present[: self.present.shape[0], : self.present.shape[1]] = self.present
-        self.values, self.present = values, present
-
-    def to_store(self) -> Dict[Tuple[int, int], int]:
-        rows, idx = np.nonzero(self.present)
-        vals = self.values[rows, idx]
-        return {
-            (int(r), int(i)): int(v)
-            for r, i, v in zip(rows.tolist(), idx.tolist(), vals.tolist())
-        }
+def _columns(runtime, name: str) -> RegisterFile:
+    """Register state *name* of *runtime*, in columns (promoted on demand)."""
+    file = runtime.state.register_file(name)
+    if not file.promote():
+        raise VectorBail(f"register state {name} cannot be held in columns")
+    return file
 
 
-class MirrorSet:
-    """Per-``run_batch`` checkout of device state into vector mirrors.
+def _grow(file: RegisterFile, rows: int, size: int) -> None:
+    if not file.ensure(rows, size):
+        raise VectorBail("register growth exceeds the column cap")
 
-    Mirrors stay private until :meth:`flush`; discarding an owner's mirrors
-    (scalar re-route after a :class:`VectorBail`) leaves the device stores
-    exactly as they were before the batch.
+
+_ABSENT = object()
+
+
+class UndoScope:
+    """What one owner group's kernels wrote in place during one batch.
+
+    Kernels write device state directly, so a bail after the first write has
+    to put it back: the first write to a register file in the scope
+    checkpoints its columns (two memcpys, independent of how many cells are
+    live), and every table write journals ``(key, previous value)``.
+    :meth:`rollback` restores both; :meth:`commit` drops them.
     """
 
     def __init__(self) -> None:
-        self._registers: Dict[Tuple[int, str], Tuple] = {}
-        self._tables: Dict[Tuple[int, str], Tuple] = {}
+        self._files: Dict[int, Tuple[RegisterFile, tuple]] = {}
+        self._table_writes: List[Tuple[Dict[int, int], int, object]] = []
 
-    def register(self, runtime, name: str) -> RegisterMirror:
-        key = (id(runtime), name)
-        hit = self._registers.get(key)
-        if hit is None:
-            store = runtime.state.registers.setdefault(name, {})
-            mirror = RegisterMirror(store, runtime.state.decls.get(name))
-            hit = (runtime, mirror)
-            self._registers[key] = hit
-        return hit[1]
+    def writable(self, runtime, name: str) -> RegisterFile:
+        file = _columns(runtime, name)
+        if id(file) not in self._files:
+            self._files[id(file)] = (file, file.checkpoint())
+        return file
 
-    def table(self, runtime, name: str) -> Dict[int, int]:
-        key = (id(runtime), name)
-        hit = self._tables.get(key)
-        if hit is None:
-            hit = (runtime, dict(runtime.state.tables.setdefault(name, {})))
-            self._tables[key] = hit
-        return hit[1]
+    def table_write(self, table: Dict[int, int], key: int, value: int) -> None:
+        self._table_writes.append((table, key, table.get(key, _ABSENT)))
+        table[key] = value
 
-    def discard(self, state_names) -> None:
-        names = set(state_names)
-        self._registers = {k: v for k, v in self._registers.items()
-                           if k[1] not in names}
-        self._tables = {k: v for k, v in self._tables.items()
-                        if k[1] not in names}
+    def rollback(self) -> None:
+        for file, checkpoint in self._files.values():
+            file.rollback(checkpoint)
+        for table, key, previous in reversed(self._table_writes):
+            if previous is _ABSENT:
+                del table[key]
+            else:
+                table[key] = previous
 
-    def flush(self) -> None:
-        for (_, name), (runtime, mirror) in self._registers.items():
-            runtime.state.registers[name] = mirror.to_store()
-        for (_, name), (runtime, table) in self._tables.items():
-            runtime.state.tables[name] = table
-        self._registers.clear()
-        self._tables.clear()
+    def commit(self) -> None:
+        for file, _ in self._files.values():
+            file.enforce_value_limit()
 
 
 # --------------------------------------------------------------------------- #
@@ -750,11 +722,12 @@ class CompiledKernel:
 
     # -- execution --------------------------------------------------------- #
     def execute(self, runtime, cols: BatchColumns, rows: np.ndarray,
-                mirrors: MirrorSet, stats=None) -> Optional[KernelResult]:
+                undo: UndoScope, stats=None) -> Optional[KernelResult]:
         """Run the snippet over ``rows`` of the batch, or ``None`` to bail.
 
-        A ``None`` return (or a :class:`VectorBail`) happens before any state
-        of this snippet is flushed, so the caller can re-route the rows
+        Device state is written in place through *undo*.  A ``None`` return
+        happens before this call wrote anything; after a :class:`VectorBail`
+        the caller rolls *undo* back.  Either way the rows can then re-route
         through the scalar interpreter.
         """
         if not self.vectorized:
@@ -764,7 +737,7 @@ class CompiledKernel:
         plan = self.plan(field_kinds, env_kinds)
         if plan is None:
             return None
-        ctx = _Context(self, runtime, cols, rows, mirrors, plan)
+        ctx = _Context(self, runtime, cols, rows, undo, plan)
         ctx.run_prefix()
         schedule = ctx.build_schedule()
         if schedule is None:
@@ -791,12 +764,12 @@ class _Context:
     """Mutable columnar state of one kernel call (one snippet, one row set)."""
 
     def __init__(self, kernel: CompiledKernel, runtime, cols: BatchColumns,
-                 rows: np.ndarray, mirrors: MirrorSet, plan: dict) -> None:
+                 rows: np.ndarray, undo: UndoScope, plan: dict) -> None:
         self.kernel = kernel
         self.runtime = runtime
         self.cols = cols
         self.rows = rows
-        self.mirrors = mirrors
+        self.undo = undo
         self.plan = plan
         n = len(rows)
         self.n = n
@@ -1154,10 +1127,10 @@ class _Context:
 
     def _flush_pending(self, sl: np.ndarray) -> None:
         for state, records in self.pending.items():
-            mirror = self.mirrors.register(self.runtime, state)
+            file = self.undo.writable(self.runtime, state)
             for row, idx, eff, active in records:
-                np.add.at(mirror.values[row], idx, eff)
-                mirror.present[row, idx[active]] = True
+                np.add.at(file.cells[row], idx, eff)
+                file.present[row, idx[active]] = True
         self.pending.clear()
 
     # -- per-opcode execution ----------------------------------------------- #
@@ -1169,7 +1142,7 @@ class _Context:
         elif op in _LOOKUP_OPS:
             keys = _to_int_col(self._fetch(step.ops[0], sl)
                                if step.ops else 0, self._size(sl))
-            table = self.mirrors.table(self.runtime, step.state)
+            table = self.runtime.state.tables.setdefault(step.state, {})
             self._store(step, _table_gather(table, keys), active, sl)
         elif op in _TABLE_WRITE_OPS:
             self._table_insert(step.state, step, sl, active, key_at=0, val_at=1)
@@ -1336,38 +1309,36 @@ class _Context:
         size = self._size(sl)
         decl = self.kernel.decls.get(state)
         exempt = self.kernel.exempt.get(state)
-        mirror = self.mirrors.register(self.runtime, state)
         idx = _to_int_col(self._fetch(step.ops[0], sl) if step.ops else 0, size)
         idx = np.broadcast_to(np.asarray(idx, dtype=np.int64), (size,))
         if op in (Opcode.REG_CLEAR, Opcode.REG_DELETE):
             if not step.ops:
                 if active.any():
-                    mirror.values[:] = 0
-                    mirror.present[:] = False
+                    self.undo.writable(self.runtime, state).clear()
                 return
             act = active & (idx >= 0)       # popping a negative key is a no-op
             safe = np.where(act, idx, 0)
-            mirror.ensure(1, int(safe.max(initial=0)) + 1)
+            file = self.undo.writable(self.runtime, state)
+            _grow(file, 1, int(safe.max(initial=0)) + 1)
             # scalar reg_clear always pops row 0
-            mirror.values[0, safe[act]] = 0
-            mirror.present[0, safe[act]] = False
+            file.cells[0, safe[act]] = 0
+            file.present[0, safe[act]] = False
             return
         if op is Opcode.REG_READ:
+            file = _columns(self.runtime, state)
             if len(step.ops) > 1:
                 row = _to_int_col(self._fetch(step.ops[1], sl), size)
                 row = np.broadcast_to(np.asarray(row, dtype=np.int64), (size,))
-                value = self._reg_gather(mirror, state, row, idx, active,
-                                         exempt, sl)
+                value = self._reg_gather(file, state, row, idx, exempt)
             elif decl is not None and decl.rows > 1:
-                mirror.ensure(decl.rows, int(idx.max(initial=0)) + 1)
+                _grow(file, decl.rows, int(idx.max(initial=0)) + 1)
                 neg = idx < 0
                 safe = np.where(neg, 0, idx)
-                value = mirror.values[:, safe].T.copy()
+                value = file.cells[:decl.rows, safe].T.copy()
                 value[neg] = 0
             else:
                 zero = np.zeros(size, dtype=np.int64)
-                value = self._reg_gather(mirror, state, zero, idx, active,
-                                         exempt, sl)
+                value = self._reg_gather(file, state, zero, idx, exempt)
             self._store(step, value, active, sl)
             return
         if op is Opcode.REG_ADD:
@@ -1379,12 +1350,14 @@ class _Context:
             safe = np.where(active, idx, 0)
             amount = np.broadcast_to(np.asarray(amount, dtype=np.int64), (size,))
             if exempt == "add":
+                # the write itself is deferred to _flush_pending
+                file = _columns(self.runtime, state)
                 row_const = int(step.ops[2][1]) if len(step.ops) > 2 else 0
-                mirror.ensure(row_const + 1, int(safe.max(initial=0)) + 1)
+                _grow(file, row_const + 1, int(safe.max(initial=0)) + 1)
                 eff = np.where(active, amount, 0)
                 records = self.pending.setdefault(state, [])
                 records.append((row_const, safe, eff, active.copy()))
-                value = mirror.values[row_const, safe]
+                value = file.cells[row_const, safe]
                 for rec_row, rec_idx, rec_eff, _ in records:
                     if rec_row == row_const:
                         value = value + _prefix_sum_query(rec_idx, rec_eff,
@@ -1394,11 +1367,12 @@ class _Context:
             row = np.broadcast_to(np.asarray(row, dtype=np.int64), (size,))
             self._check_index(row, active)
             safe_row = np.where(active, row, 0)
-            mirror.ensure(int(safe_row.max(initial=0)) + 1,
-                          int(safe.max(initial=0)) + 1)
-            value = mirror.values[safe_row, safe] + amount
-            mirror.values[safe_row[active], safe[active]] = value[active]
-            mirror.present[safe_row[active], safe[active]] = True
+            file = self.undo.writable(self.runtime, state)
+            _grow(file, int(safe_row.max(initial=0)) + 1,
+                  int(safe.max(initial=0)) + 1)
+            value = file.cells[safe_row, safe] + amount
+            file.cells[safe_row[active], safe[active]] = value[active]
+            file.present[safe_row[active], safe[active]] = True
             self._store(step, value, active, sl)
             return
         # REG_WRITE
@@ -1408,30 +1382,32 @@ class _Context:
         safe = np.where(active, idx, 0)
         if isinstance(value, np.ndarray) and value.ndim == 2:
             width = value.shape[1]
-            mirror.ensure(width, int(safe.max(initial=0)) + 1)
-            mirror.values[:width, safe[active]] = \
+            file = self.undo.writable(self.runtime, state)
+            _grow(file, width, int(safe.max(initial=0)) + 1)
+            file.cells[:width, safe[active]] = \
                 value[active].astype(np.int64).T
-            mirror.present[:width, safe[active]] = True
+            file.present[:width, safe[active]] = True
             return
         row = (_to_int_col(self._fetch(step.ops[2], sl), size)
                if len(step.ops) > 2 else 0)
         row = np.broadcast_to(np.asarray(row, dtype=np.int64), (size,))
         self._check_index(row, active)
         safe_row = np.where(active, row, 0)
-        mirror.ensure(int(safe_row.max(initial=0)) + 1,
-                      int(safe.max(initial=0)) + 1)
+        file = self.undo.writable(self.runtime, state)
+        _grow(file, int(safe_row.max(initial=0)) + 1,
+              int(safe.max(initial=0)) + 1)
         out = np.broadcast_to(
             np.asarray(_to_int_col(value, size), dtype=np.int64), (size,))
-        mirror.values[safe_row[active], safe[active]] = out[active]
-        mirror.present[safe_row[active], safe[active]] = True
+        file.cells[safe_row[active], safe[active]] = out[active]
+        file.present[safe_row[active], safe[active]] = True
 
-    def _reg_gather(self, mirror, state, row, idx, active, exempt, sl):
+    def _reg_gather(self, file, state, row, idx, exempt):
         neg = (idx < 0) | (row < 0)
         safe_idx = np.where(neg, 0, idx)
         safe_row = np.where(neg, 0, row)
-        mirror.ensure(int(safe_row.max(initial=0)) + 1,
-                      int(safe_idx.max(initial=0)) + 1)
-        value = mirror.values[safe_row, safe_idx]
+        _grow(file, int(safe_row.max(initial=0)) + 1,
+              int(safe_idx.max(initial=0)) + 1)
+        value = file.cells[safe_row, safe_idx]
         value = np.where(neg, 0, value)
         if exempt == "add":
             for rec_row, rec_idx, rec_eff, _ in self.pending.get(state, []):
@@ -1455,9 +1431,9 @@ class _Context:
                              if len(step.ops) > val_at else 1, size)
         keys = np.broadcast_to(np.asarray(keys, dtype=np.int64), (size,))
         values = np.broadcast_to(np.asarray(values, dtype=np.int64), (size,))
-        table = self.mirrors.table(self.runtime, table_name)
+        table = self.runtime.state.tables.setdefault(table_name, {})
         for k, v in zip(keys[active].tolist(), values[active].tolist()):
-            table[int(k)] = int(v)
+            self.undo.table_write(table, k, v)
 
     # -- writeback ------------------------------------------------------------ #
     def scatter_back(self) -> None:

@@ -14,7 +14,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.core.stats import DataplaneStats
-from repro.emulator.interpreter import DeviceRuntime, ExecutionResult
+from repro.emulator.interpreter import (
+    DeviceRuntime,
+    ExecutionResult,
+    StateStore,
+)
 from repro.emulator.metrics import RunMetrics
 from repro.emulator.packet import Packet
 from repro.exceptions import EmulationError
@@ -37,8 +41,13 @@ class NetworkEmulator:
 
     def __init__(self, topology: NetworkTopology) -> None:
         self.topology = topology
+        #: Vectorized data-plane activity (:meth:`run_batch`) and register
+        #: backing conversions; exposed on ``/v1/metrics`` via
+        #: ``TrafficEngine.bind_metrics``.
+        self.dataplane_stats = DataplaneStats()
         self.runtimes: Dict[str, DeviceRuntime] = {
-            name: DeviceRuntime(device) for name, device in topology.devices.items()
+            name: DeviceRuntime(device, self.dataplane_stats)
+            for name, device in topology.devices.items()
         }
         self.deployments: Dict[str, DeploymentContext] = {}
         self._next_user_id = 1
@@ -47,9 +56,6 @@ class NetworkEmulator:
         #: :class:`~repro.runtime.health.HealthMonitor` uses to surface
         #: per-device overload without the emulator knowing about it.
         self.observers: List = []
-        #: Vectorized data-plane activity (:meth:`run_batch`); exposed on
-        #: ``/v1/metrics`` via ``TrafficEngine.bind_metrics``.
-        self.dataplane_stats = DataplaneStats()
         #: Per-owner breakdown of the last :meth:`run_batch`
         #: (:class:`~repro.emulator.engine.BatchReport`), for rate counters.
         self.last_batch = None
@@ -303,8 +309,8 @@ class NetworkEmulator:
                 if entry is None:
                     continue
                 if entry["registers"]:
-                    runtime.state.registers.setdefault(
-                        state_name, {}).update(entry["registers"])
+                    runtime.state.register_file(state_name).update(
+                        entry["registers"])
                 if entry["tables"]:
                     runtime.state.tables.setdefault(
                         state_name, {}).update(entry["tables"])
@@ -334,7 +340,7 @@ class NetworkEmulator:
         """
         for runtime in self.runtimes.values():
             owners = list(runtime.installed_owners())
-            runtime.state = type(runtime.state)()
+            runtime.state = StateStore(self.dataplane_stats)
             for owner in owners:
                 context = self.deployments.get(owner)
                 if context is None:

@@ -8,10 +8,11 @@ owner-state snapshot/restore used for live state carry.
 
 import pytest
 
+from repro.apps import MLAggApplication
 from repro.core import ClickINC
 from repro.exceptions import EmulationError
 from repro.lang.profile import default_profile
-from repro.topology import build_fattree
+from repro.topology import build_fattree, build_paper_emulation_topology
 
 
 @pytest.fixture()
@@ -175,3 +176,65 @@ class TestEmulatorObservers:
         controller.emulator.remove_observer(seen.append)
         controller.run_traffic([])
         assert len(seen) == 1
+
+
+class TestStateDiesWithItsProgram:
+    """``install_snippet`` promises states "created empty": a removed
+    program's cells must not be inherited by the next one using its names."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
+    def test_redeploy_after_remove_starts_from_empty_state(self, batch):
+        controller = ClickINC(build_paper_emulation_topology(),
+                              generate_code=False)
+        emulator = controller.emulator
+        run = emulator.run_batch if batch else emulator.run
+        app = MLAggApplication(name="agg_tenant")
+
+        def deploy():
+            controller.deploy_profile(app.profile(), app.source_groups,
+                                      app.destination_group, name=app.name)
+
+        def cells():
+            return sum(len(registers) + sum(map(len, rt.state.tables.values()))
+                       for rt in emulator.runtimes.values()
+                       for registers in rt.state.registers.values())
+
+        deploy()
+        # seven of eight workers: the aggregators are left half-filled
+        run(app.workload().round_packets(0)[:-1])
+        assert cells() > 0
+        controller.remove(app.name)
+        for runtime in emulator.runtimes.values():
+            assert not runtime.state.decls
+            assert not runtime.state.registers and not runtime.state.tables
+        deploy()
+        assert cells() == 0
+        # the new tenant's gradients differ; it must aggregate them from
+        # zero, not find its workers' bitmap bits already set
+        workload = app.workload()
+        workload.seed += 1
+        packets = workload.round_packets(0)[:-1]
+        run(packets)
+        stored = {}
+        for runtime in emulator.runtimes.values():
+            for state_name, registers in runtime.state.registers.items():
+                if "agg_data" in state_name:
+                    for (row, _index), value in registers.items():
+                        stored[row] = value
+        assert [stored[row] for row in sorted(stored)] == [
+            sum(vals) for vals in zip(*(p.fields["data"] for p in packets))]
+
+    def test_state_shared_with_an_installed_snippet_survives(self, controller):
+        deployed = deploy_kvs(controller, 0, "kvs_a")
+        emulator = controller.emulator
+        device_name, state_name = stateful_device(controller, "kvs_a")
+        runtime = emulator.runtimes[device_name]
+        snippet = deployed.plan.device_snippets()[device_name]
+        runtime.install_snippet("ghost", snippet, deployed.plan.step_table())
+        runtime.state.reg_write(state_name, 2, 7)
+        runtime.remove_snippet("ghost")
+        assert state_name in runtime.state.decls
+        assert runtime.state.reg_read(state_name, 2) == 7
+        runtime.remove_snippet("kvs_a")
+        assert state_name not in runtime.state.decls
+        assert runtime.state.reg_read(state_name, 2) == 0

@@ -1,11 +1,15 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from unittest import mock
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.stats import DataplaneStats
 from repro.devices import TofinoDevice
 from repro.emulator import DeviceRuntime, Packet
+from repro.emulator import state as state_mod
 from repro.emulator.interpreter import StateStore, crc_hash
 from repro.frontend import compile_source
 from repro.ir.instructions import Opcode, StateDecl, StateKind
@@ -195,6 +199,138 @@ class TestInterpreterProperties:
             reference_counts[key] = reference_counts.get(key, 0) + 1
             should_drop = reference_counts[key] > threshold
             assert result.dropped == should_drop
+
+
+# --------------------------------------------------------------------------- #
+# resident register state: one mapping, two backings
+# --------------------------------------------------------------------------- #
+_LIMIT = state_mod.COLUMN_VALUE_LIMIT
+_SMALL_CAP = 64
+_REG_DECL = StateDecl("r", StateKind.REGISTER_ARRAY, rows=2, size=8, width=32)
+
+_cell_rows = st.integers(min_value=-1, max_value=3)
+_cell_indices = st.one_of(st.integers(min_value=-1, max_value=9),
+                          st.just(40))            # 40: growth past the cap
+_cell_values = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.sampled_from([0, _LIMIT, -_LIMIT, _LIMIT + 1, -_LIMIT - 1, 1 << 70]))
+_register_ops = st.one_of(
+    st.tuples(st.just("read"), _cell_rows, _cell_indices),
+    st.tuples(st.just("write"), _cell_rows, _cell_indices, _cell_values),
+    st.tuples(st.just("add"), _cell_rows, _cell_indices, _cell_values),
+    st.tuples(st.just("pop"), _cell_rows, _cell_indices),
+    st.tuples(st.just("pop_live"), st.integers(min_value=0, max_value=99)),
+    st.tuples(st.just("update"), st.dictionaries(
+        st.tuples(_cell_rows, _cell_indices), _cell_values, max_size=4)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("promote")),
+)
+
+
+def _holdable(model) -> bool:
+    """Could columns (under the shrunken cap) hold exactly these cells?"""
+    if any(r < 0 or i < 0 or abs(v) > _LIMIT for (r, i), v in model.items()):
+        return False
+    rows = max([_REG_DECL.rows] + [r + 1 for r, _ in model])
+    size = max([_REG_DECL.size] + [i + 1 for _, i in model])
+    return rows * size <= _SMALL_CAP
+
+
+def _assert_same_mapping(file, model) -> None:
+    assert file == model and model == file
+    assert not (file != model)
+    assert len(file) == len(model) and bool(file) == bool(model)
+    assert dict(file.items()) == model
+    assert sorted(file) == sorted(model)
+    assert sorted(file.values()) == sorted(model.values())
+    for key, value in model.items():       # written zeros are present
+        assert key in file and file[key] == value and file.get(key) == value
+    assert all(type(v) is int for v in file.values())
+    assert (9, 9) not in file and file.get((9, 9)) is None
+    if file.columnar:
+        assert _holdable(model)
+
+
+class TestRegisterFileProperties:
+    @given(st.lists(_register_ops, min_size=1, max_size=40), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_plain_dict_in_either_backing(self, ops, start_columnar):
+        with mock.patch.object(state_mod, "COLUMN_CELL_CAP", _SMALL_CAP):
+            store, sparse_twin = StateStore(), StateStore()
+            for twin in (store, sparse_twin):
+                twin.ensure(_REG_DECL)
+            file = store.registers["r"]
+            model = {}
+            if start_columnar:
+                assert file.promote()
+            for op, *args in ops:
+                if op == "promote":
+                    promoted = file.promote()
+                    assert promoted == file.columnar
+                    if not _holdable(model):
+                        assert not promoted
+                elif op == "read":
+                    row, index = args
+                    assert store.reg_read("r", index, row) == \
+                        model.get((row, index), 0)
+                elif op == "write":
+                    row, index, value = args
+                    model[(row, index)] = value
+                    for twin in (store, sparse_twin):
+                        twin.reg_write("r", index, value, row)
+                elif op == "add":
+                    row, index, amount = args
+                    model[(row, index)] = model.get((row, index), 0) + amount
+                    for twin in (store, sparse_twin):
+                        assert twin.reg_add("r", index, amount, row) == \
+                            model[(row, index)]
+                elif op in ("pop", "pop_live"):
+                    key = tuple(args)
+                    if op == "pop_live":    # the n-th cell that exists
+                        key = sorted(model)[args[0] % len(model)] \
+                            if model else (0, 0)
+                    expected = model.pop(key, None)
+                    for twin in (store, sparse_twin):
+                        assert twin.registers["r"].pop(key, None) == expected
+                elif op == "update":
+                    model.update(args[0])
+                    for twin in (store, sparse_twin):
+                        twin.registers["r"].update(args[0])
+                else:
+                    model.clear()
+                    for twin in (store, sparse_twin):
+                        twin.reg_clear("r")
+                _assert_same_mapping(file, model)
+                assert not sparse_twin.registers["r"].columnar
+                assert file == sparse_twin.registers["r"]
+                assert sparse_twin.registers["r"] == file
+
+    @given(st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=3),
+                  st.integers(min_value=0, max_value=12)),
+        st.integers(min_value=-_LIMIT, max_value=_LIMIT), max_size=20),
+        st.sampled_from([((-1, 0), 1), ((0, 0), _LIMIT + 1),
+                         ((0, 1 << 40), 1)]))
+    @settings(max_examples=60, deadline=None)
+    def test_promote_demote_round_trip_keeps_every_cell(self, cells, breaker):
+        stats = DataplaneStats()
+        file = state_mod.RegisterFile(_REG_DECL, stats)
+        file.update(cells)
+        model = dict(cells)
+        assert file.promote() and file.columnar
+        assert stats.state_promotions == 1
+        assert stats.state_cells_converted == len(model)
+        _assert_same_mapping(file, model)
+        key, value = breaker                # a write columns cannot hold
+        file[key] = value
+        model[key] = value
+        assert not file.columnar
+        assert stats.state_cells_converted == 2 * len(cells)
+        assert file == model and dict(file.items()) == model
+        assert not file.promote()           # demoted: stays a dict ...
+        file.clear()                        # ... until it is cleared
+        assert file == {} and file.promote() and file.columnar
+        assert stats.state_promotions == 2
 
 
 # --------------------------------------------------------------------------- #

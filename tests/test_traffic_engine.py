@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps import MLAggApplication
 from repro.core import ClickINC
 from repro.emulator.engine import TrafficEngine
 from repro.emulator.traffic import KVSWorkload
 from repro.lang.profile import default_profile
 from repro.runtime import HealthMonitor
 from repro.runtime import events as ev
-from repro.topology import build_fattree
+from repro.topology import build_fattree, build_paper_emulation_topology
 
 
 def deploy_kvs(controller, pod: int, name: str):
@@ -88,6 +89,32 @@ class TestTrafficEngineRounds:
         rs = scalar.run_round()
         assert rb.packets == rs.packets == 50
         assert rb.metrics.packets_sent == rs.metrics.packets_sent
+
+
+class TestResidentRegisterState:
+    def test_steady_rounds_convert_no_register_cells(self):
+        """The deterministic form of "no per-batch dict<->array conversion":
+        after the first round promoted the files it touches, kernel-only
+        rounds move no cell between backings however much state is live."""
+        controller = ClickINC(build_paper_emulation_topology(),
+                              generate_code=False)
+        app = MLAggApplication(name="mlagg_resident")
+        controller.deploy_profile(app.profile(), app.source_groups,
+                                  app.destination_group, name=app.name)
+        engine = TrafficEngine(controller.emulator)
+        engine.add_source(app.name, app.workload(), units_per_round=16)
+        stats = controller.emulator.dataplane_stats
+        engine.run_round()
+        assert stats.state_promotions > 0
+        converted = stats.state_cells_converted
+        engine.run(rounds=19)
+        assert stats.packets_fallback == 0 and stats.kernel_bails == 0
+        live = sum(len(registers)
+                   for rt in controller.emulator.runtimes.values()
+                   for registers in rt.state.registers.values())
+        assert live > 1000
+        # (a file first reached in a later round is promoted from empty)
+        assert stats.state_cells_converted == converted
 
 
 class TestSustainedOverload:
