@@ -33,9 +33,10 @@ non-zero when
 
 * the scenario shrinks below ``min_scaling_devices`` (the >= 1000-device
   fat-tree the incremental-DP work targets),
-* the cold solve exceeds ``max_cold_solve_s``,
-* a warm placer's re-place after a single-device delta is less than
-  ``min_incremental_speedup`` times faster than the cold solve,
+* the cold solve exceeds ``max_cold_solve_s`` or a warm placer's re-place
+  after a single-device delta exceeds ``max_incremental_solve_s`` (the two
+  times are gated, not their ratio: a faster cold solve must not read as a
+  regression — the ratio is still reported),
 * the incremental plan stops being byte-identical to the cold plan, or
   the warm run stops hitting the cross-epoch memo at all,
 * the shared-memo workers=4 speculative wave
@@ -111,7 +112,10 @@ from benchmarks.bench_parallel_deploy import (  # noqa: E402
 from benchmarks.bench_runtime_migration import (  # noqa: E402
     run_all as run_runtime_migration,
 )
-from benchmarks.bench_fig14_scaling import run_scaling  # noqa: E402
+from benchmarks.bench_fig14_scaling import (  # noqa: E402
+    run_cold_place,
+    run_scaling,
+)
 from benchmarks.bench_shared_memo import (  # noqa: E402
     run_all as run_shared_memo,
 )
@@ -192,6 +196,7 @@ def measure() -> dict:
 
 def measure_scaling(reduced: bool = True) -> dict:
     result = run_scaling(reduced=reduced)
+    cold_place = run_cold_place()
     warm = result["warm_counters"]
     shared = run_shared_memo(reduced=reduced)
     wave = shared["wave"]
@@ -211,6 +216,11 @@ def measure_scaling(reduced: bool = True) -> dict:
         "scaling_subtree_memo_hits": warm["subtree_memo_hits"],
         "scaling_device_checks_warm": warm["device_checks"],
         "scaling_device_checks_cold": result["cold_counters"]["device_checks"],
+        # not gated: cold DPPlacer.place per template on the paper topology
+        "cold_place_ms": {column: round(ms, 3)
+                          for column, ms in cold_place["ms"].items()},
+        "cold_place_packing_runs": cold_place["packing_runs"],
+        "cold_place_packed_instructions": cold_place["packed_instructions"],
         "shared_memo_workers": wave["workers"],
         "shared_memo_wave_n": wave["n"],
         "shared_memo_private_wave_s": round(wave["private_wave_s"], 4),
@@ -436,21 +446,21 @@ def check_scaling(measured: dict, baseline: dict) -> list:
             f" {measured['scaling_devices']} devices (needs"
             f" >= {min_devices}) — it no longer exercises fabric scale"
         )
-    max_cold = float(baseline.get("max_cold_solve_s", 60.0))
+    max_cold = float(baseline["max_cold_solve_s"])
     if measured["scaling_cold_solve_s"] > max_cold:
         failures.append(
-            f"the cold solve took {measured['scaling_cold_solve_s']:.2f}s on"
+            f"the cold solve took {measured['scaling_cold_solve_s']:.3f}s on"
             f" a {measured['scaling_devices']}-device fat-tree (must stay"
-            f" below {max_cold:.0f}s)"
+            f" below {max_cold:.3f}s)"
         )
-    min_speedup = float(baseline.get("min_incremental_speedup", 5.0))
-    if measured["scaling_incremental_speedup"] < min_speedup:
+    max_incremental = float(baseline["max_incremental_solve_s"])
+    if measured["scaling_incremental_s"] > max_incremental:
         failures.append(
-            f"the incremental re-place after a single-device delta is only"
-            f" {measured['scaling_incremental_speedup']:.2f}x faster than the"
-            f" cold solve (needs >= {min_speedup:.1f}x:"
-            f" cold {measured['scaling_cold_solve_s']:.3f}s,"
-            f" incremental {measured['scaling_incremental_s']:.3f}s)"
+            f"the incremental re-place after a single-device delta took"
+            f" {measured['scaling_incremental_s']:.4f}s (must stay below"
+            f" {max_incremental:.4f}s;"
+            f" {measured['scaling_incremental_speedup']:.1f}x the cold"
+            f" solve's {measured['scaling_cold_solve_s']:.3f}s)"
         )
     if not measured["scaling_identical_plan"]:
         failures.append(

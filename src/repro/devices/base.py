@@ -159,6 +159,7 @@ class Device:
         #: is an integer comparison rather than a full re-hash.
         self.alloc_version: int = 0
         self._fingerprint_cache: tuple = (-1, "")
+        self._availability_cache: tuple = (-1, [])
 
     # ------------------------------------------------------------------ #
     # capability checks
@@ -182,8 +183,14 @@ class Device:
     # ------------------------------------------------------------------ #
     # resource accounting
     # ------------------------------------------------------------------ #
-    def instruction_demand(self, instr: Instruction) -> Dict[str, float]:
-        """Translate an instruction's abstract footprint into device resources."""
+    @staticmethod
+    def instruction_demand(instr: Instruction) -> Dict[str, float]:
+        """Translate an instruction's abstract footprint into device resources.
+
+        A fact of the instruction alone (no device model scales it), which is
+        why the placement search derives it once per program — the rows of a
+        :class:`~repro.placement.intra.PackingTable` — and not per device.
+        """
         raw = resource_footprint(instr)
         return {
             "alu": float(raw["alu"]),
@@ -196,7 +203,8 @@ class Device:
             "instructions": 1.0,
         }
 
-    def state_demand(self, program: IRProgram, state_names: Iterable[str]) -> Dict[str, float]:
+    @staticmethod
+    def state_demand(program: IRProgram, state_names: Iterable[str]) -> Dict[str, float]:
         """Memory demand of the persistent states named in *state_names*."""
         sram_bits = 0
         tcam_bits = 0
@@ -245,6 +253,26 @@ class Device:
     def release_stage(self, stage_index: int, demand: Dict[str, float]) -> None:
         self.stages[stage_index].release(demand)
         self.alloc_version += 1
+
+    def stage_availability(self) -> List[Dict[str, float]]:
+        """``capacity - used`` per stage, keyed in capacity-key order.
+
+        The read-only view Algorithm 2 packs against.  Memoised per
+        :attr:`alloc_version` like :meth:`allocation_fingerprint`, so the
+        dozens of packing runs of one commit-free search share one snapshot
+        per device; callers must not mutate it.
+        """
+        version = self.alloc_version
+        cached_version, cached = self._availability_cache
+        if cached_version == version:
+            return cached
+        snapshot = [
+            {key: capacity - stage.used.get(key, 0.0)
+             for key, capacity in stage.capacities.items()}
+            for stage in self.stages
+        ]
+        self._availability_cache = (version, snapshot)
+        return snapshot
 
     def allocation_fingerprint(self) -> str:
         """Stable hash of this device's current resource allocations.

@@ -700,10 +700,10 @@ class TrafficEngine:
         if self._batch_hist is not None:
             self._batch_hist.observe(len(batch))
         if self._compile_hist is not None:
-            times = DEFAULT_KERNEL_CACHE.compile_seconds
-            for value in times[self._compile_seen:]:
+            recent, self._compile_seen = (
+                DEFAULT_KERNEL_CACHE.compile_seconds_since(self._compile_seen))
+            for value in recent:
                 self._compile_hist.observe(value)
-            self._compile_seen = len(times)
         report = RoundReport(
             index=self.stats.rounds - 1, packets=len(batch),
             instructions=instructions, duration_s=duration,

@@ -58,10 +58,13 @@ contract end to end.
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
+import weakref
 import zlib
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -1611,38 +1614,82 @@ def _prefix_sum_query(rec_idx: np.ndarray, rec_eff: np.ndarray,
 # kernel cache
 # --------------------------------------------------------------------------- #
 class KernelCache:
-    """Digest-keyed cache of compiled kernels."""
+    """Digest-keyed cache of compiled kernels.
 
-    def __init__(self) -> None:
-        self._by_id: Dict[int, Tuple[IRProgram, CompiledKernel]] = {}
-        self._by_digest: Dict[str, CompiledKernel] = {}
+    Two maps: ``id(snippet)`` answers the per-batch lookup without hashing
+    the snippet's content, the content digest shares one kernel between
+    equal snippets (a re-submitted program body compiles nothing).  The
+    cache outlives every program — :data:`DEFAULT_KERNEL_CACHE` is
+    process-wide — so it must not keep them alive: snippets are held
+    weakly (an entry goes when its snippet does), and the digest map is an
+    LRU bounded by *max_entries*, sized well above the snippets a fabric
+    has installed at once.
+    """
+
+    #: compile latencies kept for :meth:`compile_seconds_since`
+    RECENT_COMPILES = 1024
+
+    def __init__(self, max_entries: int = 4096) -> None:
+        if max_entries <= 0:
+            raise ValueError("max_entries must be positive")
+        self.max_entries = max_entries
+        self._by_id: Dict[int, Tuple[weakref.ref, CompiledKernel]] = {}
+        self._by_digest: "OrderedDict[str, CompiledKernel]" = OrderedDict()
+        self._lock = threading.Lock()
         self.compiled = 0
         self.hits = 0
-        self.compile_seconds: List[float] = []
+        self.compile_seconds_total = 0.0
+        self._recent_compiles: Deque[float] = deque(maxlen=self.RECENT_COMPILES)
 
     def get(self, snippet: IRProgram) -> CompiledKernel:
-        hit = self._by_id.get(id(snippet))
-        if hit is not None and hit[0] is snippet:
+        key = id(snippet)
+        hit = self._by_id.get(key)
+        # an id can be reused once its snippet is collected: trust the entry
+        # only if it still points at this very object
+        if hit is not None and hit[0]() is snippet:
             self.hits += 1
             return hit[1]
         started = time.perf_counter()
         kernel = CompiledKernel(snippet)
-        cached = self._by_digest.get(kernel.digest)
-        if cached is not None:
-            self.hits += 1
-            kernel = cached
-        else:
-            self.compiled += 1
-            self.compile_seconds.append(time.perf_counter() - started)
-            self._by_digest[kernel.digest] = kernel
-        self._by_id[id(snippet)] = (snippet, kernel)
+        with self._lock:
+            cached = self._by_digest.get(kernel.digest)
+            if cached is not None:
+                self.hits += 1
+                kernel = cached
+                self._by_digest.move_to_end(kernel.digest)
+            else:
+                seconds = time.perf_counter() - started
+                self.compiled += 1
+                self.compile_seconds_total += seconds
+                self._recent_compiles.append(seconds)
+                self._by_digest[kernel.digest] = kernel
+                while len(self._by_digest) > self.max_entries:
+                    self._by_digest.popitem(last=False)
+        ref = weakref.ref(snippet, lambda dead: self._forget(key, dead))
+        self._by_id[key] = (ref, kernel)
         return kernel
+
+    def _forget(self, key: int, dead: weakref.ref) -> None:
+        hit = self._by_id.get(key)
+        if hit is not None and hit[0] is dead:
+            del self._by_id[key]
+
+    def compile_seconds_since(self, seen: int) -> Tuple[List[float], int]:
+        """Latencies of the compiles after the first *seen*, and the new count.
+
+        A reader that passes the returned count back in observes every
+        compile once (at most the last :attr:`RECENT_COMPILES` of them).
+        """
+        with self._lock:
+            new = min(self.compiled - seen, len(self._recent_compiles))
+            recent = list(self._recent_compiles)[-new:] if new > 0 else []
+            return recent, self.compiled
 
     def stats(self) -> Dict[str, float]:
         return {
             "compiled": self.compiled,
             "hits": self.hits,
-            "compile_seconds_total": float(sum(self.compile_seconds)),
+            "compile_seconds_total": self.compile_seconds_total,
         }
 
 

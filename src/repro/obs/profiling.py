@@ -59,6 +59,11 @@ class PlacementCounters(CounterMixin):
     product_symmetric_groups: int = 0
     #: memo entries dropped by commit/release/remove pruning
     memo_pruned_entries: int = 0
+    #: Algorithm 2 runs (one device, one block interval) of search and
+    #: plan materialisation — the feasibility checks no memo answered
+    packing_runs: int = 0
+    #: instruction rows those runs visited, feasible or not
+    packed_instructions: int = 0
 
 
 class StageTimers:

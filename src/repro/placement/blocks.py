@@ -64,8 +64,8 @@ class Block:
         return len(self.instruction_uids)
 
     def instructions(self, program: IRProgram) -> List[Instruction]:
-        by_uid = {instr.uid: instr for instr in program}
-        return [by_uid[uid] for uid in sorted(self.instruction_uids)]
+        # IRProgram.append hands out uids in list order: the uid is the index
+        return [program[uid] for uid in sorted(self.instruction_uids)]
 
 
 @dataclass
@@ -146,19 +146,20 @@ def build_block_dag(program: IRProgram, max_block_size: int = 16,
     for src, dst in condensation.edges:
         block_graph.add_edge(src, dst)
 
+    # merge kind of every instruction, by uid
+    kind_of = {instr.uid: _MERGE_KIND[instr.instr_class] for instr in program}
     if merge:
-        block_graph = _kahn_merge(program, block_graph, max_block_size)
+        block_graph = _kahn_merge(kind_of, block_graph, max_block_size)
 
-    blocks, dag = _materialise(program, block_graph, dependency)
+    blocks, dag = _materialise(program, block_graph, kind_of)
     return BlockDAG(program=program, blocks=blocks, graph=dag, dependency=dependency)
 
 
 # --------------------------------------------------------------------------- #
 # merging
 # --------------------------------------------------------------------------- #
-def _block_kind(program: IRProgram, members: Iterable[int]) -> str:
-    by_uid = {instr.uid: instr for instr in program}
-    kinds = {_MERGE_KIND[by_uid[uid].instr_class] for uid in members}
+def _block_kind(kind_of: Dict[int, str], members: Iterable[int]) -> str:
+    kinds = {kind_of[uid] for uid in members}
     if kinds <= {"compute"}:
         return "compute"
     if len(kinds) == 1:
@@ -168,18 +169,26 @@ def _block_kind(program: IRProgram, members: Iterable[int]) -> str:
 
 def _kahn_partitions(graph: nx.DiGraph) -> List[List[int]]:
     """Kahn's algorithm partitions: repeatedly peel nodes with in-degree 0."""
-    remaining = graph.copy()
+    in_degree = dict(graph.in_degree())
+    frontier = sorted(n for n, degree in in_degree.items() if degree == 0)
     partitions: List[List[int]] = []
-    while remaining.nodes:
-        frontier = [n for n in remaining.nodes if remaining.in_degree(n) == 0]
-        if not frontier:
-            raise PlacementError("block graph contains a cycle after condensation")
-        partitions.append(sorted(frontier))
-        remaining.remove_nodes_from(frontier)
+    peeled = 0
+    while frontier:
+        partitions.append(frontier)
+        peeled += len(frontier)
+        released = []
+        for node in frontier:
+            for succ in graph.successors(node):
+                in_degree[succ] -= 1
+                if in_degree[succ] == 0:
+                    released.append(succ)
+        frontier = sorted(released)
+    if peeled != len(in_degree):
+        raise PlacementError("block graph contains a cycle after condensation")
     return partitions
 
 
-def _kahn_merge(program: IRProgram, block_graph: nx.DiGraph,
+def _kahn_merge(kind_of: Dict[int, str], block_graph: nx.DiGraph,
                 max_block_size: int) -> nx.DiGraph:
     """Steps 3 of Algorithm 3: merge non-exclusive blocks within and across
     adjacent Kahn partitions until a fixed point."""
@@ -199,12 +208,12 @@ def _kahn_merge(program: IRProgram, block_graph: nx.DiGraph,
             for node in partition:
                 if node not in block_graph:
                     continue
-                kind = _block_kind(program, block_graph.nodes[node]["members"])
+                kind = _block_kind(kind_of, block_graph.nodes[node]["members"])
                 by_kind.setdefault(kind, []).append(node)
             for kind, nodes in by_kind.items():
                 if kind == "mixed" or len(nodes) < 2:
                     continue
-                merged = _merge_chain(program, block_graph, nodes, max_block_size)
+                merged = _merge_chain(block_graph, nodes, max_block_size)
                 changed = changed or merged
 
         # merge across adjacent partitions: a node may absorb a successor in
@@ -218,13 +227,13 @@ def _kahn_merge(program: IRProgram, block_graph: nx.DiGraph,
         for node in list(block_graph.nodes):
             if node not in block_graph:
                 continue
-            node_kind = _block_kind(program, block_graph.nodes[node]["members"])
+            node_kind = _block_kind(kind_of, block_graph.nodes[node]["members"])
             if node_kind == "mixed":
                 continue
             for succ in list(block_graph.successors(node)):
                 if succ not in block_graph or index_of.get(succ, -1) != index_of.get(node, -2) + 1:
                     continue
-                succ_kind = _block_kind(program, block_graph.nodes[succ]["members"])
+                succ_kind = _block_kind(kind_of, block_graph.nodes[succ]["members"])
                 if succ_kind != node_kind:
                     continue
                 combined = (
@@ -241,7 +250,7 @@ def _kahn_merge(program: IRProgram, block_graph: nx.DiGraph,
     return block_graph
 
 
-def _merge_chain(program: IRProgram, graph: nx.DiGraph, nodes: List[int],
+def _merge_chain(graph: nx.DiGraph, nodes: List[int],
                  max_block_size: int) -> bool:
     """Merge as many of *nodes* (same Kahn partition, same kind) as fit."""
     merged_any = False
@@ -279,8 +288,7 @@ def _absorb(graph: nx.DiGraph, keep: int, remove: int) -> None:
 # materialisation
 # --------------------------------------------------------------------------- #
 def _materialise(program: IRProgram, block_graph: nx.DiGraph,
-                 dependency: DependencyGraph) -> Tuple[List[Block], nx.DiGraph]:
-    by_uid = {instr.uid: instr for instr in program}
+                 kind_of: Dict[int, str]) -> Tuple[List[Block], nx.DiGraph]:
     transfer = live_variable_widths(program)
 
     # deterministic block ids in topological order of the block graph
@@ -291,9 +299,10 @@ def _materialise(program: IRProgram, block_graph: nx.DiGraph,
     uid_to_block: Dict[int, int] = {}
     for node in order:
         members = block_graph.nodes[node]["members"]
-        classes = frozenset(by_uid[uid].instr_class for uid in members)
+        classes = frozenset(program[uid].instr_class for uid in members)
         states = frozenset(
-            by_uid[uid].state for uid in members if by_uid[uid].state is not None
+            program[uid].state for uid in members
+            if program[uid].state is not None
         )
         blocks.append(
             Block(
@@ -301,7 +310,7 @@ def _materialise(program: IRProgram, block_graph: nx.DiGraph,
                 instruction_uids=sorted(members),
                 classes=classes,
                 states=states,
-                kind=_block_kind(program, members),
+                kind=_block_kind(kind_of, members),
             )
         )
         for uid in members:

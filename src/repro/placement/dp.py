@@ -55,7 +55,12 @@ from repro.exceptions import (
 )
 from repro.ir.program import IRProgram
 from repro.placement.blocks import Block, BlockDAG, build_block_dag
-from repro.placement.intra import IntraDeviceAllocator, StageAssignment
+from repro.placement.intra import (
+    IntraDeviceAllocator,
+    PackingRows,
+    PackingTable,
+    StageAssignment,
+)
 from repro.placement.memo import INFEASIBLE, MISS, PlacementMemo
 from repro.placement.objective import ObjectiveWeights, PlacementObjective
 from repro.placement.plan import BlockAssignment, PlacementPlan
@@ -116,20 +121,55 @@ class _Candidate:
     # list of (ec_id, start_block_index, end_block_index) intervals
 
 
+class _IntervalPacker:
+    """Algorithm 2 per (device, block interval), run at most once per search.
+
+    Owns the search's :class:`~repro.placement.intra.PackingTable` and every
+    packing outcome of this ``place()`` call, so plan materialisation reuses
+    the assignments the search already derived and packs only the intervals
+    the memo answered.  It is referenced by nothing that outlives ``place()``
+    — not the program, the block DAG or the plan, all of which live on in
+    caches.
+    """
+
+    def __init__(self, program: IRProgram, ordered_blocks: List[Block]) -> None:
+        self.table = PackingTable(program, program)
+        self._blocks = ordered_blocks
+        self._rows: Dict[Tuple[int, int], PackingRows] = {}
+        self._outcomes: Dict[Tuple[str, int, int],
+                             Optional[StageAssignment]] = {}
+
+    def rows(self, start: int, end: int) -> PackingRows:
+        rows = self._rows.get((start, end))
+        if rows is None:
+            rows = self._rows[(start, end)] = self.table.select(
+                uid
+                for block in self._blocks[start:end]
+                for uid in sorted(block.instruction_uids)
+            )
+        return rows
+
+    def pack(self, device, start: int, end: int) -> Optional[StageAssignment]:
+        key = (device.name, start, end)
+        if key not in self._outcomes:
+            self._outcomes[key] = self.table.pack(device, self.rows(start, end))
+        return self._outcomes[key]
+
+
 class _SearchContext:
     """Per-``place()`` state of the optimised search path.
 
     Bundles the memo handle, the vectorised scorer, the profiling counters
     and the per-call caches (node content digests, sub-tree signatures,
-    hoisted per-node objective weights, interval instruction lists and gain
-    rows).  ``ctx is None`` throughout the DP methods selects the reference
-    path, which recomputes everything from scratch exactly like the seed
-    implementation.
+    hoisted per-node objective weights, gain rows) next to the search's
+    interval packer.  ``ctx is None`` throughout the DP methods selects the
+    reference path, which recomputes everything from scratch exactly like
+    the seed implementation.
     """
 
     def __init__(self, placer: "DPPlacer", block_dag: BlockDAG,
                  ordered_blocks: List[Block], objective: PlacementObjective,
-                 request: PlacementRequest) -> None:
+                 request: PlacementRequest, packer: _IntervalPacker) -> None:
         from repro.core.cache import fingerprint_ir  # local: avoids an
         # import cycle (repro.core.__init__ imports the controller, which
         # imports this module)
@@ -142,6 +182,7 @@ class _SearchContext:
         self.num_blocks = len(ordered_blocks)
         self.objective = objective
         self.request = request
+        self.packer = packer
         self.scorer = IntervalScorer(block_dag, ordered_blocks, objective)
         # The context digest pins everything a sub-solution's value depends
         # on besides the devices it consulted: the (name-normalised) program
@@ -166,7 +207,6 @@ class _SearchContext:
         self._node_weights: Dict[int, ObjectiveWeights] = {}
         self._node_devices: Dict[int, Tuple[list, list]] = {}
         self._rows: Dict[Tuple[int, int], List[float]] = {}
-        self._instructions: Dict[Tuple[int, int], list] = {}
         # per-place overlay over the cross-epoch memo: the root join loop
         # re-evaluates the same (node, interval) for thousands of child
         # combinations, and a plain dict probe is much cheaper than the
@@ -268,18 +308,6 @@ class _SearchContext:
             )
 
     # -- interval machinery ------------------------------------------------
-    def instructions(self, start: int, end: int) -> list:
-        cached = self._instructions.get((start, end))
-        if cached is None:
-            program = self.block_dag.program
-            cached = [
-                instr
-                for block in self.ordered_blocks[start:end]
-                for instr in block.instructions(program)
-            ]
-            self._instructions[(start, end)] = cached
-        return cached
-
     def gain(self, node: ReducedNode, start: int, end: int) -> float:
         row = self._rows.get((id(node), start))
         if row is None:
@@ -308,10 +336,7 @@ class _SearchContext:
         if cached is not MISS:
             self.counters.increment("device_memo_hits")
             return bool(cached)
-        assignment = IntraDeviceAllocator(device).allocate(
-            self.block_dag.program, self.instructions(start, end)
-        )
-        feasible = assignment is not None
+        feasible = self.packer.pack(device, start, end) is not None
         self.memo.store_device(key, feasible, (device.name,))
         return feasible
 
@@ -445,28 +470,37 @@ class DPPlacer:
                 traffic_rates=request.traffic_rates,
             )
         objective = self._make_objective(block_dag, tree, request)
+        packer = _IntervalPacker(request.program, ordered_blocks)
         ctx = (
-            _SearchContext(self, block_dag, ordered_blocks, objective, request)
+            _SearchContext(self, block_dag, ordered_blocks, objective, request,
+                           packer)
             if self.optimize else None
         )
 
-        with timers.stage("search"):
-            candidate = self._solve(
-                block_dag, ordered_blocks, tree, objective, request, ctx
-            )
-        if candidate is None or candidate.gain == NEG_INF:
-            raise PlacementError(
-                f"no feasible placement for {request.program.name!r} on the "
-                f"paths from {list(request.source_groups)} to "
-                f"{request.destination_group!r}"
-            )
+        try:
+            with timers.stage("search"):
+                candidate = self._solve(
+                    block_dag, ordered_blocks, tree, objective, request, ctx
+                )
+            if candidate is None or candidate.gain == NEG_INF:
+                raise PlacementError(
+                    f"no feasible placement for {request.program.name!r} on the "
+                    f"paths from {list(request.source_groups)} to "
+                    f"{request.destination_group!r}"
+                )
 
-        elapsed = time.perf_counter() - start_time
-        with timers.stage("materialise"):
-            plan = self._materialise_plan(
-                block_dag, ordered_blocks, tree, candidate, request, elapsed
-            )
-            self._stamp_fingerprints(plan, tree)
+            elapsed = time.perf_counter() - start_time
+            with timers.stage("materialise"):
+                plan = self._materialise_plan(
+                    block_dag, ordered_blocks, tree, candidate, request,
+                    elapsed, packer
+                )
+                self._stamp_fingerprints(plan, tree)
+        finally:
+            counters = self.profile.counters
+            counters.increment("packing_runs", by=packer.table.packing_runs)
+            counters.increment("packed_instructions",
+                               by=packer.table.packed_instructions)
         return plan
 
     def _stamp_fingerprints(self, plan: PlacementPlan, tree: ReducedTree) -> None:
@@ -715,7 +749,7 @@ class DPPlacer:
                 )
                 if root_eval is None:
                     continue
-                root_gain, _ = root_eval
+                root_gain = root_eval
                 # server side must cover [j, n) on every server child
                 server_gain = 0.0
                 server_assignments: List[Tuple[str, int, int]] = []
@@ -833,7 +867,7 @@ class DPPlacer:
                     if request.prune:
                         break
                     continue
-                gain, _ = result
+                gain = result
                 assignments = [(node.name, 0, end)] if end > 0 else []
                 table[end] = _Candidate(gain=gain, assignments=assignments)
             return table
@@ -862,7 +896,7 @@ class DPPlacer:
                     if request.prune:
                         break
                     continue
-                gain, _ = result
+                gain = result
                 total = base_gain + gain
                 existing = table.get(end)
                 if existing is None or total > existing.gain:
@@ -913,7 +947,7 @@ class DPPlacer:
                     if request.prune:
                         break
                     continue
-                gain, _ = result
+                gain = result
                 if child_tables:
                     child_gain = 0.0
                     child_assignments: List[Tuple[str, int, int]] = []
@@ -950,24 +984,21 @@ class DPPlacer:
                            objective: PlacementObjective,
                            request: PlacementRequest,
                            ctx: Optional[_SearchContext] = None
-                           ) -> Optional[Tuple[float, Dict[str, StageAssignment]]]:
+                           ) -> Optional[float]:
+        """Gain of hosting *interval* on *node*, ``None`` when infeasible."""
         start, end = interval
         if end < start:
             return None
         if end == start:
-            return 0.0, {}
+            return 0.0
         if ctx is not None:
-            gain = ctx.eval_interval(node, start, end)
-            # the search only consumes the gain; stage assignments are
-            # recomputed during materialisation, so none are carried here
-            return None if gain is None else (gain, {})
+            return ctx.eval_interval(node, start, end)
         blocks = ordered_blocks[start:end]
         instructions = [
             instr for block in blocks for instr in block.instructions(block_dag.program)
         ]
         devices = [self.topology.device(name) for name in node.ec.members]
         bypass_devices = [self.topology.device(name) for name in node.bypass]
-        assignments: Dict[str, StageAssignment] = {}
         for device in devices:
             allocator = IntraDeviceAllocator(device)
             assignment = allocator.allocate(block_dag.program, instructions)
@@ -981,19 +1012,17 @@ class DPPlacer:
                         break
             if assignment is None:
                 return None
-            assignments[assignment.device_name] = assignment
 
         weights = objective.current_weights(devices)
         instruction_count = len(instructions)
         transfer_bits = self._interval_cut_bits(block_dag, ordered_blocks, start, end)
-        gain = objective.gain(
+        return objective.gain(
             served_fraction=node.traffic_share if node.side != "root" else 1.0,
             instruction_count=instruction_count,
             transfer_bits=transfer_bits,
             weights=weights,
             replicas=len(devices),
         )
-        return gain, assignments
 
     @staticmethod
     def _interval_cut_bits(block_dag: BlockDAG, ordered_blocks: List[Block],
@@ -1012,8 +1041,8 @@ class DPPlacer:
     # ------------------------------------------------------------------ #
     def _materialise_plan(self, block_dag: BlockDAG, ordered_blocks: List[Block],
                           tree: ReducedTree, candidate: _Candidate,
-                          request: PlacementRequest,
-                          elapsed: float) -> PlacementPlan:
+                          request: PlacementRequest, elapsed: float,
+                          packer: _IntervalPacker) -> PlacementPlan:
         node_by_name = {node.name: node for node in tree.all_nodes()}
         plan = PlacementPlan(
             program_name=request.program.name,
@@ -1023,42 +1052,30 @@ class DPPlacer:
             compile_time_s=elapsed,
         )
         position_of = {block.block_id: idx for idx, block in enumerate(ordered_blocks)}
-        seen: Dict[Tuple[str, int], bool] = {}
         for ec_id, start, end in candidate.assignments:
             node = node_by_name[ec_id]
-            blocks = ordered_blocks[start:end]
-            instructions = [
-                i for b in blocks for i in b.instructions(block_dag.program)
-            ]
-            for block in blocks:
-                key = (ec_id, block.block_id)
-                if key in seen:
-                    continue
-                seen[key] = True
             stage_assignments: Dict[str, StageAssignment] = {}
-            devices = [self.topology.device(name) for name in node.ec.members]
             used_names: List[str] = []
-            for device in devices:
-                assignment = IntraDeviceAllocator(device).allocate(
-                    block_dag.program, instructions
-                )
-                if assignment is None and node.bypass:
+            for name in node.ec.members:
+                # the search's own packing of this interval, or a fresh one
+                # when the memo answered the feasibility question
+                assignment = packer.pack(self.topology.device(name), start, end)
+                if assignment is None:
                     for bypass_name in node.bypass:
-                        bypass = self.topology.device(bypass_name)
-                        assignment = IntraDeviceAllocator(bypass).allocate(
-                            block_dag.program, instructions
+                        assignment = packer.pack(
+                            self.topology.device(bypass_name), start, end
                         )
                         if assignment is not None:
                             break
                 if assignment is None:
                     raise PlacementError(
                         f"internal error: interval {(start, end)} no longer fits "
-                        f"on {device.name}"
+                        f"on {name}"
                     )
                 stage_assignments[assignment.device_name] = assignment
                 if assignment.device_name not in used_names:
                     used_names.append(assignment.device_name)
-            for index, block in enumerate(blocks):
+            for index, block in enumerate(ordered_blocks[start:end]):
                 plan.assignments.append(
                     BlockAssignment(
                         block_id=block.block_id,

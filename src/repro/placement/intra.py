@@ -1,8 +1,7 @@
 """Intra-device instruction allocation (paper §5.4, Algorithm 2).
 
-Given the instructions of one or more blocks and a target device, the
-allocator maps instructions to pipeline stages (or the core pool of an RTC
-device) such that
+Algorithm 2 maps the instructions of a block interval onto the pipeline
+stages (or the core pool of an RTC device) of one device such that
 
 * every instruction lands on a device that supports its capability class,
 * dependent instructions never share a stage and respect pipeline order
@@ -12,18 +11,48 @@ device) such that
 * the packing is compact (instructions are pushed to the earliest legal
   stage), which is the pruning preference the paper describes.
 
-The result records the number of stages used and the per-stage resource
-demands so the caller can commit or roll back the allocation.
+Algorithm 1 runs it for every candidate interval on every device, so the
+module is built around **one packing loop fed from a packing table**:
+
+* :class:`PackingTable` holds what is a fact of the *program* — per
+  instruction one row ``(uid, non-zero (resource key, amount) pairs, read
+  names, dst, predicate flag, state, capability class)`` and per state its
+  memory demand — derived once from
+  :meth:`~repro.devices.base.Device.instruction_demand` /
+  :meth:`~repro.devices.base.Device.state_demand`, never per interval.
+* :class:`PackingRows` is what is a fact of one *instruction selection* (a
+  block interval, or an ad-hoc list): its rows in the caller's order and in
+  uid order, and the set of capability classes (one subset test against
+  ``device.supported_classes`` replaces a per-instruction loop).
+* what is a fact of the *device* — ``capacity − used`` per stage — comes
+  from :meth:`~repro.devices.base.Device.stage_availability`, a snapshot
+  memoised per ``alloc_version``.
+
+:meth:`PackingTable.pack` is the only first-fit loop in ``src/``; its inner
+loop touches tuples and plain dicts only.  The DP search owns one table per
+``place()`` call; :class:`IntraDeviceAllocator` is the front for callers
+that hold a bare instruction list (the baselines, the reference search) and
+builds a throw-away table for it.  A table is never cached across searches:
+programs and plans outlive a search in the artifact cache and the placement
+memo, a table must not.  The previous allocator lives on as the oracle of
+the differential test (``tests/oracles/intra_reference.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.devices.base import Architecture, Device
-from repro.ir.instructions import Instruction
+from repro.ir.instructions import InstrClass, Instruction
 from repro.ir.program import IRProgram
+
+#: ``(uid, demand pairs, read names, dst, is_predicate, state, class)``
+Row = Tuple[int, Tuple[Tuple[str, float], ...], Tuple[str, ...],
+            Optional[str], bool, Optional[str], InstrClass]
+
+_ROW_UID = itemgetter(0)
 
 
 @dataclass
@@ -40,13 +69,207 @@ class StageAssignment:
         return sorted(self.stage_demands.items())
 
 
+class PackingRows(NamedTuple):
+    """The rows of one instruction selection, ready to pack."""
+
+    ordered: List[Row]                 # the caller's order (RTC sums in it)
+    by_uid: List[Row]                  # uid order (the first-fit visits in it)
+    classes: FrozenSet[InstrClass]
+
+
+class PackingTable:
+    """Per-program facts Algorithm 2 packs from, built once per search.
+
+    *instructions* are the instructions rows are built for: the whole
+    program for a placement search, the caller's list for an ad-hoc
+    :meth:`IntraDeviceAllocator.allocate`.  ``packing_runs`` and
+    ``packed_instructions`` count the :meth:`pack` calls and the rows they
+    visited (feasible or not).
+    """
+
+    def __init__(self, program: IRProgram,
+                 instructions: Iterable[Instruction]) -> None:
+        self.program = program
+        self.rows: List[Row] = []
+        #: resource keys in the order ``instruction_demand`` lists them (the
+        #: key order of an RTC assignment's demands)
+        self.demand_keys: Tuple[str, ...] = ()
+        self._state_memory: Dict[str, Tuple[Tuple[str, float], ...]] = {}
+        self.packing_runs = 0
+        self.packed_instructions = 0
+        for instr in instructions:
+            demand = Device.instruction_demand(instr)
+            if not self.demand_keys:
+                self.demand_keys = tuple(demand)
+            self.rows.append((
+                instr.uid,
+                tuple((key, amount) for key, amount in demand.items()
+                      if amount > 0),
+                instr.reads(),
+                instr.dst,
+                # predicate (1-bit) results are evaluated by the stage's
+                # gateway, so a consumer may share the producer's stage
+                instr.width == 1,
+                instr.state,
+                instr.instr_class,
+            ))
+        self._by_uid: Dict[int, Row] = {row[0]: row for row in self.rows}
+
+    def select(self, uids: Optional[Iterable[int]] = None) -> PackingRows:
+        """The rows of *uids* in that order (default: every row, as built)."""
+        ordered = (self.rows if uids is None
+                   else [self._by_uid[uid] for uid in uids])
+        return PackingRows(
+            ordered=ordered,
+            by_uid=sorted(ordered, key=_ROW_UID),
+            classes=frozenset(row[6] for row in ordered),
+        )
+
+    def state_memory(self, state: str) -> Tuple[Tuple[str, float], ...]:
+        """Memory demand of one persistent state, as ``(key, amount)`` pairs."""
+        memory = self._state_memory.get(state)
+        if memory is None:
+            memory = self._state_memory[state] = tuple(
+                Device.state_demand(self.program, [state]).items()
+            )
+        return memory
+
+    # ------------------------------------------------------------------ #
+    def pack(self, device: Device, rows: PackingRows,
+             start_stage: int = 0) -> Optional[StageAssignment]:
+        """Pack *rows* onto *device*; ``None`` when they cannot be placed.
+
+        Read-only on the device: the demands in the returned assignment let
+        the caller commit later.
+        """
+        self.packing_runs += 1
+        if not rows.ordered:
+            return StageAssignment(device.name, {}, {}, 0, 0)
+        if not rows.classes <= device.supported_classes:
+            return None
+        if device.architecture is Architecture.RTC:
+            self.packed_instructions += len(rows.ordered)
+            return self._spread_rtc(device, rows)
+
+        available = device.stage_availability()
+        num_stages = len(available)
+        trial: List[Dict[str, float]] = [{} for _ in range(num_stages)]
+        # producer stage per variable, to respect dependencies inside the set
+        producers: Dict[str, int] = {}
+        predicate_vars = set()
+        stage_of: Dict[int, int] = {}
+        state_anchor: Dict[str, int] = {}
+        visited = 0
+        for uid, demand, reads, dst, is_predicate, state, _ in rows.by_uid:
+            visited += 1
+            earliest = start_stage
+            for name in reads:
+                stage = producers.get(name)
+                if stage is not None:
+                    if name not in predicate_vars:
+                        stage += 1
+                    if stage > earliest:
+                        earliest = stage
+            for stage in range(earliest, num_stages):
+                free = available[stage]
+                taken = trial[stage]
+                for key, amount in demand:
+                    if free.get(key, 0.0) - taken.get(key, 0.0) < amount:
+                        break
+                else:
+                    for key, amount in demand:
+                        taken[key] = taken.get(key, 0.0) + amount
+                    stage_of[uid] = stage
+                    if dst is not None:
+                        producers[dst] = stage
+                        if is_predicate:
+                            predicate_vars.add(dst)
+                    if state is not None and state not in state_anchor:
+                        state_anchor[state] = stage
+                    break
+            else:
+                self.packed_instructions += visited
+                return None
+        self.packed_instructions += visited
+
+        # Persistent state memory: a table/register larger than one stage's
+        # memory is spread over subsequent stages (RMT table spreading,
+        # paper Eq. 13), anchored at the first stage that references it.
+        for state, anchor in state_anchor.items():
+            for key, amount in self.state_memory(state):
+                remaining = amount
+                for stage in range(anchor, num_stages):
+                    if remaining <= 1e-12:
+                        break
+                    taken = trial[stage]
+                    free = available[stage].get(key, 0.0) - taken.get(key, 0.0)
+                    take = min(remaining, max(0.0, free))
+                    if take > 0:
+                        taken[key] = taken.get(key, 0.0) + take
+                        remaining -= take
+                if remaining > 1e-9:
+                    return None
+
+        # stages ascending; inside a stage the capacity-key order
+        stage_demands = {
+            stage: {key: taken[key] for key in available[stage] if key in taken}
+            for stage, taken in enumerate(trial) if taken
+        }
+        placed = stage_of.values()
+        return StageAssignment(
+            device_name=device.name,
+            stage_of_instruction=stage_of,
+            stage_demands=stage_demands,
+            stages_used=max(placed) - min(placed) + 1,
+            instruction_count=len(rows.ordered),
+        )
+
+    def _spread_rtc(self, device: Device,
+                    rows: PackingRows) -> Optional[StageAssignment]:
+        """RTC devices only need aggregate resource checks (paper Eq. 7)."""
+        total = dict.fromkeys(self.demand_keys, 0.0)
+        states = set()
+        for _, demand, _, _, _, state, _ in rows.ordered:
+            for key, amount in demand:
+                total[key] += amount
+            if state is not None:
+                states.add(state)
+        for key, amount in Device.state_demand(self.program, states).items():
+            total[key] = total.get(key, 0.0) + amount
+
+        # greedily spread over islands (pseudo-stages), filling each in turn
+        stage_demands: Dict[int, Dict[str, float]] = {}
+        for index, free in enumerate(device.stage_availability()):
+            if all(amount <= 0 for amount in total.values()):
+                break
+            take: Dict[str, float] = {}
+            for key, amount in total.items():
+                if amount <= 0:
+                    continue
+                taken = min(amount, free.get(key, 0.0))
+                if taken > 0:
+                    take[key] = taken
+                    total[key] = amount - taken
+            if take:
+                stage_demands[index] = take
+        if any(amount > 1e-9 for amount in total.values()):
+            return None
+        island = min(stage_demands) if stage_demands else 0
+        return StageAssignment(
+            device_name=device.name,
+            stage_of_instruction={row[0]: island for row in rows.ordered},
+            stage_demands=stage_demands,
+            stages_used=len(stage_demands),
+            instruction_count=len(rows.ordered),
+        )
+
+
 class IntraDeviceAllocator:
-    """Allocates instructions to the stages of a single device."""
+    """Algorithm 2 for callers that hold a bare instruction list."""
 
     def __init__(self, device: Device) -> None:
         self.device = device
 
-    # ------------------------------------------------------------------ #
     def allocate(
         self,
         program: IRProgram,
@@ -62,25 +285,9 @@ class IntraDeviceAllocator:
         the device state is left untouched (the demands in the returned
         assignment let the caller commit later).
         """
-        if not instructions:
-            return StageAssignment(
-                device_name=self.device.name,
-                stage_of_instruction={},
-                stage_demands={},
-                stages_used=0,
-                instruction_count=0,
-            )
-        for instr in instructions:
-            if not self.device.supports_instruction(instr):
-                return None
-
-        if self.device.architecture is Architecture.RTC:
-            assignment = self._allocate_rtc(program, instructions)
-        else:
-            assignment = self._allocate_pipeline(program, instructions, start_stage)
-        if assignment is None:
-            return None
-        if commit:
+        table = PackingTable(program, instructions)
+        assignment = table.pack(self.device, table.select(), start_stage)
+        if assignment is not None and commit:
             for stage, demand in assignment.stage_demands.items():
                 self.device.allocate_stage(stage, demand)
         return assignment
@@ -89,148 +296,3 @@ class IntraDeviceAllocator:
         """Release a previously committed assignment."""
         for stage, demand in assignment.stage_demands.items():
             self.device.release_stage(stage, demand)
-
-    # ------------------------------------------------------------------ #
-    # pipeline devices
-    # ------------------------------------------------------------------ #
-    def _allocate_pipeline(
-        self,
-        program: IRProgram,
-        instructions: Sequence[Instruction],
-        start_stage: int,
-    ) -> Optional[StageAssignment]:
-        device = self.device
-        uid_set = {instr.uid for instr in instructions}
-        # local producer map to respect dependencies among the given set
-        producers: Dict[str, int] = {}
-        # predicate (1-bit) results are evaluated by the stage's gateway, so a
-        # consumer may sit in the same stage as the comparison producing them
-        # (this mirrors RMT's match/gateway + action co-location, paper Eq. 53)
-        predicate_vars: Set[str] = set()
-        stage_of: Dict[int, int] = {}
-        trial: List[Dict[str, float]] = [
-            {key: 0.0 for key in stage.capacities} for stage in device.stages
-        ]
-        state_placed: Set[str] = set()
-
-        def fits(stage_index: int, demand: Dict[str, float]) -> bool:
-            stage = device.stages[stage_index]
-            for key, amount in demand.items():
-                if amount <= 0:
-                    continue
-                if stage.available(key) - trial[stage_index].get(key, 0.0) < amount:
-                    return False
-            return True
-
-        state_anchor: Dict[str, int] = {}
-        for instr in sorted(instructions, key=lambda i: i.uid):
-            demand = device.instruction_demand(instr)
-            earliest = start_stage
-            for name in instr.reads():
-                producer_stage = producers.get(name)
-                if producer_stage is not None:
-                    same_stage_ok = name in predicate_vars
-                    earliest = max(
-                        earliest, producer_stage if same_stage_ok else producer_stage + 1
-                    )
-            placed = False
-            for stage_index in range(earliest, device.num_stages):
-                if fits(stage_index, demand):
-                    stage_of[instr.uid] = stage_index
-                    for key, amount in demand.items():
-                        if amount > 0:
-                            trial[stage_index][key] = trial[stage_index].get(key, 0.0) + amount
-                    for name in instr.writes():
-                        producers[name] = stage_index
-                        if instr.width == 1:
-                            predicate_vars.add(name)
-                    placed = True
-                    break
-            if not placed:
-                return None
-            if instr.state is not None and instr.state not in state_anchor:
-                state_anchor[instr.state] = stage_of[instr.uid]
-
-        # Persistent state memory: a table/register larger than one stage's
-        # memory is spread over subsequent stages (RMT table spreading,
-        # paper Eq. 13), anchored at the first stage that references it.
-        for state_name, anchor in state_anchor.items():
-            state_demand = device.state_demand(program, [state_name])
-            for key, amount in state_demand.items():
-                remaining = amount
-                for stage_index in range(anchor, device.num_stages):
-                    if remaining <= 1e-12:
-                        break
-                    stage = device.stages[stage_index]
-                    available = stage.available(key) - trial[stage_index].get(key, 0.0)
-                    take = min(remaining, max(0.0, available))
-                    if take > 0:
-                        trial[stage_index][key] = trial[stage_index].get(key, 0.0) + take
-                        remaining -= take
-                if remaining > 1e-9:
-                    return None
-
-        stage_demands = {
-            index: {k: v for k, v in demands.items() if v > 0}
-            for index, demands in enumerate(trial)
-            if any(v > 0 for v in demands.values())
-        }
-        stages_used = (
-            max(stage_of.values()) - min(stage_of.values()) + 1 if stage_of else 0
-        )
-        return StageAssignment(
-            device_name=device.name,
-            stage_of_instruction=stage_of,
-            stage_demands=stage_demands,
-            stages_used=stages_used,
-            instruction_count=len(instructions),
-        )
-
-    # ------------------------------------------------------------------ #
-    # run-to-completion devices
-    # ------------------------------------------------------------------ #
-    def _allocate_rtc(
-        self,
-        program: IRProgram,
-        instructions: Sequence[Instruction],
-    ) -> Optional[StageAssignment]:
-        """RTC devices only need aggregate resource checks (paper Eq. 7)."""
-        device = self.device
-        total: Dict[str, float] = {}
-        states: Set[str] = set()
-        for instr in instructions:
-            for key, amount in device.instruction_demand(instr).items():
-                total[key] = total.get(key, 0.0) + amount
-            if instr.state is not None:
-                states.add(instr.state)
-        for key, amount in device.state_demand(program, states).items():
-            total[key] = total.get(key, 0.0) + amount
-
-        # greedily spread over islands (pseudo-stages), filling each in turn
-        stage_demands: Dict[int, Dict[str, float]] = {}
-        remaining = dict(total)
-        for index, stage in enumerate(device.stages):
-            if all(v <= 0 for v in remaining.values()):
-                break
-            take: Dict[str, float] = {}
-            for key, amount in list(remaining.items()):
-                if amount <= 0:
-                    continue
-                available = stage.available(key)
-                taken = min(amount, available)
-                if taken > 0:
-                    take[key] = taken
-                    remaining[key] = amount - taken
-            if take:
-                stage_demands[index] = take
-        if any(v > 1e-9 for v in remaining.values()):
-            return None
-        stage_of = {instr.uid: min(stage_demands) if stage_demands else 0
-                    for instr in instructions}
-        return StageAssignment(
-            device_name=device.name,
-            stage_of_instruction=stage_of,
-            stage_demands=stage_demands,
-            stages_used=len(stage_demands),
-            instruction_count=len(instructions),
-        )

@@ -6,12 +6,29 @@ they are session-scoped; tests that mutate them must copy first.
 
 from __future__ import annotations
 
+import importlib.util
+
 import pytest
 
 from repro.frontend import FrontendCompiler, compile_template
 from repro.lang.profile import default_profile
 from repro.topology import build_paper_emulation_topology
 from repro.topology.fattree import build_chain, build_fattree
+
+
+def pytest_addoption(parser):
+    """Keep ``timeout``/``timeout_method`` (pyproject.toml) valid ini keys.
+
+    They belong to pytest-timeout.  Where the plugin is not installed the
+    keys are registered here as inert options, so the run is free of
+    "Unknown config option" warnings; where it is installed it registers
+    (and enforces) them itself.
+    """
+    if importlib.util.find_spec("pytest_timeout") is None:
+        parser.addini("timeout", "per-test timeout in seconds "
+                      "(inert: pytest-timeout is not installed)")
+        parser.addini("timeout_method", "pytest-timeout's timeout method "
+                      "(inert: pytest-timeout is not installed)")
 
 
 @pytest.fixture(scope="session")

@@ -6,11 +6,16 @@ after partial deploys — previously untested interleavings.  Also covers the
 owner-state snapshot/restore used for live state carry.
 """
 
+import gc
+
 import pytest
 
 from repro.apps import MLAggApplication
 from repro.core import ClickINC
+from repro.emulator.kernels import DEFAULT_KERNEL_CACHE, KernelCache
 from repro.exceptions import EmulationError
+from repro.ir.instructions import Opcode
+from repro.ir.program import IRProgram
 from repro.lang.profile import default_profile
 from repro.topology import build_fattree, build_paper_emulation_topology
 
@@ -238,3 +243,58 @@ class TestStateDiesWithItsProgram:
         runtime.remove_snippet("kvs_a")
         assert state_name not in runtime.state.decls
         assert runtime.state.reg_read(state_name, 2) == 0
+
+
+class TestKernelCacheDoesNotPinPrograms:
+    """The kernel cache is process-wide and outlives every program: it may
+    keep compiled kernels (bounded), never the snippets that carried
+    packets."""
+
+    def test_deploy_run_remove_cycles_leave_no_residue(self):
+        controller = ClickINC(build_paper_emulation_topology(),
+                              generate_code=False)
+        app = MLAggApplication(name="agg_tenant")
+        cache = DEFAULT_KERNEL_CACHE
+
+        def cycle():
+            controller.deploy_profile(app.profile(), app.source_groups,
+                                      app.destination_group, name=app.name)
+            controller.emulator.run_batch(app.workload().round_packets(0))
+            controller.remove(app.name)
+
+        def census():
+            gc.collect()
+            programs = sum(isinstance(obj, IRProgram)
+                           for obj in gc.get_objects())
+            return programs, len(cache._by_id), len(cache._by_digest)
+
+        cycle()     # the content caches now hold their one copy
+        baseline = census()
+        for _ in range(50):
+            cycle()
+        assert census() == baseline
+
+    def test_identity_check_survives_id_reuse_and_lru_is_bounded(self):
+        cache = KernelCache(max_entries=2)
+
+        def snippet(name):
+            program = IRProgram(name)
+            program.emit(Opcode.MOV, "x", 1)
+            return program
+
+        first = snippet("a")
+        kernel = cache.get(first)
+        assert cache.get(first) is kernel and cache.hits == 1
+        # an equal snippet shares the kernel through the digest map
+        assert cache.get(snippet("a")) is kernel and cache.compiled == 1
+        gc.collect()
+        assert len(cache._by_id) == 1          # the twin died, its entry too
+        # a stale entry under a recycled id must not answer for a new object
+        other = snippet("b")
+        cache._by_id[id(other)] = cache._by_id[id(first)]
+        assert cache.get(other) is not kernel
+        cache.get(snippet("c"))
+        assert len(cache._by_digest) == 2 and cache.compiled == 3
+        recent, seen = cache.compile_seconds_since(1)
+        assert len(recent) == 2 and seen == 3
+        assert cache.stats()["compile_seconds_total"] >= sum(recent)
