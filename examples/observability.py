@@ -47,7 +47,7 @@ async def gateway_walkthrough() -> None:
     auth = {"Authorization": f"Bearer {tenant.api_key}"}
 
     async with INCService(build_fattree(k=4), workers=2, sharded=True,
-                          cross_workers=2, obs=obs) as service:
+                          obs=obs) as service:
         gateway = Gateway(service, registry, admin_key="s3cret", obs=obs)
 
         # one intra-pod submission, one cross-shard (2PC) submission

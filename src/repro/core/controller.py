@@ -21,10 +21,10 @@ Deployment itself is delegated to the staged
 :class:`~repro.core.pipeline.CompilationPipeline`, which memoises compiled
 programs, placement plans and generated backend code in a shared
 :class:`~repro.core.cache.ArtifactCache` and rolls back mid-pipeline
-failures.  ``deploy_many`` batches independent requests: their pure compile
-stages run concurrently, their commits run sequentially in request order, so
-a batch is deterministic and produces the placements of the equivalent
-serial loop.
+failures.  Every ``deploy_*`` call is the same path — a lock-free pure phase
+(compile, and in a worker pool a speculative placement) followed by commits
+in request order — so a ``deploy_many`` batch is deterministic and produces
+the placements of the equivalent serial loop of single deploys.
 """
 
 from __future__ import annotations
@@ -157,46 +157,41 @@ class ClickINC:
         ))
 
     def _deploy(self, request: DeployRequest) -> DeployedProgram:
-        name = request.resolved_name()
-        if name in self.deployed:
-            raise DeploymentError(f"program {name!r} is already deployed")
         report = self.pipeline.run(request)
         self.deployed[report.program_name] = report.deployed
         return report.deployed
 
     def deploy_many(self, requests: Sequence[DeployRequest],
-                    max_workers: Optional[int] = None,
-                    workers: Optional[int] = None) -> List[PipelineReport]:
+                    workers: Optional[int] = None,
+                    commit_guard=None) -> List[PipelineReport]:
         """Deploy a batch of independent requests.
 
-        By default the pure compile stages overlap on a thread pool.  With
-        ``workers=N`` (N > 1) the frontend *and the placement search* of
-        every request run in a process pool for a real multi-core speedup:
-        placement is commit-free, so workers speculatively place against a
-        snapshot of device allocations and the sequential commit phase
-        validates each plan's device fingerprints, re-placing on conflict.
-        Either way placement, synthesis and emulator installs commit
-        sequentially in request order, so the batch produces exactly the
-        placements (and name-collision behaviour) of a serial loop over the
-        same requests.  The worker pool is persistent: the first
-        ``workers=N`` batch forks it, later batches re-sync the workers'
-        topology snapshots via fingerprint deltas instead of re-forking
-        (release it with :meth:`close` or a ``with`` block).  Requests
-        caught in a worker-process crash are retried in-process; only a
-        genuine failure is captured, per request, never a batch abort.
+        The pure phase (frontend, IR verification) runs first, without any
+        lock; placement, synthesis and emulator installs then commit
+        sequentially in request order — holding *commit_guard*, when the
+        caller serialises commits on one — so the batch produces exactly
+        the placements (and name-collision behaviour) of a serial loop over
+        the same requests.  With ``workers=N`` (N > 1) a batch of two or
+        more requests runs its pure phase *and the placement search* in a
+        process pool for a real multi-core speedup: placement is
+        commit-free, so workers speculatively place against a snapshot of
+        device allocations and the commit phase validates each plan's
+        device fingerprints, re-placing on conflict.  A batch of one always
+        compiles in-process.  The worker pool is persistent: the first
+        pooled batch forks it, later batches re-sync the workers' topology
+        snapshots via fingerprint deltas instead of re-forking (release it
+        with :meth:`close` or a ``with`` block).  Requests caught in a
+        worker-process crash are retried in-process; only a genuine failure
+        is captured, per request, never a batch abort.
 
         Returns one :class:`PipelineReport` per request, in request order;
         failed requests carry ``succeeded=False`` and an ``error`` instead
         of aborting the batch.  A duplicate name fails at the ``validation``
         stage only if the earlier holder of the name actually deployed.
         """
-        reports = self.pipeline.run_many(list(requests),
-                                         max_workers=max_workers,
-                                         workers=workers)
-        for report in reports:
-            if report.succeeded:
-                self.deployed[report.program_name] = report.deployed
-        return reports
+        return self.pipeline.run_many(requests, workers=workers,
+                                      commit_guard=commit_guard,
+                                      registry=self.deployed)
 
     def update_program(self, name: str,
                        source: Optional[str] = None,

@@ -1,23 +1,35 @@
-"""Process-pool parallel compilation for batched deployments.
+"""The pure phase of a deployment: ``compile_batch`` and its two executors.
 
-``CompilationPipeline.run_many(..., workers=N)`` routes a batch through the
-:class:`ParallelCompileService`: every request's frontend, IR verification
-and *speculative placement* run in a ``ProcessPoolExecutor`` whose workers
-hold a snapshot of the live topology, sidestepping the GIL that limits the
-thread-pool path to mere overlap.  Placement is commit-free (the DP search
-never mutates device state), so a worker can safely place against its
-snapshot; the plan carries the allocation fingerprints of every device it
-consulted and the sequential commit phase in the parent either applies it
-unchanged (fingerprints still match — provably the sequential result) or
-re-places on conflict.
+Every deployment is ``compile_batch`` → commit
+(:meth:`CompilationPipeline.run_many
+<repro.core.pipeline.CompilationPipeline.run_many>`).  The
+:class:`ParallelCompileService` owns the first half: frontend, IR
+verification and — where it pays — a *speculative placement*, all of which
+read nothing but the request and the shared artifact cache, so the phase
+holds no lock.  It has two executors and picks between them from the size of
+the dispatch wave it can see:
 
-The pool is **persistent**: it survives across batches (the service is owned
-by the pipeline, see ``CompilationPipeline.parallel_service``), so only the
-first batch pays the fork.  Workers re-synchronise through an epoch-tagged
-fingerprint-delta protocol instead of being re-forked: the parent tracks
-which devices drifted from the fork-time snapshot
+* **in-process** — a wave with fewer than two requests (every ``run()``,
+  every serial client, every service built with ``workers <= 1``) compiles
+  right here and leaves placement to the commit phase, which places through
+  the plan cache under the caller's commit guard.  A wave of one never
+  crosses a pickle boundary;
+* **process pool** — a wave of two or more requests on a service built with
+  ``workers=N`` runs in a ``ProcessPoolExecutor`` whose workers hold a
+  snapshot of the live topology, sidestepping the GIL.  Placement is
+  commit-free (the DP search never mutates device state), so a worker can
+  safely place against its snapshot; the plan carries the allocation
+  fingerprints of every device it consulted and the commit phase either
+  applies it unchanged (fingerprints still match — provably the sequential
+  result) or re-places on conflict.
+
+The pool is **persistent**: it is forked by the first wave that needs it and
+survives across batches (the service is owned by the pipeline, see
+``CompilationPipeline.parallel_service``).  Workers re-synchronise through
+an epoch-tagged fingerprint-delta protocol instead of being re-forked: the
+parent tracks which devices drifted from the fork-time snapshot
 (``NetworkTopology.fingerprint_delta``) and ships their absolute allocation
-state with every batch; a worker applies the delta once per epoch
+state with every pooled wave; a worker applies the delta once per epoch
 (application is idempotent) and stamps the plans it produces with the synced
 epoch, which lets the parent's commit phase validate an untouched world with
 a single integer comparison.
@@ -34,14 +46,13 @@ worker.  The memo channel is lossy-safe by design: keys are
 content-addressed, so a worker that misses a delta (idle during a batch,
 trimmed log) merely re-derives; it can never place from a stale entry.
 
-The service degrades gracefully: with ``workers <= 1``, when the pool cannot
-be created, or for request payloads that cannot be pickled, it falls back to
-the in-process compile path.  A worker-process crash (``BrokenProcessPool``,
-which fails every in-flight future of the wave) triggers an in-process retry
-of the affected requests — the compile stages are pure, so this is safe —
-and only a genuine retry failure is recorded, per-request, instead of
-aborting the batch; the broken pool is replaced (with a fresh snapshot and
-baseline) at the start of the next batch.
+The pool degrades to the in-process executor: when it cannot be created, or
+for request payloads that cannot be pickled.  A worker-process crash
+(``BrokenProcessPool``, which fails every in-flight future of the wave)
+triggers an in-process retry of the affected requests — the compile stages
+are pure, so this is safe — and only a genuine retry failure is recorded,
+per-request, instead of aborting the batch; the broken pool is replaced
+(with a fresh snapshot and baseline) by the next wave that needs it.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ import multiprocessing
 import pickle
 import time
 import weakref
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
@@ -59,15 +71,15 @@ from repro.core.stats import CounterMixin
 from repro.core.pipeline import (
     DeployRequest,
     StageRecord,
+    build_placement_request,
     compile_request,
     rebrand_plan,
     single_flight_waves,
 )
 from repro.frontend.compiler import FrontendCompiler
 from repro.ir.program import IRProgram
-from repro.ir.verify import verify_program
 from repro.obs.trace import SpanCollector, SpanRecord
-from repro.placement.dp import DPPlacer, PlacementRequest
+from repro.placement.dp import DPPlacer
 from repro.placement.plan import PlacementPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -86,12 +98,12 @@ SyncPayload = Tuple[
 
 @dataclass
 class SpeculativeResult:
-    """Outcome of the parallel compile + speculative-place phase.
+    """Outcome of the pure phase for one request.
 
-    ``plan`` is the commit-free placement computed against the worker's
-    topology snapshot (``None`` for in-process fallbacks, which place during
-    the commit phase instead).  ``error``/``failed_stage`` capture failures;
-    ``via`` records which execution path produced the result.
+    ``plan`` is the commit-free placement computed against a worker's
+    topology snapshot (``None`` from the in-process executor, whose requests
+    place during the commit phase instead).  ``error``/``failed_stage``
+    capture failures; ``via`` records which executor produced the result.
     """
 
     index: int
@@ -100,6 +112,9 @@ class SpeculativeResult:
     plan: Optional[PlacementPlan] = None
     error: Optional[str] = None
     failed_stage: Optional[str] = None
+    #: the typed exception behind ``error`` — in-process results only (a
+    #: worker's failure crosses the pickle boundary as strings)
+    exception: Optional[BaseException] = None
     via: str = "process"
     #: True when ``plan`` was served from the shared plan cache (a previous
     #: committed speculative plan written back); the commit phase records it
@@ -168,11 +183,7 @@ def _worker_apply_sync(sync: Optional[SyncPayload]) -> None:
     """
     if sync is None:
         return
-    if len(sync) == 2:  # legacy 2-tuple (hand-built in older tests)
-        epoch, states = sync
-        memo_sync = None
-    else:
-        epoch, states, memo_sync = sync
+    epoch, states, memo_sync = sync
     if epoch > _WORKER_CONTEXT["epoch"]:
         topology = _WORKER_CONTEXT["topology"]
         topology.apply_allocation_states(states)
@@ -218,89 +229,42 @@ def _worker_compile_and_place(
     fields so the parent can fill the request's ``PipelineReport``.
     """
     _worker_apply_sync(sync)
-    compiler: FrontendCompiler = _WORKER_CONTEXT["compiler"]
-    placer: DPPlacer = _WORKER_CONTEXT["placer"]
-    records: List[StageRecord] = []
     # the parent's Tracer is unreachable from here; record spans into a
     # plain collector and ship them back on the result (like memo_delta)
     spans = SpanCollector(request.trace) if request.trace is not None else None
-    stage = "frontend"
+
+    def span(name: str, **attrs):
+        return spans.span(name, **attrs) if spans is not None else nullcontext()
+
+    result = SpeculativeResult(index=index)
     try:
-        if precompiled is not None:
-            # single-flight follower: the leader compiled the shared program
-            start = time.perf_counter()
-            program = precompiled.rebrand(request.resolved_name())
-            records.append(
-                StageRecord(
-                    "frontend",
-                    time.perf_counter() - start,
-                    cache_hit=True,
-                    detail={"kind": "single-flight"},
-                )
+        with span("worker.compile", single_flight=precompiled is not None):
+            result.program, result.records = compile_request(
+                request, _WORKER_CONTEXT["compiler"],
+                _WORKER_CONTEXT["cache"], precompiled=precompiled,
             )
-            stage = "ir-verify"
-            start = time.perf_counter()
-            verify_program(program)
-            records.append(StageRecord("ir-verify", time.perf_counter() - start))
-        else:
-            if spans is not None:
-                with spans.span("worker.compile",
-                                single_flight=precompiled is not None):
-                    program, records = compile_request(
-                        request, compiler, _WORKER_CONTEXT["cache"]
-                    )
-            else:
-                program, records = compile_request(
-                    request, compiler, _WORKER_CONTEXT["cache"]
-                )
-    except Exception as exc:
-        return SpeculativeResult(
-            index=index,
-            records=records,
-            error=str(exc),
-            failed_stage=getattr(exc, "pipeline_stage", stage),
-            trace_spans=spans.records if spans is not None else None,
-        )
-    try:
-        placement_request = PlacementRequest(
-            program=program,
-            source_groups=list(request.source_groups),
-            destination_group=request.destination_group,
-            traffic_rates=(
-                dict(request.traffic_rates) if request.traffic_rates else None
-            ),
-            adaptive_weights=_WORKER_CONTEXT["adaptive_weights"],
-        )
-        if spans is not None:
-            with spans.span("worker.place"):
-                plan = placer.place(placement_request)
-        else:
-            plan = placer.place(placement_request)
+        with span("worker.place"):
+            plan = _WORKER_CONTEXT["placer"].place(build_placement_request(
+                result.program, request, _WORKER_CONTEXT["adaptive_weights"]
+            ))
         # the worker's device versions are meaningless to the parent; stamp
         # the plan with the parent epoch its snapshot was synced to, so the
         # parent can epoch-validate it
         plan.epoch = _WORKER_CONTEXT["epoch"] if sync is not None else None
+        result.plan = plan
     except Exception as exc:
-        # the commit phase retries placement against the live topology, so a
-        # snapshot-time failure is advisory rather than final; even a failed
-        # search derives reusable sub-solutions, so ship them back too
-        return SpeculativeResult(
-            index=index,
-            program=program,
-            records=records,
-            error=str(exc),
-            failed_stage="placement",
-            memo_delta=_worker_export_memo_delta(),
-            trace_spans=spans.records if spans is not None else None,
-        )
-    return SpeculativeResult(
-        index=index,
-        program=program,
-        records=records,
-        plan=plan,
-        memo_delta=_worker_export_memo_delta(),
-        trace_spans=spans.records if spans is not None else None,
-    )
+        # with a program in hand the failure is the search's: the commit
+        # phase retries placement against the live topology, so it is
+        # advisory rather than final
+        result.error = str(exc)
+        result.failed_stage = ("placement" if result.program is not None
+                               else getattr(exc, "pipeline_stage", "frontend"))
+    if result.program is not None:
+        # even a failed search derives reusable sub-solutions: ship them back
+        result.memo_delta = _worker_export_memo_delta()
+    if spans is not None:
+        result.trace_spans = spans.records
+    return result
 
 
 def _default_context():
@@ -319,24 +283,26 @@ def _picklable(payload) -> bool:
 
 
 class ParallelCompileService(CounterMixin):
-    """Owns the persistent process pool behind ``run_many(..., workers=N)``.
+    """Runs the pure phase of every deployment; owns the persistent pool.
 
     Responsibilities:
 
+    * choosing the executor per dispatch wave: fewer than two requests (or
+      ``workers <= 1``) compile in-process, two or more go to the pool;
     * the ``ProcessPoolExecutor`` whose workers hold a topology snapshot
       taken when the pool starts (fork) or shipped to them (spawn); the pool
-      is reused across batches and every batch carries an epoch-tagged
-      re-sync payload (the allocation state of devices that drifted from the
-      fork-time baseline) so worker snapshots track the live topology
-      without re-forking;
+      is started by the first wave that needs it, reused across batches, and
+      every pooled wave carries an epoch-tagged re-sync payload (the
+      allocation state of devices that drifted from the fork-time baseline)
+      so worker snapshots track the live topology without re-forking;
     * single-flight deduplication shared with the pipeline's
       :class:`~repro.core.cache.ArtifactCache`: requests with equal compile
       keys ride on one leader compilation, leader programs are stored back
       into the shared cache, and followers receive them pre-compiled;
-    * fallbacks — ``workers <= 1``, an unavailable pool, or an unpicklable
-      request payload all use the in-process compile path, and requests
-      caught in a worker-process crash are retried in-process; a broken
-      pool is replaced (fresh snapshot + baseline) at the next batch.
+    * fallbacks — an unavailable pool or an unpicklable request payload use
+      the in-process executor, and requests caught in a worker-process crash
+      are retried in-process; a broken pool is replaced (fresh snapshot +
+      baseline) by the next pooled wave.
     """
 
     def __init__(
@@ -361,13 +327,11 @@ class ParallelCompileService(CounterMixin):
         #: parent memo-log entries already exported to the workers (the
         #: pool-init snapshot, then one batched delta per sync payload)
         self._memo_synced_seq = 0
-        #: observability: batches served, pools created, and requests that
-        #: fell back to the in-process compile path over the lifetime
+        #: observability: batches served, pools created, and requests the
+        #: in-process executor compiled over the lifetime
         self.batches_served = 0
         self.pool_generation = 0
         self.inline_fallbacks = 0
-        if self.workers > 1:
-            self._start_pool()
 
     # ------------------------------------------------------------------ #
     # shared-memo plumbing
@@ -474,9 +438,9 @@ class ParallelCompileService(CounterMixin):
             self._finalizer = None
 
     def _ensure_pool(self) -> None:
-        """Replace a pool whose workers crashed; never resurrect an
-        environment where pools cannot be created at all."""
-        if self.workers <= 1 or self._pool_unavailable:
+        """Start the pool, or replace one whose workers crashed; never
+        resurrect an environment where pools cannot be created at all."""
+        if self._pool_unavailable:
             return
         if self._pool is None or self._pool_broken:
             if self._pool is not None:
@@ -532,68 +496,84 @@ class ParallelCompileService(CounterMixin):
         )
 
     # ------------------------------------------------------------------ #
+    def _pooled(self, size: int) -> bool:
+        """The executor rule: only a wave of two or more requests is worth
+        a pickle round trip — a wave of one gains no parallelism from it."""
+        return self.workers > 1 and size > 1 and not self._pool_unavailable
+
     def compile_batch(
         self, requests: Sequence[DeployRequest]
     ) -> List[SpeculativeResult]:
-        """Compile + speculatively place a batch; results in request order."""
+        """Run the pure phase of a batch; results in request order."""
         requests = list(requests)
         results: List[Optional[SpeculativeResult]] = [None] * len(requests)
         compile_start = time.perf_counter()
-        self._ensure_pool()
-        sync = self._sync_payload()
         cache = self.pipeline.cache
-        keys = [self.pipeline.program_cache_key(request) for request in requests]
+        # compile keys pair up requests that can share one compilation; a
+        # batch of one has nobody to share with
+        keys = ([self.pipeline.program_cache_key(request)
+                 for request in requests]
+                if len(requests) > 1 else [None] * len(requests))
 
         # warm path: requests whose compiled program *and* placement (under
         # the live allocation state) are already in the shared cache — e.g.
         # a re-submission after a removal restored the state a committed
-        # speculative plan was written back against — skip the pool
-        # entirely; the commit phase validates the cached plan like any
-        # other speculative plan, so serial equivalence is preserved.
+        # speculative plan was written back against — skip the pool; the
+        # commit phase validates the cached plan like any other speculative
+        # plan, so serial equivalence is preserved.  The lookup exists to
+        # save a pool round trip, so it only runs for requests that could be
+        # dispatched to the pool: an in-process request makes the identical
+        # lookup at commit (_place_cached), once.
         warm: set = set()
-        for index, request in enumerate(requests):
-            result = self._warm_lookup(index, request, keys[index])
-            if result is not None:
-                results[index] = result
-                warm.add(index)
+        if self._pooled(len(requests)):
+            for index, request in enumerate(requests):
+                result = self._warm_lookup(index, request, keys[index])
+                if result is not None:
+                    results[index] = result
+                    warm.add(index)
 
         leaders, followers = single_flight_waves(keys, skip=warm)
 
-        self._run_wave(requests, leaders, {}, results, sync)
-        for index in leaders:
-            result = results[index]
-            # a program is only set once it passed ir-verify, so it is
-            # cacheable even when the leader's speculative placement failed
-            if keys[index] and result.program is not None:
-                cache.store(keys[index], result.program)
+        # the executor is chosen from the wave the service can see: what is
+        # left to dispatch goes to the pool only when there are two or more
+        sync: Optional[SyncPayload] = None
+        if self._pooled(len(leaders) + len(followers)):
+            self._ensure_pool()
+            sync = self._sync_payload()  # None: the pool could not start
 
+        self._run_wave(requests, leaders, {}, results, sync)
         precompiled: Dict[int, Optional[IRProgram]] = {}
-        for index in followers:
-            hit, cached = cache.lookup(keys[index])
-            precompiled[index] = cached if hit else None
-        # the leaders' memo deltas were merged as their futures resolved;
-        # refresh the sync payload's memo part so the follower wave starts
-        # from the leaders' sub-solutions (same program → same context
-        # digest, so the reuse is near-total) instead of re-deriving them
-        self._run_wave(requests, followers, precompiled, results,
-                       self._refresh_memo_sync(sync))
+        if sync is not None:
+            for index in leaders:
+                result = results[index]
+                # a program is only set once it passed ir-verify, so it is
+                # cacheable even when the leader's speculative placement
+                # failed (the in-process executor stores its own)
+                if (keys[index] and result.program is not None
+                        and result.via == "process"):
+                    cache.store(keys[index], result.program)
+            for index in followers:
+                hit, cached = cache.lookup(keys[index])
+                precompiled[index] = cached if hit else None
+            sync = self._refresh_memo_sync(sync)
+        self._run_wave(requests, followers, precompiled, results, sync)
         self.increment("batches_served")
         self.pipeline._phase_hist.labels("compile").observe(
             time.perf_counter() - compile_start)
         return results
 
-    def _refresh_memo_sync(
-        self, sync: Optional[SyncPayload]
-    ) -> Optional[SyncPayload]:
+    def _refresh_memo_sync(self, sync: SyncPayload) -> SyncPayload:
         """Re-export the memo part of a batch's sync payload mid-batch.
 
-        The epoch/state part is untouched — allocations do not move between
-        the speculative waves — and when nothing new was logged the previous
-        memo part is kept (workers that already applied it skip it by
-        watermark; an idle worker waking up late still gets it).
+        The leaders' memo deltas were merged as their futures resolved, so
+        the follower wave starts from the leaders' sub-solutions (same
+        program → same context digest, so the reuse is near-total) instead
+        of re-deriving them.  The epoch/state part is untouched —
+        allocations do not move between the speculative waves — and when
+        nothing new was logged the previous memo part is kept (workers that
+        already applied it skip it by watermark; an idle worker waking up
+        late still gets it).
         """
-        if sync is None:
-            return None
         epoch, states, memo_sync = sync
         fresh = self._memo_sync()
         return (epoch, states, fresh if fresh is not None else memo_sync)
@@ -611,34 +591,19 @@ class ParallelCompileService(CounterMixin):
         """
         pipeline = self.pipeline
         cache = pipeline.cache
-        name = request.resolved_name()
-        start = time.perf_counter()
-        if request.program is not None:
-            program = request.program
-            if program.name != name:
-                program = program.rebrand(name)
-            frontend = StageRecord(
-                "frontend",
-                time.perf_counter() - start,
-                detail={"kind": "precompiled"},
-            )
-        elif program_key is not None and program_key in cache:
-            hit, cached = cache.lookup(program_key)
-            if not hit:  # pragma: no cover - raced out by LRU eviction
-                return None
-            program = cached.rebrand(name)
-            frontend = StageRecord(
-                "frontend",
-                time.perf_counter() - start,
-                cache_hit=True,
-                detail={"kind": "warm"},
-            )
-        else:
-            return None
         if not cache.namespace_len("plan"):
             # nothing was ever written back to the plan namespace, so a warm
             # hit is impossible — skip the plan-key computation, which
             # fingerprints every device of the fabric per request
+            return None
+        if request.program is None and program_key not in cache:
+            return None
+        try:
+            # served from the program namespace: no frontend run
+            program, records = pipeline.compile_stages(request)
+        except Exception:
+            # an unverifiable program falls back to the normal dispatch
+            # path, which reports errors per-request
             return None
         plan_key = pipeline.plan_cache_key(
             pipeline.placement_request(program, request)
@@ -648,15 +613,9 @@ class ParallelCompileService(CounterMixin):
         hit, cached_plan = cache.lookup(plan_key)
         if not hit:  # pragma: no cover - raced out by LRU eviction
             return None
-        records = [frontend]
-        stage_start = time.perf_counter()
         try:
-            verify_program(program)
-            records.append(StageRecord("ir-verify", time.perf_counter() - stage_start))
             plan = rebrand_plan(cached_plan, program)
-        except Exception:
-            # an unverifiable program / mismatched plan falls back to the
-            # normal dispatch path, which reports errors per-request
+        except Exception:  # mismatched plan: dispatch normally
             return None
         # the plan key embeds the live topology fingerprint: a hit proves
         # the allocation state is content-identical to placement time
@@ -679,14 +638,17 @@ class ParallelCompileService(CounterMixin):
         results: List[Optional[SpeculativeResult]],
         sync: Optional[SyncPayload],
     ) -> None:
+        """Run one single-flight wave: on the pool when the batch shipped a
+        *sync* payload, in-process otherwise."""
+        pool = self._pool if sync is not None else None
         futures = {}
         for index in indices:
             payload = precompiled.get(index)
-            if self._pool is None or not _picklable((requests[index], payload)):
+            if pool is None or not _picklable((requests[index], payload)):
                 results[index] = self._compile_inline(index, requests[index])
                 continue
             try:
-                futures[index] = self._pool.submit(
+                futures[index] = pool.submit(
                     _worker_compile_and_place,
                     index,
                     requests[index],
@@ -720,7 +682,7 @@ class ParallelCompileService(CounterMixin):
                 results[index] = result
 
     def _compile_inline(self, index: int, request: DeployRequest) -> SpeculativeResult:
-        """In-process fallback: pure compile only, placement at commit time."""
+        """The in-process executor: pure compile only, placement at commit."""
         self.increment("inline_fallbacks")
         try:
             program, records = self.pipeline.compile_stages(request)
@@ -729,6 +691,7 @@ class ParallelCompileService(CounterMixin):
                 index=index,
                 error=str(exc),
                 failed_stage=getattr(exc, "pipeline_stage", "frontend"),
+                exception=exc,
                 via="inline",
             )
         return SpeculativeResult(

@@ -4,23 +4,25 @@ A deployment is an explicit sequence of named stages::
 
     frontend -> ir-verify -> placement -> synthesis -> emulator-install -> codegen
 
-The first two stages are *pure*: they read nothing but the request and the
-shared :class:`~repro.core.cache.ArtifactCache`, so independent requests can
-run them concurrently (``run_many``).  The remaining stages *commit* shared
-state — device resources, synthesised executables, emulator runtimes — and
-run sequentially in request order, which keeps batched deployment
-deterministic: a batch produces exactly the placements the equivalent serial
-loop would.
+and there is **one** way a request travels through them
+(:meth:`CompilationPipeline.run_many`):
 
-Batches can additionally run the frontend *and the placement search* in a
-:class:`~repro.core.parallel.ParallelCompileService` process pool
-(``run_many(..., workers=N)``): placement is commit-free, so each worker
-produces a speculative :class:`~repro.placement.plan.PlacementPlan` against
-a snapshot of device allocations, and the sequential commit phase validates
-each plan's recorded device fingerprints — committing it untouched when they
-still match (provably the sequential result) or re-placing against the live
-topology on conflict.  Either way the batch yields exactly the placements of
-the equivalent serial loop.
+1. the *pure phase* — :meth:`ParallelCompileService.compile_batch
+   <repro.core.parallel.ParallelCompileService.compile_batch>` — runs
+   ``frontend`` and ``ir-verify`` (and, in a worker process, a speculative
+   commit-free placement against a snapshot of device allocations).  It reads
+   nothing but the request and the shared
+   :class:`~repro.core.cache.ArtifactCache`, so it holds no lock;
+2. the *commit phase* — :meth:`CompilationPipeline.commit_speculative_result`
+   per request, in admission order, under the caller's commit guard —
+   validates a speculative plan against the live topology (committing it
+   untouched when no consulted device changed, re-placing on conflict) or
+   places through the plan cache when the pure phase ran in-process, then
+   synthesises, installs and generates code.
+
+Either executor of the pure phase therefore yields exactly the placements of
+the equivalent serial loop.  :meth:`CompilationPipeline.run` is a batch of
+one that re-raises the failure its report captured.
 
 Every stage appends a :class:`StageRecord` (duration, cache-hit flag,
 diagnostics) to the deployment's :class:`PipelineReport`.  If a commit stage
@@ -32,7 +34,7 @@ they were before the deployment started.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -153,6 +155,11 @@ class PipelineReport:
     error: Optional[str] = None
     failed_stage: Optional[str] = None
     deployed: Optional[DeployedProgram] = None
+    #: the typed exception behind ``error`` when the failure happened in this
+    #: process (worker-side failures cross the pickle boundary as strings);
+    #: :meth:`CompilationPipeline.run` re-raises it
+    exception: Optional[BaseException] = field(default=None, repr=False,
+                                               compare=False)
 
     def stage(self, name: str) -> StageRecord:
         for record in self.stages:
@@ -179,6 +186,33 @@ class PipelineReport:
         }
 
 
+def complete_report(report: PipelineReport, started: float,
+                    deployed: Optional[DeployedProgram] = None, *,
+                    error: Optional[str] = None,
+                    failed_stage: Optional[str] = None,
+                    exception: Optional[BaseException] = None
+                    ) -> PipelineReport:
+    """Fill in the outcome of *report*: success with *deployed*, else failure.
+
+    A failure is described by the *exception* caught in this process, by
+    the picklable ``error``/``failed_stage`` strings a worker sent, or both
+    (the strings win: they may carry more context than the exception).
+    """
+    report.total_s = time.perf_counter() - started
+    report.succeeded = deployed is not None
+    if deployed is not None:
+        report.deployed = deployed
+        deployed.deploy_time_s = report.total_s
+        deployed.report = report
+    else:
+        report.error = error if error is not None else str(exception)
+        report.failed_stage = (
+            failed_stage if failed_stage is not None
+            else getattr(exception, "pipeline_stage", None))
+        report.exception = exception
+    return report
+
+
 def program_cache_key(request: DeployRequest, cache: ArtifactCache) -> Optional[str]:
     """The ``program`` cache address of *request*, or None if precompiled."""
     if request.program is not None:
@@ -200,10 +234,8 @@ def single_flight_waves(keys: Sequence[Optional[str]],
     Requests sharing a compile key ride on one leader compilation; followers
     run in a second wave, once the leaders' programs are in the shared
     cache.  Requests without a key (precompiled IR) are always leaders.
-    Both batch drivers (thread and process pool) use this partition, so
-    deduplication semantics cannot diverge between them.  Indices in *skip*
-    (requests already served, e.g. from the warm plan cache) are excluded
-    from both waves.
+    Indices in *skip* (requests already served, e.g. from the warm plan
+    cache) are excluded from both waves.
     """
     leaders: List[int] = []
     followers: List[int] = []
@@ -221,13 +253,17 @@ def single_flight_waves(keys: Sequence[Optional[str]],
 
 
 def compile_request(request: DeployRequest, compiler: FrontendCompiler,
-                    cache: ArtifactCache
+                    cache: ArtifactCache,
+                    precompiled: Optional[IRProgram] = None
                     ) -> Tuple[IRProgram, List[StageRecord]]:
     """Run the pure ``frontend`` and ``ir-verify`` stages of one request.
 
     This is a free function (rather than pipeline state) so process-pool
     workers can run it against their own compiler and cache; exceptions are
     annotated with a ``pipeline_stage`` attribute naming the failing stage.
+    *precompiled* is the single-flight follower case: the batch's leader
+    already compiled the shared program content, so the frontend only
+    re-owns it.
     """
     records: List[StageRecord] = []
     name = request.resolved_name()
@@ -236,11 +272,16 @@ def compile_request(request: DeployRequest, compiler: FrontendCompiler,
     stage = "frontend"
     try:
         hit = False
-        if request.program is not None:
+        key = None
+        if precompiled is not None:
+            hit = True
+            program = precompiled.rebrand(name)
+            detail: Dict[str, object] = {"kind": "single-flight"}
+        elif request.program is not None:
             program = request.program
             if program.name != name:
                 program = program.rebrand(name)
-            detail: Dict[str, object] = {"kind": "precompiled"}
+            detail = {"kind": "precompiled"}
         else:
             kind = "profile" if request.profile is not None else "source"
             key = program_cache_key(request, cache)
@@ -262,13 +303,26 @@ def compile_request(request: DeployRequest, compiler: FrontendCompiler,
         start = time.perf_counter()
         verify_program(program)
         records.append(StageRecord(stage, time.perf_counter() - start))
-        if request.program is None and not hit:
+        if key is not None and not hit:
             # only verified programs enter the content-addressed store
             cache.store(key, program)
     except Exception as exc:
         setattr(exc, "pipeline_stage", stage)
         raise
     return program, records
+
+
+def build_placement_request(program: IRProgram, request: DeployRequest,
+                            adaptive_weights: bool) -> PlacementRequest:
+    """The placement search input for *program* deployed as *request*."""
+    return PlacementRequest(
+        program=program,
+        source_groups=list(request.source_groups),
+        destination_group=request.destination_group,
+        traffic_rates=dict(request.traffic_rates)
+        if request.traffic_rates else None,
+        adaptive_weights=adaptive_weights,
+    )
 
 
 def rebrand_plan(plan: PlacementPlan, program: IRProgram) -> PlacementPlan:
@@ -337,10 +391,10 @@ class CompilationPipeline:
         self.cache = cache if cache is not None else ArtifactCache()
         self.generate_code = generate_code
         self.adaptive_weights = adaptive_weights
-        # the persistent process-pool compile service (created lazily by
-        # parallel_service(); kept alive across batches and released by
-        # close())
-        self._parallel = None
+        #: the live compile service that runs the pure phase, or None before
+        #: first use — read it for observability (pool generation, batches
+        #: served); its lifecycle stays with parallel_service() and close()
+        self.parallel = None
         self.obs = obs if obs is not None else Observability.default()
         registry = self.obs.registry
         self._stage_hist = registry.histogram(
@@ -370,14 +424,8 @@ class CompilationPipeline:
     def placement_request(self, program: IRProgram,
                           request: DeployRequest) -> PlacementRequest:
         """The placement search input for *program* deployed as *request*."""
-        return PlacementRequest(
-            program=program,
-            source_groups=list(request.source_groups),
-            destination_group=request.destination_group,
-            traffic_rates=dict(request.traffic_rates)
-            if request.traffic_rates else None,
-            adaptive_weights=self.adaptive_weights,
-        )
+        return build_placement_request(program, request,
+                                       self.adaptive_weights)
 
     def plan_cache_key(self, placement_request: PlacementRequest) -> str:
         """Content address of a placement under the live topology state.
@@ -532,13 +580,7 @@ class CompilationPipeline:
 
     def _place_cached(self, placement_request: PlacementRequest
                       ) -> Tuple[PlacementPlan, bool]:
-        """Placement with content-addressed memoisation.
-
-        The key covers the name-normalised program content, every placement
-        parameter, and a fingerprint of the topology's current allocations —
-        so a hit is only possible when the DP search would provably retrace
-        the cached run.
-        """
+        """Placement memoised under :meth:`plan_cache_key`."""
         program = placement_request.program
         key = self.plan_cache_key(placement_request)
         lookup_start = time.perf_counter()
@@ -632,7 +674,7 @@ class CompilationPipeline:
         so the shared network is untouched until the swap itself: the old
         version is removed and the new one committed back-to-back through
         the serial commit phase — one wave barrier, so callers serialised
-        through it (``run_many`` batches, the asyncio service) never
+        through it (the asyncio service, a shard's commit lock) never
         observe a half-updated network.  Compatible register/table state is
         carried across the swap.  If the new version cannot be placed or
         installed, the old version is reinstalled unchanged and the error
@@ -655,85 +697,66 @@ class CompilationPipeline:
                     getattr(exc, "pipeline_stage", "update"))
             raise
         self.emulator.restore_owner_state(name, snapshot)
-        report.total_s = time.perf_counter() - start
-        report.succeeded = True
-        report.deployed = new_deployed
-        new_deployed.deploy_time_s = report.total_s
-        new_deployed.report = report
-        return report
+        return complete_report(report, start, new_deployed)
 
     # ------------------------------------------------------------------ #
-    # drivers
+    # the one deploy path
     # ------------------------------------------------------------------ #
-    def parallel_service(self, workers: int):
-        """The persistent process-pool compile service, created on demand.
+    def parallel_service(self, workers: Optional[int] = None):
+        """The compile service that runs the pure phase, created on demand.
 
-        The service (and its worker pool) survives across batches: workers
-        keep their forked topology snapshot and re-sync allocation changes
-        through the epoch-tagged fingerprint-delta protocol instead of being
-        re-forked per batch.  Asking for a different ``workers`` count
-        replaces the pool; :meth:`close` releases it deterministically.
+        The service survives across batches.  Its pool width is a property
+        of the service, not of a call: ``workers=None`` (``run()``,
+        migrations, escalations, the cross-shard 2PC) uses whatever service
+        is live and never resizes it; an explicit count that differs from
+        the live service's replaces it.  :meth:`close` releases it
+        deterministically.
         """
         from repro.core.parallel import ParallelCompileService
 
-        service = self._parallel
-        if service is not None and service.workers != max(1, int(workers)):
+        service = self.parallel
+        if (workers is not None and service is not None
+                and service.workers != max(1, int(workers))):
             service.close()
             service = None
         if service is None:
-            service = ParallelCompileService(self, workers=workers)
-            self._parallel = service
+            service = ParallelCompileService(self, workers=workers or 1)
+            self.parallel = service
         return service
 
-    @property
-    def parallel(self):
-        """The live persistent compile service, or None before first use.
-
-        Public read access for observability (pool generation, batches
-        served) — the lifecycle stays with :meth:`parallel_service` and
-        :meth:`close`.
-        """
-        return self._parallel
-
     def close(self) -> None:
-        """Release the persistent worker pool (idempotent)."""
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
+        """Release the compile service and its worker pool (idempotent)."""
+        if self.parallel is not None:
+            self.parallel.close()
+            self.parallel = None
 
     def run(self, request: DeployRequest) -> PipelineReport:
-        """Deploy one request through all six stages.
+        """Deploy one request: a batch of one that raises instead of reporting.
 
-        Exceptions propagate to the caller (annotated with the failing stage)
-        after rollback; use :meth:`run_many` for the error-capturing batch
-        behaviour.
+        The failure the report captured is re-raised as the original typed
+        exception (annotated with ``pipeline_stage``), after rollback.
         """
-        start = time.perf_counter()
-        report = PipelineReport(program_name=request.resolved_name())
-        program, records = self.compile_stages(request)
-        report.stages = records
-        report.program_name = program.name
-        deployed = self.commit_stages(program, request, records)
-        report.total_s = time.perf_counter() - start
-        report.succeeded = True
-        report.deployed = deployed
-        deployed.deploy_time_s = report.total_s
-        deployed.report = report
-        self._finish_report(request, report)
+        report = self.run_many([request])[0]
+        if not report.succeeded:
+            raise report.exception or DeploymentError(report.error)
         return report
 
     def run_many(self, requests: Sequence[DeployRequest],
-                 max_workers: Optional[int] = None,
-                 workers: Optional[int] = None) -> List[PipelineReport]:
-        """Deploy a batch: concurrent pure-compile, sequential commit.
+                 workers: Optional[int] = None,
+                 commit_guard=None,
+                 registry: Optional[Dict[str, DeployedProgram]] = None
+                 ) -> List[PipelineReport]:
+        """Deploy a batch: lock-free pure phase, then commits in request order.
 
-        With ``workers`` > 1 the frontend *and the DP placement search* of
-        every request run in a process pool
-        (:class:`~repro.core.parallel.ParallelCompileService`) for real
-        multi-core speedup; the sequential commit phase validates each
-        speculative plan's device fingerprints and re-places on conflict, so
-        placements always equal the equivalent serial loop's.  Otherwise the
-        pure compile stages overlap on a thread pool of ``max_workers``.
+        The pure phase (``compile_batch``) runs outside *commit_guard* — its
+        speculative plans are validated, and re-placed on conflict, by the
+        commit phase, so commits landing meanwhile are harmless.  The commit
+        phase holds the guard (any context manager; a shard passes its commit
+        lock) and records each committed program in *registry* before
+        releasing it, so the caller's book-keeping never lags a commit.
+        ``workers`` > 1 asks for a process pool of that width, which
+        dispatch waves of two or more requests use; see
+        :meth:`parallel_service`.
 
         Reports are returned in request order.  A failing request is captured
         in its report (``succeeded=False``, ``error``, ``failed_stage``) and
@@ -743,121 +766,63 @@ class CompilationPipeline:
         requests = list(requests)
         if not requests:
             return []
-        if workers is not None and workers > 1:
-            return self._run_many_speculative(requests, workers)
-        reports = [
-            PipelineReport(program_name=request.resolved_name())
-            for request in requests
-        ]
-        start_times = [time.perf_counter()] * len(requests)
-        compiled: List[Optional[Tuple[IRProgram, List[StageRecord]]]] = (
-            [None] * len(requests)
-        )
-        # single-flight: requests sharing a compile key ride on one leader
-        # compilation — followers run after the leaders and hit the cache
-        leaders, followers = single_flight_waves(
-            [self.program_cache_key(request) for request in requests]
-        )
-
-        workers = max_workers or min(8, len(requests))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for wave in (leaders, followers):
-                futures = {
-                    index: pool.submit(self.compile_stages, requests[index])
-                    for index in wave
-                }
-                for index, future in futures.items():
-                    try:
-                        compiled[index] = future.result()
-                    except Exception as exc:
-                        reports[index].succeeded = False
-                        reports[index].error = str(exc)
-                        reports[index].failed_stage = getattr(
-                            exc, "pipeline_stage", "frontend"
-                        )
-
-        for index, request in enumerate(requests):
-            report = reports[index]
-            if compiled[index] is None:
-                report.total_s = time.perf_counter() - start_times[index]
-                continue
-            program, records = compiled[index]
-            report.stages = records
-            report.program_name = program.name
-            try:
-                deployed = self.commit_stages(program, request, records)
-            except Exception as exc:
-                report.succeeded = False
-                report.error = str(exc)
-                report.failed_stage = getattr(exc, "pipeline_stage", None)
-                report.total_s = time.perf_counter() - start_times[index]
-                continue
-            report.total_s = time.perf_counter() - start_times[index]
-            report.succeeded = True
-            report.deployed = deployed
-            deployed.deploy_time_s = report.total_s
-            deployed.report = report
-        for request, report in zip(requests, reports):
-            self._finish_report(request, report)
+        started = time.perf_counter()
+        guard = commit_guard if commit_guard is not None else nullcontext()
+        with guard:  # replacing a live pool mutates shared pipeline state
+            service = self.parallel_service(workers)
+        results = service.compile_batch(requests)
+        reports: List[PipelineReport] = []
+        with guard:
+            for request, result in zip(requests, results):
+                report = self.commit_speculative_result(
+                    request, result,
+                    PipelineReport(program_name=request.resolved_name()),
+                    started,
+                )
+                if report.succeeded and registry is not None:
+                    registry[report.program_name] = report.deployed
+                reports.append(report)
         return reports
 
     def commit_speculative_result(self, request: DeployRequest, result,
                                   report: PipelineReport,
                                   started: float) -> PipelineReport:
+        """Drive the commit phase for one result of the pure phase.
+
+        *result* is a :class:`~repro.core.parallel.SpeculativeResult` from
+        ``compile_batch`` — produced in a worker process (with a speculative
+        plan) or in-process (without one).  This method serialises its
+        outcome into the shared topology, validating the speculative plan
+        (or placing against the live state) and filling in *report*.
+        Callers must invoke it sequentially, in admission order, holding
+        their commit guard.
+        """
         commit_start = time.perf_counter()
+        report.stages = list(result.records)
+        # a placement failure against a snapshot is advisory: the commit
+        # stages re-place against the live topology
+        retryable = (result.failed_stage == "placement"
+                     and result.program is not None)
         try:
-            return self._commit_speculative(request, result, report, started)
+            if result.error is not None and not retryable:
+                return complete_report(
+                    report, started, error=result.error,
+                    failed_stage=result.failed_stage,
+                    exception=result.exception)
+            report.program_name = result.program.name
+            try:
+                deployed = self.commit_stages(
+                    result.program, request, report.stages,
+                    speculative_plan=result.plan,
+                    speculative_from_cache=result.plan_from_cache,
+                )
+            except Exception as exc:
+                return complete_report(report, started, exception=exc)
+            return complete_report(report, started, deployed)
         finally:
             self._phase_hist.labels("commit").observe(
                 time.perf_counter() - commit_start)
             self._finish_report(request, report)
-
-    def _commit_speculative(self, request: DeployRequest, result,
-                            report: PipelineReport,
-                            started: float) -> PipelineReport:
-        """Drive the commit phase for one speculative compile result.
-
-        *result* is a :class:`~repro.core.parallel.SpeculativeResult` from
-        the parallel compile phase.  This is the second half of the explicit
-        two-phase interface: the pure phase (``compile_batch``) can run
-        anywhere — worker processes, inline fallbacks, an asyncio service
-        wave — and this method serialises its outcome into the shared
-        topology, validating the speculative plan (or re-placing on
-        conflict) and filling in *report*.  Callers must invoke it
-        sequentially, in admission order.
-        """
-        report.stages = list(result.records)
-        # a placement failure against the worker's snapshot is advisory:
-        # the commit phase below re-places against the live topology
-        retryable = (result.failed_stage == "placement"
-                     and result.program is not None)
-        if result.error is not None and not retryable:
-            report.succeeded = False
-            report.error = result.error
-            report.failed_stage = result.failed_stage
-            report.total_s = time.perf_counter() - started
-            return report
-        program = result.program
-        report.program_name = program.name
-        try:
-            deployed = self.commit_stages(
-                program, request, report.stages,
-                speculative_plan=result.plan,
-                speculative_from_cache=getattr(result, "plan_from_cache",
-                                               False),
-            )
-        except Exception as exc:
-            report.succeeded = False
-            report.error = str(exc)
-            report.failed_stage = getattr(exc, "pipeline_stage", None)
-            report.total_s = time.perf_counter() - started
-            return report
-        report.total_s = time.perf_counter() - started
-        report.succeeded = True
-        report.deployed = deployed
-        deployed.deploy_time_s = report.total_s
-        deployed.report = report
-        return report
 
     def _finish_report(self, request: DeployRequest,
                        report: PipelineReport) -> None:
@@ -885,24 +850,3 @@ class CompilationPipeline:
         if emit and not report.succeeded:
             tracer.emit(ctx, "pipeline-error", 0.0, error=report.error,
                         failed_stage=report.failed_stage)
-
-    def _run_many_speculative(self, requests: List[DeployRequest],
-                              workers: int) -> List[PipelineReport]:
-        """Process-pool batch driver: parallel compile+place, serial commit.
-
-        Uses the *persistent* :meth:`parallel_service` pool — the first
-        batch pays the fork, later batches re-sync the workers' topology
-        snapshots through the fingerprint-delta protocol.
-        """
-        batch_start = time.perf_counter()
-        reports = [
-            PipelineReport(program_name=request.resolved_name())
-            for request in requests
-        ]
-        service = self.parallel_service(workers)
-        results = service.compile_batch(requests)
-        for index, request in enumerate(requests):
-            self.commit_speculative_result(
-                request, results[index], reports[index], batch_start
-            )
-        return reports

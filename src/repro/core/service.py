@@ -12,12 +12,20 @@ pipeline::
         await svc.drain()                         # quiesce
 
 Requests enter an **admission queue** and are drained by a single dispatcher
-task into *speculative compile waves*: each wave of contiguous submissions
-runs the pure compile + speculative placement phase on the pipeline's
-persistent process pool (:class:`~repro.core.parallel.ParallelCompileService`
-— forked once, re-synced per batch via epoch-tagged fingerprint deltas) and
-is then committed sequentially, in admission order, through the pipeline's
-explicit commit phase.
+task into *waves*, and a wave is deployed the one way anything is deployed
+(:meth:`CompilationPipeline.run_many
+<repro.core.pipeline.CompilationPipeline.run_many>`): a lock-free pure phase
+— in-process for a wave of one, on the pipeline's persistent process pool
+(:class:`~repro.core.parallel.ParallelCompileService` — forked once,
+re-synced per wave via epoch-tagged fingerprint deltas) for a wave of two or
+more when the service was built with ``workers`` > 1 — then commits in
+admission order.
+
+Batching is **natural**: a wave is whatever queued while the previous wave
+ran (bounded by ``max_wave``).  There is no coalescing timer — a serial
+client can never fill a wave, so a timer only adds its timeout to every
+submit, while concurrent clients fill waves by themselves as soon as a
+wave's execution makes them queue.
 
 ``remove()`` is serialised through the same queue: a removal closes the wave
 being collected, runs only after every earlier submission committed, and
@@ -71,11 +79,8 @@ def deadline_report(name: str, detail: str) -> PipelineReport:
     per-request failure — never raised — and carries no partial state:
     nothing was compiled or committed on its behalf.
     """
-    report = PipelineReport(program_name=name)
-    report.succeeded = False
-    report.error = detail
-    report.failed_stage = "deadline"
-    return report
+    return PipelineReport(program_name=name, error=detail,
+                          failed_stage="deadline")
 
 
 @dataclass
@@ -180,25 +185,21 @@ class INCService:
         :class:`~repro.topology.network.NetworkTopology` from which the
         service builds — and then owns — a controller.
     workers:
-        Process-pool width for the speculative compile waves (``1`` falls
-        back to the in-process thread path).
+        Process-pool width for the unsharded queue's waves of two or more
+        submissions (``<= 1``: no pool; a wave of one always compiles
+        in-process).  Sharded lanes use ``shard_workers`` instead.
     max_wave:
         Upper bound on submissions batched into one compile wave.
     max_pending:
         Admission-queue capacity; beyond it, ``submit``/``remove`` apply
         backpressure (the awaiting caller blocks until the queue drains).
         ``0`` means unbounded.
-    coalesce_s:
-        How long the dispatcher waits for more submissions once the queue
-        momentarily empties mid-wave — a small window lets concurrent
-        producers fill a wave instead of compiling singletons.
     """
 
     def __init__(self, controller_or_topology, *, workers: int = 2,
                  max_wave: int = 8, max_pending: int = 0,
-                 coalesce_s: float = 0.001, sharded: bool = False,
+                 sharded: bool = False,
                  partition=None, shard_workers: Optional[int] = None,
-                 cross_workers: int = 0,
                  obs: Optional[Observability] = None,
                  **controller_kwargs) -> None:
         from repro.sharding.coordinator import ShardCoordinator
@@ -229,7 +230,6 @@ class INCService:
                     controller_or_topology, partition,
                     shard_workers=(1 if shard_workers is None
                                    else shard_workers),
-                    cross_workers=cross_workers,
                     **controller_kwargs)
                 self.controller = self.coordinator.inter
             else:
@@ -244,7 +244,6 @@ class INCService:
         self.workers = max(1, int(workers))
         self.max_wave = max(1, int(max_wave))
         self.max_pending = max(0, int(max_pending))
-        self.coalesce_s = max(0.0, float(coalesce_s))
         # sharded mode shares the coordinator's counter bag, so cross-shard
         # commits / aborted prepares / per-shard breakdowns show up in the
         # service-level summary without any double counting
@@ -710,7 +709,7 @@ class INCService:
                              shard_id: Optional[str] = None) -> None:
         """Drain one admission queue into compile waves, forever.
 
-        Contiguous submissions coalesce into one wave (bounded by
+        The submissions already queued form one wave (bounded by
         ``max_wave``); a removal — or the stop sentinel — closes the wave
         being collected and runs after it commits.  Unsharded services run
         one instance over the single queue; sharded services run one per
@@ -724,20 +723,10 @@ class INCService:
             if admission.kind == "submit":
                 wave.append(admission)
                 while len(wave) < self.max_wave:
-                    if queue.empty() and self.coalesce_s > 0.0:
-                        # momentary lull: give concurrent producers one
-                        # window to extend the wave before compiling it
-                        try:
-                            nxt = await asyncio.wait_for(
-                                queue.get(), timeout=self.coalesce_s
-                            )
-                        except asyncio.TimeoutError:
-                            break
-                    else:
-                        try:
-                            nxt = queue.get_nowait()
-                        except asyncio.QueueEmpty:
-                            break
+                    try:
+                        nxt = queue.get_nowait()
+                    except asyncio.QueueEmpty:
+                        break
                     if nxt.kind == "submit":
                         wave.append(nxt)
                     else:

@@ -67,6 +67,10 @@ __all__ = ["Gateway", "GatewayHTTPServer"]
 #: Prometheus text exposition as a plain string
 Response = Tuple[int, Dict[str, str], object]
 
+#: Largest request body the HTTP server will buffer (bytes); the submits of
+#: the end-to-end benchmark are < 10 KB, so 1 MiB is > 100x headroom
+MAX_BODY_BYTES = 1 << 20
+
 
 class Gateway:
     """The multi-tenant protocol core over one :class:`INCService`.
@@ -420,7 +424,21 @@ class GatewayHTTPServer:
                         break
                     name, _sep, value = line.decode("latin-1").partition(":")
                     headers[name.strip()] = value.strip()
-                length = int(headers.get("Content-Length", "0") or "0")
+                try:
+                    length = int(headers.get("Content-Length") or "0")
+                except ValueError:
+                    length = -1
+                if not 0 <= length <= MAX_BODY_BYTES:
+                    # the body is never read, so the stream cannot be
+                    # re-synchronised: answer, then drop the connection
+                    status, error = ((400, "bad_request") if length < 0
+                                     else (413, "payload_too_large"))
+                    await self._write(writer, status, {}, {
+                        "error": error,
+                        "message": "Content-Length must be an integer in "
+                                   f"[0, {MAX_BODY_BYTES}]",
+                    })
+                    break
                 body = await reader.readexactly(length) if length else b""
                 status, extra, payload = await self.gateway.handle(
                     method, path, headers, body
@@ -443,7 +461,8 @@ class GatewayHTTPServer:
     _STATUS_TEXT = {
         200: "OK", 400: "Bad Request", 401: "Unauthorized",
         403: "Forbidden", 404: "Not Found", 405: "Method Not Allowed",
-        409: "Conflict", 429: "Too Many Requests",
+        409: "Conflict", 413: "Payload Too Large",
+        429: "Too Many Requests",
         503: "Service Unavailable", 504: "Gateway Timeout",
     }
 
@@ -518,7 +537,11 @@ def main(argv=None) -> int:
                         help="fat-tree arity (fattree topology)")
     parser.add_argument("--sharded", action="store_true",
                         help="shard the controller per pod")
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--workers", type=int, default=2,
+                        help="process-pool width of the unsharded service, "
+                             "used only by waves of two or more concurrent "
+                             "submissions (a lone submit always compiles "
+                             "in-process; <= 1: no pool)")
     parser.add_argument("--queue-capacity", type=int, default=64)
     parser.add_argument("--admin-key", default=None)
     parser.add_argument("--tenants", default=None,

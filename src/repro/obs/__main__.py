@@ -18,13 +18,11 @@ from typing import List
 from repro.obs import Observability
 
 
-def _demo(obs: Observability, workers: int) -> List[str]:
-    from repro.core import ClickINC
+def _demo(controller, workers: int) -> List[str]:
     from repro.core.pipeline import DeployRequest
     from repro.lang.profile import default_profile
-    from repro.topology.fattree import build_paper_emulation_topology
 
-    topology = build_paper_emulation_topology()
+    obs = controller.obs
     requests = []
     for index, app in enumerate(("KVS", "MLAgg", "KVS")):
         pod = index % 3
@@ -35,8 +33,7 @@ def _demo(obs: Observability, workers: int) -> List[str]:
             profile=default_profile(app),
             trace=obs.tracer.start_trace("deploy", program=f"{app.lower()}_obs_{index}"),
         ))
-    with ClickINC(topology, obs=obs) as controller:
-        reports = controller.deploy_many(requests, workers=workers)
+    reports = controller.deploy_many(requests, workers=workers)
     for request, report in zip(requests, reports):
         obs.tracer.finish(request.trace,
                           status="ok" if report.succeeded else "error")
@@ -55,8 +52,14 @@ def main(argv=None) -> int:
                         help="max trace summaries to include")
     args = parser.parse_args(argv)
 
+    from repro.core import ClickINC
+    from repro.topology.fattree import build_paper_emulation_topology
+
     obs = Observability()
-    deployed = _demo(obs, workers=args.workers)
+    # the closed controller stays referenced until the dump is written: the
+    # clickinc_placement_* collector reads live placers only
+    with ClickINC(build_paper_emulation_topology(), obs=obs) as controller:
+        deployed = _demo(controller, workers=args.workers)
 
     if args.format == "prom":
         sys.stdout.write(obs.registry.render())

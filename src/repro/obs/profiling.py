@@ -1,16 +1,12 @@
 """Placement profiling primitives, folded into the metrics registry.
 
-Moved here from :mod:`repro.core.profiling` (which remains as a
-back-compat shim re-exporting these names, and still owns the
-``python -m repro.core.profiling`` demo CI prints).  The classes are
-unchanged; what is new is registry exposure: every live
-:class:`PlacementProfile` — the :class:`~repro.placement.dp.DPPlacer`
-creates one per placer — is tracked in a weak set, and
-:func:`collect_placement_samples` sums counters and stage timers across
-them at render time.  :class:`~repro.obs.Observability` installs that
-collector into its registry, so ``GET /v1/metrics`` reports
-``clickinc_placement_*`` series without the placer knowing any metrics
-code exists.
+Every live :class:`PlacementProfile` — the
+:class:`~repro.placement.dp.DPPlacer` creates one per placer — is tracked
+in a weak set, and :func:`collect_placement_samples` sums counters and
+stage timers across them at render time.
+:class:`~repro.obs.Observability` installs that collector into its
+registry, so ``GET /v1/metrics`` reports ``clickinc_placement_*`` series
+without the placer knowing any metrics code exists.
 """
 
 from __future__ import annotations

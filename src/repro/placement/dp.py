@@ -35,7 +35,7 @@ tests in ``tests/test_placement_scale.py``):
   matrix + prefix sums, numpy when available) instead of per-interval O(E)
   edge walks.
 
-Profiling hooks (:class:`~repro.core.profiling.PlacementProfile` on
+Profiling hooks (:class:`~repro.obs.profiling.PlacementProfile` on
 ``DPPlacer.profile``) attribute wall-clock to search / scoring / validation
 stages and count memo hits, for the scaling benchmarks and CI summaries.
 """
@@ -429,7 +429,7 @@ class DPPlacer:
     def __init__(self, topology: NetworkTopology,
                  memo: Optional[PlacementMemo] = None,
                  optimize: bool = True) -> None:
-        from repro.core.profiling import PlacementProfile  # local: avoids an
+        from repro.obs.profiling import PlacementProfile  # local: avoids an
         # import cycle through repro.core.__init__
 
         self.topology = topology

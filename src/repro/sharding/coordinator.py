@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.controller import ClickINC
-from repro.core.parallel import SpeculativeResult
 from repro.core.pipeline import DeployRequest, PipelineReport
 from repro.core.service import ServiceStats, deadline_report
 from repro.exceptions import DeploymentError
@@ -114,7 +113,9 @@ class ShardCoordinator:
         degenerating to a single whole-fabric shard on unlabelled
         topologies).
     shard_workers:
-        Per-shard process-pool width for speculative compile waves.
+        Per-shard process-pool width, used by shard waves of two or more
+        requests (``<= 1``: no pool).  A cross-shard deployment is always a
+        wave of one, so its pure phase runs in-process.
     memo:
         A :class:`~repro.placement.memo.SharedPlacementMemo` shared by
         every shard *and* the coordinator's own full-fabric controller; one
@@ -135,7 +136,7 @@ class ShardCoordinator:
 
     def __init__(self, topology: NetworkTopology,
                  partition: Optional[PartitionMap] = None, *,
-                 shard_workers: int = 1, cross_workers: int = 0,
+                 shard_workers: int = 1,
                  memo=None, memo_path: Optional[str] = None,
                  **controller_kwargs) -> None:
         from repro.placement.memo import SharedPlacementMemo
@@ -166,16 +167,6 @@ class ShardCoordinator:
         # coordinator's per-shard breakdown — incremented exactly once
         for shard_id, shard in self.shards.items():
             self.stats.per_shard[shard_id] = shard.stats
-        #: cross-shard speculative compiles run on the inter pipeline's
-        #: worker pool when > 1 (0/1 keeps the historical inline path);
-        #: worker-side trace spans then stitch across the process boundary
-        #: even for 2PC deployments
-        self.cross_workers = max(0, int(cross_workers))
-        # compile_batch on the shared inter pipeline is not reentrant; the
-        # lock serialises only the speculative phase of concurrent
-        # cross-shard deploys (lock-free phase 1 work, never held together
-        # with the inter/shard commit locks)
-        self._cross_compile_lock = threading.Lock()
         self.obs = self.inter.obs
         registry = self.obs.registry
         registry.register_counters("clickinc_service", self.stats)
@@ -219,13 +210,9 @@ class ShardCoordinator:
         return self.partition.regions_of_groups(self.topology, groups)
 
     @staticmethod
-    def _failed_report(name: str, error: str,
-                       stage: str = "validation") -> PipelineReport:
-        report = PipelineReport(program_name=name)
-        report.succeeded = False
-        report.error = error
-        report.failed_stage = stage
-        return report
+    def _failed_report(name: str, error: str) -> PipelineReport:
+        return PipelineReport(program_name=name, error=error,
+                              failed_stage="validation")
 
     def _route(self, request: DeployRequest):
         """``(touched shards, None)`` or ``(None, failed report)``.
@@ -442,55 +429,35 @@ class ShardCoordinator:
         ctx = request.trace
         report = PipelineReport(program_name=request.resolved_name())
 
-        # phase 1 (no locks): pure compile + commit-free placement against
-        # an epoch-tagged snapshot of every touched shard's allocations.
-        # The epoch snapshot is taken BEFORE the search: the search reads
-        # the live shared topology lock-free, so only an epoch unchanged
-        # across the whole search window proves no touched shard committed
-        # mid-search (post-search fingerprints alone could match live
-        # values the search never saw).  A snapshot taken before the pool
-        # dispatch is conservative the same way: any mid-search commit
-        # moves an epoch and turns into a prepare abort + serial re-place.
+        # phase 1 (no locks): the pure phase — a wave of one, so in-process
+        # — then a commit-free placement against an epoch-tagged snapshot
+        # of every touched shard's allocations.  The epoch snapshot is
+        # taken BEFORE the search: the search reads the live shared
+        # topology lock-free, so only an epoch unchanged across the whole
+        # search window proves no touched shard committed mid-search
+        # (post-search fingerprints alone could match live values the
+        # search never saw).  Any mid-search commit moves an epoch and
+        # turns into a prepare abort + serial re-place.
         spec_start = time.perf_counter()
-        if self.cross_workers > 1:
+        result = pipeline.parallel_service().compile_batch([request])[0]
+        result.via = "cross-shard"
+        if result.program is not None:
             shard_epochs = {shard_id: self.shards[shard_id].allocation_epoch()
                             for shard_id in touched}
-            with self._cross_compile_lock:
-                service = pipeline.parallel_service(self.cross_workers)
-                result = service.compile_batch([request])[0]
-            result.via = "cross-shard"
-            if result.plan is not None:
-                result.plan.shard_epochs = shard_epochs
-        else:
             try:
-                program, records = pipeline.compile_stages(request)
-            except Exception as exc:
-                result = SpeculativeResult(
-                    index=0, error=str(exc),
-                    failed_stage=getattr(exc, "pipeline_stage", "frontend"),
-                    via="cross-shard",
+                plan = self.inter.placer.place(
+                    pipeline.placement_request(result.program, request)
                 )
+            except Exception as exc:
+                # advisory: the commit wave re-places under the locks
+                result.error = str(exc)
+                result.failed_stage = "placement"
             else:
-                result = SpeculativeResult(index=0, program=program,
-                                           records=records, via="cross-shard")
-                shard_epochs = {shard_id:
-                                self.shards[shard_id].allocation_epoch()
-                                for shard_id in touched}
-                try:
-                    plan = self.inter.placer.place(
-                        pipeline.placement_request(program, request)
-                    )
-                except Exception as exc:
-                    # advisory: the commit wave re-places under the locks
-                    result.error = str(exc)
-                    result.failed_stage = "placement"
-                else:
-                    plan.shard_epochs = shard_epochs
-                    result.plan = plan
+                plan.shard_epochs = shard_epochs
+                result.plan = plan
         spec_s = time.perf_counter() - spec_start
         self._2pc_hist.labels("speculative").observe(spec_s)
-        tracer.emit(ctx, "2pc.speculative", spec_s,
-                    shards=list(touched), pooled=self.cross_workers > 1)
+        tracer.emit(ctx, "2pc.speculative", spec_s, shards=list(touched))
 
         if self._pre_prepare_hook is not None:
             self._pre_prepare_hook()

@@ -21,7 +21,6 @@ exactly those shards and nobody else.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.controller import ClickINC
@@ -43,7 +42,8 @@ class ControllerShard:
     view:
         The shard-local topology view (region devices + shared border).
     workers:
-        Process-pool width for this shard's speculative compile waves.
+        Process-pool width for this shard's waves of two or more requests
+        (``<= 1``: no pool, every wave compiles in-process).
     memo:
         Placement memo for the shard's DP placer.  The coordinator passes
         one :class:`~repro.placement.memo.SharedPlacementMemo` to every
@@ -87,51 +87,19 @@ class ControllerShard:
     # ------------------------------------------------------------------ #
     # intra-shard operations (serialised on the shard's own lock only)
     # ------------------------------------------------------------------ #
-    def deploy(self, request: DeployRequest) -> PipelineReport:
-        """Deploy one intra-shard request through the shard's pipeline."""
-        with self.lock:
-            report = self.controller.pipeline.run(request)
-            self.controller.deployed[report.program_name] = report.deployed
-            self.stats.increment("deploys")
-            return report
-
-    def deploy_many(self, requests: Sequence[DeployRequest],
-                    workers: Optional[int] = None) -> List[PipelineReport]:
+    def deploy_many(self, requests: Sequence[DeployRequest]
+                    ) -> List[PipelineReport]:
         """Deploy a batch of intra-shard requests (shard-local wave).
 
-        The pure compile + speculative placement phase runs on the shard's
-        own persistent worker pool *outside* the commit lock — the plans
-        are validated (and re-placed on conflict) by the commit phase, so
+        The pure phase runs *outside* the commit lock — its plans are
+        validated (and re-placed on conflict) by the commit phase, so
         mid-compile commits by a cross-shard 2PC or a device event are
         harmless.  Only the commit phase holds the shard lock, which keeps
         it exactly the window cross-shard prepares ever wait on.
         """
-        requests = list(requests)
-        workers = self.workers if workers is None else max(1, int(workers))
-        pipeline = self.controller.pipeline
-        if workers > 1 and requests:
-            started = time.perf_counter()
-            with self.lock:
-                service = pipeline.parallel_service(workers)
-            results = service.compile_batch(requests)
-            reports = []
-            with self.lock:
-                for request, result in zip(requests, results):
-                    report = PipelineReport(
-                        program_name=request.resolved_name()
-                    )
-                    pipeline.commit_speculative_result(
-                        request, result, report, started
-                    )
-                    if report.succeeded:
-                        self.controller.deployed[report.program_name] = (
-                            report.deployed
-                        )
-                    reports.append(report)
-        else:
-            with self.lock:
-                reports = self.controller.deploy_many(requests,
-                                                      workers=workers)
+        reports = self.controller.deploy_many(
+            requests, workers=self.workers, commit_guard=self.lock
+        )
         self.stats.increment(
             "deploys", sum(1 for r in reports if r.succeeded)
         )

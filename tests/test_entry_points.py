@@ -1,0 +1,193 @@
+"""One deploy path: every entry point is ``compile_batch`` → commit.
+
+Two properties of the single driver
+(:meth:`repro.core.pipeline.CompilationPipeline.run_many`):
+
+* the same script yields the same deployments through every entry point —
+  one-by-one raising calls, in-process and pooled batches, the shard
+  coordinator, and the asyncio service sharded and unsharded;
+* a wave of one never crosses the pickle boundary, whatever ``workers`` says.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import os
+
+import pytest
+
+from repro.core import ClickINC, DeployRequest, INCService
+from repro.lang.profile import default_profile
+from repro.sharding import ShardCoordinator
+from repro.topology import build_fattree
+
+UNPARSABLE = "this is ( not a program"
+
+
+def template(app: str, user: str, sources, destination, **performance):
+    profile = default_profile(app, user=user)
+    profile.performance.update(performance)
+    return DeployRequest(source_groups=list(sources),
+                         destination_group=destination,
+                         name=f"{app.lower()}_{user}", profile=profile)
+
+
+def script():
+    """Intra-pod requests first, cross-pod ones last: the coordinator runs a
+    batch's cross-shard requests after its shard waves, so this is the order
+    in which every entry point commits the script."""
+    return [
+        template("KVS", "a", ["pod0(a)"], "pod0(b)", depth=1000),
+        template("MLAgg", "b", ["pod1(a)"], "pod1(b)"),
+        template("KVS", "a", ["pod0(a)"], "pod0(b)", depth=1000),  # duplicate
+        DeployRequest(source_groups=["pod2(a)"], destination_group="pod2(b)",
+                      name="bad", source=UNPARSABLE),
+        template("KVS", "huge", ["pod2(a)"], "pod2(b)", depth=10 ** 9),
+        template("KVS", "c", ["pod2(a)"], "pod2(b)", depth=1000),
+        template("KVS", "x", ["pod0(a)", "pod1(a)"], "pod3(b)", depth=1000),
+        template("MLAgg", "y", ["pod2(a)"], "pod3(b)"),
+    ]
+
+
+DUPLICATE = 2
+EXPECTED = [(True, None), (True, None), (False, "validation"),
+            (False, "frontend"), (False, "placement"), (True, None),
+            (True, None), (True, None)]
+
+
+def outcome(report):
+    return (report.succeeded, report.failed_stage,
+            tuple(report.deployed.devices()) if report.succeeded else (),
+            tuple(record.name for record in report.stages))
+
+
+def one_by_one(topology):
+    """The raising calls; a raise is recorded as the report it replaces."""
+    inc = ClickINC(topology)
+    outcomes = []
+    for request in script():
+        try:
+            if request.profile is not None:
+                deployed = inc.deploy_profile(
+                    request.profile, request.source_groups,
+                    request.destination_group, name=request.name)
+            else:
+                deployed = inc.deploy_source(
+                    request.source, request.source_groups,
+                    request.destination_group, name=request.name)
+        except Exception as exc:
+            # the same typed exception, annotated with the stage the batch
+            # path reports as ``failed_stage``
+            (failed,) = inc.deploy_many([request])
+            assert type(exc) is type(failed.exception)
+            assert str(exc) == failed.error
+            outcomes.append((False, exc.pipeline_stage, (),
+                             tuple(r.name for r in failed.stages)))
+        else:
+            outcomes.append(outcome(deployed.report))
+    return outcomes
+
+
+def batch(workers):
+    def drive(topology):
+        with ClickINC(topology) as inc:
+            return [outcome(r)
+                    for r in inc.deploy_many(script(), workers=workers)]
+    return drive
+
+
+def coordinator(topology):
+    with ShardCoordinator(topology) as coord:
+        return [outcome(r) for r in coord.deploy_many(script())]
+
+
+def service(**kwargs):
+    def drive(topology):
+        async def submit_all():
+            async with INCService(topology, **kwargs) as svc:
+                return [outcome(await svc.submit(request))
+                        for request in script()]
+        return asyncio.run(submit_all())
+    return drive
+
+
+ENTRY_POINTS = {
+    "one-by-one": one_by_one,
+    "deploy_many-workers-1": batch(1),
+    "deploy_many-workers-2": batch(2),
+    "coordinator": coordinator,
+    "service-unsharded": service(workers=2),
+    "service-sharded": service(sharded=True),
+}
+#: the coordinator refuses a taken name at its claim, before any stage runs
+SHARDED = ("coordinator", "service-sharded")
+
+
+@pytest.fixture(scope="module")
+def reference():
+    topology = build_fattree(k=4)
+    return batch(1)(topology), topology.device_fingerprints()
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_yields_the_same_deployments(entry, reference):
+    expected, fingerprints = reference
+    assert [o[:2] for o in expected] == EXPECTED
+    topology = build_fattree(k=4)
+    outcomes = ENTRY_POINTS[entry](topology)
+    if entry in SHARDED:
+        assert outcomes[DUPLICATE][3] == ()
+        outcomes[DUPLICATE] = expected[DUPLICATE]
+    assert outcomes == expected
+    assert topology.device_fingerprints() == fingerprints
+
+
+# --------------------------------------------------------------------- #
+# a wave of one never reaches the pool
+# --------------------------------------------------------------------- #
+def _exit_worker(index, request, precompiled, sync=None):  # pragma: no cover
+    os._exit(13)
+
+
+def tenant(pod: int, user: str) -> DeployRequest:
+    return template("KVS", user, [f"pod{pod}(a)"], f"pod{pod}(b)", depth=1000)
+
+
+def test_a_wave_of_one_never_reaches_the_pool(monkeypatch):
+    monkeypatch.setattr(
+        "repro.core.parallel._worker_compile_and_place", _exit_worker)
+
+    with ClickINC(build_fattree(k=4)) as inc:
+        for index in range(10):
+            (report,) = inc.deploy_many([tenant(index % 4, f"s{index}")],
+                                        workers=2)
+            assert report.succeeded
+            assert "speculative" not in report.stage("placement").detail
+        pool = inc.pipeline.parallel
+        assert pool.workers == 2
+        assert (pool.pool_generation, pool._pool_broken) == (0, False)
+        assert pool.inline_fallbacks == 10
+
+        # the same controller still crosses the pool with a wave of two
+        monkeypatch.undo()
+        request = tenant(0, "traced")
+        request.trace = inc.obs.tracer.start_trace("deploy")
+        results = pool.compile_batch([request, tenant(1, "p1")])
+        assert [result.via for result in results] == ["process", "process"]
+        assert pool.pool_generation == 1
+        inc.obs.tracer.finish(request.trace)
+        spans = inc.obs.tracer.get(request.trace.trace_id)["spans"]
+        assert {"worker.compile", "worker.place"} <= {s.name for s in spans}
+
+    async def submit_serially():
+        async with INCService(build_fattree(k=4), workers=2) as svc:
+            reports = [await svc.submit(tenant(index % 4, f"w{index}"))
+                       for index in range(10)]
+            pool = svc.controller.pipeline.parallel
+            return reports, pool.pool_generation, pool._pool_broken
+
+    monkeypatch.setattr(
+        "repro.core.parallel._worker_compile_and_place", _exit_worker)
+    reports, generation, broken = asyncio.run(submit_serially())
+    assert all(report.succeeded for report in reports)
+    assert (generation, broken) == (0, False)

@@ -648,3 +648,46 @@ class TestHTTPServer:
         assert responses[0] == (b"200", {"programs": []})
         assert responses[1][0] == b"200"
         assert responses[1][1]["tenant"] == "acme"
+
+    @pytest.mark.parametrize("length, status, error", [
+        ("abc", b"400", "bad_request"),
+        ("-1", b"400", "bad_request"),
+        ("over-the-cap", b"413", "payload_too_large"),
+    ])
+    def test_bad_content_length_is_answered_then_closed(self, length, status,
+                                                        error):
+        """A non-integer, negative or oversized Content-Length gets its
+        status (no body is ever buffered), the connection is closed, and
+        the server keeps serving the next connection."""
+        from repro.gateway.server import MAX_BODY_BYTES
+
+        if length == "over-the-cap":
+            length = str(MAX_BODY_BYTES + 1)
+
+        async def exchange(port, content_length):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                f"GET /v1/programs HTTP/1.1\r\n"
+                f"Authorization: Bearer k-acme\r\n"
+                f"Content-Length: {content_length}\r\n\r\n".encode())
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=5)  # to EOF
+            writer.close()
+            head, _, body = raw.partition(b"\r\n\r\n")
+            return head.split()[1], head.lower(), json.loads(body)
+
+        async def drive():
+            service, gateway = await make_gateway()
+            try:
+                async with GatewayHTTPServer(gateway, port=0) as http:
+                    bad = await exchange(http.port, length)
+                    good = await exchange(http.port, "0\r\nConnection: close")
+                    return bad, good
+            finally:
+                await close_gateway(service, gateway)
+
+        (bad_status, bad_head, bad_payload), good = run(drive())
+        assert bad_status == status
+        assert bad_payload["error"] == error
+        assert b"connection: close" in bad_head
+        assert good[0] == b"200" and good[2] == {"programs": []}

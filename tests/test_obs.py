@@ -236,7 +236,7 @@ class TestGatewayObservability:
     def test_cross_shard_submit_yields_one_complete_trace(self):
         async def scenario():
             obs = Observability()
-            service, gateway, auth = self.make_gateway(obs, cross_workers=2)
+            service, gateway, auth = self.make_gateway(obs)
             async with service:
                 status, _h, payload = await gateway.handle(
                     "POST", "/v1/programs", auth, self.submit_body("kvs_x"))
@@ -252,11 +252,8 @@ class TestGatewayObservability:
                 names = {e["name"] for e in chrome["traceEvents"]
                          if e["ph"] == "X"}
                 assert {"request", "gateway.queue", "2pc.speculative",
-                        "2pc.prepare", "2pc.commit", "worker.compile",
+                        "2pc.prepare", "2pc.commit", "frontend",
                         "emulator-install"} <= names
-                procs = {e["args"]["name"] for e in chrome["traceEvents"]
-                         if e["ph"] == "M"}
-                assert len(procs) >= 2                 # worker pid stitched
                 await gateway.close()
             return obs
 
@@ -364,19 +361,9 @@ class TestDataplaneTelemetry:
 
 
 # ---------------------------------------------------------------------- #
-# profiling shim + hub
+# profiling + hub
 # ---------------------------------------------------------------------- #
 class TestProfilingIntegration:
-    def test_shim_reexports_and_demo_shape(self):
-        from repro.core import profiling as shim
-        from repro.obs import profiling as relocated
-
-        assert shim.PlacementProfile is relocated.PlacementProfile
-        assert shim.PlacementCounters is relocated.PlacementCounters
-        summary = shim._demo_summary()
-        assert set(summary) == {"counters", "timers"}
-        assert summary["counters"]["device_memo_hits"] > 0
-
     def test_live_placers_feed_the_registry(self):
         obs = Observability()
         topology = build_paper_emulation_topology()

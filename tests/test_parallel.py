@@ -212,7 +212,7 @@ class TestParallelDeployMany:
         controller = ClickINC(build_fattree(k=4))
         reports = controller.deploy_many(disjoint_requests(2), workers=1)
         assert all(r.succeeded for r in reports)
-        # the thread path places at commit time: no speculative marker
+        # the in-process executor places at commit time: no speculative marker
         for report in reports:
             assert "speculative" not in report.stage("placement").detail
 
@@ -221,12 +221,16 @@ class TestParallelDeployMany:
 # the persistent pool: reuse across batches + snapshot re-sync
 # --------------------------------------------------------------------- #
 class TestPersistentPool:
+    # every batch here carries two requests: a batch of one compiles
+    # in-process and never reaches the pool (tests/test_entry_points.py)
     def test_pool_survives_across_batches(self):
         with ClickINC(build_fattree(k=4)) as controller:
-            controller.deploy_many([tenant_request(0, "b1")], workers=2)
+            controller.deploy_many(
+                [tenant_request(0, "b1"), tenant_request(2, "b1x")], workers=2)
             service = controller.pipeline.parallel
             assert service is not None
-            controller.deploy_many([tenant_request(1, "b2")], workers=2)
+            controller.deploy_many(
+                [tenant_request(1, "b2"), tenant_request(3, "b2x")], workers=2)
             assert controller.pipeline.parallel is service
             assert service.pool_generation == 1
             assert service.batches_served == 2
@@ -237,11 +241,13 @@ class TestPersistentPool:
         fingerprint delta, so its plan is computed against the live
         allocations rather than the stale fork-time state."""
         with ClickINC(build_fattree(k=4)) as controller:
-            first = controller.deploy_many([tenant_request(0, "r1")],
-                                           workers=2)
+            first = controller.deploy_many(
+                [tenant_request(0, "r1"), tenant_request(1, "r1x")],
+                workers=2)
             assert first[0].stage("placement").detail.get("speculative")
-            second = controller.deploy_many([tenant_request(0, "r2")],
-                                            workers=2)
+            second = controller.deploy_many(
+                [tenant_request(0, "r2"), tenant_request(2, "r2x")],
+                workers=2)
             detail = second[0].stage("placement").detail
             assert detail.get("speculative") is True
             assert not detail.get("replaced_on_conflict")
@@ -261,8 +267,9 @@ class TestPersistentPool:
                 [tenant_request(0, "a"), tenant_request(0, "b")], workers=2
             )
             controller.remove("kvs_a")
-            report = controller.deploy_many([tenant_request(0, "c")],
-                                            workers=2)[0]
+            report = controller.deploy_many(
+                [tenant_request(0, "c"), tenant_request(1, "cx")],
+                workers=2)[0]
             assert report.succeeded
         serial = ClickINC(build_fattree(k=4))
         serial.deploy_many([tenant_request(0, "a")], workers=1)
@@ -273,13 +280,15 @@ class TestPersistentPool:
 
     def test_close_releases_pool_and_next_batch_recreates(self):
         controller = ClickINC(build_fattree(k=4))
-        controller.deploy_many([tenant_request(0, "c1")], workers=2)
+        controller.deploy_many(
+            [tenant_request(0, "c1"), tenant_request(2, "c1x")], workers=2)
         service = controller.pipeline.parallel
         controller.close()
         assert controller.pipeline.parallel is None
         assert service._pool is None
         # the controller stays usable: a later batch starts a fresh pool
-        reports = controller.deploy_many([tenant_request(1, "c2")], workers=2)
+        reports = controller.deploy_many(
+            [tenant_request(1, "c2"), tenant_request(3, "c2x")], workers=2)
         assert reports[0].succeeded
         assert controller.pipeline.parallel is not service
         controller.close()
@@ -291,7 +300,8 @@ class TestPersistentPool:
         import weakref
 
         controller = ClickINC(build_fattree(k=4))
-        controller.deploy_many([tenant_request(0, "gc")], workers=2)
+        controller.deploy_many(
+            [tenant_request(0, "gc"), tenant_request(1, "gcx")], workers=2)
         service = controller.pipeline.parallel
         pool = service._pool
         ref = weakref.ref(service)
@@ -303,9 +313,11 @@ class TestPersistentPool:
 
     def test_changing_worker_count_replaces_the_pool(self):
         with ClickINC(build_fattree(k=4)) as controller:
-            controller.deploy_many([tenant_request(0, "w1")], workers=2)
+            controller.deploy_many(
+                [tenant_request(0, "w1"), tenant_request(2, "w1x")], workers=2)
             first = controller.pipeline.parallel
-            controller.deploy_many([tenant_request(1, "w2")], workers=3)
+            controller.deploy_many(
+                [tenant_request(1, "w2"), tenant_request(3, "w2x")], workers=3)
             second = controller.pipeline.parallel
             assert second is not first
             assert second.workers == 3
@@ -321,12 +333,14 @@ class TestPersistentPool:
             )
             controller.remove("kvs_u2")
             service = controller.pipeline.parallel
-            results = service.compile_batch([tenant_request(2, "u2b")])
+            results = service.compile_batch(
+                [tenant_request(2, "u2b"), tenant_request(3, "u3b")])
             assert results[0].via == "warm-cache"
             assert results[0].plan is not None
             assert results[0].plan_from_cache
-            report = controller.deploy_many([tenant_request(2, "u2c")],
-                                            workers=2)[0]
+            report = controller.deploy_many(
+                [tenant_request(2, "u2c"), tenant_request(3, "u3c")],
+                workers=2)[0]
             placement = report.stage("placement")
             assert placement.cache_hit
             assert placement.detail.get("speculative") is True
@@ -349,10 +363,15 @@ class TestFallbacks:
         with pytest.raises(Exception):
             pickle.dumps(request)
         controller = ClickINC(build_fattree(k=4))
-        reports = controller.deploy_many([request], workers=2)
+        # the second request makes this a pooled wave (a wave of one
+        # compiles in-process whether or not it pickles)
+        reports = controller.deploy_many(
+            [request, tenant_request(1, "pk")], workers=2)
         controller.close()
         assert reports[0].succeeded
-        assert controller.deployed_programs() == ["kvs_np"]
+        assert reports[0].stage("placement").detail.get("speculative") is None
+        assert reports[1].stage("placement").detail.get("speculative") is True
+        assert controller.deployed_programs() == ["kvs_np", "kvs_pk"]
 
     def test_worker_crash_does_not_abort_the_batch(self, monkeypatch):
         """A crashed worker fails every in-flight future of its wave; the

@@ -236,8 +236,12 @@ class TestServicePool:
                 )
                 assert [r.succeeded for r in reports] == [True, True]
                 monkeypatch.undo()
-                # the next wave replaces the broken pool and speculates again
-                after = await svc.submit(tenant_request(2, "after"))
+                # the next pooled wave (two or more submissions) replaces
+                # the broken pool and speculates again
+                after, _ = await asyncio.gather(
+                    svc.submit(tenant_request(2, "after")),
+                    svc.submit(tenant_request(3, "after2")),
+                )
                 pool = svc.controller.pipeline.parallel
                 return after, pool.pool_generation
 
@@ -259,7 +263,12 @@ class TestServicePool:
                 )
                 assert all(r.succeeded for r in first)
                 await svc.remove("kvs_c")
-                resubmit = await svc.submit(tenant_request(2, "c2"))
+                # a wave of two: a lone re-submission compiles in-process
+                # and hits the same plan through _place_cached instead
+                resubmit, _ = await asyncio.gather(
+                    svc.submit(tenant_request(2, "c2")),
+                    svc.submit(tenant_request(3, "d")),
+                )
                 return first, resubmit
 
         first, resubmit = run(drive())
