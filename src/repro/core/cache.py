@@ -20,16 +20,13 @@ stable content hashes:
   warm.  :meth:`ArtifactCache.prune_stale_plans` evicts entries whose
   stamps no longer match the live topology after a removal frees capacity —
   such plans can never validate again, so pruning them is purely a memory
-  bound, mirroring ``DPPlacer.prune_memo`` on the placement memo.
+  bound.
 * ``codegen`` — generated backend source, keyed by (snippet fingerprint,
   device model).
-* ``memo`` — placement-memo entries written back by
-  :class:`~repro.placement.memo.SharedPlacementMemo`: device-feasibility
-  bits, interval gains and sub-tree DP tables, each stored as the triple
-  ``(memo key, value, consulted device names)`` under a content address of
-  the memo key.  Memo keys already embed per-device allocation
-  fingerprints, so superseded entries simply stop being addressable and
-  age out of the LRU — no eviction protocol is needed for correctness.
+
+The DP placer's sub-solutions are not a namespace here: the placement memo
+(:mod:`repro.placement.memo`) keeps them in its own LRU, keyed on the
+structured tuples the search builds, so a lookup never pays a digest.
 
 Keys are namespaced SHA-256 digests of a canonical JSON rendering of the
 inputs, so any change to the inputs produces a different address.  The cache
@@ -249,11 +246,6 @@ class ArtifactCache:
         keeping warm re-deploys warm), as are entries that never consulted
         the affected devices (disjoint tenants keep their warm plans).  With
         ``devices=None`` every stamped device is checked.
-
-        Callers on the remove/release path pair this with
-        :meth:`DPPlacer.prune_memo <repro.placement.dp.DPPlacer.prune_memo>`,
-        which applies the same device-driven eviction to the placer's
-        cross-epoch memo of DP sub-solutions.
         """
         affected = set(devices) if devices is not None else None
 
@@ -278,19 +270,6 @@ class ArtifactCache:
         """
         with self._lock:
             return self._ns_counts.get(namespace, 0)
-
-    def namespace_items(self, namespace: str) -> list:
-        """Snapshot of ``(key, value)`` pairs in one namespace.
-
-        Taken under the lock and returned as a list, so callers (e.g. the
-        shared memo's persistence path) can iterate without racing
-        concurrent stores.  Does not touch LRU positions or stats.
-        """
-        with self._lock:
-            return [
-                (key, value) for key, value in self._entries.items()
-                if self._namespace_of(key) == namespace
-            ]
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

@@ -175,21 +175,14 @@ def _worker_apply_sync(sync: Optional[SyncPayload]) -> None:
 
     The payload carries *absolute* device allocation states, so applying it
     is idempotent; the epoch guard merely avoids re-applying the same delta
-    for every request of a wave.  The memo delta is applied *after* the
-    state sync (and outside the epoch guard — the memo can grow without any
-    allocation changing): the prune that follows a state sync drops entries
-    keyed on superseded fingerprints, and the delta's entries were derived
-    against the new states, so this order keeps them.
+    for every request of a wave.  The memo delta is applied outside the
+    epoch guard — the memo can grow without any allocation changing.
     """
     if sync is None:
         return
     epoch, states, memo_sync = sync
     if epoch > _WORKER_CONTEXT["epoch"]:
-        topology = _WORKER_CONTEXT["topology"]
-        topology.apply_allocation_states(states)
-        # the synced devices' fingerprints changed, so the worker placer's
-        # memo entries that consulted them can never hit again — drop them
-        _WORKER_CONTEXT["placer"].prune_memo(list(states))
+        _WORKER_CONTEXT["topology"].apply_allocation_states(states)
         _WORKER_CONTEXT["epoch"] = epoch
     if memo_sync is not None:
         to_seq, blob = memo_sync

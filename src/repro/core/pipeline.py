@@ -613,10 +613,9 @@ class CompilationPipeline:
         assumed occupied is free again, so they can never validate against
         the live topology.  Entries that never consulted those devices, or
         whose stamps match the restored state, are retained.  The placer's
-        cross-epoch memo is pruned the same way
-        (:meth:`DPPlacer.prune_memo <repro.placement.dp.DPPlacer.prune_memo>`)
-        so long-lived services don't accumulate sub-solutions for dead
-        programs.
+        memo is left alone: its keys embed the allocation fingerprints, the
+        release just restored them, and the entries derived for the
+        restored state are the next ones asked for.
         """
         delta = self.synthesizer.remove_program(name, lazy=lazy)
         try:
@@ -634,7 +633,6 @@ class CompilationPipeline:
             self.topology.device_fingerprints(),
             devices=deployed.plan.devices_used(),
         )
-        self.placer.prune_memo(deployed.plan.devices_used())
         return delta
 
     # ------------------------------------------------------------------ #

@@ -94,18 +94,20 @@ class ShardCounters(CounterMixin):
 class MemoCounters(CounterMixin):
     """Activity of one :class:`~repro.placement.memo.SharedPlacementMemo`.
 
-    Tracks where lookups were served from (in-process front, shared backing
-    store, or nowhere), the delta-sync traffic exchanged with pool workers,
-    and the persistence life-cycle.  Surfaced through
+    Tracks how lookups fared, the delta-sync traffic exchanged with pool
+    workers, and the persistence life-cycle.  Surfaced through
     ``SharedPlacementMemo.summary()`` into the service/gateway status
     responses.
     """
 
-    #: lookups served by the in-process LRU front
+    #: lookups the memo answered
     hits: int = 0
-    #: front misses served by the shared backing store (read-through)
+    #: always 0: the memo is one store, so there is no second tier to be
+    #: served from.  The key stays because ``benchmarks/e2e/trace.py`` (which
+    #: only a ``[benchmark]`` PR may edit) and operators' dashboards index
+    #: ``summary()["shared_hits"]`` by name.
     shared_hits: int = 0
-    #: lookups that missed everywhere (the caller derives and stores)
+    #: lookups that missed (the caller derives and stores)
     misses: int = 0
     #: entries merged in from delta/snapshot blobs
     delta_entries_in: int = 0

@@ -71,6 +71,21 @@ Response = Tuple[int, Dict[str, str], object]
 #: the end-to-end benchmark are < 10 KB, so 1 MiB is > 100x headroom
 MAX_BODY_BYTES = 1 << 20
 
+#: Longest request line or header line the HTTP server reads (bytes); it is
+#: the stream's buffer limit, past which ``readline`` gives up on the line
+MAX_HEAD_LINE_BYTES = 1 << 16
+
+#: Most header lines one request may carry
+MAX_HEADERS = 100
+
+
+def _head_too_large() -> WireError:
+    return WireError(
+        431, "request_header_fields_too_large",
+        "the request line and each header line must fit in"
+        f" {MAX_HEAD_LINE_BYTES} bytes, and a request may carry at most"
+        f" {MAX_HEADERS} headers")
+
 
 class Gateway:
     """The multi-tenant protocol core over one :class:`INCService`.
@@ -383,7 +398,8 @@ class GatewayHTTPServer:
 
     async def start(self) -> "GatewayHTTPServer":
         self._server = await asyncio.start_server(
-            self._serve_client, self.host, self.port
+            self._serve_client, self.host, self.port,
+            limit=MAX_HEAD_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -404,26 +420,17 @@ class GatewayHTTPServer:
                             writer: "asyncio.StreamWriter") -> None:
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
                 try:
-                    method, path, _version = (
-                        request_line.decode("latin-1").strip().split(" ", 2)
-                    )
-                except ValueError:
-                    await self._write(writer, 400, {}, {
-                        "error": "bad_request",
-                        "message": "malformed request line",
-                    })
+                    head = await self._read_head(reader)
+                except WireError as exc:
+                    # the rest of the request is never read, so the stream
+                    # cannot be re-synchronised: answer, then drop the
+                    # connection
+                    await self._write(writer, exc.status, {}, exc.payload())
                     break
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _sep, value = line.decode("latin-1").partition(":")
-                    headers[name.strip()] = value.strip()
+                if head is None:
+                    break
+                method, path, headers = head
                 try:
                     length = int(headers.get("Content-Length") or "0")
                 except ValueError:
@@ -458,11 +465,44 @@ class GatewayHTTPServer:
             except ConnectionError:  # pragma: no cover - platform dependent
                 pass
 
+    @staticmethod
+    async def _read_head(reader: "asyncio.StreamReader"
+                         ) -> Optional[Tuple[str, str, Dict[str, str]]]:
+        """``(method, path, headers)`` of the next request, None at EOF.
+
+        Raises :class:`WireError` 400 for a malformed request line and 431
+        for a line past :data:`MAX_HEAD_LINE_BYTES` or a request with more
+        than :data:`MAX_HEADERS` header lines.
+        """
+        async def readline() -> bytes:
+            try:
+                return await reader.readline()
+            except ValueError:  # the line ran past the stream limit
+                raise _head_too_large() from None
+
+        request_line = await readline()
+        if not request_line:
+            return None
+        try:
+            method, path, _version = (
+                request_line.decode("latin-1").strip().split(" ", 2)
+            )
+        except ValueError:
+            raise bad_request("malformed request line") from None
+        headers: Dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):  # the headers, then the blank line
+            line = await readline()
+            if line in (b"\r\n", b"\n", b""):
+                return method, path, headers
+            name, _sep, value = line.decode("latin-1").partition(":")
+            headers[name.strip()] = value.strip()
+        raise _head_too_large()
+
     _STATUS_TEXT = {
         200: "OK", 400: "Bad Request", 401: "Unauthorized",
         403: "Forbidden", 404: "Not Found", 405: "Method Not Allowed",
         409: "Conflict", 413: "Payload Too Large",
-        429: "Too Many Requests",
+        429: "Too Many Requests", 431: "Request Header Fields Too Large",
         503: "Service Unavailable", 504: "Gateway Timeout",
     }
 

@@ -53,8 +53,6 @@ class PlacementCounters(CounterMixin):
     product_combos: int = 0
     #: symmetric child groups whose permutations were collapsed
     product_symmetric_groups: int = 0
-    #: memo entries dropped by commit/release/remove pruning
-    memo_pruned_entries: int = 0
     #: Algorithm 2 runs (one device, one block interval) of search and
     #: plan materialisation — the feasibility checks no memo answered
     packing_runs: int = 0

@@ -585,7 +585,6 @@ class DPPlacer:
                     f"devices {conflicts}; re-place against the live topology",
                     conflicts=conflicts,
                 )
-        touched = set()
         for assignment in plan.assignments:
             for device_name, stage_assignment in assignment.stage_assignments.items():
                 device = self.topology.device(device_name)
@@ -596,13 +595,9 @@ class DPPlacer:
                 )
                 # deployed_programs is part of the fingerprint payload
                 device.alloc_version += 1
-                touched.add(device_name)
-        if touched:
-            self.prune_memo(touched)
 
     def release(self, plan: PlacementPlan) -> None:
         """Release a previously committed plan's resources."""
-        touched = set()
         for assignment in plan.assignments:
             for device_name, stage_assignment in assignment.stage_assignments.items():
                 device = self.topology.device(device_name)
@@ -610,42 +605,6 @@ class DPPlacer:
                     device.release_stage(stage, demand)
                 device.deployed_programs.pop(plan.program_name, None)
                 device.alloc_version += 1
-                touched.add(device_name)
-        if touched:
-            self.prune_memo(touched)
-
-    # ------------------------------------------------------------------ #
-    # memo maintenance
-    # ------------------------------------------------------------------ #
-    def prune_memo(self, device_names: Collection[str]) -> int:
-        """Drop memo entries that consulted any of *device_names*.
-
-        The memo's keys are content-addressed, so this is a memory bound,
-        not a correctness requirement: entries keyed on a superseded
-        allocation fingerprint can never hit again.  Called internally by
-        :meth:`commit`/:meth:`release`, by the pipeline's ``remove`` path
-        alongside :meth:`ArtifactCache.prune_stale_plans
-        <repro.core.cache.ArtifactCache.prune_stale_plans>`, and by worker
-        re-syncs.  Returns the number of entries dropped.
-        """
-        removed = self.memo.prune_devices(device_names)
-        if removed:
-            self.profile.counters.increment("memo_pruned_entries", by=removed)
-        return removed
-
-    def sync_memo(self, base_fingerprints: Dict[str, str]) -> List[str]:
-        """Prune sub-solutions invalidated since *base_fingerprints*.
-
-        Computes :meth:`NetworkTopology.fingerprint_delta
-        <repro.topology.network.NetworkTopology.fingerprint_delta>` against
-        the given snapshot and prunes exactly the delta's devices, so after
-        a single-device change only sub-trees touching that device re-solve.
-        Returns the delta (the devices whose entries were dropped).
-        """
-        delta = self.topology.fingerprint_delta(base_fingerprints)
-        if delta:
-            self.prune_memo(delta)
-        return delta
 
     # ------------------------------------------------------------------ #
     # DP core
@@ -826,11 +785,7 @@ class DPPlacer:
         stored = ctx.memo.lookup_table(table_key)
         if stored is MISS:
             return None
-        if len(stored) == 3:
-            stored_ids, stored_table, stamps = stored
-        else:  # pre-stamp entry (e.g. a hand-built PlacementMemo in tests)
-            stored_ids, stored_table = stored
-            stamps = ()
+        stored_ids, stored_table, stamps = stored
         ctx.verify_table_stamps(stamps, node)
         remapped = ctx.remap_table(stored_ids, stored_table, node)
         if remapped is None:

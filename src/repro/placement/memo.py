@@ -18,23 +18,22 @@ parameters, objective normalisation constants) and the allocation
 fingerprints of every device the sub-solution consulted
 (:meth:`~repro.devices.base.Device.allocation_fingerprint`).  Keys are
 therefore **content-addressed**: any allocation change on a consulted device
-changes its fingerprint and routes the lookup to a fresh key, so stale
-entries can never be returned.  Pruning — driven by
-:meth:`NetworkTopology.fingerprint_delta
-<repro.topology.network.NetworkTopology.fingerprint_delta>` deltas and by
-commit/release/remove events — exists to bound memory and drop entries that
-can never hit again, not for correctness.
+changes its fingerprint and routes the lookup to a fresh key, so a
+superseded entry can never be returned — and when a removal restores the
+allocation, the fingerprint and therefore the key come back and the entry
+hits again.  That is why nothing prunes by device: the entry a commit or a
+release would drop is the next one asked for.  The memo is bounded by
+``max_entries`` in total and LRU is its only eviction.
 
-:class:`SharedPlacementMemo` extends the private memo into a *fabric-wide*
-store: a thread-safe LRU front backed by the ``memo`` namespace of an
-:class:`~repro.core.cache.ArtifactCache` (read-through on miss, write-back
-on store), a sequence-numbered delta log so process-pool workers can ship
-newly derived entries back to the parent and receive batched delta sync,
-per-key single-flight guards so concurrent in-process users (controller
-shards) never derive the same sub-tree table twice, and on-disk
-persistence with fingerprint validation for warm restarts.  Because every
-key is content-addressed, sharing needs no coherence protocol: a missed or
-dropped delta costs a re-derivation, never a wrong answer.
+:class:`SharedPlacementMemo` is the same store plus what sharing needs: a
+lock (controller shards run in threads over one memo), hit/miss counters, a
+sequence-numbered delta log so process-pool workers can ship newly derived
+entries back to the parent and receive batched delta sync, per-key
+single-flight guards so concurrent in-process users never derive the same
+sub-tree table twice, and on-disk persistence with fingerprint validation
+for warm restarts.  Because every key is content-addressed, sharing needs no
+coherence protocol: a missed or dropped delta costs a re-derivation, never a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -44,20 +43,16 @@ import pickle
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 __all__ = [
     "PlacementMemo",
     "SharedPlacementMemo",
     "MISS",
     "INFEASIBLE",
-    "MEMO_NAMESPACE",
     "MEMO_FILE_FORMAT",
     "topology_structure_signature",
 ]
-
-#: :class:`ArtifactCache` namespace holding the shared memo's backing store.
-MEMO_NAMESPACE = "memo"
 
 #: On-disk format version of :meth:`SharedPlacementMemo.save` files; bumped
 #: whenever the entry layout changes so a restart never misreads old files.
@@ -121,18 +116,18 @@ def topology_structure_signature(topology) -> str:
 
 
 class PlacementMemo:
-    """Three LRU-bounded stores plus a device-name index for pruning."""
+    """Three LRU stores under one total bound of ``max_entries``."""
 
     def __init__(self, max_entries: int = 100000) -> None:
         self.max_entries = max(16, int(max_entries))
-        #: store name -> OrderedDict key -> (value, consulted device names)
+        #: store name -> OrderedDict key -> (value, consulted device names);
+        #: the names are what ``restore`` validates and the delta wire
+        #: format carries, not an eviction index
         self._stores: Dict[str, "OrderedDict[_Key, Tuple[object, Tuple[str, ...]]]"] = {
             "device": OrderedDict(),
             "interval": OrderedDict(),
             "table": OrderedDict(),
         }
-        #: device name -> set of (store name, key) that consulted it
-        self._by_device: Dict[str, Set[Tuple[str, _Key]]] = {}
 
     # ------------------------------------------------------------------ #
     # generic store plumbing
@@ -148,19 +143,13 @@ class PlacementMemo:
     def _store(self, store: str, key: _Key, value: object,
                devices: Iterable[str]) -> None:
         entries = self._stores[store]
-        names = tuple(devices)
-        entries[key] = (value, names)
+        entries[key] = (value, tuple(devices))
         entries.move_to_end(key)
-        for name in names:
-            self._by_device.setdefault(name, set()).add((store, key))
-        while len(entries) > self.max_entries:
-            old_key, (_, old_names) = entries.popitem(last=False)
-            for name in old_names:
-                refs = self._by_device.get(name)
-                if refs is not None:
-                    refs.discard((store, old_key))
-                    if not refs:
-                        del self._by_device[name]
+        # over the total bound the largest store gives up its oldest entry,
+        # which keeps the few, expensive sub-tree tables longest
+        stores = self._stores.values()
+        while sum(map(len, stores)) > self.max_entries:
+            max(stores, key=len).popitem(last=False)
 
     # ------------------------------------------------------------------ #
     # typed accessors
@@ -190,42 +179,12 @@ class PlacementMemo:
         self._store("table", key, value, devices)
 
     # ------------------------------------------------------------------ #
-    # pruning / introspection
+    # introspection
     # ------------------------------------------------------------------ #
-    def prune_devices(self, device_names: Iterable[str]) -> int:
-        """Drop every entry that consulted any of *device_names*.
-
-        Called with commit/release deltas (and with
-        ``NetworkTopology.fingerprint_delta`` output when re-syncing a
-        snapshot): those devices' fingerprints changed, so entries keyed on
-        the old fingerprints can never hit again.  Returns the number of
-        entries dropped.
-        """
-        removed = 0
-        for name in device_names:
-            refs = self._by_device.pop(name, None)
-            if not refs:
-                continue
-            for store, key in refs:
-                entry = self._stores[store].pop(key, None)
-                if entry is None:
-                    continue
-                removed += 1
-                for other in entry[1]:
-                    if other == name:
-                        continue
-                    other_refs = self._by_device.get(other)
-                    if other_refs is not None:
-                        other_refs.discard((store, key))
-                        if not other_refs:
-                            del self._by_device[other]
-        return removed
-
     def clear(self) -> int:
         total = len(self)
         for entries in self._stores.values():
             entries.clear()
-        self._by_device.clear()
         return total
 
     def __len__(self) -> int:
@@ -234,9 +193,6 @@ class PlacementMemo:
     def sizes(self) -> Dict[str, int]:
         return {store: len(entries) for store, entries in self._stores.items()}
 
-    def devices_indexed(self) -> List[str]:
-        return sorted(self._by_device)
-
     def summary(self) -> Dict[str, object]:
         return {"entries": len(self), "sizes": self.sizes()}
 
@@ -244,17 +200,12 @@ class PlacementMemo:
 class SharedPlacementMemo(PlacementMemo):
     """A process-shared, persistable placement memo.
 
-    Layered over the private :class:`PlacementMemo`:
+    The inherited stores *are* the memo — one :class:`SharedPlacementMemo`
+    handed to every controller shard is what lets shard A's pod sub-tree
+    table warm shard B (all keys are name-blind and
+    fingerprint-addressed, so reuse across shard views is sound by
+    construction).  This class adds what sharing needs:
 
-    * the inherited LRU stores act as the **in-process front** — hot
-      lookups never touch the backing store;
-    * a **backing** :class:`~repro.core.cache.ArtifactCache` holds every
-      written entry under a content address in the :data:`MEMO_NAMESPACE`
-      namespace.  Stores write back, front misses read through, and a
-      backing cache *shared between several fronts* (one per controller
-      shard) is what lets shard A's pod sub-tree table warm shard B —
-      all keys are name-blind and fingerprint-addressed, so reuse across
-      shard views is sound by construction;
     * a sequence-numbered **delta log** feeds the worker-pool sync
       protocol: :meth:`export_delta` packages entries derived since a
       watermark into one pickled blob, :meth:`apply_delta` merges a blob
@@ -274,19 +225,16 @@ class SharedPlacementMemo(PlacementMemo):
 
     All public operations are thread-safe (controller shards run in
     threads and share one ``Device`` world, hence potentially one memo).
+    The *type* is also what tells
+    :class:`~repro.core.parallel.ParallelCompileService` that pool workers
+    should exchange memo deltas; a plain :class:`PlacementMemo` stays
+    private to its process.
     """
 
     def __init__(self, max_entries: int = 100000,
-                 backing: Optional[object] = None,
                  max_log_entries: int = 50000) -> None:
         super().__init__(max_entries)
-        from repro.core.cache import ArtifactCache  # local: avoids an
-        # import cycle (repro.core.__init__ imports the controller, which
-        # imports the placer, which imports this module)
-
         self._lock = threading.RLock()
-        self._backing = (backing if backing is not None
-                         else ArtifactCache(max_entries=self.max_entries))
         self.max_log_entries = max(16, int(max_log_entries))
         #: delta log: (seq, store, key, value, names), oldest first
         self._log: List[Tuple[int, str, _Key, object, Tuple[str, ...]]] = []
@@ -294,48 +242,26 @@ class SharedPlacementMemo(PlacementMemo):
         #: per-key single-flight guards: key -> [lock, waiter count]
         self._guards: Dict[_Key, List[object]] = {}
         self._guard_meta = threading.Lock()
-        from repro.core.stats import MemoCounters  # local: same cycle guard
+        from repro.core.stats import MemoCounters  # local: avoids an import
+        # cycle (repro.core.__init__ imports the controller, which imports
+        # the placer, which imports this module)
 
         self.counters = MemoCounters()
 
     # ------------------------------------------------------------------ #
-    # backing-store plumbing
+    # locked, counted, logged store plumbing
     # ------------------------------------------------------------------ #
-    @property
-    def backing(self):
-        """The backing :class:`ArtifactCache` (shareable between fronts)."""
-        return self._backing
-
-    @staticmethod
-    def _backing_key(store: str, key: _Key) -> str:
-        from repro.core.cache import content_key
-
-        return content_key(MEMO_NAMESPACE, store, repr(key))
-
     def _lookup(self, store: str, key: _Key) -> object:
         with self._lock:
             value = super()._lookup(store, key)
-            if value is not MISS:
-                self.counters.increment("hits")
-                return value
-            hit, entry = self._backing.lookup(self._backing_key(store, key))
-            if hit:
-                # read-through: install into the front without re-logging
-                # (the entry already travelled through someone's log)
-                _, value, names = entry
-                super()._store(store, key, value, names)
-                self.counters.increment("shared_hits")
-                return value
-            self.counters.increment("misses")
-            return MISS
+            self.counters.increment("misses" if value is MISS else "hits")
+            return value
 
     def _store(self, store: str, key: _Key, value: object,
                devices: Iterable[str]) -> None:
         names = tuple(devices)
         with self._lock:
             super()._store(store, key, value, names)
-            self._backing.store(self._backing_key(store, key),
-                                (key, value, names))
             self._append_log(store, key, value, names)
 
     def _append_log(self, store: str, key: _Key, value: object,
@@ -348,22 +274,9 @@ class SharedPlacementMemo(PlacementMemo):
         if len(self._log) > self.max_log_entries:
             del self._log[: len(self._log) - self.max_log_entries]
 
-    def prune_devices(self, device_names: Iterable[str]) -> int:
-        """Drop front entries that consulted any of *device_names*.
-
-        Only the front is pruned eagerly (it has the device index).  The
-        backing store keeps superseded entries until its LRU evicts them:
-        they are keyed on the old fingerprints, so no lookup can ever hit
-        them again — retaining them briefly is a memory trade, not a
-        staleness risk.
-        """
-        with self._lock:
-            return super().prune_devices(device_names)
-
     def clear(self) -> int:
         with self._lock:
             removed = super().clear()
-            self._backing.invalidate(MEMO_NAMESPACE)
             self._log.clear()
             return removed
 
@@ -374,10 +287,6 @@ class SharedPlacementMemo(PlacementMemo):
     def sizes(self) -> Dict[str, int]:
         with self._lock:
             return super().sizes()
-
-    def devices_indexed(self) -> List[str]:
-        with self._lock:
-            return super().devices_indexed()
 
     # ------------------------------------------------------------------ #
     # single-flight
@@ -443,33 +352,36 @@ class SharedPlacementMemo(PlacementMemo):
             return self._log_seq, blob
 
     def export_snapshot(self) -> Tuple[int, bytes]:
-        """``(seq, blob)`` covering every entry currently in the front.
+        """``(seq, blob)`` covering every entry currently in the memo.
 
         Used to warm a brand-new consumer (pool-fork initialisation),
         where the bounded delta log may no longer reach back far enough.
         """
         with self._lock:
-            entries = [
-                (store, key, value, names)
-                for store, store_entries in self._stores.items()
-                for key, (value, names) in store_entries.items()
-            ]
+            entries = self._entries()
             blob = pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
             self.counters.increment("delta_entries_out", by=len(entries))
             self.counters.increment("delta_bytes_out", by=len(blob))
             return self._log_seq, blob
 
+    def _entries(self) -> List[Tuple[str, _Key, object, Tuple[str, ...]]]:
+        """Every entry in the delta/file layout (callers hold the lock)."""
+        return [
+            (store, key, value, names)
+            for store, store_entries in self._stores.items()
+            for key, (value, names) in store_entries.items()
+        ]
+
     def apply_delta(self, blob: bytes, record: bool = False
                     ) -> Tuple[int, int]:
         """Merge a delta blob; returns ``(applied, duplicates)``.
 
-        Entries whose key is already present (front or backing) are
-        counted as duplicates and skipped — with process-pool workers
-        racing on the same cold fabric, duplicates measure exactly the
-        work single-flight could not prevent across processes.  With
-        ``record=True`` the applied entries are re-logged, so a parent
-        merging one worker's delta relays it to the *other* workers
-        through the next batched sync.
+        Entries whose key is already present are counted as duplicates
+        and skipped — with process-pool workers racing on the same cold
+        fabric, duplicates measure exactly the work single-flight could
+        not prevent across processes.  With ``record=True`` the applied
+        entries are re-logged, so a parent merging one worker's delta
+        relays it to the *other* workers through the next batched sync.
         """
         entries = pickle.loads(blob)
         applied = duplicates = 0
@@ -478,13 +390,10 @@ class SharedPlacementMemo(PlacementMemo):
                 store_entries = self._stores.get(store)
                 if store_entries is None:
                     continue
-                if key in store_entries or (
-                        self._backing_key(store, key) in self._backing):
+                if key in store_entries:
                     duplicates += 1
                     continue
                 PlacementMemo._store(self, store, key, value, names)
-                self._backing.store(self._backing_key(store, key),
-                                    (key, value, names))
                 if record:
                     self._append_log(store, key, value, names)
                 applied += 1
@@ -502,30 +411,17 @@ class SharedPlacementMemo(PlacementMemo):
         The file carries a header — format version, the topology's
         structural signature, and the per-device allocation fingerprints
         at save time — that :meth:`restore` validates before trusting any
-        entry.  Front and backing entries are merged (the backing may
-        hold sub-solutions other fronts derived), and the write is
-        atomic (temp file + rename), so a crash mid-save leaves the
-        previous file intact.
+        entry.  The write is atomic (temp file + rename), so a crash
+        mid-save leaves the previous file intact.
         """
         import os
 
         with self._lock:
-            merged: Dict[str, Tuple[str, _Key, object, Tuple[str, ...]]] = {}
-            for bkey, entry in self._backing.namespace_items(MEMO_NAMESPACE):
-                key, value, names = entry
-                store = self._store_of_backing_key(bkey, key)
-                if store is not None:
-                    merged[bkey] = (store, key, value, names)
-            for store, store_entries in self._stores.items():
-                for key, (value, names) in store_entries.items():
-                    merged[self._backing_key(store, key)] = (
-                        store, key, value, names
-                    )
             payload = {
                 "format": MEMO_FILE_FORMAT,
                 "topology": topology_structure_signature(topology),
                 "fingerprints": topology.device_fingerprints(),
-                "entries": list(merged.values()),
+                "entries": self._entries(),
             }
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         tmp_path = f"{path}.tmp.{os.getpid()}"
@@ -534,13 +430,6 @@ class SharedPlacementMemo(PlacementMemo):
         os.replace(tmp_path, path)
         self.counters.increment("persisted_entries", by=len(payload["entries"]))
         return len(payload["entries"])
-
-    def _store_of_backing_key(self, bkey: str, key: _Key) -> Optional[str]:
-        """Recover which store a backing entry belongs to (key round-trip)."""
-        for store in self._stores:
-            if self._backing_key(store, key) == bkey:
-                return store
-        return None
 
     def restore(self, path: str, topology) -> int:
         """Load a persisted memo; returns the number of entries restored.
@@ -584,8 +473,6 @@ class SharedPlacementMemo(PlacementMemo):
                 if any(name not in valid for name in names):
                     continue
                 PlacementMemo._store(self, store, key, value, names)
-                self._backing.store(self._backing_key(store, key),
-                                    (key, value, names))
                 restored += 1
         self.counters.increment("restored_entries", by=restored)
         return restored
@@ -593,12 +480,7 @@ class SharedPlacementMemo(PlacementMemo):
     # ------------------------------------------------------------------ #
     def summary(self) -> Dict[str, object]:
         with self._lock:
-            summary: Dict[str, object] = {
-                "entries": PlacementMemo.__len__(self),
-                "sizes": {store: len(entries)
-                          for store, entries in self._stores.items()},
-                "backing_entries": len(self._backing),
-                "log_entries": len(self._log),
-            }
+            summary = super().summary()
+            summary["log_entries"] = len(self._log)
         summary.update(self.counters.summary())
         return summary

@@ -596,9 +596,6 @@ class ShardCoordinator:
                     shard.view.device_fingerprints(),
                     devices=[d for d in used if shard.sees_device(d)],
                 )
-                shard.controller.placer.prune_memo(
-                    [d for d in used if shard.sees_device(d)]
-                )
         self.stats.increment("removed")
         with self._registry_lock:
             self._owner.pop(name, None)

@@ -649,6 +649,32 @@ class TestHTTPServer:
         assert responses[1][0] == b"200"
         assert responses[1][1]["tenant"] == "acme"
 
+    @staticmethod
+    async def answered_then_closed(bad_head: str):
+        """Send *bad_head* (plus auth and the blank line) on one connection
+        and a plain list request on the next; each reply is ``(status, head
+        lower-cased, JSON body)``, read to the EOF the server must send."""
+
+        async def exchange(port, head):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write((head + "Authorization: Bearer k-acme\r\n"
+                          "Connection: close\r\n\r\n").encode())
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=5)  # to EOF
+            writer.close()
+            reply_head, _, body = raw.partition(b"\r\n\r\n")
+            return reply_head.split()[1], reply_head.lower(), json.loads(body)
+
+        service, gateway = await make_gateway()
+        try:
+            async with GatewayHTTPServer(gateway, port=0) as http:
+                bad = await exchange(http.port, bad_head)
+                good = await exchange(
+                    http.port, "GET /v1/programs HTTP/1.1\r\n")
+                return bad, good
+        finally:
+            await close_gateway(service, gateway)
+
     @pytest.mark.parametrize("length, status, error", [
         ("abc", b"400", "bad_request"),
         ("-1", b"400", "bad_request"),
@@ -664,30 +690,27 @@ class TestHTTPServer:
         if length == "over-the-cap":
             length = str(MAX_BODY_BYTES + 1)
 
-        async def exchange(port, content_length):
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(
-                f"GET /v1/programs HTTP/1.1\r\n"
-                f"Authorization: Bearer k-acme\r\n"
-                f"Content-Length: {content_length}\r\n\r\n".encode())
-            await writer.drain()
-            raw = await asyncio.wait_for(reader.read(), timeout=5)  # to EOF
-            writer.close()
-            head, _, body = raw.partition(b"\r\n\r\n")
-            return head.split()[1], head.lower(), json.loads(body)
-
-        async def drive():
-            service, gateway = await make_gateway()
-            try:
-                async with GatewayHTTPServer(gateway, port=0) as http:
-                    bad = await exchange(http.port, length)
-                    good = await exchange(http.port, "0\r\nConnection: close")
-                    return bad, good
-            finally:
-                await close_gateway(service, gateway)
-
-        (bad_status, bad_head, bad_payload), good = run(drive())
+        (bad_status, bad_head, bad_payload), good = run(
+            self.answered_then_closed("GET /v1/programs HTTP/1.1\r\n"
+                                      f"Content-Length: {length}\r\n"))
         assert bad_status == status
         assert bad_payload["error"] == error
+        assert b"connection: close" in bad_head
+        assert good[0] == b"200" and good[2] == {"programs": []}
+
+    @pytest.mark.parametrize("head", [
+        "GET /v1/programs HTTP/1.1\r\nX-Big: " + "a" * 70000 + "\r\n",
+        "GET /v1/programs?" + "a" * 70000 + " HTTP/1.1\r\n",
+        "GET /v1/programs HTTP/1.1\r\n" + "".join(  # 99 + the helper's 2
+            f"X-H{i}: v\r\n" for i in range(99)),
+    ], ids=["header-line", "request-line", "header-count"])
+    def test_oversized_head_is_answered_then_closed(self, head):
+        """A request or header line past the stream limit, or a 101st
+        header, gets 431 (not a dead connection task), the connection is
+        closed, and the server keeps serving the next connection."""
+        (bad_status, bad_head, bad_payload), good = run(
+            self.answered_then_closed(head))
+        assert bad_status == b"431"
+        assert bad_payload["error"] == "request_header_fields_too_large"
         assert b"connection: close" in bad_head
         assert good[0] == b"200" and good[2] == {"programs": []}

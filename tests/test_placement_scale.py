@@ -192,6 +192,37 @@ class TestPlanIdentity:
         ref_a2 = DPPlacer(topo, optimize=False).place(req_a)
         assert plan_key(plan_a2) == plan_key(ref_a2)
 
+    @pytest.mark.parametrize("order", [
+        ("+a", "+b", "-a", "-b", "+a"),   # back to the empty fabric
+        ("+a", "+b", "-b", "+b", "-a", "+a"),   # back to a-only, to a+b
+        ("+b", "+a", "-b", "-a", "+b", "+a"),
+    ])
+    def test_return_to_state_sequences_stay_identical(self, kvs, mlagg, order):
+        """A removal restores fingerprints, so superseded entries hit again.
+
+        One warm placer deploys and removes two programs so the fabric
+        keeps returning to allocation states it has been in before; every
+        placement — the re-deploys of a removed program's body above all —
+        must be the reference search's, byte for byte.
+        """
+        topo = build_fattree(k=8)
+        placer = DPPlacer(topo)
+        requests = {
+            "a": make_request(kvs, ["pod0(a)", "pod1(a)"], "pod7(a)"),
+            "b": make_request(mlagg, ["pod1(a)", "pod2(a)"], "pod7(a)"),
+        }
+        live = {}
+        for step, (op, which) in enumerate(order):
+            if op == "-":
+                placer.release(live.pop(which))
+                continue
+            plan = placer.place(requests[which])
+            reference = DPPlacer(topo, optimize=False).place(requests[which])
+            assert plan_key(plan) == plan_key(reference), (
+                f"divergence at step {step} ({op}{which})")
+            placer.commit(plan)
+            live[which] = plan
+
 
 # --------------------------------------------------------------------- #
 # layer 1: cross-epoch memo
@@ -208,50 +239,89 @@ class TestPlacementMemo:
         assert counters["interval_memo_hits"] > 0
         assert counters["subtree_memo_hits"] > 0
 
-    def test_prune_devices_evicts_only_consulted_entries(self):
-        memo = PlacementMemo()
-        memo.store_device(("ctx", 0, 2, "tofino", "fp1"), 1.5, ["SW1"])
-        memo.store_device(("ctx", 0, 2, "tofino", "fp2"), 2.5, ["SW2"])
-        memo.store_interval(("ctx", "node", 0, 2), 3.5, ["SW1", "SW2"])
-        assert len(memo) == 3
-        dropped = memo.prune_devices(["SW1"])
-        assert dropped == 2
-        assert len(memo) == 1
-        from repro.placement.memo import MISS
-        assert memo.lookup_device(("ctx", 0, 2, "tofino", "fp2")) == 2.5
-        assert memo.lookup_device(("ctx", 0, 2, "tofino", "fp1")) is MISS
+    def test_release_restores_memo_hits(self, kvs):
+        """Commit → release returns to keys the memo still holds."""
+        placer = DPPlacer(build_fattree(k=8))
+        request = make_request(kvs, ["pod0(a)", "pod1(a)"], "pod7(a)")
+        plan = placer.place(request)
+        placer.commit(plan)
+        placer.release(plan)
+        placer.profile.reset()
+        placer.place(request)
+        counters = placer.profile.counters.summary()
+        assert counters["subtree_solves"] == 0
+        assert counters["device_checks"] == 0
 
     def test_memo_bounded_lru(self):
         memo = PlacementMemo(max_entries=16)  # 16 is the floor
-        for i in range(40):
-            memo.store_device(("ctx", i, i + 1, "t", "fp"), float(i), [f"D{i}"])
+
+        def key(i):
+            return ("ctx", i, i + 1, "t", "fp")
+
+        for i in range(35):
+            memo.store_device(key(i), float(i), [f"D{i}"])
+        assert memo.lookup_device(key(20)) == 20.0  # refreshes recency
+        for i in range(35, 40):
+            memo.store_device(key(i), float(i), [f"D{i}"])
         assert len(memo) == 16
-        # evicted entries drop out of the device index too
-        assert len(memo.devices_indexed()) == 16
-        assert memo.devices_indexed() == sorted(f"D{i}" for i in range(24, 40))
+        # the survivors are the 16 most recently stored or looked up
+        assert set(memo._stores["device"]) == {
+            key(i) for i in [20, *range(25, 40)]}
 
-    def test_controller_remove_prunes_placer_memo(self, kvs):
-        """The remove path evicts memo entries alongside stale cached plans.
+        # the bound is on the total, not per store
+        mixed = PlacementMemo(max_entries=16)
+        for i in range(12):
+            mixed.store_device((i,), True, ["D"])
+            mixed.store_interval((i,), 1.0, ["D"])
+            mixed.store_table((i,), ((), {}, ()), ["D"])
+            assert len(mixed) <= 16
+        assert len(mixed) == 16
 
-        Commit already prunes entries consulting the committed devices, so
-        the memo is warmed *after* tenant_a's deploy with a speculative
-        placement (stamped against the live, tenant_a-occupied state); the
-        removal of tenant_a must invalidate those entries.
-        """
-        from repro.core import ClickINC
+    def test_controller_remove_keeps_placer_memo(self, kvs):
+        """The remove path leaves the memo alone: the release restores the
+        fingerprints tenant_a's entries were keyed on, so a re-place of
+        tenant_a's own request is answered from them."""
+        from repro.core import ClickINC, DeployRequest
         from repro.topology import build_paper_emulation_topology
 
         inc = ClickINC(build_paper_emulation_topology())
         deployed = inc.deploy_profile(
             default_profile("KVS"), ["pod0(a)"], "pod2(b)", name="tenant_a")
-        inc.placer.place(make_request(kvs, ["pod0(a)"], "pod2(b)"))
-        before = memo_entries_for(inc.placer.memo,
-                                  deployed.plan.devices_used())
-        assert before > 0
+        derived = memo_entries_for(inc.placer.memo,
+                                   deployed.plan.devices_used())
+        assert derived > 0
         inc.remove("tenant_a")
-        after = memo_entries_for(inc.placer.memo,
-                                 deployed.plan.devices_used())
-        assert after == 0
+        assert memo_entries_for(
+            inc.placer.memo, deployed.plan.devices_used()) == derived
+        inc.placer.profile.reset()
+        inc.placer.place(inc.pipeline.placement_request(kvs, DeployRequest(
+            source_groups=["pod0(a)"], destination_group="pod2(b)",
+            name="tenant_a", profile=default_profile("KVS"))))
+        counters = inc.placer.profile.counters.summary()
+        assert counters["subtree_solves"] == 0
+        assert counters["subtree_memo_hits"] > 0
+
+    def test_deploy_remove_cycles_plateau(self):
+        """Repeating the same six bodies adds nothing to the memo or log."""
+        from repro.core import ClickINC
+        from repro.topology import build_paper_emulation_topology
+
+        bodies = [(app, knob, value)
+                  for app, knob in (("KVS", "depth"), ("MLAgg", "depth"),
+                                    ("DQAcc", "c_depth"))
+                  for value in (3000, 4000)]
+        inc = ClickINC(build_paper_emulation_topology())
+        marks = []
+        for cycle in range(40):
+            app, knob, value = bodies[cycle % 6]
+            profile = default_profile(app)
+            profile.performance[knob] = value
+            inc.deploy_profile(profile, ["pod0(a)"], "pod2(b)",
+                               name=f"cycle{cycle}")
+            inc.remove(f"cycle{cycle}")
+            marks.append((len(inc.memo), inc.memo.summary()["log_entries"]))
+        assert marks[11][0] > 0
+        assert marks[39] == marks[11]
 
 
 def memo_entries_for(memo, names):

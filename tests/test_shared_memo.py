@@ -1,8 +1,8 @@
 """Tests for the shared cross-process placement memo.
 
 Covers the :class:`~repro.placement.memo.SharedPlacementMemo` store
-semantics (read-through backing, delta export/apply, pickle-stable
-sentinels, per-key derivation guards), the acceptance properties of the
+semantics (delta export/apply, pickle-stable sentinels, per-key
+derivation guards), the acceptance properties of the
 ISSUE — cross-worker reuse must be byte-identical to private-memo plans,
 persistence must survive a simulated controller restart, and a
 corrupted/stale memo file must degrade to a cold solve — plus the
@@ -31,7 +31,7 @@ from repro.placement import (
     SharedPlacementMemo,
     build_block_dag,
 )
-from repro.placement.memo import INFEASIBLE, MISS, MEMO_NAMESPACE
+from repro.placement.memo import INFEASIBLE, MISS
 from repro.placement.objective import ObjectiveWeights, PlacementObjective
 from repro.placement.scoring import IntervalScorer
 from repro.sharding import ShardCoordinator
@@ -96,19 +96,6 @@ class TestSharedMemoStore:
         assert memo.lookup_interval(("absent",)) is MISS
         assert memo.counters.misses == 1
 
-    def test_read_through_shared_backing(self):
-        backing = ArtifactCache(max_entries=64)
-        writer = SharedPlacementMemo(backing=backing)
-        reader = SharedPlacementMemo(backing=backing)
-        writer.store_interval(("iv",), 1.5, ("sw0",))
-
-        # first lookup misses the reader's front and installs from backing
-        assert reader.lookup_interval(("iv",)) == 1.5
-        assert reader.counters.shared_hits == 1
-        # second lookup is a plain front hit
-        assert reader.lookup_interval(("iv",)) == 1.5
-        assert reader.counters.hits == 1
-
     def test_delta_export_apply_round_trip(self):
         source = SharedPlacementMemo()
         source.store_device(("dev",), True, ("sw0",))
@@ -167,14 +154,14 @@ class TestSharedMemoStore:
         assert target.lookup_device(("dev",)) is False
         assert seq == source.delta_seq
 
-    def test_clear_empties_front_and_backing(self):
+    def test_clear_empties_store_and_log(self):
         memo = SharedPlacementMemo()
         memo.store_interval(("iv",), 1.0, ("sw0",))
-        assert memo.backing.namespace_len(MEMO_NAMESPACE) == 1
+        assert memo.summary()["log_entries"] == 1
         dropped = memo.clear()
         assert dropped == 1
         assert len(memo) == 0
-        assert memo.backing.namespace_len(MEMO_NAMESPACE) == 0
+        assert memo.summary()["log_entries"] == 0
         assert memo.lookup_interval(("iv",)) is MISS
 
     def test_table_guard_refcount_cleanup(self):
@@ -185,7 +172,7 @@ class TestSharedMemoStore:
 
 
 # --------------------------------------------------------------------- #
-# ArtifactCache namespace accounting (backs the memo + warm-plan guard)
+# ArtifactCache namespace accounting (backs the warm-plan guard)
 # --------------------------------------------------------------------- #
 class TestNamespaceLen:
     def test_tracks_stores_and_invalidation(self):

@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the end-to-end benchmark.
+
+    python3 tools/ab_pairs.py --parent /root/scratch/parent --change . \\
+        --workload deploy_cold --pairs 10
+
+Runs the command ``BENCHMARK.json`` declares (``--trace 0``) once in each
+of two checkouts per pair — seed *k* for pair *k*, the parent first on odd
+pairs and the change first on even ones, so drift of the host falls on
+both sides alike.  ``BENCHMARK.json`` (read from the change checkout, never
+written) names the end-to-end metrics, which direction is better and the
+bound by which each may worsen.  The report is a markdown table, ready to
+quote in a ``CHANGES.md`` entry: per metric every pair's two values, both
+medians, both quartile pairs, the pairs the change won (ties count for
+neither side) and a verdict:
+
+* ``ok`` — the change's median is no worse than the parent's by more than
+  the bound;
+* ``REGRESSED`` — it is;
+* ``unresolved`` — the parent's own runs spread (Q3 - Q1 over the median)
+  wider than the bound, so neither of the above can be told — unless
+  every run of the change reads better than every run of the parent, which
+  is ``ok`` at any spread.
+
+Exit status is non-zero when a run is ``correct: false`` or has
+``failed > 0``, or when a metric regressed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List, Tuple
+
+
+def parse_result(stdout: str) -> Tuple[bool, Dict[str, float]]:
+    """``(clean, metrics)`` from a run's stdout; the result is its last line."""
+    result = json.loads(stdout.strip().splitlines()[-1])
+    clean = bool(result["correct"]) and result["failed"] == 0
+    return clean, {name: metric["value"]
+                   for name, metric in result["metrics"].items()}
+
+
+def quartiles(values: List[float]) -> Tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    first, _median, third = statistics.quantiles(values, n=4)
+    return first, third
+
+
+def compare(metric: dict, parent: List[float], change: List[float]) -> dict:
+    """The arithmetic of one metric: *parent[k]* and *change[k]* are pair k."""
+    higher = metric["better"] == "higher"
+
+    def beats(a: float, b: float) -> bool:
+        return a > b if higher else a < b
+
+    parent_median = statistics.median(parent)
+    change_median = statistics.median(change)
+    parent_q1, parent_q3 = quartiles(parent)
+    delta = (change_median - parent_median) / parent_median
+    spread = (parent_q3 - parent_q1) / parent_median
+    if all(beats(c, p) for c in change for p in parent):
+        verdict = "ok"
+    elif spread > metric["bound"]:
+        verdict = "unresolved"
+    else:
+        worse_by = -delta if higher else delta
+        verdict = "REGRESSED" if worse_by > metric["bound"] else "ok"
+    return {
+        "name": metric["name"], "bound": metric["bound"],
+        "parent": parent, "change": change,
+        "parent_median": parent_median, "change_median": change_median,
+        "parent_quartiles": (parent_q1, parent_q3),
+        "change_quartiles": quartiles(change),
+        "won": sum(beats(c, p) for p, c in zip(parent, change)),
+        "delta": delta, "spread": spread, "verdict": verdict,
+    }
+
+
+def _row(values: List[float]) -> str:
+    return " ".join(f"{value:.4g}" for value in values)
+
+
+def markdown(workload: str, rows: List[dict]) -> str:
+    lines = [
+        f"| `{workload}`, {len(rows[0]['parent'])} alternating pairs"
+        " | parent | change | medians | parent Q1–Q3 | change Q1–Q3"
+        " | pairs won | verdict |",
+        "|---|---|---|---|---|---|---|---|",
+    ]
+    for row in rows:
+        lines.append(
+            f"| `{row['name']}` | {_row(row['parent'])}"
+            f" | {_row(row['change'])}"
+            f" | {row['parent_median']:.4g} → {row['change_median']:.4g}"
+            f" ({row['delta']:+.1%})"
+            f" | {_row(row['parent_quartiles'])}"
+            f" | {_row(row['change_quartiles'])}"
+            f" | {row['won']}/{len(row['parent'])}"
+            f" | {row['verdict']} (bound {row['bound']:.2f},"
+            f" parent spread {row['spread']:.2f}) |")
+    return "\n".join(lines)
+
+
+def run_once(checkout: Path, command: List[str], workload: str, seed: int,
+             seconds: float) -> Tuple[bool, Dict[str, float]]:
+    # each checkout imports its own src/, whatever the caller's PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        command + ["--workload", workload, "--seed", str(seed),
+                   "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, env=env, stdout=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        return False, {}
+    return parse_result(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True,
+                        help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="default: run_seconds of BENCHMARK.json")
+    args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = args.seconds or float(spec["run_seconds"])
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
+    dirty: List[str] = []
+    for seed in range(1, args.pairs + 1):
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for side in order:
+            clean, metrics = run_once(sides[side], spec["command"],
+                                      args.workload, seed, seconds)
+            if not clean:
+                dirty.append(f"{side} seed {seed}")
+            runs[side].append(metrics)
+            print(f"pair {seed} {side}: " + " ".join(
+                f"{name}={value:.4g}" for name, value in metrics.items()),
+                file=sys.stderr, flush=True)
+    if dirty:
+        print("not correct, or failed operations: " + ", ".join(dirty),
+              file=sys.stderr)
+        return 1
+
+    rows = [compare(metric,
+                    [run[metric["name"]] for run in runs["parent"]],
+                    [run[metric["name"]] for run in runs["change"]])
+            for metric in spec["end_to_end"]]
+    print(markdown(args.workload, rows))
+    return 1 if any(row["verdict"] == "REGRESSED" for row in rows) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
