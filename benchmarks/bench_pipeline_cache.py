@@ -12,6 +12,13 @@ Two service-shaped measurements on top of the staged compilation pipeline:
    runs the pure compile stages concurrently and commits sequentially, so it
    must produce *identical placements* while being no slower overall.
 
+3. **Warm-wave counts** — one body deployed under eight names, side by side,
+   once its content has been seen twice.  Counts, not times: every one of
+   the eight searches takes its per-content facts from the placer's store
+   (``program_facts_derived`` moves by 0) and every commit materialises the
+   plan's snippets once.  The regression gate reads them; they cannot flake
+   on a noisy runner.
+
 Shape to preserve: warm/cold speedup ≥ 5×; batched deployment within a small
 scheduling-overhead margin of serial while placements match exactly.
 """
@@ -24,6 +31,7 @@ from typing import Dict, List
 from benchmarks.conftest import print_table
 from repro.core import ClickINC, DeployRequest
 from repro.lang.profile import default_profile
+from repro.placement.plan import PlacementPlan
 from repro.topology import build_paper_emulation_topology
 
 #: Eight independent tenants over the three template apps (distinct names,
@@ -126,8 +134,45 @@ def run_batch_vs_serial() -> Dict[str, object]:
     }
 
 
+def run_warm_wave_counts() -> Dict[str, int]:
+    inc = ClickINC(build_paper_emulation_topology())
+    counters = inc.placer.profile.counters
+    # two sights of the body, on paths no BATCH tenant uses and distinct from
+    # each other (a plan-cache hit never reaches the placer): the second
+    # admits its facts
+    for sight, (source, destination) in enumerate(
+            (("pod2(a)", "pod0(b)"), ("pod2(b)", "pod0(a)"))):
+        inc.deploy_profile(tenant_profile("KVS", f"sight{sight}"), [source],
+                           destination, name=f"sight{sight}")
+        inc.remove(f"sight{sight}")
+    derived, hits = counters.program_facts_derived, counters.program_facts_hits
+    snippet_calls = []
+    real_snippets = PlacementPlan.device_snippets
+
+    def counted(plan):
+        snippet_calls.append(plan.program_name)
+        return real_snippets(plan)
+
+    PlacementPlan.device_snippets = counted
+    try:
+        # the tenants stay deployed, so every request meets a new allocation
+        # state and is searched, not served from the plan cache
+        for name, _app, sources, destination in BATCH:
+            inc.deploy_profile(tenant_profile("KVS", name), sources,
+                               destination, name=name)
+    finally:
+        PlacementPlan.device_snippets = real_snippets
+    return {
+        "n": len(BATCH),
+        "facts_derived": counters.program_facts_derived - derived,
+        "facts_hits": counters.program_facts_hits - hits,
+        "snippet_calls": len(snippet_calls),
+    }
+
+
 def run_all():
-    return {"cold_warm": run_cold_vs_warm(), "batch": run_batch_vs_serial()}
+    return {"cold_warm": run_cold_vs_warm(), "batch": run_batch_vs_serial(),
+            "warm_wave": run_warm_wave_counts()}
 
 
 def test_pipeline_cache_and_batching(benchmark):
@@ -152,6 +197,16 @@ def test_pipeline_cache_and_batching(benchmark):
         [(batch["n"], f"{batch['serial_s']:.3f}", f"{batch['batch_s']:.3f}",
           f"{batch['ratio']:.3f}", batch["identical_placements"])],
     )
+
+    wave = results["warm_wave"]
+    print_table(
+        "warm wave — one body under eight names, after two sights",
+        ["tenants", "facts derived", "facts hits", "device_snippets calls"],
+        [(wave["n"], wave["facts_derived"], wave["facts_hits"],
+          wave["snippet_calls"])],
+    )
+    assert wave["facts_derived"] == 0
+    assert wave["facts_hits"] == wave["snippet_calls"] == wave["n"]
 
     for row in results["cold_warm"]:
         assert row["same_placement"]

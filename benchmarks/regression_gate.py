@@ -26,7 +26,13 @@ non-zero when
   single-shard (serial) result, a cross-shard two-phase commit stops
   succeeding cleanly (or exceeds ``max_cross_shard_commit_s``), or —
   on machines with the cores to back it — multi-shard intra-pod deploy
-  throughput stops exceeding single-shard (``min_sharded_speedup``).
+  throughput stops exceeding single-shard (``min_sharded_speedup``),
+* one body deployed under eight names, once its content has been seen
+  twice, derives its per-content placement facts again (more than
+  ``max_warm_wave_facts_derived`` times, i.e. at all), a search of the
+  wave misses the facts store, or a commit materialises the plan's
+  snippets more than once (:mod:`benchmarks.bench_pipeline_cache`
+  ``run_warm_wave_counts`` — counts, so they cannot flake).
 
 ``--suite scaling`` instead runs the fabric-scale placement benchmark
 (:mod:`benchmarks.bench_fig14_scaling` ``run_scaling``) and fails when
@@ -109,6 +115,9 @@ from benchmarks.bench_parallel_deploy import (  # noqa: E402
     run_all,
     usable_cores,
 )
+from benchmarks.bench_pipeline_cache import (  # noqa: E402
+    run_warm_wave_counts,
+)
 from benchmarks.bench_runtime_migration import (  # noqa: E402
     run_all as run_runtime_migration,
 )
@@ -150,6 +159,7 @@ def measure() -> dict:
     sharded = run_sharded_scaling()
     scaling = sharded["scaling"]
     cross = sharded["cross_shard"]
+    warm_wave = run_warm_wave_counts()
     return {
         "generated_unix_time": int(time.time()),
         "cores": usable_cores(),
@@ -191,6 +201,10 @@ def measure() -> dict:
             and cross["aborted_prepares"] == 0
         ),
         "cross_shard_commit_s": round(cross["commit_s"], 4),
+        "warm_wave_n": warm_wave["n"],
+        "warm_wave_facts_derived": warm_wave["facts_derived"],
+        "warm_wave_facts_hits": warm_wave["facts_hits"],
+        "warm_wave_snippet_calls": warm_wave["snippet_calls"],
     }
 
 
@@ -626,6 +640,26 @@ def check(measured: dict, baseline: dict) -> list:
                 f" (need {min_sharded:.2f}x on a {measured['cores']}-core"
                 " machine)"
             )
+
+    # counts of the warm wave: per-content facts and snippets, once each
+    wave_n = measured["warm_wave_n"]
+    max_derived = int(baseline.get("max_warm_wave_facts_derived", 0))
+    if measured["warm_wave_facts_derived"] > max_derived:
+        failures.append(
+            f"a warm wave of {wave_n} re-derived the program facts of a"
+            f" twice-seen body {measured['warm_wave_facts_derived']} times"
+            f" (allowed: {max_derived})"
+        )
+    if measured["warm_wave_facts_hits"] != wave_n:
+        failures.append(
+            f"only {measured['warm_wave_facts_hits']}/{wave_n} searches of the"
+            " warm wave took their program facts from the store"
+        )
+    if measured["warm_wave_snippet_calls"] != wave_n:
+        failures.append(
+            f"device_snippets() ran {measured['warm_wave_snippet_calls']}"
+            f" times for {wave_n} deploys (must be once per commit)"
+        )
     return failures
 
 

@@ -153,9 +153,10 @@ class ArtifactCache:
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, object]" = OrderedDict()
         self._stats: Dict[str, CacheStats] = {}
-        #: live entry count per namespace, so emptiness checks (e.g. "can a
-        #: warm plan hit even exist?") cost O(1) instead of a full scan
-        self._ns_counts: Dict[str, int] = {}
+        #: live keys per namespace (a dict as an ordered set), so a scan of
+        #: one namespace never visits the others and emptiness checks (e.g.
+        #: "can a warm plan hit even exist?") cost O(1)
+        self._ns_keys: Dict[str, Dict[str, None]] = {}
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -179,17 +180,15 @@ class ArtifactCache:
     def _forget(self, key: str) -> None:
         """Book-keeping for one removed entry (callers hold the lock)."""
         namespace = self._namespace_of(key)
-        remaining = self._ns_counts.get(namespace, 0) - 1
-        if remaining > 0:
-            self._ns_counts[namespace] = remaining
-        else:
-            self._ns_counts.pop(namespace, None)
+        keys = self._ns_keys[namespace]
+        del keys[key]
+        if not keys:
+            del self._ns_keys[namespace]
 
     def store(self, key: str, value: object) -> None:
         with self._lock:
             if key not in self._entries:
-                namespace = self._namespace_of(key)
-                self._ns_counts[namespace] = self._ns_counts.get(namespace, 0) + 1
+                self._ns_keys.setdefault(self._namespace_of(key), {})[key] = None
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
@@ -202,28 +201,25 @@ class ArtifactCache:
             if namespace is None:
                 dropped = len(self._entries)
                 self._entries.clear()
-                self._ns_counts.clear()
+                self._ns_keys.clear()
                 return dropped
-            victims = [
-                key for key in self._entries
-                if self._namespace_of(key) == namespace
-            ]
+            victims = self._ns_keys.pop(namespace, {})
             for key in victims:
                 del self._entries[key]
-                self._forget(key)
             return len(victims)
 
     def invalidate_matching(self, namespace: str, predicate) -> int:
         """Drop *namespace* entries whose value satisfies *predicate*.
 
-        Returns the number of entries dropped.  The predicate runs under the
-        cache lock, so it must be cheap and must not call back into the
-        cache.
+        Returns the number of entries dropped.  Only *namespace*'s own
+        entries are visited, whatever the other namespaces hold.  The
+        predicate runs under the cache lock, so it must be cheap and must
+        not call back into the cache.
         """
         with self._lock:
             victims = [
-                key for key, value in self._entries.items()
-                if self._namespace_of(key) == namespace and predicate(value)
+                key for key in self._ns_keys.get(namespace, ())
+                if predicate(self._entries[key])
             ]
             for key in victims:
                 del self._entries[key]
@@ -269,7 +265,7 @@ class ArtifactCache:
         fabric — whenever no plan has ever been written back.
         """
         with self._lock:
-            return self._ns_counts.get(namespace, 0)
+            return len(self._ns_keys.get(namespace, ()))
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

@@ -42,7 +42,6 @@ from repro.backend.codegen import generate_for_device
 from repro.core.cache import (
     ArtifactCache,
     CacheStats,
-    fingerprint_ir,
     topology_resource_fingerprint,
 )
 from repro.emulator.network import NetworkEmulator
@@ -332,8 +331,8 @@ def rebrand_plan(plan: PlacementPlan, program: IRProgram) -> PlacementPlan:
     (possibly) different name; block instruction uids are assigned
     sequentially by compilation order, so they transfer unchanged.  The
     returned plan shares the immutable search artifacts (blocks, DAG edges,
-    dependency graph, stage assignments) but carries the new owner, so the
-    snippets it materialises are annotated for the new tenant.
+    stage assignments) but carries the new owner, so the snippets it
+    materialises are annotated for the new tenant.
     """
     dag = plan.block_dag
     if len(program) != len(dag.program):
@@ -345,7 +344,6 @@ def rebrand_plan(plan: PlacementPlan, program: IRProgram) -> PlacementPlan:
         program=program,
         blocks=list(dag.blocks),
         graph=dag.graph,
-        dependency=dag.dependency,
     )
     return PlacementPlan(
         program_name=program.name,
@@ -437,7 +435,7 @@ class CompilationPipeline:
         """
         return self.cache.make_key(
             "plan",
-            fingerprint_ir(placement_request.program, normalize_name=True),
+            placement_request.program_fingerprint(),
             list(placement_request.source_groups),
             placement_request.destination_group,
             placement_request.traffic_rates or {},
@@ -474,7 +472,10 @@ class CompilationPipeline:
         undo: List = []
         stage = "validation"
         try:
-            if name in self.synthesizer.plans:
+            if (name in self.synthesizer.plans
+                    or name in self.emulator.deployments):
+                # checked for both layers up front: their rollbacks below
+                # scrub by name, so they must never see a live namesake
                 raise DeploymentError(f"program {name!r} is already deployed")
             stage = "placement"
             start = time.perf_counter()
@@ -523,8 +524,12 @@ class CompilationPipeline:
 
             stage = "synthesis"
             start = time.perf_counter()
-            delta = self.synthesizer.add_program(plan)
+            # one materialisation per commit, read by synthesis, the
+            # emulator install and codegen alike
+            snippets = plan.device_snippets()
+            # registered first: a merge that dies part-way is scrubbed too
             undo.append(lambda: self.synthesizer.rollback_add(name))
+            delta = self.synthesizer.add_program(plan, snippets=snippets)
             records.append(StageRecord(
                 stage, time.perf_counter() - start,
                 detail={"affected_devices": delta.num_affected_devices},
@@ -532,9 +537,10 @@ class CompilationPipeline:
 
             stage = "emulator-install"
             start = time.perf_counter()
-            self.emulator.deploy(plan, request.source_groups,
-                                 request.destination_group)
             undo.append(lambda: self.emulator.rollback_deploy(name))
+            self.emulator.deploy(plan, request.source_groups,
+                                 request.destination_group,
+                                 snippets=snippets)
             records.append(StageRecord(stage, time.perf_counter() - start))
 
             stage = "codegen"
@@ -542,7 +548,7 @@ class CompilationPipeline:
             device_sources: Dict[str, str] = {}
             hits_before = self.cache.stats().get("codegen", CacheStats()).hits
             if self.generate_code:
-                for device_name, snippet in plan.device_snippets().items():
+                for device_name, snippet in snippets.items():
                     device = self.topology.device(device_name)
                     device_sources[device_name] = generate_for_device(
                         device, snippet, cache=self.cache

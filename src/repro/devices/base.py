@@ -13,10 +13,15 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.exceptions import ResourceExhaustedError
-from repro.ir.instructions import InstrClass, Instruction, resource_footprint
+from repro.ir.instructions import (
+    InstrClass,
+    Instruction,
+    StateDecl,
+    resource_footprint,
+)
 from repro.ir.program import IRProgram
 
 
@@ -204,17 +209,32 @@ class Device:
         }
 
     @staticmethod
-    def state_demand(program: IRProgram, state_names: Iterable[str]) -> Dict[str, float]:
-        """Memory demand of the persistent states named in *state_names*."""
+    def state_bits(state: StateDecl) -> Tuple[int, int]:
+        """``(sram_bits, tcam_bits)`` one persistent state occupies."""
+        if state.kind.value in ("ternary_table",):
+            return 0, state.total_bits
+        return state.total_bits, 0
+
+    @staticmethod
+    def memory_demand(bits: Iterable[Tuple[int, int]]) -> Dict[str, float]:
+        """Memory demand of states given as their :meth:`state_bits` pairs.
+
+        The bits are summed as integers and divided once, so the result does
+        not depend on the order of *bits*.
+        """
         sram_bits = 0
         tcam_bits = 0
-        for name in state_names:
-            state = program.get_state(name)
-            if state.kind.value in ("ternary_table",):
-                tcam_bits += state.total_bits
-            else:
-                sram_bits += state.total_bits
+        for sram, tcam in bits:
+            sram_bits += sram
+            tcam_bits += tcam
         return {"sram_kb": sram_bits / 8192.0, "tcam_kb": tcam_bits / 8192.0}
+
+    @staticmethod
+    def state_demand(program: IRProgram, state_names: Iterable[str]) -> Dict[str, float]:
+        """Memory demand of the persistent states named in *state_names*."""
+        return Device.memory_demand(
+            Device.state_bits(program.get_state(name)) for name in state_names
+        )
 
     def can_fit_instructions(self, instructions: Sequence[Instruction]) -> bool:
         """Quick feasibility check: capability classes + aggregate resources."""

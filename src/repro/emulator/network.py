@@ -11,7 +11,7 @@ achieve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.stats import DataplaneStats
 from repro.emulator.interpreter import (
@@ -22,6 +22,7 @@ from repro.emulator.interpreter import (
 from repro.emulator.metrics import RunMetrics
 from repro.emulator.packet import Packet
 from repro.exceptions import EmulationError
+from repro.ir.program import IRProgram
 from repro.placement.plan import PlacementPlan
 from repro.topology.network import NetworkTopology
 
@@ -73,12 +74,20 @@ class NetworkEmulator:
     # deployment
     # ------------------------------------------------------------------ #
     def deploy(self, plan: PlacementPlan, source_groups: Sequence[str],
-               destination_group: str) -> DeploymentContext:
-        """Install *plan*'s snippets on the device runtimes."""
+               destination_group: str, *,
+               snippets: Optional[Dict[str, IRProgram]] = None
+               ) -> DeploymentContext:
+        """Install *plan*'s snippets on the device runtimes.
+
+        *snippets* is ``plan.device_snippets()`` when the caller already
+        holds it (the runtimes keep and only ever read them); derived
+        otherwise.
+        """
         owner = plan.program_name
         if owner in self.deployments:
             raise EmulationError(f"program {owner!r} is already deployed")
-        snippets = plan.device_snippets()
+        if snippets is None:
+            snippets = plan.device_snippets()
         steps = plan.step_table()
         for device_name, snippet in snippets.items():
             runtime = self.runtimes.get(device_name)

@@ -245,6 +245,14 @@ class IRProgram:
             clone.append(kept)
         return clone
 
+    def prefix_mapping(self, prefix: str) -> Dict[str, str]:
+        """``name -> prefix_name`` for every state and temporary."""
+        return {
+            name: f"{prefix}_{name}"
+            for names in (self._states, self.temporary_variables())
+            for name in names
+        }
+
     def renamed(self, prefix: str) -> "IRProgram":
         """Return a copy with every state and temporary prefixed by *prefix*.
 
@@ -252,11 +260,7 @@ class IRProgram:
         user's variables are rewritten (e.g. ``mtb`` → ``kvs_0_mtb``) so two
         programs never share a memory region after merging.
         """
-        mapping: Dict[str, str] = {}
-        for name in self._states:
-            mapping[name] = f"{prefix}_{name}"
-        for name in self.temporary_variables():
-            mapping[name] = f"{prefix}_{name}"
+        mapping = self.prefix_mapping(prefix)
         clone = IRProgram(self.name)
         for state in self._states.values():
             clone.declare_state(state.renamed(mapping[state.name]))

@@ -58,6 +58,12 @@ class PlacementCounters(CounterMixin):
     packing_runs: int = 0
     #: instruction rows those runs visited, feasible or not
     packed_instructions: int = 0
+    #: searches whose per-content facts (block DAG, packing rows, scorer
+    #: matrices) came from the memo's ProgramFactsStore
+    program_facts_hits: int = 0
+    #: searches that derived them (first and second sight of a content, or
+    #: an evicted entry); the reference search derives always, uncounted
+    program_facts_derived: int = 0
 
 
 class StageTimers:

@@ -12,7 +12,9 @@ This package implements ClickINC's placement pipeline:
 4. :mod:`repro.placement.intra` — instruction-to-stage allocation within one
    device (Algorithm 2).
 5. :mod:`repro.placement.dp` — the multi-path dynamic-programming allocator
-   over the reduced topology tree (Algorithm 1).
+   over the reduced topology tree (Algorithm 1), working from the
+   per-content :mod:`repro.placement.facts` (block DAG, packing rows, scorer
+   matrices) its :mod:`repro.placement.memo` keeps for repeating programs.
 6. :mod:`repro.placement.smt_baseline` — an exhaustive branch-and-bound
    baseline standing in for the Z3/SMT approach of prior work.
 7. :mod:`repro.placement.plan` — the placement plan produced by either
@@ -26,6 +28,7 @@ from repro.placement.intra import IntraDeviceAllocator, StageAssignment
 from repro.placement.memo import PlacementMemo, SharedPlacementMemo
 from repro.placement.plan import BlockAssignment, PlacementPlan
 from repro.placement.scoring import IntervalScorer
+from repro.placement.facts import ProgramFacts, derive_program_facts
 from repro.placement.dp import DPPlacer, PlacementRequest
 from repro.placement.smt_baseline import ExhaustivePlacer
 from repro.placement.greedy import GreedySinglePathPlacer, ReplicateAllPlacer
@@ -45,6 +48,8 @@ __all__ = [
     "SharedPlacementMemo",
     "PlacementPlan",
     "IntervalScorer",
+    "ProgramFacts",
+    "derive_program_facts",
     "DPPlacer",
     "PlacementRequest",
     "ExhaustivePlacer",

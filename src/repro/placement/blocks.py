@@ -10,6 +10,18 @@ Construction follows the three steps of the paper:
 3. run Kahn's topological partitioning and merge non-exclusive blocks (same
    capability kind, within the size threshold) inside a partition and across
    adjacent partitions until no merge is possible.
+
+The result is a pure function of the program's *content* and the two block
+parameters — nothing in it names the tenant.  The optimised placer therefore
+keeps the blocks, the block graph and their topological order per content
+(:class:`~repro.placement.facts.ProgramFacts`) and wraps them in a fresh
+:class:`BlockDAG` around each request's own program — block instruction uids
+are list positions, so they transfer between two compilations of one content
+unchanged, and nobody mutates blocks or graph after construction.  The
+instruction-level dependency graph of step 1 is a construction intermediate:
+a :class:`BlockDAG` does not keep it — nothing downstream reads it, it is
+51–81 KB per template program, and its nodes hold the tenant's own
+instructions, so every live or cached plan would pin them.
 """
 
 from __future__ import annotations
@@ -23,7 +35,6 @@ from repro.exceptions import PlacementError
 from repro.ir.instructions import InstrClass, Instruction
 from repro.ir.program import IRProgram
 from repro.placement.depgraph import (
-    DependencyGraph,
     build_dependency_graph,
     live_variable_widths,
 )
@@ -75,7 +86,6 @@ class BlockDAG:
     program: IRProgram
     blocks: List[Block]
     graph: nx.DiGraph
-    dependency: DependencyGraph
 
     def __post_init__(self) -> None:
         self._by_id = {block.block_id: block for block in self.blocks}
@@ -131,8 +141,7 @@ def build_block_dag(program: IRProgram, max_block_size: int = 16,
         When False, skip the Kahn merging steps and keep one block per
         collapsed cycle / instruction.  Used by the Fig. 14 ablation.
     """
-    dependency = build_dependency_graph(program)
-    graph = dependency.graph
+    graph = build_dependency_graph(program).graph
 
     # ---- step 2: collapse cycles (strongly connected components) ----------
     condensation = nx.condensation(graph)
@@ -152,7 +161,7 @@ def build_block_dag(program: IRProgram, max_block_size: int = 16,
         block_graph = _kahn_merge(kind_of, block_graph, max_block_size)
 
     blocks, dag = _materialise(program, block_graph, kind_of)
-    return BlockDAG(program=program, blocks=blocks, graph=dag, dependency=dependency)
+    return BlockDAG(program=program, blocks=blocks, graph=dag)
 
 
 # --------------------------------------------------------------------------- #

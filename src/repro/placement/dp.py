@@ -35,6 +35,14 @@ tests in ``tests/test_placement_scale.py``):
   matrix + prefix sums, numpy when available) instead of per-interval O(E)
   edge walks.
 
+What a search knows about the program before it sees the topology — the
+block DAG of Algorithm 3, the rows Algorithm 2 packs from, the scorer's
+matrices — is a function of the program's *content*, so ``place()`` takes it
+from a :class:`~repro.placement.facts.ProgramFacts` looked up by content in
+the memo's :class:`~repro.placement.memo.ProgramFactsStore` (derived on a
+miss, admitted on second sight): a repeat tenant's ``place()`` is reduced
+tree + memo replay + materialise.
+
 Profiling hooks (:class:`~repro.obs.profiling.PlacementProfile` on
 ``DPPlacer.profile``) attribute wall-clock to search / scoring / validation
 stages and count memo hits, for the scaling benchmarks and CI summaries.
@@ -54,7 +62,8 @@ from repro.exceptions import (
     StaleMemoError,
 )
 from repro.ir.program import IRProgram
-from repro.placement.blocks import Block, BlockDAG, build_block_dag
+from repro.placement.blocks import Block, BlockDAG
+from repro.placement.facts import ProgramFacts, derive_program_facts
 from repro.placement.intra import (
     IntraDeviceAllocator,
     PackingRows,
@@ -110,6 +119,24 @@ class PlacementRequest:
     use_blocks: bool = True
     adaptive_weights: bool = True
     prune: bool = True
+    _fingerprint: Optional[str] = field(default=None, init=False, repr=False,
+                                        compare=False)
+
+    def program_fingerprint(self) -> str:
+        """Name-normalised content fingerprint of ``program``, computed once.
+
+        Both the plan-cache key and the placer's content lookups start from
+        it; a request lives for one deployment, during which its program
+        does not change.
+        """
+        if self._fingerprint is None:
+            from repro.core.cache import fingerprint_ir  # local: avoids an
+            # import cycle (repro.core.__init__ imports the controller,
+            # which imports this module)
+
+            self._fingerprint = fingerprint_ir(self.program,
+                                               normalize_name=True)
+        return self._fingerprint
 
 
 @dataclass
@@ -124,16 +151,19 @@ class _Candidate:
 class _IntervalPacker:
     """Algorithm 2 per (device, block interval), run at most once per search.
 
-    Owns the search's :class:`~repro.placement.intra.PackingTable` and every
-    packing outcome of this ``place()`` call, so plan materialisation reuses
-    the assignments the search already derived and packs only the intervals
-    the memo answered.  It is referenced by nothing that outlives ``place()``
-    — not the program, the block DAG or the plan, all of which live on in
-    caches.
+    Packs from the content's :class:`~repro.placement.intra.PackingTable`
+    (shared and read-only) and owns what belongs to this ``place()`` call:
+    the rows of each interval, every packing outcome — so plan
+    materialisation reuses the assignments the search already derived and
+    packs only the intervals the memo answered — and the tally of runs and
+    visited rows.  It is referenced by nothing that outlives ``place()``.
     """
 
-    def __init__(self, program: IRProgram, ordered_blocks: List[Block]) -> None:
-        self.table = PackingTable(program, program)
+    def __init__(self, table: PackingTable,
+                 ordered_blocks: Sequence[Block]) -> None:
+        self.table = table
+        self.packing_runs = 0
+        self.packed_instructions = 0
         self._blocks = ordered_blocks
         self._rows: Dict[Tuple[int, int], PackingRows] = {}
         self._outcomes: Dict[Tuple[str, int, int],
@@ -152,7 +182,8 @@ class _IntervalPacker:
     def pack(self, device, start: int, end: int) -> Optional[StageAssignment]:
         key = (device.name, start, end)
         if key not in self._outcomes:
-            self._outcomes[key] = self.table.pack(device, self.rows(start, end))
+            self._outcomes[key] = self.table.pack(
+                device, self.rows(start, end), tally=self)
         return self._outcomes[key]
 
 
@@ -167,30 +198,27 @@ class _SearchContext:
     the seed implementation.
     """
 
-    def __init__(self, placer: "DPPlacer", block_dag: BlockDAG,
-                 ordered_blocks: List[Block], objective: PlacementObjective,
+    def __init__(self, placer: "DPPlacer", facts: ProgramFacts,
+                 block_dag: BlockDAG, objective: PlacementObjective,
                  request: PlacementRequest, packer: _IntervalPacker) -> None:
-        from repro.core.cache import fingerprint_ir  # local: avoids an
-        # import cycle (repro.core.__init__ imports the controller, which
-        # imports this module)
-
         self.topology = placer.topology
         self.memo = placer.memo
         self.counters = placer.profile.counters
         self.block_dag = block_dag
-        self.ordered_blocks = ordered_blocks
-        self.num_blocks = len(ordered_blocks)
+        self.ordered_blocks = facts.order
+        self.num_blocks = len(facts.order)
         self.objective = objective
         self.request = request
         self.packer = packer
-        self.scorer = IntervalScorer(block_dag, ordered_blocks, objective)
+        self.scorer = IntervalScorer(block_dag, facts.order, objective,
+                                     matrices=facts.matrices)
         # The context digest pins everything a sub-solution's value depends
         # on besides the devices it consulted: the (name-normalised) program
         # and block parameters determine the intervals' content, and the
         # objective's normalisation constants / weight mode determine how an
         # interval's gain is computed from that content.
         context = (
-            fingerprint_ir(request.program, normalize_name=True),
+            facts.fingerprint,
             request.max_block_size if request.use_blocks else 1,
             bool(request.use_blocks),
             bool(request.adaptive_weights),
@@ -456,12 +484,9 @@ class DPPlacer:
         timers = self.profile.timers
         start_time = time.perf_counter()
         with timers.stage("block_dag"):
-            block_dag = build_block_dag(
-                request.program,
-                max_block_size=request.max_block_size if request.use_blocks else 1,
-                merge=request.use_blocks,
-            )
-            ordered_blocks = block_dag.topological_order()
+            facts = self._program_facts(request)
+            block_dag = facts.block_dag(request.program)
+            ordered_blocks = facts.order
         with timers.stage("reduce_tree"):
             tree = build_reduced_tree(
                 self.topology,
@@ -470,10 +495,9 @@ class DPPlacer:
                 traffic_rates=request.traffic_rates,
             )
         objective = self._make_objective(block_dag, tree, request)
-        packer = _IntervalPacker(request.program, ordered_blocks)
+        packer = _IntervalPacker(facts.table, ordered_blocks)
         ctx = (
-            _SearchContext(self, block_dag, ordered_blocks, objective, request,
-                           packer)
+            _SearchContext(self, facts, block_dag, objective, request, packer)
             if self.optimize else None
         )
 
@@ -498,10 +522,32 @@ class DPPlacer:
                 self._stamp_fingerprints(plan, tree)
         finally:
             counters = self.profile.counters
-            counters.increment("packing_runs", by=packer.table.packing_runs)
+            counters.increment("packing_runs", by=packer.packing_runs)
             counters.increment("packed_instructions",
-                               by=packer.table.packed_instructions)
+                               by=packer.packed_instructions)
         return plan
+
+    def _program_facts(self, request: PlacementRequest) -> ProgramFacts:
+        """The :class:`ProgramFacts` of the request's content.
+
+        Looked up in the memo's store by (content fingerprint, block size,
+        ``use_blocks``) — every input of the derivation — or derived and
+        offered to it; the store admits on second sight.  The reference
+        search is the oracle of the differential tests and derives from
+        scratch every time.
+        """
+        key = (request.program_fingerprint(),
+               request.max_block_size if request.use_blocks else 1,
+               bool(request.use_blocks))
+        if not self.optimize:
+            return derive_program_facts(request.program, *key)
+        store = self.memo.program_facts
+        facts = store.lookup(key)
+        if facts is not None:
+            self.profile.counters.increment("program_facts_hits")
+            return facts
+        self.profile.counters.increment("program_facts_derived")
+        return store.offer(key, derive_program_facts(request.program, *key))
 
     def _stamp_fingerprints(self, plan: PlacementPlan, tree: ReducedTree) -> None:
         """Record the allocation state the speculative search was based on."""
@@ -629,7 +675,7 @@ class DPPlacer:
             adaptive=request.adaptive_weights,
         )
 
-    def _solve(self, block_dag: BlockDAG, ordered_blocks: List[Block],
+    def _solve(self, block_dag: BlockDAG, ordered_blocks: Sequence[Block],
                tree: ReducedTree, objective: PlacementObjective,
                request: PlacementRequest,
                ctx: Optional[_SearchContext] = None) -> Optional[_Candidate]:
@@ -735,7 +781,7 @@ class DPPlacer:
         return best
 
     def _client_dp(self, node: ReducedNode, block_dag: BlockDAG,
-                   ordered_blocks: List[Block], objective: PlacementObjective,
+                   ordered_blocks: Sequence[Block], objective: PlacementObjective,
                    request: PlacementRequest,
                    ctx: Optional[_SearchContext] = None) -> Dict[int, _Candidate]:
         """Bottom-up DP on the client sub-tree (memoised when ``ctx`` is set).
@@ -805,7 +851,7 @@ class DPPlacer:
         return table
 
     def _client_dp_table(self, node: ReducedNode, block_dag: BlockDAG,
-                         ordered_blocks: List[Block],
+                         ordered_blocks: Sequence[Block],
                          objective: PlacementObjective,
                          request: PlacementRequest,
                          ctx: Optional[_SearchContext]) -> Dict[int, _Candidate]:
@@ -862,7 +908,7 @@ class DPPlacer:
         return table
 
     def _server_dp(self, node: ReducedNode, block_dag: BlockDAG,
-                   ordered_blocks: List[Block], objective: PlacementObjective,
+                   ordered_blocks: Sequence[Block], objective: PlacementObjective,
                    request: PlacementRequest,
                    ctx: Optional[_SearchContext] = None) -> Dict[int, _Candidate]:
         """Top-down DP on the server sub-tree (memoised when ``ctx`` is set).
@@ -879,7 +925,7 @@ class DPPlacer:
         )
 
     def _server_dp_table(self, node: ReducedNode, block_dag: BlockDAG,
-                         ordered_blocks: List[Block],
+                         ordered_blocks: Sequence[Block],
                          objective: PlacementObjective,
                          request: PlacementRequest,
                          ctx: Optional[_SearchContext]) -> Dict[int, _Candidate]:
@@ -935,7 +981,7 @@ class DPPlacer:
     # interval evaluation (calls Algorithm 2 per representative device)
     # ------------------------------------------------------------------ #
     def _evaluate_interval(self, node: ReducedNode, interval: Tuple[int, int],
-                           block_dag: BlockDAG, ordered_blocks: List[Block],
+                           block_dag: BlockDAG, ordered_blocks: Sequence[Block],
                            objective: PlacementObjective,
                            request: PlacementRequest,
                            ctx: Optional[_SearchContext] = None
@@ -980,7 +1026,7 @@ class DPPlacer:
         )
 
     @staticmethod
-    def _interval_cut_bits(block_dag: BlockDAG, ordered_blocks: List[Block],
+    def _interval_cut_bits(block_dag: BlockDAG, ordered_blocks: Sequence[Block],
                            start: int, end: int) -> int:
         inside = {block.block_id for block in ordered_blocks[start:end]}
         bits = 0
@@ -994,7 +1040,7 @@ class DPPlacer:
     # ------------------------------------------------------------------ #
     # plan materialisation
     # ------------------------------------------------------------------ #
-    def _materialise_plan(self, block_dag: BlockDAG, ordered_blocks: List[Block],
+    def _materialise_plan(self, block_dag: BlockDAG, ordered_blocks: Sequence[Block],
                           tree: ReducedTree, candidate: _Candidate,
                           request: PlacementRequest, elapsed: float,
                           packer: _IntervalPacker) -> PlacementPlan:

@@ -14,12 +14,13 @@ stages (or the core pool of an RTC device) of one device such that
 Algorithm 1 runs it for every candidate interval on every device, so the
 module is built around **one packing loop fed from a packing table**:
 
-* :class:`PackingTable` holds what is a fact of the *program* — per
-  instruction one row ``(uid, non-zero (resource key, amount) pairs, read
-  names, dst, predicate flag, state, capability class)`` and per state its
-  memory demand — derived once from
+* :class:`PackingTable` holds what is a fact of the program's *content* —
+  per instruction one row ``(uid, non-zero (resource key, amount) pairs,
+  read names, dst, predicate flag, state, capability class)`` and per state
+  its memory demand — derived once from
   :meth:`~repro.devices.base.Device.instruction_demand` /
-  :meth:`~repro.devices.base.Device.state_demand`, never per interval.
+  :meth:`~repro.devices.base.Device.state_bits`, never per interval.  It
+  keeps no reference to the program and nothing in it names the tenant.
 * :class:`PackingRows` is what is a fact of one *instruction selection* (a
   block interval, or an ad-hoc list): its rows in the caller's order and in
   uid order, and the set of capability classes (one subset test against
@@ -29,12 +30,16 @@ module is built around **one packing loop fed from a packing table**:
   memoised per ``alloc_version``.
 
 :meth:`PackingTable.pack` is the only first-fit loop in ``src/``; its inner
-loop touches tuples and plain dicts only.  The DP search owns one table per
-``place()`` call; :class:`IntraDeviceAllocator` is the front for callers
-that hold a bare instruction list (the baselines, the reference search) and
-builds a throw-away table for it.  A table is never cached across searches:
-programs and plans outlive a search in the artifact cache and the placement
-memo, a table must not.  The previous allocator lives on as the oracle of
+loop touches tuples and plain dicts only.  A table is immutable once built:
+the DP search takes the table of the request's content from its
+:class:`~repro.placement.facts.ProgramFacts` — shared, possibly by searches
+running concurrently on other shards' placers — so what belongs to one
+search (the rows of each interval, every packing outcome, the
+``packing_runs`` / ``packed_instructions`` tally) lives on the search's own
+``_IntervalPacker``, which :meth:`PackingTable.pack` counts into.
+:class:`IntraDeviceAllocator` is the front for callers that hold a bare
+instruction list (the baselines, the reference search) and builds a
+throw-away table for it.  The previous allocator lives on as the oracle of
 the differential test (``tests/oracles/intra_reference.py``).
 """
 
@@ -78,29 +83,34 @@ class PackingRows(NamedTuple):
 
 
 class PackingTable:
-    """Per-program facts Algorithm 2 packs from, built once per search.
+    """Per-content facts Algorithm 2 packs from; read-only once built.
 
     *instructions* are the instructions rows are built for: the whole
     program for a placement search, the caller's list for an ad-hoc
-    :meth:`IntraDeviceAllocator.allocate`.  ``packing_runs`` and
-    ``packed_instructions`` count the :meth:`pack` calls and the rows they
-    visited (feasible or not).
+    :meth:`IntraDeviceAllocator.allocate`.  *program* is read for the
+    declarations of the states they touch and not kept.
     """
 
     def __init__(self, program: IRProgram,
                  instructions: Iterable[Instruction]) -> None:
-        self.program = program
         self.rows: List[Row] = []
         #: resource keys in the order ``instruction_demand`` lists them (the
         #: key order of an RTC assignment's demands)
         self.demand_keys: Tuple[str, ...] = ()
+        #: per state its ``Device.state_bits`` and, from them, its memory
+        #: demand as ``(key, amount)`` pairs
+        self._state_bits: Dict[str, Tuple[int, int]] = {}
         self._state_memory: Dict[str, Tuple[Tuple[str, float], ...]] = {}
-        self.packing_runs = 0
-        self.packed_instructions = 0
         for instr in instructions:
             demand = Device.instruction_demand(instr)
             if not self.demand_keys:
                 self.demand_keys = tuple(demand)
+            if instr.state is not None and instr.state not in self._state_bits:
+                bits = Device.state_bits(program.get_state(instr.state))
+                self._state_bits[instr.state] = bits
+                self._state_memory[instr.state] = tuple(
+                    Device.memory_demand([bits]).items()
+                )
             self.rows.append((
                 instr.uid,
                 tuple((key, amount) for key, amount in demand.items()
@@ -125,31 +135,32 @@ class PackingTable:
             classes=frozenset(row[6] for row in ordered),
         )
 
-    def state_memory(self, state: str) -> Tuple[Tuple[str, float], ...]:
-        """Memory demand of one persistent state, as ``(key, amount)`` pairs."""
-        memory = self._state_memory.get(state)
-        if memory is None:
-            memory = self._state_memory[state] = tuple(
-                Device.state_demand(self.program, [state]).items()
-            )
-        return memory
-
     # ------------------------------------------------------------------ #
-    def pack(self, device: Device, rows: PackingRows,
-             start_stage: int = 0) -> Optional[StageAssignment]:
+    def pack(self, device: Device, rows: PackingRows, start_stage: int = 0,
+             tally=None) -> Optional[StageAssignment]:
         """Pack *rows* onto *device*; ``None`` when they cannot be placed.
 
-        Read-only on the device: the demands in the returned assignment let
-        the caller commit later.
+        Read-only on the device (the demands in the returned assignment let
+        the caller commit later) and on the table.  *tally* — any object
+        with integer ``packing_runs`` / ``packed_instructions`` attributes,
+        owned by the caller's search — gets one run and the rows this run
+        visited, feasible or not, added to it.
         """
-        self.packing_runs += 1
+        assignment, visited = self._first_fit(device, rows, start_stage)
+        if tally is not None:
+            tally.packing_runs += 1
+            tally.packed_instructions += visited
+        return assignment
+
+    def _first_fit(self, device: Device, rows: PackingRows, start_stage: int
+                   ) -> Tuple[Optional[StageAssignment], int]:
+        """The assignment (or ``None``) and how many rows were visited."""
         if not rows.ordered:
-            return StageAssignment(device.name, {}, {}, 0, 0)
+            return StageAssignment(device.name, {}, {}, 0, 0), 0
         if not rows.classes <= device.supported_classes:
-            return None
+            return None, 0
         if device.architecture is Architecture.RTC:
-            self.packed_instructions += len(rows.ordered)
-            return self._spread_rtc(device, rows)
+            return self._spread_rtc(device, rows), len(rows.ordered)
 
         available = device.stage_availability()
         num_stages = len(available)
@@ -188,15 +199,13 @@ class PackingTable:
                         state_anchor[state] = stage
                     break
             else:
-                self.packed_instructions += visited
-                return None
-        self.packed_instructions += visited
+                return None, visited
 
         # Persistent state memory: a table/register larger than one stage's
         # memory is spread over subsequent stages (RMT table spreading,
         # paper Eq. 13), anchored at the first stage that references it.
         for state, anchor in state_anchor.items():
-            for key, amount in self.state_memory(state):
+            for key, amount in self._state_memory[state]:
                 remaining = amount
                 for stage in range(anchor, num_stages):
                     if remaining <= 1e-12:
@@ -208,7 +217,7 @@ class PackingTable:
                         taken[key] = taken.get(key, 0.0) + take
                         remaining -= take
                 if remaining > 1e-9:
-                    return None
+                    return None, visited
 
         # stages ascending; inside a stage the capacity-key order
         stage_demands = {
@@ -222,7 +231,7 @@ class PackingTable:
             stage_demands=stage_demands,
             stages_used=max(placed) - min(placed) + 1,
             instruction_count=len(rows.ordered),
-        )
+        ), visited
 
     def _spread_rtc(self, device: Device,
                     rows: PackingRows) -> Optional[StageAssignment]:
@@ -234,7 +243,8 @@ class PackingTable:
                 total[key] += amount
             if state is not None:
                 states.add(state)
-        for key, amount in Device.state_demand(self.program, states).items():
+        memory = Device.memory_demand(self._state_bits[s] for s in states)
+        for key, amount in memory.items():
             total[key] = total.get(key, 0.0) + amount
 
         # greedily spread over islands (pseudo-stages), filling each in turn

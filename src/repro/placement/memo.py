@@ -34,6 +34,14 @@ sub-tree table twice, and on-disk persistence with fingerprint validation
 for warm restarts.  Because every key is content-addressed, sharing needs no
 coherence protocol: a missed or dropped delta costs a re-derivation, never a
 wrong answer.
+
+Next to the sub-solutions every memo owns a :class:`ProgramFactsStore`: what
+the search knows about a program's *content* before it sees a topology
+(:class:`~repro.placement.facts.ProgramFacts`), kept for content that has
+been seen before.  It is process-local by design — facts are not logged as
+deltas, not saved or restored, and never pickled to a worker (a worker's own
+memo has its own store) — and its lookups are counted by the placer that
+makes them, under their own names, never as memo ``hits`` / ``misses``.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 __all__ = [
     "PlacementMemo",
+    "ProgramFactsStore",
     "SharedPlacementMemo",
     "MISS",
     "INFEASIBLE",
@@ -115,11 +124,87 @@ def topology_structure_signature(topology) -> str:
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
+#: Most :class:`~repro.placement.facts.ProgramFacts` one store retains.  An
+#: entry is ≈ 40 KB (block graph 5–14 KB, packing table 20–31 KB, matrices),
+#: so the worst case is ≈ 2.6 MB per process; the paper's evaluation uses
+#: about a dozen templates.
+PROGRAM_FACTS_MAX_ENTRIES = 64
+
+#: Most seen-once keys one store remembers (a 64-character digest and two
+#: small values each, ≈ 0.2 KB: worst case ≈ 0.8 MB).  A content whose second
+#: sight comes later than this many other first sights is seen "first" again.
+PROGRAM_FACTS_MAX_SEEN_ONCE = 4096
+
+
+class ProgramFactsStore:
+    """Per-content facts, admitted on second sight, evicted by LRU.
+
+    A key's first :meth:`offer` keeps the key and drops the value; the
+    second admits it.  A stream of never-repeating contents therefore
+    retains nothing but digests and cannot evict an admitted entry, at the
+    price of one extra derivation per repeating content, once.  Keys and
+    values are opaque here; every operation takes the store's lock (shard
+    placers share one store from their own threads).
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._facts: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._seen_once: "OrderedDict[Hashable, None]" = OrderedDict()
+
+    def lookup(self, key: Hashable) -> Optional[object]:
+        """The admitted value of *key* (refreshing its recency), or None."""
+        with self._lock:
+            facts = self._facts.get(key)
+            if facts is not None:
+                self._facts.move_to_end(key)
+            return facts
+
+    def offer(self, key: Hashable, facts: object) -> object:
+        """Report a derivation of *key*; returns the value to work from.
+
+        That is *facts*, unless a concurrent search was admitted first —
+        then its value is returned, so equal contents share one object.
+        """
+        with self._lock:
+            admitted = self._facts.get(key)
+            if admitted is not None:
+                return admitted
+            if key in self._seen_once:
+                del self._seen_once[key]
+                self._facts[key] = facts
+                if len(self._facts) > PROGRAM_FACTS_MAX_ENTRIES:
+                    self._facts.popitem(last=False)
+            else:
+                self._seen_once[key] = None
+                if len(self._seen_once) > PROGRAM_FACTS_MAX_SEEN_ONCE:
+                    self._seen_once.popitem(last=False)
+            return facts
+
+    def clear(self) -> None:
+        with self._lock:
+            self._facts.clear()
+            self._seen_once.clear()
+
+    def __len__(self) -> int:
+        """Retained facts (seen-once keys are not entries)."""
+        with self._lock:
+            return len(self._facts)
+
+    def summary(self) -> Dict[str, int]:
+        with self._lock:
+            return {"entries": len(self._facts),
+                    "seen_once": len(self._seen_once)}
+
+
 class PlacementMemo:
     """Three LRU stores under one total bound of ``max_entries``."""
 
     def __init__(self, max_entries: int = 100000) -> None:
         self.max_entries = max(16, int(max_entries))
+        #: per-content search inputs; not a sub-solution store — outside
+        #: ``len()`` / ``sizes()`` / ``max_entries``, deltas and persistence
+        self.program_facts = ProgramFactsStore()
         #: store name -> OrderedDict key -> (value, consulted device names);
         #: the names are what ``restore`` validates and the delta wire
         #: format carries, not an eviction index
@@ -182,9 +267,11 @@ class PlacementMemo:
     # introspection
     # ------------------------------------------------------------------ #
     def clear(self) -> int:
+        """Drop everything; returns the number of sub-solutions dropped."""
         total = len(self)
         for entries in self._stores.values():
             entries.clear()
+        self.program_facts.clear()
         return total
 
     def __len__(self) -> int:
@@ -194,7 +281,8 @@ class PlacementMemo:
         return {store: len(entries) for store, entries in self._stores.items()}
 
     def summary(self) -> Dict[str, object]:
-        return {"entries": len(self), "sizes": self.sizes()}
+        return {"entries": len(self), "sizes": self.sizes(),
+                "program_facts": self.program_facts.summary()}
 
 
 class SharedPlacementMemo(PlacementMemo):

@@ -152,6 +152,14 @@ class PlacementPlan:
         device plus the state declarations those instructions reference; the
         snippet name encodes the owning user program so synthesis can merge
         and later strip it.
+
+        Every call copies every placed instruction and nothing is memoised
+        here (plans live on in the ``plan`` cache namespace and in
+        ``DeployedProgram``; snippets are about twice the program), so a
+        commit calls it once and hands the dict to synthesis, the emulator
+        install and codegen.  All three only read a snippet —
+        ``isolate_program`` copies what it rewrites, the runtimes and the
+        backends never write — which is what makes the sharing safe.
         """
         program = self.block_dag.program
         snippets: Dict[str, IRProgram] = {}

@@ -4,7 +4,7 @@
 (node, interval) pair the seed implementation rebuilt the interval's
 instruction list, re-walked every block-DAG edge to compute the cut bits
 (O(E) per interval) and evaluated Eq. 1 one scalar at a time.  The scorer
-precomputes, once per ``place()``:
+precomputes, once per program content (:class:`IntervalMatrices`):
 
 * a prefix-sum of per-block instruction counts, so any interval's
   instruction count is two lookups;
@@ -23,7 +23,7 @@ do not depend on batching), which the differential tests rely on.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence
 
 from repro.placement.blocks import Block, BlockDAG
 from repro.placement.objective import ObjectiveWeights, PlacementObjective
@@ -33,25 +33,26 @@ try:  # numpy is an optional accelerator; the fallback is pure python
 except ImportError:  # pragma: no cover - the CI image ships numpy
     _np = None
 
-__all__ = ["IntervalScorer"]
+__all__ = ["IntervalMatrices", "IntervalScorer"]
 
 
-class IntervalScorer:
-    """Precomputed interval statistics + array-at-a-time Eq. 1 rows."""
+class IntervalMatrices:
+    """Prefix sums and the cut-bit matrix of one ordered block sequence.
 
-    def __init__(self, block_dag: BlockDAG, ordered_blocks: List[Block],
-                 objective: PlacementObjective,
+    A fact of the program's content alone (block sizes and block-graph edge
+    bits), so the placer keeps one per content in its
+    :class:`~repro.placement.facts.ProgramFacts`; read-only once built.
+    """
+
+    def __init__(self, graph, ordered_blocks: Sequence[Block],
                  use_numpy: Optional[bool] = None) -> None:
-        self.objective = objective
         self.num_blocks = len(ordered_blocks)
         self.use_numpy = (_np is not None) if use_numpy is None else (
             bool(use_numpy) and _np is not None
         )
-        program = block_dag.program
-        sizes = [len(block.instructions(program)) for block in ordered_blocks]
         prefix = [0] * (self.num_blocks + 1)
-        for index, size in enumerate(sizes):
-            prefix[index + 1] = prefix[index] + size
+        for index, block in enumerate(ordered_blocks):
+            prefix[index + 1] = prefix[index] + block.size
         position = {
             block.block_id: index for index, block in enumerate(ordered_blocks)
         }
@@ -66,7 +67,7 @@ class IntervalScorer:
         else:
             cut = [[0] * (n + 1) for _ in range(n + 1)]
             prefix_arr = None
-        for src, dst, data in block_dag.graph.edges(data=True):
+        for src, dst, data in graph.edges(data=True):
             bits = data.get("bits", 0)
             if not bits:
                 continue
@@ -85,9 +86,35 @@ class IntervalScorer:
                     row = cut[s]
                     for e in range(pv + 1, n + 1):
                         row[e] += bits
-        self._cut = cut
-        self._prefix = prefix
-        self._prefix_arr = prefix_arr
+        if self.use_numpy:
+            cut.setflags(write=False)
+            prefix_arr.setflags(write=False)
+        self.cut = cut
+        self.prefix = prefix
+        self.prefix_arr = prefix_arr
+
+
+class IntervalScorer:
+    """Precomputed interval statistics + array-at-a-time Eq. 1 rows.
+
+    *matrices* are the :class:`IntervalMatrices` of exactly
+    *ordered_blocks*, when the caller already holds them; they are derived
+    here otherwise.
+    """
+
+    def __init__(self, block_dag: BlockDAG, ordered_blocks: Sequence[Block],
+                 objective: PlacementObjective,
+                 use_numpy: Optional[bool] = None, *,
+                 matrices: Optional[IntervalMatrices] = None) -> None:
+        if matrices is None:
+            matrices = IntervalMatrices(block_dag.graph, ordered_blocks,
+                                        use_numpy)
+        self.objective = objective
+        self.num_blocks = matrices.num_blocks
+        self.use_numpy = matrices.use_numpy
+        self._cut = matrices.cut
+        self._prefix = matrices.prefix
+        self._prefix_arr = matrices.prefix_arr
 
     # ------------------------------------------------------------------ #
     # scalar lookups

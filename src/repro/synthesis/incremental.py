@@ -12,9 +12,10 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from repro.exceptions import DeploymentError, SynthesisError
+from repro.ir.program import IRProgram
 from repro.placement.plan import PlacementPlan
 from repro.synthesis.base_program import default_base_program
 from repro.synthesis.isolation import isolate_program
@@ -82,19 +83,23 @@ class IncrementalSynthesizer:
         return self.user_ids[owner]
 
     # ------------------------------------------------------------------ #
-    def add_program(self, plan: PlacementPlan) -> SynthesisDelta:
+    def add_program(self, plan: PlacementPlan, *,
+                    snippets: Optional[Dict[str, IRProgram]] = None
+                    ) -> SynthesisDelta:
         """Synthesise *plan*'s snippets onto their devices.
 
         In incremental mode only the devices in the plan are touched; in
         monolithic mode every executable that shares a device or pod with the
         new program is rebuilt from scratch (the paper's MD baseline).
+        *snippets* is ``plan.device_snippets()`` when the caller already
+        holds it (they are only read: isolation copies); derived otherwise.
         """
         owner = plan.program_name
         if owner in self.plans:
             raise SynthesisError(f"program {owner!r} is already deployed")
         user_id = self._user_id(owner)
-        snippets = plan.device_snippets()
-        steps = plan.step_table()
+        if snippets is None:
+            snippets = plan.device_snippets()
 
         delta = SynthesisDelta(operation="add", program=owner)
         affected_programs: Set[str] = set()

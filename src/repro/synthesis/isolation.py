@@ -48,42 +48,46 @@ def isolate_program(snippet: IRProgram, owner: str, user_id: int,
     not already have a guard (guarded instructions keep their own guard —
     their guard variable is itself gated transitively through renaming, and
     the gate is AND-ed in by the merge step for top-level instructions).
+    *snippet* is only read: every instruction is copied once, renamed and
+    re-owned in the same pass.
     """
-    isolated = snippet.renamed(owner)
-    if not add_gate:
-        result = IRProgram(snippet.name)
-        for state in isolated.states.values():
-            result.declare_state(state)
-        for fld in isolated.header_fields.values():
-            result.declare_header_field(fld)
-        for instr in isolated:
-            result.append(instr.with_owner(owner))
-        return result
-
+    mapping = snippet.prefix_mapping(owner)
     result = IRProgram(snippet.name)
-    for state in isolated.states.values():
-        result.declare_state(state)
-    for fld in isolated.header_fields.values():
+    for state in snippet.states.values():
+        result.declare_state(state.renamed(mapping[state.name]))
+    for fld in snippet.header_fields.values():
         result.declare_header_field(fld)
-    gate_instr, gate_var = user_gate_instruction(user_id, owner)
-    result.append(gate_instr)
-    for instr in isolated:
-        clone = instr.with_owner(owner)
-        if clone.guard is None:
-            clone.guard = gate_var
-        else:
-            # combine the existing guard with the user gate:  g' = g & gate
-            combined = f"{clone.guard}__gated"
-            if combined not in {i.dst for i in result}:
-                and_instr = Instruction(
-                    opcode=Opcode.AND,
-                    dst=combined,
-                    operands=(clone.guard, gate_var),
-                    width=1,
-                    owner=owner,
-                )
-                and_instr.annotations.add(owner)
-                result.append(and_instr)
-            clone.guard = combined
+    gate_var = None
+    if add_gate:
+        gate_instr, gate_var = user_gate_instruction(user_id, owner)
+        result.append(gate_instr)
+    # every destination emitted so far: one AND per distinct guard
+    emitted = {gate_var}
+    for instr in snippet:
+        clone = instr.rename_vars(mapping)
+        # a snippet instruction keeps its previous owner as an annotation
+        clone.annotations.add(
+            clone.owner if clone.owner is not None else snippet.name)
+        clone.owner = owner
+        clone.annotations.add(owner)
+        if gate_var is not None:
+            if clone.guard is None:
+                clone.guard = gate_var
+            else:
+                # combine the existing guard with the user gate:  g' = g & gate
+                combined = f"{clone.guard}__gated"
+                if combined not in emitted:
+                    and_instr = Instruction(
+                        opcode=Opcode.AND,
+                        dst=combined,
+                        operands=(clone.guard, gate_var),
+                        width=1,
+                        owner=owner,
+                    )
+                    and_instr.annotations.add(owner)
+                    result.append(and_instr)
+                    emitted.add(combined)
+                clone.guard = combined
         result.append(clone)
+        emitted.add(clone.dst)
     return result

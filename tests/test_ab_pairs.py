@@ -63,3 +63,48 @@ def test_wide_parent_spread_is_unresolved_unless_change_beats_every_run():
     )["verdict"] == "unresolved"
     assert ab_pairs.compare(
         DEPLOYS, noisy, [71.0, 80.0, 75.0, 90.0, 72.0])["verdict"] == "ok"
+
+
+def layer_line(**metrics):
+    return "details\n" + json.dumps({
+        "correct": True, "attempted": 10, "failed": 0,
+        "metrics": {name.replace("__", "."): {"value": value, "unit": unit}
+                    for name, (value, unit) in metrics.items()}}) + "\n"
+
+
+def test_layers_side_by_side_flags_seed_determined_rows_that_differ():
+    parent = ab_pairs.parse_layers(layer_line(
+        placement__place_ms=(3.05, "ms"), placement__places=(229, "count"),
+        placement__memo_hit_ratio=(1.0, "ratio"),
+        backend__codegen_calls=(949, "count"),
+        harness__trace_overhead_ratio=(1.2, "x"),
+        runtime__update_ms=(0, "ms")))
+    change = ab_pairs.parse_layers(layer_line(
+        placement__place_ms=(1.22, "ms"), placement__places=(229, "count"),
+        placement__memo_hit_ratio=(0.5, "ratio"),
+        backend__codegen_calls=(950, "count"),
+        harness__trace_overhead_ratio=(1.5, "x"),
+        runtime__update_ms=(0, "ms"), placement__new=(3, "count")))
+    assert parent[0] and change[0]
+    assert parent[1]["placement.places"] == (229, "count")
+
+    rows = {row["name"]: row
+            for row in ab_pairs.compare_layers(parent[1], change[1])}
+    assert list(rows) == [*parent[1], "placement.new"]
+    assert rows["placement.place_ms"]["delta"] == (1.22 - 3.05) / 3.05
+    # a timing may move, and so may a timing ratio (unit "x"): not flagged
+    assert not rows["placement.place_ms"]["differs"]
+    assert not rows["harness.trace_overhead_ratio"]["differs"]
+    assert not rows["placement.places"]["differs"]
+    assert rows["placement.memo_hit_ratio"]["differs"]
+    assert rows["backend.codegen_calls"]["differs"]
+    assert rows["runtime.update_ms"]["delta"] is None      # parent reads 0
+    assert rows["placement.new"]["parent"] is None
+    assert rows["placement.new"]["differs"]
+
+    text = ab_pairs.layers_markdown("deploy_warm", 1, list(rows.values()))
+    assert "| `deploy_warm`, traced lap, seed 1 |" in text
+    assert "| `placement.place_ms` | ms | 3.05 | 1.22 | -60.0% |  |" in text
+    assert "| `backend.codegen_calls` | count | 949 | 950 | +0.1% | DIFFERS |" \
+        in text
+    assert "| `placement.new` | count | — | 3 | — | DIFFERS |" in text

@@ -66,6 +66,33 @@ class TestArtifactCache:
         assert cache.invalidate() == 1
         assert len(cache) == 0
 
+    def test_a_namespace_scan_never_visits_the_other_namespaces(self):
+        cache = ArtifactCache(max_entries=2048)
+        for index in range(1000):
+            cache.store(cache.make_key("codegen", index), f"source {index}")
+        seen = []
+
+        def stale(value):
+            seen.append(value)
+            return value == "stale"
+
+        assert cache.invalidate_matching("plan", stale) == 0
+        assert seen == []           # nothing to visit: no plan was stored
+        cache.store(cache.make_key("plan", "a"), "stale")
+        cache.store(cache.make_key("plan", "b"), "live")
+        cache.store(cache.make_key("plan", "b"), "live")      # re-stored
+        assert cache.invalidate_matching("plan", stale) == 1
+        assert sorted(seen) == ["live", "stale"]
+        assert cache.namespace_len("plan") == 1
+        assert cache.namespace_len("codegen") == 1000
+        # the index follows LRU eviction and invalidation too
+        small = ArtifactCache(max_entries=2)
+        for index in range(3):
+            small.store(small.make_key("plan", index), index)
+        assert small.namespace_len("plan") == 2
+        assert small.invalidate_matching("plan", lambda value: True) == 2
+        assert small.namespace_len("plan") == 0 and len(small) == 0
+
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             ArtifactCache(max_entries=0)

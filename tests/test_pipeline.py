@@ -8,8 +8,10 @@ from repro.apps import KVSApplication
 from repro.core import ArtifactCache, ClickINC, DeployRequest
 from repro.core.cache import topology_resource_fingerprint
 from repro.core.pipeline import STAGE_ORDER
+from repro.emulator.interpreter import DeviceRuntime
 from repro.exceptions import BackendError, DeploymentError, EmulationError
 from repro.lang.profile import default_profile
+from repro.placement.plan import PlacementPlan
 from repro.topology import build_paper_emulation_topology
 
 
@@ -232,6 +234,45 @@ class TestRollback:
                                              ["pod0(a)"], "pod2(b)",
                                              name="kvs_fail")
         assert deployed.name == "kvs_fail"
+
+    def test_snippets_once_per_commit_and_partial_install_rolls_back(
+            self, controller, monkeypatch):
+        """One ``device_snippets()`` per deploy feeds synthesis, install and
+        codegen; an install that dies on its second device — the first one
+        already holding a snippet of the shared dict — leaves no residue."""
+        calls = []
+        real_snippets = PlacementPlan.device_snippets
+
+        def counted(plan):
+            calls.append(plan.program_name)
+            return real_snippets(plan)
+
+        monkeypatch.setattr(PlacementPlan, "device_snippets", counted)
+        fingerprint = topology_resource_fingerprint(controller.topology)
+        installs = []
+        real_install = DeviceRuntime.install_snippet
+
+        def second_install_fails(runtime, owner, snippet, steps=None):
+            installs.append(runtime.device.name)
+            if len(installs) == 2:
+                raise EmulationError("injected on the second device")
+            return real_install(runtime, owner, snippet, steps)
+
+        monkeypatch.setattr(DeviceRuntime, "install_snippet",
+                            second_install_fails)
+        with pytest.raises(EmulationError):
+            controller.deploy_profile(default_profile("KVS"), ["pod0(a)"],
+                                      "pod2(b)", name="kvs_half")
+        assert len(installs) == 2 and calls == ["kvs_half"]
+        self._assert_clean(controller, fingerprint)
+
+        monkeypatch.setattr(DeviceRuntime, "install_snippet", real_install)
+        deployed = controller.deploy_profile(default_profile("KVS"),
+                                             ["pod0(a)"], "pod2(b)",
+                                             name="kvs_whole")
+        assert calls == ["kvs_half", "kvs_whole"]
+        assert len(deployed.devices()) >= 2
+        assert sorted(deployed.device_sources) == sorted(deployed.devices())
 
     def test_codegen_failure_rolls_back_everything(self, controller,
                                                    monkeypatch):

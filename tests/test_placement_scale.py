@@ -11,12 +11,17 @@ the memo, not a tuning knob.
 
 from __future__ import annotations
 
+import gc
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import TopologyError
+from repro.exceptions import PlacementError, TopologyError
 from repro.frontend import compile_template
+from repro.ir.program import IRProgram
 from repro.lang.profile import default_profile
 from repro.placement import (
     DPPlacer,
@@ -25,6 +30,7 @@ from repro.placement import (
     PlacementRequest,
     build_block_dag,
 )
+from repro.placement.blocks import Block
 from repro.placement.dp import _Candidate, _product_limited
 from repro.placement.objective import ObjectiveWeights, PlacementObjective
 from repro.topology.equivalence import (
@@ -223,6 +229,79 @@ class TestPlanIdentity:
             placer.commit(plan)
             live[which] = plan
 
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_second_tenant_on_warm_program_facts(self, seed):
+        """Facts derived for tenant A serve tenant B's search of the same
+        content: B's plan is the reference search's on a twin topology, and
+        nothing of A — program, owner, annotation — crosses into it."""
+        from repro.topology import build_paper_emulation_topology
+
+        rng = random.Random(seed)
+        app, knobs = rng.choice((
+            ("KVS", {"depth": rng.randrange(16, 20000)}),
+            ("MLAgg", {"depth": rng.randrange(16, 20000),
+                       "dim": rng.choice((4, 8, 16, 24))}),
+            ("DQAcc", {"c_depth": rng.randrange(16, 20000),
+                       "c_len": rng.randrange(2, 12)}),
+        ))
+        profile = default_profile(app)
+        profile.performance.update(knobs)
+        program_a = compile_template(profile, name="tenant_a")
+        program_b = program_a.rebrand("tenant_b")
+        pod, side = rng.randrange(3), rng.choice("ab")
+        destination = f"pod{pod}({side})"
+        if rng.random() < 0.4:      # intra-pod, else from one or two others
+            sources = [f"pod{pod}({'ab'.replace(side, '')})"]
+        else:
+            sources = rng.sample(
+                [f"pod{p}({s})" for p in range(3) if p != pod for s in "ab"],
+                k=rng.randrange(1, 3))
+        block_size = rng.choice((4, 8, 16))
+
+        def request(program):
+            return make_request(program, sorted(sources), destination,
+                                max_block_size=block_size)
+
+        topo, twin = (build_paper_emulation_topology() for _ in range(2))
+        for fabric in (topo, twin):
+            apply_drift(fabric, random.Random(seed), fraction=0.5)
+        placer = DPPlacer(topo)
+        reference = DPPlacer(twin, optimize=False)
+
+        # A twice: the second sight admits the facts; then A moves in
+        try:
+            placer.place(request(program_a))
+        except PlacementError:
+            with pytest.raises(PlacementError):
+                reference.place(request(program_a))
+            return
+        plan_a = placer.place(request(program_a))
+        counters = placer.profile.counters
+        assert (counters.program_facts_derived,
+                counters.program_facts_hits) == (2, 0)
+        placer.commit(plan_a)
+        reference.commit(reference.place(request(program_a)))
+
+        try:
+            plan_b = placer.place(request(program_b))
+        except PlacementError:      # A took the room
+            with pytest.raises(PlacementError):
+                reference.place(request(program_b))
+            plan_b = None
+        assert (counters.program_facts_derived,
+                counters.program_facts_hits) == (2, 1)
+        if plan_b is None:
+            return
+        assert plan_key(plan_b) == plan_key(
+            reference.place(request(program_b)))
+        assert plan_b.block_dag.program is program_b
+        for snippet in plan_b.device_snippets().values():
+            assert snippet.name.startswith("tenant_b@")
+            for instr in snippet:
+                assert instr.owner == "tenant_b"
+                assert instr.annotations == {"tenant_b"}
+
 
 # --------------------------------------------------------------------- #
 # layer 1: cross-epoch memo
@@ -322,6 +401,50 @@ class TestPlacementMemo:
             marks.append((len(inc.memo), inc.memo.summary()["log_entries"]))
         assert marks[11][0] > 0
         assert marks[39] == marks[11]
+
+    def test_program_facts_plateau_over_warm_cycles(self):
+        """Six bodies admit six facts by cycle 12; fifty more warm cycles
+        add no facts and leave no block, program or graph behind."""
+        from repro.core import ClickINC
+        from repro.topology import build_paper_emulation_topology
+
+        bodies = [(app, knob, value)
+                  for app, knob in (("KVS", "depth"), ("MLAgg", "depth"),
+                                    ("DQAcc", "c_depth"))
+                  for value in (3000, 4000)]
+        inc = ClickINC(build_paper_emulation_topology())
+
+        def cycle(index):
+            app, knob, value = bodies[index % 6]
+            profile = default_profile(app)
+            profile.performance[knob] = value
+            # without its cached plan every deploy reaches the placer,
+            # hence the facts store
+            inc.cache.invalidate("plan")
+            inc.deploy_profile(profile, ["pod0(a)"], "pod2(b)",
+                               name=f"cycle{index}")
+            inc.remove(f"cycle{index}")
+
+        def census():
+            gc.collect()
+            counts = {Block: 0, IRProgram: 0, nx.DiGraph: 0}
+            for obj in gc.get_objects():
+                if type(obj) in counts:
+                    counts[type(obj)] += 1
+            return counts, inc.memo.summary()["program_facts"]
+
+        counters = inc.placer.profile.counters
+        for index in range(12):     # every body twice
+            cycle(index)
+        baseline = census()
+        assert baseline[1] == {"entries": 6, "seen_once": 0}
+        assert (counters.program_facts_derived,
+                counters.program_facts_hits) == (12, 0)
+        for index in range(12, 62):
+            cycle(index)
+        assert census() == baseline
+        assert (counters.program_facts_derived,
+                counters.program_facts_hits) == (12, 50)
 
 
 def memo_entries_for(memo, names):

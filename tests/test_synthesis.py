@@ -5,6 +5,7 @@ import pytest
 from repro.exceptions import SynthesisError
 from repro.frontend import compile_template
 from repro.ir.instructions import Opcode
+from repro.ir.program import IRProgram
 from repro.lang.profile import default_profile
 from repro.placement import DPPlacer, PlacementRequest
 from repro.synthesis import (
@@ -67,6 +68,27 @@ class TestIsolation:
         isolated = isolate_program(dqacc_program, owner="dq_0", user_id=5,
                                    add_gate=False)
         assert len(isolated) == len(dqacc_program)
+
+    def test_instructions_sharing_a_guard_share_one_gated_predicate(self):
+        snippet = IRProgram("tenant@dev")
+        snippet.emit(Opcode.CMP_EQ, "hit", "hdr.key", 7, width=1)
+        snippet.emit(Opcode.ADD, "x", "hdr.key", 1, guard="hit")
+        snippet.emit(Opcode.ADD, "y", "hdr.key", 2, guard="hit")
+        snippet.emit(Opcode.ADD, "z", "hdr.key", 3)
+        isolated = isolate_program(snippet, owner="t0", user_id=4)
+        assert [str(i) for i in isolated] == [
+            "t0__gate = cmp_eq inc.user_id, 4",
+            "[t0__gate] t0_hit = cmp_eq hdr.key, 7",
+            "t0_hit__gated = and t0_hit, t0__gate",      # one AND, not two
+            "[t0_hit__gated] t0_x = add hdr.key, 1",
+            "[t0_hit__gated] t0_y = add hdr.key, 2",
+            "[t0__gate] t0_z = add hdr.key, 3",
+        ]
+        assert [i.uid for i in isolated] == list(range(6))
+        assert all(i.owner == "t0" for i in isolated)
+        # the input is only read: synthesis shares it with the emulator
+        assert [i.guard for i in snippet] == [None, "hit", "hit", None]
+        assert {i.dst for i in snippet} == {"hit", "x", "y", "z"}
 
     def test_annotations_carry_owner(self, kvs_program):
         isolated = isolate_program(kvs_program, owner="kvs_0", user_id=1)

@@ -24,6 +24,17 @@ neither side) and a verdict:
 
 Exit status is non-zero when a run is ``correct: false`` or has
 ``failed > 0``, or when a metric regressed.
+
+    python3 tools/ab_pairs.py --parent /root/scratch/parent --change . \\
+        --workload deploy_warm --layers 1
+
+is the other half of a perf PR's evidence, the traced per-layer row: one
+``--trace 1`` run of seed 1 per side and every per-layer metric side by
+side (parent, change, relative change).  Metrics whose unit is ``count``
+or ``ratio`` are determined by the seed, so a row of those that differs
+between the sides is flagged ``DIFFERS`` — the change moved a decision,
+not a duration.  Timing rows come from one lap each and are where to
+look, not what to claim.
 """
 
 from __future__ import annotations
@@ -38,12 +49,62 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 
-def parse_result(stdout: str) -> Tuple[bool, Dict[str, float]]:
-    """``(clean, metrics)`` from a run's stdout; the result is its last line."""
+def parse_layers(stdout: str) -> Tuple[bool, Dict[str, Tuple[float, str]]]:
+    """``(clean, {name: (value, unit)})`` from a run's stdout, whose last
+    line is the result."""
     result = json.loads(stdout.strip().splitlines()[-1])
     clean = bool(result["correct"]) and result["failed"] == 0
-    return clean, {name: metric["value"]
+    return clean, {name: (metric["value"], metric["unit"])
                    for name, metric in result["metrics"].items()}
+
+
+def parse_result(stdout: str) -> Tuple[bool, Dict[str, float]]:
+    """``(clean, {name: value})`` from a run's stdout."""
+    clean, metrics = parse_layers(stdout)
+    return clean, {name: value for name, (value, _unit) in metrics.items()}
+
+
+#: units of the per-layer metrics a seed determines (timing ratios carry "x")
+SEED_DETERMINED_UNITS = ("count", "ratio")
+
+
+def compare_layers(parent: Dict[str, Tuple[float, str]],
+                   change: Dict[str, Tuple[float, str]]) -> List[dict]:
+    """One row per per-layer metric, in the parent's order, then new ones.
+
+    ``delta`` is relative to the parent (None where the parent reads 0 or a
+    side lacks the metric); ``differs`` marks a seed-determined metric whose
+    two values are not equal.
+    """
+    rows = []
+    for name in list(parent) + [n for n in change if n not in parent]:
+        before, unit = parent.get(name, (None, None))
+        after, unit = change.get(name, (None, unit))
+        both = before is not None and after is not None
+        rows.append({
+            "name": name, "unit": unit, "parent": before, "change": after,
+            "delta": (after - before) / before if both and before else None,
+            "differs": unit in SEED_DETERMINED_UNITS and before != after,
+        })
+    return rows
+
+
+def layers_markdown(workload: str, seed: int, rows: List[dict]) -> str:
+    def cell(value) -> str:
+        return "—" if value is None else f"{value:.4g}"
+
+    lines = [
+        f"| `{workload}`, traced lap, seed {seed}"
+        " | unit | parent | change | delta | |",
+        "|---|---|---|---|---|---|",
+    ]
+    for row in rows:
+        delta = "—" if row["delta"] is None else f"{row['delta']:+.1%}"
+        lines.append(
+            f"| `{row['name']}` | {row['unit']} | {cell(row['parent'])}"
+            f" | {cell(row['change'])} | {delta}"
+            f" | {'DIFFERS' if row['differs'] else ''} |")
+    return "\n".join(lines)
 
 
 def quartiles(values: List[float]) -> Tuple[float, float]:
@@ -109,16 +170,37 @@ def markdown(workload: str, rows: List[dict]) -> str:
 
 
 def run_once(checkout: Path, command: List[str], workload: str, seed: int,
-             seconds: float) -> Tuple[bool, Dict[str, float]]:
+             seconds: float, trace: int = 0) -> Tuple[bool, dict]:
+    """One run: ``parse_result`` of it, ``parse_layers`` when traced."""
     # each checkout imports its own src/, whatever the caller's PYTHONPATH
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         command + ["--workload", workload, "--seed", str(seed),
-                   "--seconds", str(seconds), "--trace", "0"],
+                   "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, env=env, stdout=subprocess.PIPE, text=True)
     if done.returncode != 0:
         return False, {}
-    return parse_result(done.stdout)
+    return (parse_layers if trace else parse_result)(done.stdout)
+
+
+def layers(sides: Dict[str, Path], command: List[str], workload: str,
+           seed: int, seconds: float) -> int:
+    """The ``--layers`` mode: one traced run per side, one table."""
+    traced = {}
+    for side, checkout in sides.items():
+        clean, traced[side] = run_once(checkout, command, workload, seed,
+                                       seconds, trace=1)
+        if not clean:
+            print(f"not correct, or failed operations: {side} seed {seed}",
+                  file=sys.stderr)
+            return 1
+    rows = compare_layers(traced["parent"], traced["change"])
+    print(layers_markdown(workload, seed, rows))
+    moved = [row["name"] for row in rows if row["differs"]]
+    if moved:
+        print("seed-determined metrics that differ: " + ", ".join(moved),
+              file=sys.stderr)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -128,13 +210,21 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True,
                         help="checkout of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pairs", type=int,
+                      help="alternating untraced pairs, seeds 1..PAIRS")
+    mode.add_argument("--layers", type=int, metavar="SEED",
+                      help="one traced run of SEED per side: the per-layer"
+                           " metrics side by side")
     parser.add_argument("--seconds", type=float, default=None,
                         help="default: run_seconds of BENCHMARK.json")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = args.seconds or float(spec["run_seconds"])
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.layers is not None:
+        return layers(sides, spec["command"], args.workload, args.layers,
+                      seconds)
 
     runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
     dirty: List[str] = []
