@@ -1,111 +1,75 @@
 """Sustained-throughput benchmark for the asyncio service runtime.
 
-Three service-shaped measurements on top of :class:`repro.core.INCService`:
+Two service-shaped measurements on top of :class:`repro.core.INCService`:
 
-1. **Persistent pool across waves** — two equal-sized waves of disjoint
-   tenants through one service.  The first wave pays the worker-pool fork;
-   the second reuses the pool (workers re-sync via the epoch-tagged
-   fingerprint delta) and must be measurably faster.  The pool generation
-   must stay at 1: batches no longer re-fork.
+1. **Plan-cache reuse across a remove / re-submit cycle** — waves of
+   disjoint tenants are submitted concurrently, every tenant is removed,
+   and equivalent tenants are re-submitted in admission order: every
+   re-submission commits against a state some stored plan was keyed on (the
+   removals restored it), so all of them must be placement cache hits.  The
+   whole script also yields the sustained operations-per-second figure.
 
-2. **Plan-cache write-back** — after removing every tenant, re-submitting
-   equivalent tenants must be served from the plan cache (committed
-   speculative plans were written back; the removals restored their keyed
-   states), reported as placement cache hits.
-
-3. **Interleaved equivalence** — a mixed submit/remove script admitted
+2. **Interleaved equivalence** — a mixed submit/remove script admitted
    through the async API must produce placements identical to the
    equivalent serial schedule.
 
-Shape to preserve: warm waves faster than the fork wave; 100% plan-cache
-hits on ordered re-submission; identical placements under interleaving.
+Shape to preserve: 100% plan-cache hits on ordered re-submission; identical
+placements under interleaving.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List
+from typing import Dict
 
-from benchmarks.bench_parallel_deploy import tenant_request
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, tenant_request
 from repro.core import ClickINC, INCService
 from repro.topology import build_fattree
 
 #: Pods in the benchmark fat-tree (k=8 -> pods 0..7).
 POD_COUNT = 8
 
-#: Tenants per wave.  Kept small on purpose: the pool fork is a constant
-#: cost, so smaller waves make the fork-vs-warm latency gap a larger (more
-#: robustly measurable) fraction of the wave time.
+#: Tenants submitted concurrently per wave, and the number of waves.
 WAVE_SIZE = 2
-
-#: Warm waves measured after the fork wave (best-of damps scheduler noise).
-WARM_WAVES = 2
-
-#: Worker processes behind the service.
-SERVICE_WORKERS = 2
-
-
-async def _submit_wave(svc: INCService, pods: List[int], tag: str):
-    start = time.perf_counter()
-    reports = await asyncio.gather(
-        *(svc.submit(tenant_request(pod, f"{tag}{pod}")) for pod in pods)
-    )
-    return time.perf_counter() - start, reports
+WAVES = 3
 
 
 async def _drive_sustained() -> Dict[str, object]:
-    results: Dict[str, object] = {}
     total_ops = 0
     run_start = time.perf_counter()
-    async with INCService(build_fattree(k=POD_COUNT),
-                          workers=SERVICE_WORKERS) as svc:
-        # phase 1: equal-sized waves of disjoint tenants; the first pays the
-        # worker-pool fork, the warm waves reuse it
-        wave1_s, wave1 = await _submit_wave(svc, list(range(WAVE_SIZE)), "w1p")
-        assert all(r.succeeded for r in wave1)
-        total_ops += WAVE_SIZE
-        warm_times: List[float] = []
-        for wave_index in range(WARM_WAVES):
-            first_pod = WAVE_SIZE * (wave_index + 1)
-            pods = list(range(first_pod, first_pod + WAVE_SIZE))
-            warm_s, reports = await _submit_wave(
-                svc, pods, f"w{wave_index + 2}p"
-            )
+    async with INCService(build_fattree(k=POD_COUNT)) as svc:
+        # phase 1: concurrent waves of disjoint tenants
+        for wave_index in range(WAVES):
+            pods = range(WAVE_SIZE * wave_index, WAVE_SIZE * (wave_index + 1))
+            reports = await asyncio.gather(*(
+                svc.submit(tenant_request(pod, f"w{wave_index}p{pod}"))
+                for pod in pods))
             assert all(r.succeeded for r in reports)
-            warm_times.append(warm_s)
             total_ops += WAVE_SIZE
-        pool = svc.controller.pipeline.parallel
-        results.update(
-            wave1_s=wave1_s,
-            wave2_s=min(warm_times),
-            warm_wave_ratio=min(warm_times) / wave1_s,
-            pool_generation=pool.pool_generation if pool else 0,
-            batches_served=pool.batches_served if pool else 0,
-        )
 
         # phase 2: remove everything, then re-submit equivalent tenants in
         # admission order — every commit happens against a state some
-        # written-back speculative plan was stamped for, so placements come
-        # from the plan cache
+        # stored plan was keyed on, so placements come from the plan cache
         deployed = list(svc.deployed_programs())
         for name in deployed:
             await svc.remove(name)
         total_ops += len(deployed)
         hits = 0
-        resubmit_n = len(deployed)
-        for pod in range(resubmit_n):
+        for pod in range(len(deployed)):
             report = await svc.submit(tenant_request(pod, f"r{pod}"))
             assert report.succeeded
             if report.stage("placement").cache_hit:
                 hits += 1
-        total_ops += resubmit_n
-        results.update(resubmit_hits=hits, resubmit_n=resubmit_n)
-    results["sustained_ops"] = total_ops
-    results["sustained_s"] = time.perf_counter() - run_start
-    results["sustained_rps"] = total_ops / results["sustained_s"]
-    return results
+        total_ops += len(deployed)
+    sustained_s = time.perf_counter() - run_start
+    return {
+        "resubmit_hits": hits,
+        "resubmit_n": len(deployed),
+        "sustained_ops": total_ops,
+        "sustained_s": sustained_s,
+        "sustained_rps": total_ops / sustained_s,
+    }
 
 
 async def _drive_interleaved() -> Dict[str, object]:
@@ -117,7 +81,7 @@ async def _drive_interleaved() -> Dict[str, object]:
         ("submit", 2, "i3"),
         ("remove", None, "kvs_i1"),
     ]
-    async with INCService(build_fattree(k=4), workers=SERVICE_WORKERS) as svc:
+    async with INCService(build_fattree(k=4)) as svc:
         futures = []
         for kind, pod, payload in script:
             if kind == "submit":
@@ -137,7 +101,7 @@ async def _drive_interleaved() -> Dict[str, object]:
     serial = ClickINC(build_fattree(k=4))
     for kind, pod, payload in script:
         if kind == "submit":
-            serial.deploy_many([tenant_request(pod, payload)], workers=1)
+            serial.deploy_many([tenant_request(pod, payload)])
         else:
             serial.remove(payload)
     ref = {
@@ -159,24 +123,14 @@ def test_async_service(benchmark):
 
     sustained = results["sustained"]
     print_table(
-        "INCService — sustained waves over one persistent pool",
-        [
-            "wave size",
-            "wave 1 (fork) s",
-            "wave 2 (warm) s",
-            "ratio",
-            "pool gens",
-            "resubmit hits",
-            "ops/s",
-        ],
+        "INCService — submit waves, remove all, re-submit",
+        ["wave size", "waves", "resubmit hits", "ops", "ops/s"],
         [
             (
                 WAVE_SIZE,
-                f"{sustained['wave1_s']:.3f}",
-                f"{sustained['wave2_s']:.3f}",
-                f"{sustained['warm_wave_ratio']:.2f}",
-                sustained["pool_generation"],
+                WAVES,
                 f"{sustained['resubmit_hits']}/{sustained['resubmit_n']}",
+                sustained["sustained_ops"],
                 f"{sustained['sustained_rps']:.2f}",
             )
         ],
@@ -188,15 +142,7 @@ def test_async_service(benchmark):
         [(interleaved["n_ops"], interleaved["identical_placements"])],
     )
 
-    # structural guarantees, independent of machine speed
-    assert sustained["pool_generation"] == 1, "the pool re-forked mid-run"
-    assert sustained["batches_served"] >= 2
     assert sustained["resubmit_hits"] == sustained["resubmit_n"], (
-        "re-submissions after remove must hit the written-back plan cache"
+        "re-submissions after remove must hit the plan cache"
     )
     assert interleaved["identical_placements"]
-
-    # the warm wave must not be slower than the wave that paid the fork
-    assert sustained["warm_wave_ratio"] < 1.0, (
-        f"warm wave took {sustained['warm_wave_ratio']:.2f}x the fork wave"
-    )

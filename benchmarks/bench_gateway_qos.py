@@ -101,8 +101,7 @@ def _log_dispatches(gateway: Gateway) -> List[str]:
 # --------------------------------------------------------------------- #
 async def _drive_fairness() -> Dict[str, object]:
     registry = _registry(FAIRNESS_TENANTS)
-    async with INCService(build_fattree(k=4), workers=2,
-                          sharded=True) as service:
+    async with INCService(build_fattree(k=4), sharded=True) as service:
         gateway = Gateway(service, registry, queue_capacity=0,
                           wave=FAIRNESS_WAVE)
         dispatch_log = _log_dispatches(gateway)
@@ -155,8 +154,7 @@ async def _drive_fairness() -> Dict[str, object]:
 async def _drive_overload() -> Dict[str, object]:
     tenants = (("z", 0.0, 6), ("a", 4.0, 8), ("b", 2.0, 4), ("c", 1.0, 4))
     registry = _registry(tenants)
-    async with INCService(build_fattree(k=4), workers=2,
-                          sharded=True) as service:
+    async with INCService(build_fattree(k=4), sharded=True) as service:
         gateway = Gateway(service, registry,
                           queue_capacity=OVERLOAD_CAPACITY, wave=2)
 

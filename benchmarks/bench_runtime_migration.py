@@ -22,8 +22,7 @@ from __future__ import annotations
 import time
 from typing import Dict
 
-from benchmarks.bench_parallel_deploy import tenant_request
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, tenant_request
 from repro.core import ClickINC
 from repro.emulator.traffic import KVSWorkload
 from repro.lang.profile import default_profile

@@ -1,30 +1,27 @@
-"""Shared cross-process placement-memo benchmark.
+"""Shared placement-memo benchmark.
 
-Two service-shaped measurements of :class:`~repro.placement.memo.SharedPlacementMemo`
+Two service-shaped measurements of :class:`~repro.placement.memo.PlacementMemo`
 on a fabric-scale (k=32, 1280-device) drifted fat-tree:
 
-1. **Shared vs private memo, workers=4 speculative wave** — eight
-   aggregation tenants stream from pods 0..7 to a shared destination pod,
-   so their DP searches share the dominant sub-solutions (the ~256-device
-   core layer and the destination-pod sub-tree) and differ only in the
-   per-request client pod.  With the default shared memo, one sequential
-   warm-up solve seeds the parent store, the worker pool forks with that
-   snapshot, and the batch wave mostly re-derives client pods.  With a
-   private :class:`~repro.placement.memo.PlacementMemo` every worker
-   re-derives the shared work from scratch.  The shared wave must be at
-   least 1.5x faster while producing byte-identical plans.
+1. **One memo vs one memo per tenant** — eight aggregation tenants stream
+   from pods 0..7 to a shared destination pod, so their DP searches share
+   the dominant sub-solutions (the ~256-device core layer and the
+   destination-pod sub-tree) and differ only in the per-request client pod.
+   Tenant 0 warms a memo; placing tenants 1..7 through that same memo
+   mostly re-derives client pods, while placing each through a fresh memo
+   of its own re-derives the shared work from scratch.  The shared wave
+   must be at least 1.5x faster while producing byte-identical plans.
 
-2. **Warm restart** — the parent memo (which absorbed the workers' delta
-   blobs during the wave) is persisted with ``save()`` and restored into a
-   fresh controller via ``memo_path=``.  Re-placing the whole workload on
-   the restarted controller must skip >= 80% of the cold solve's memo
-   derivations (device feasibility checks, interval evaluations and
-   sub-tree table solves), proving the persisted entries actually serve.
+2. **Warm restart** — the shared memo is persisted with ``save()`` and
+   restored into a fresh controller via ``memo_path=``.  Re-placing the
+   whole workload on the restarted controller must skip >= 80% of the cold
+   solve's memo derivations (device feasibility checks, interval
+   evaluations and sub-tree table solves), proving the persisted entries
+   actually serve.
 
-The wave is measured with ``compile_batch`` (speculative placement only,
-no commits): the tenants share destination-pod and core devices, so a
-commit phase would invalidate every later speculative plan and the
-sequential conflict re-places would drown the memo signal in both modes.
+The wave is placement only, no commits: the tenants share destination-pod
+and core devices, so every commit would move the allocation state the next
+tenant's sub-solutions are keyed on and drown the memo signal in both modes.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ import time
 from typing import Dict, List
 
 from benchmarks.conftest import print_table
-from benchmarks.bench_parallel_deploy import usable_cores
 from repro.core import ClickINC, DeployRequest
 from repro.frontend import compile_template
 from repro.lang.profile import default_profile
@@ -50,8 +46,6 @@ MEMO_K = 32
 #: devices must differ in *content*, or the content-addressed memo would
 #: collapse even the private-memo baseline and hide the sharing win
 MEMO_DRIFT_SEED = 42
-#: worker processes for the speculative wave (the ISSUE's acceptance point)
-MEMO_WORKERS = 4
 #: source pods 0..N-1 all aggregate towards the last pod
 MEMO_TENANTS = 8
 
@@ -98,37 +92,9 @@ def _tenant_requests(reduced: bool) -> List[DeployRequest]:
     return requests
 
 
-def _spawn_wave() -> List[DeployRequest]:
-    """Two tiny intra-pod tenants that force the lazy worker fork.
-
-    The pool forks at the first wave dispatched to it, and a wave of one
-    compiles in-process, so an untimed two-request batch moves the fork
-    (and each worker's snapshot initialisation) out of the measured wave.
-    The tenants live in pods 8 and 9 — clear of the wave's client pods
-    0..7, the core layer (intra-pod traffic never leaves the pod) and the
-    destination pod — so the memo entries they derive are irrelevant to the
-    measurement in both modes.
-    """
-    wave = []
-    for pod in (MEMO_TENANTS, MEMO_TENANTS + 1):
-        profile = default_profile("KVS", user=f"spawn{pod}")
-        profile.performance["depth"] = 100
-        wave.append(DeployRequest(
-            source_groups=[f"pod{pod}(a)"],
-            destination_group=f"pod{pod}(b)",
-            name=f"kvs_spawn{pod}",
-            profile=profile,
-        ))
-    return wave
-
-
 def _placement_request(request: DeployRequest) -> PlacementRequest:
-    """The search input ``compile_batch`` workers build for *request*.
-
-    Sequential warm-up / reference placements must share the workers'
-    context digest, so every placement parameter matches the worker path
-    (``adaptive_weights=True`` is the controller default the pool inherits).
-    """
+    """The search input a controller builds for *request*
+    (``adaptive_weights=True`` is the controller default)."""
     return PlacementRequest(
         program=request.program,
         source_groups=list(request.source_groups),
@@ -161,57 +127,36 @@ def _derivations(counters: Dict[str, int]) -> int:
     )
 
 
-def _time_wave(controller: ClickINC, requests: List[DeployRequest],
-               prewarm: bool) -> Dict[str, object]:
-    """One speculative workers=4 wave; tenant 0 pre-warms sequentially.
+def _time_wave(topology, requests: List[DeployRequest],
+               shared: bool) -> Dict[str, object]:
+    """Place tenants 1..7 after tenant 0 warmed a memo.
 
-    The pre-warm runs *before* the pool exists, so with a shared memo the
-    pool-init snapshot carries the warm-up's sub-solutions into every
-    worker.  The private-memo baseline runs the identical schedule — its
-    warm-up populates only the parent's memo, which workers cannot see —
-    so both modes time the same seven-request wave.
+    ``shared`` places the wave through the warmed memo; otherwise every
+    tenant gets a fresh memo of its own, so nothing is shared between them.
     """
-    wave = requests
-    if prewarm:
-        controller.placer.place(_placement_request(requests[0]))
-        wave = requests[1:]
-    service = controller.pipeline.parallel_service(MEMO_WORKERS)
-    for spawn in service.compile_batch(_spawn_wave()):
-        assert spawn.error is None, spawn.error
+    memo = PlacementMemo()
+    DPPlacer(topology, memo=memo).place(_placement_request(requests[0]))
     start = time.perf_counter()
-    results = service.compile_batch(wave)
-    wave_s = time.perf_counter() - start
-    errors = [r.error for r in results if r.error is not None]
-    if errors:
-        raise AssertionError(f"speculative wave failed: {errors}")
+    plans = [
+        DPPlacer(topology, memo=memo if shared else PlacementMemo()).place(
+            _placement_request(request))
+        for request in requests[1:]
+    ]
     return {
-        "wave_s": wave_s,
-        "plans": [_plan_identity_key(r.plan) for r in results],
+        "wave_s": time.perf_counter() - start,
+        "plans": [_plan_identity_key(plan) for plan in plans],
+        "memo": memo,
     }
 
 
 def run_shared_wave(reduced: bool = True) -> Dict[str, object]:
-    """Shared-memo wave vs private-memo wave on identical fabrics."""
+    """Shared-memo wave vs memo-per-tenant wave on identical fabrics."""
     requests = _tenant_requests(reduced)
-
     topo = _drifted_fattree()
-    shared = ClickINC(topo, generate_code=False)
-    try:
-        shared_result = _time_wave(shared, requests, prewarm=True)
-        memo_summary = shared.memo.summary()
-    finally:
-        shared.close()
-
-    private = ClickINC(_drifted_fattree(), generate_code=False,
-                       memo=PlacementMemo())
-    try:
-        private_result = _time_wave(private, requests, prewarm=True)
-    finally:
-        private.close()
-
+    shared_result = _time_wave(topo, requests, shared=True)
+    private_result = _time_wave(_drifted_fattree(), requests, shared=False)
     return {
         "n": len(requests) - 1,   # tenant 0 is the warm-up in both modes
-        "workers": MEMO_WORKERS,
         "devices": len(topo.devices),
         "shared_wave_s": shared_result["wave_s"],
         "private_wave_s": private_result["wave_s"],
@@ -219,8 +164,8 @@ def run_shared_wave(reduced: bool = True) -> Dict[str, object]:
             private_result["wave_s"] / max(shared_result["wave_s"], 1e-9)
         ),
         "plans_identical": shared_result["plans"] == private_result["plans"],
-        "memo": memo_summary,
-        "shared_memo": shared.memo,
+        "memo": shared_result["memo"].summary(),
+        "shared_memo": shared_result["memo"],
     }
 
 
@@ -281,7 +226,7 @@ def test_shared_memo_wave_and_restart(benchmark):
     wave = results["wave"]
     restart = results["restart"]
     print_table(
-        "Shared vs private memo: workers=4 speculative wave (1280 devices)",
+        "One memo vs one memo per tenant: wave of 7 (1280 devices)",
         ["tenants", "private (s)", "shared (s)", "speedup", "identical"],
         [[wave["n"], f"{wave['private_wave_s']:.3f}",
           f"{wave['shared_wave_s']:.3f}",
@@ -297,8 +242,4 @@ def test_shared_memo_wave_and_restart(benchmark):
     assert wave["plans_identical"]
     assert restart["restored_entries"] > 0
     assert restart["warm_restart_reuse"] >= MIN_WARM_RESTART_REUSE
-    # the hard speedup floor is enforced by the regression gate on machines
-    # with the cores to back it; the bench harness only checks sharing is
-    # not a pessimisation
-    if usable_cores() >= MEMO_WORKERS:
-        assert wave["shared_memo_speedup"] > 1.0
+    assert wave["shared_memo_speedup"] >= MIN_SHARED_SPEEDUP

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import DeployRequest
 from repro.frontend import compile_template
 from repro.lang.profile import default_profile
 from repro.topology import build_paper_emulation_topology
@@ -30,6 +31,18 @@ def print_table(title: str, headers, rows) -> None:
     print("-+-".join("-" * w for w in widths))
     for row in rows:
         print(" | ".join(str(c).ljust(widths[i]) for i, c in enumerate(row)))
+
+
+def tenant_request(pod: int, user: str, depth: int = 1000) -> DeployRequest:
+    """An intra-pod KVS tenant (pod<pod>(a) -> pod<pod>(b)) of a fat-tree."""
+    profile = default_profile("KVS", user=user)
+    profile.performance["depth"] = depth
+    return DeployRequest(
+        source_groups=[f"pod{pod}(a)"],
+        destination_group=f"pod{pod}(b)",
+        name=f"kvs_{user}",
+        profile=profile,
+    )
 
 
 @pytest.fixture(scope="session")

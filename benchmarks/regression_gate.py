@@ -2,31 +2,28 @@
 """CI benchmark-regression gate for the compilation pipeline.
 
 Runs the cold-batch deployment benchmark
-(:mod:`benchmarks.bench_parallel_deploy`), the async service-runtime
-benchmark (:mod:`benchmarks.bench_async_service`), the failure-injection
-benchmark (:mod:`benchmarks.bench_runtime_migration`) and the
-sharded-controller benchmark (:mod:`benchmarks.bench_sharded_scaling`),
+(:mod:`benchmarks.bench_pipeline_cache` ``run_cold_batch``), the async
+service-runtime benchmark (:mod:`benchmarks.bench_async_service`), the
+failure-injection benchmark (:mod:`benchmarks.bench_runtime_migration`) and
+the sharded-controller benchmark (:mod:`benchmarks.bench_sharded_scaling`),
 writes the measurements to a ``BENCH_pipeline.json`` artifact, and exits
 non-zero when
 
 * cold-batch throughput regresses more than ``tolerance`` (default 30%)
   below the committed numbers in ``benchmarks/BENCH_baseline.json``,
 * a batch stops producing the placements of the equivalent serial loop,
-* the machine has enough cores for the parallel run but the speedup falls
-  below the baseline's ``min_parallel_speedup``,
-* the service's persistent pool re-forks between waves, a warm wave is not
-  faster than the fork wave (``max_async_warm_wave_ratio``), re-submissions
-  stop hitting the written-back plan cache, or interleaved submit/remove
-  traffic diverges from the serial schedule,
+* re-submissions after a removal stop hitting the plan cache, or
+  interleaved submit/remove traffic diverges from the serial schedule,
 * a device failure stops migrating exactly the programs the dead device
   hosted (or disturbs untouched tenants, or breaks post-recovery traffic),
   recovery latency exceeds ``max_migration_recovery_s``, or an un-placeable
   migration stops rolling back to the pre-failure committed state,
 * the sharded controller's per-pod placements diverge from the
   single-shard (serial) result, a cross-shard two-phase commit stops
-  succeeding cleanly (or exceeds ``max_cross_shard_commit_s``), or —
-  on machines with the cores to back it — multi-shard intra-pod deploy
-  throughput stops exceeding single-shard (``min_sharded_speedup``),
+  succeeding cleanly (or exceeds ``max_cross_shard_commit_s``), or
+  multi-shard intra-pod deploy throughput falls below
+  ``min_sharded_ratio`` of single-shard (what sharding may cost; it is not
+  sold as a speed-up — shard lanes are threads under one GIL),
 * one body deployed under eight names, once its content has been seen
   twice, derives its per-content placement facts again (more than
   ``max_warm_wave_facts_derived`` times, i.e. at all), a search of the
@@ -45,10 +42,10 @@ non-zero when
   regression — the ratio is still reported),
 * the incremental plan stops being byte-identical to the cold plan, or
   the warm run stops hitting the cross-epoch memo at all,
-* the shared-memo workers=4 speculative wave
+* a wave placed through one shared memo
   (:mod:`benchmarks.bench_shared_memo`) is less than
-  ``min_shared_memo_speedup`` times faster than the private-memo wave,
-  its plans diverge from the private-memo baseline, a warm restart from
+  ``min_shared_memo_speedup`` times faster than the same wave with a fresh
+  memo per tenant, its plans diverge from that baseline, a warm restart from
   the persisted memo file restores nothing, or the restarted controller
   skips less than ``min_warm_restart_reuse`` of the cold solve's memo
   derivations.
@@ -100,6 +97,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -110,12 +108,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.bench_async_service import (  # noqa: E402
     run_all as run_async_service,
 )
-from benchmarks.bench_parallel_deploy import (  # noqa: E402
-    PARALLEL_WORKERS,
-    run_all,
-    usable_cores,
-)
 from benchmarks.bench_pipeline_cache import (  # noqa: E402
+    run_cold_batch,
     run_warm_wave_counts,
 )
 from benchmarks.bench_runtime_migration import (  # noqa: E402
@@ -139,17 +133,22 @@ from benchmarks.bench_dataplane import (  # noqa: E402
     run_all as run_dataplane,
 )
 from benchmarks.bench_sharded_scaling import (  # noqa: E402
-    MIN_CORES as SHARDED_MIN_CORES,
     run_all as run_sharded_scaling,
 )
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "BENCH_baseline.json"
 
 
+def usable_cores() -> int:
+    """Reported next to the throughput numbers; no floor depends on it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
+
+
 def measure() -> dict:
-    results = run_all()
-    cold = results["cold_batch"]
-    conflicts = results["conflicts"]
+    cold = run_cold_batch()
     service = run_async_service()
     sustained = service["sustained"]
     interleaved = service["interleaved"]
@@ -163,18 +162,9 @@ def measure() -> dict:
     return {
         "generated_unix_time": int(time.time()),
         "cores": usable_cores(),
-        "workers": PARALLEL_WORKERS,
         "cold_batch_size": cold["n"],
-        "cold_batch_rps_serial": round(cold["serial_rps"], 3),
-        "cold_batch_rps_parallel": round(cold["parallel_rps"], 3),
-        "parallel_speedup": round(cold["speedup"], 3),
-        "speculative_commits": cold["speculative_commits"],
-        "identical_placements": bool(
-            cold["identical_placements"] and conflicts["identical_placements"]
-        ),
-        "conflicts_replaced": conflicts["replaced_on_conflict"],
-        "async_warm_wave_ratio": round(sustained["warm_wave_ratio"], 3),
-        "async_pool_generation": sustained["pool_generation"],
+        "cold_batch_rps_serial": round(cold["rps"], 3),
+        "identical_placements": bool(cold["identical_placements"]),
         "async_resubmit_hits": sustained["resubmit_hits"],
         "async_resubmit_n": sustained["resubmit_n"],
         "async_sustained_rps": round(sustained["sustained_rps"], 3),
@@ -193,7 +183,7 @@ def measure() -> dict:
         "sharded_shards": scaling["shards"],
         "sharded_rps_single": round(scaling["single_rps"], 3),
         "sharded_rps_multi": round(scaling["multi_rps"], 3),
-        "sharded_speedup": round(scaling["speedup"], 3),
+        "sharded_ratio": round(scaling["ratio"], 3),
         "sharded_identical_placements": bool(scaling["identical_placements"]),
         "cross_shard_commit_ok": bool(
             cross["succeeded"]
@@ -235,7 +225,6 @@ def measure_scaling(reduced: bool = True) -> dict:
                           for column, ms in cold_place["ms"].items()},
         "cold_place_packing_runs": cold_place["packing_runs"],
         "cold_place_packed_instructions": cold_place["packed_instructions"],
-        "shared_memo_workers": wave["workers"],
         "shared_memo_wave_n": wave["n"],
         "shared_memo_private_wave_s": round(wave["private_wave_s"], 4),
         "shared_memo_shared_wave_s": round(wave["shared_wave_s"], 4),
@@ -489,9 +478,9 @@ def check_scaling(measured: dict, baseline: dict) -> list:
     min_shared = float(baseline.get("min_shared_memo_speedup", 1.5))
     if measured["shared_memo_speedup"] < min_shared:
         failures.append(
-            f"the shared-memo workers={measured['shared_memo_workers']}"
-            f" speculative wave is only {measured['shared_memo_speedup']:.2f}x"
-            f" faster than the private-memo wave (needs"
+            f"a wave placed through one shared memo is only"
+            f" {measured['shared_memo_speedup']:.2f}x faster than with a"
+            f" memo per tenant (needs"
             f" >= {min_shared:.1f}x: private"
             f" {measured['shared_memo_private_wave_s']:.3f}s, shared"
             f" {measured['shared_memo_shared_wave_s']:.3f}s)"
@@ -531,44 +520,13 @@ def check(measured: dict, baseline: dict) -> list:
         )
     if not measured["identical_placements"]:
         failures.append("batched placements no longer match the serial loop")
-    if measured["speculative_commits"] < measured["cold_batch_size"]:
-        failures.append(
-            f"only {measured['speculative_commits']}/{measured['cold_batch_size']}"
-            " disjoint tenants committed speculatively (conflicts where none"
-            " should exist)"
-        )
-    if measured["conflicts_replaced"] < 1:
-        failures.append(
-            "the forced-conflict batch no longer detects any plan conflict"
-        )
-    min_speedup = float(baseline.get("min_parallel_speedup", 1.5))
-    if measured["cores"] >= measured["workers"]:
-        if measured["parallel_speedup"] < min_speedup:
-            failures.append(
-                f"parallel speedup {measured['parallel_speedup']:.2f}x is below"
-                f" the required {min_speedup:.2f}x on a"
-                f" {measured['cores']}-core machine"
-            )
 
-    # the async service runtime: persistent pool + plan-cache write-back
-    if measured["async_pool_generation"] != 1:
-        failures.append(
-            f"the service worker pool was created"
-            f" {measured['async_pool_generation']} times in one run — waves"
-            " are re-forking instead of re-syncing"
-        )
-    max_ratio = float(baseline.get("max_async_warm_wave_ratio", 1.0))
-    if measured["async_warm_wave_ratio"] >= max_ratio:
-        failures.append(
-            f"warm wave latency is {measured['async_warm_wave_ratio']:.2f}x"
-            f" the fork wave (must stay below {max_ratio:.2f}x): the"
-            " persistent pool no longer saves the per-batch fork"
-        )
+    # the async service runtime: plan-cache reuse + serial equivalence
     if measured["async_resubmit_hits"] < measured["async_resubmit_n"]:
         failures.append(
             f"only {measured['async_resubmit_hits']}/"
             f"{measured['async_resubmit_n']} re-submissions hit the"
-            " written-back plan cache"
+            " plan cache"
         )
     if not measured["async_identical_placements"]:
         failures.append(
@@ -631,15 +589,13 @@ def check(measured: dict, baseline: dict) -> list:
             f"a cross-shard commit took {measured['cross_shard_commit_s']:.3f}s"
             f" (must stay below {max_cross:.1f}s)"
         )
-    min_sharded = float(baseline.get("min_sharded_speedup", 1.05))
-    if measured["cores"] >= SHARDED_MIN_CORES:
-        if measured["sharded_speedup"] < min_sharded:
-            failures.append(
-                f"{measured['sharded_shards']} controller shards are only"
-                f" {measured['sharded_speedup']:.2f}x faster than one shard"
-                f" (need {min_sharded:.2f}x on a {measured['cores']}-core"
-                " machine)"
-            )
+    min_sharded = float(baseline.get("min_sharded_ratio", 0.5))
+    if measured["sharded_ratio"] < min_sharded:
+        failures.append(
+            f"{measured['sharded_shards']} controller shards deploy at"
+            f" {measured['sharded_ratio']:.2f}x the rate of one shard"
+            f" (sharding may cost at most {min_sharded:.2f}x)"
+        )
 
     # counts of the warm wave: per-content facts and snippets, once each
     wave_n = measured["warm_wave_n"]

@@ -2,12 +2,12 @@
 """The asyncio service runtime: mixed deploy / remove traffic.
 
 An `INCService` is ClickINC as an always-on service: tenants submit and
-remove programs concurrently through an asyncio API.  Submissions coalesce
-into speculative compile waves over one persistent worker pool (forked once,
-re-synced per batch via fingerprint deltas); removals are serialised through
-the commit phase, so every interleaving produces exactly the placements of
-the equivalent serial schedule.  Committed speculative plans are written
-back into the shared plan cache — re-submitting a tenant after a removal is
+remove programs concurrently through an asyncio API.  Submissions that queue
+while a wave runs form the next wave (compiled first, committed in admission
+order); removals are serialised through the commit phase, so every
+interleaving produces exactly the placements of the equivalent serial
+schedule.  Committed plans are stored in the plan cache under the allocation
+state they were placed against — re-submitting a tenant after a removal is
 served from the cache without re-running the placement search.
 
 Run with:  PYTHONPATH=src python examples/async_service.py
@@ -31,23 +31,21 @@ def tenant(pod: int, user: str, app: str = "KVS") -> DeployRequest:
 
 
 async def main() -> None:
-    async with INCService(build_fattree(k=8), workers=2, max_wave=8) as svc:
-        # --- a burst of concurrent submissions: one speculative wave ------
+    async with INCService(build_fattree(k=8), max_wave=8) as svc:
+        # --- a burst of concurrent submissions: one wave -------------------
         print("submitting 6 tenants concurrently...")
         reports = await asyncio.gather(
             *(svc.submit(tenant(pod, f"u{pod}")) for pod in range(6))
         )
         for report in reports:
-            placement = report.stage("placement")
             print(
                 f"  {report.program_name:10s} ok={report.succeeded} "
-                f"speculative={placement.detail.get('speculative', False)} "
                 f"devices={report.deployed.devices()}"
             )
 
-        # --- plan-cache write-back: resubmission hits warm ----------------
+        # --- plan cache: resubmission hits warm ---------------------------
         # removing the last-committed tenant restores exactly the allocation
-        # state its written-back speculative plan was keyed under, so the
+        # state its stored plan was keyed under, so the
         # equivalent re-submission is served from the plan cache without
         # re-running the placement search.
         print("\nremove kvs_u5, then re-submit an equivalent pod-5 tenant...")
@@ -56,7 +54,7 @@ async def main() -> None:
         placement = report.stage("placement")
         print(
             f"  {report.program_name}: placement cache_hit="
-            f"{placement.cache_hit} (written-back speculative plan)"
+            f"{placement.cache_hit} (stored plan)"
         )
 
         # --- mixed traffic: removals racing new submissions --------------

@@ -43,8 +43,7 @@ async def main() -> None:
     registry.register("batch", api_key="k-batch", weight=0.0,
                       quota=TenantQuota(max_programs=1))
 
-    async with INCService(build_fattree(k=4), workers=2,
-                          sharded=True) as service:
+    async with INCService(build_fattree(k=4), sharded=True) as service:
         gateway = Gateway(service, registry, admin_key="s3cret")
         async with GatewayHTTPServer(gateway, port=0) as http:
             base = f"http://127.0.0.1:{http.port}"

@@ -8,7 +8,7 @@ three telemetry surfaces the way an operator would:
 * `GET /v1/metrics` — the Prometheus exposition (admin-keyed),
 * `GET /v1/traces` + `GET /v1/traces/<id>` — the completed request
   traces, including the Chrome trace-event export of the cross-shard
-  submission (gateway queue -> compile workers -> 2PC -> install),
+  submission (gateway queue -> compile -> 2PC -> install),
 * the structured event log, streamed to a JSONL file.
 
 The same hub is also usable without any gateway — see the second half,
@@ -46,7 +46,7 @@ async def gateway_walkthrough() -> None:
     tenant = registry.register("acme", weight=1.0)
     auth = {"Authorization": f"Bearer {tenant.api_key}"}
 
-    async with INCService(build_fattree(k=4), workers=2, sharded=True,
+    async with INCService(build_fattree(k=4), sharded=True,
                           obs=obs) as service:
         gateway = Gateway(service, registry, admin_key="s3cret", obs=obs)
 
@@ -102,14 +102,14 @@ def standalone_walkthrough(events_path: str) -> None:
         for i in range(3)
     ]
     with ClickINC(build_paper_emulation_topology(), obs=obs) as controller:
-        reports = controller.deploy_many(requests, workers=2)
+        reports = controller.deploy_many(requests)
         for request, report in zip(requests, reports):
             obs.tracer.finish(request.trace,
                               status="ok" if report.succeeded else "error")
         done = obs.tracer.get(requests[0].trace.trace_id)
-        procs = sorted({span.proc for span in done["spans"]})
+        stages = [span.name for span in done["spans"]]
         print(f"\nstandalone wave: {len(obs.tracer.summaries())} traces,"
-              f" first spans {len(done['spans'])} across processes {procs}")
+              f" first trace's spans {stages}")
 
         # drain a hosting device: the migration + topology events land in
         # the JSONL stream and the health gauges move

@@ -9,18 +9,19 @@ incremental add/remove at runtime.
 Deployment runs through the staged
 :class:`~repro.core.pipeline.CompilationPipeline` with a shared
 content-addressed :class:`~repro.core.cache.ArtifactCache`, so repeated
-template deployments are cache hits and batches
-(:meth:`~repro.core.controller.ClickINC.deploy_many`) compile concurrently.
+template deployments are cache hits and a batch
+(:meth:`~repro.core.controller.ClickINC.deploy_many`) compiles each distinct
+program content once.
 """
 
 from repro.core.cache import ArtifactCache
 from repro.core.controller import ClickINC
-from repro.core.parallel import ParallelCompileService, SpeculativeResult
 from repro.core.pipeline import (
     CompilationPipeline,
     DeployedProgram,
     DeployRequest,
     PipelineReport,
+    SpeculativeResult,
     StageRecord,
 )
 from repro.core.service import INCService
@@ -32,7 +33,6 @@ __all__ = [
     "DeployRequest",
     "DeployedProgram",
     "INCService",
-    "ParallelCompileService",
     "PipelineReport",
     "SpeculativeResult",
     "StageRecord",

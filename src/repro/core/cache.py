@@ -30,10 +30,9 @@ structured tuples the search builds, so a lookup never pays a digest.
 
 Keys are namespaced SHA-256 digests of a canonical JSON rendering of the
 inputs, so any change to the inputs produces a different address.  The cache
-is safe to share between the concurrent compile workers of
-``ClickINC.deploy_many``, across the shards of a
-:class:`~repro.sharding.coordinator.ShardCoordinator` (each shard owns its
-own instance), and with the asyncio service's write-back path.
+is thread-safe: the executor threads of the asyncio service and the shard
+lanes of a :class:`~repro.sharding.coordinator.ShardCoordinator` (each shard
+owns its own instance) read and write it concurrently.
 """
 
 from __future__ import annotations
@@ -258,12 +257,7 @@ class ArtifactCache:
         return self.invalidate_matching("plan", stale)
 
     def namespace_len(self, namespace: str) -> int:
-        """Live entry count in one namespace, in O(1).
-
-        The hot use is the negative case: the parallel service's warm-path
-        lookup can skip computing a plan key — which fingerprints the whole
-        fabric — whenever no plan has ever been written back.
-        """
+        """Live entry count in one namespace, in O(1)."""
         with self._lock:
             return len(self._ns_keys.get(namespace, ()))
 

@@ -22,13 +22,14 @@ Deployment itself is delegated to the staged
 programs, placement plans and generated backend code in a shared
 :class:`~repro.core.cache.ArtifactCache` and rolls back mid-pipeline
 failures.  Every ``deploy_*`` call is the same path — a lock-free pure phase
-(compile, and in a worker pool a speculative placement) followed by commits
-in request order — so a ``deploy_many`` batch is deterministic and produces
-the placements of the equivalent serial loop of single deploys.
+(frontend and IR verification, in this process) followed by commits in
+request order — so a ``deploy_many`` batch is deterministic and produces the
+placements of the equivalent serial loop of single deploys.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.cache import ArtifactCache
@@ -47,7 +48,7 @@ from repro.ir.program import IRProgram
 from repro.lang.profile import Profile
 from repro.obs import Observability
 from repro.placement.dp import DPPlacer
-from repro.placement.memo import PlacementMemo, SharedPlacementMemo
+from repro.placement.memo import PlacementMemo
 from repro.synthesis.incremental import IncrementalSynthesizer, SynthesisDelta
 from repro.topology.network import NetworkTopology
 
@@ -65,20 +66,16 @@ class ClickINC:
                  obs: Optional["Observability"] = None) -> None:
         self.topology = topology
         self.compiler = FrontendCompiler()
-        # The placement memo defaults to the shared flavour so worker pools
-        # receive/ship memo deltas out of the box; pass ``memo=`` to share
-        # one store between controllers (the ShardCoordinator does), and
-        # ``memo_path=`` to persist it across restarts — an existing file
-        # is restored here (with fingerprint validation; a stale or corrupt
-        # file cold-solves) and ``close()`` writes the store back.
+        # Pass ``memo=`` to share one store between controllers (the
+        # ShardCoordinator does), and ``memo_path=`` to persist it across
+        # restarts — an existing file is restored here (with fingerprint
+        # validation; a stale or corrupt file cold-solves) and ``close()``
+        # writes the store back.
         owns_memo = memo is None
-        self.memo = memo if memo is not None else SharedPlacementMemo()
+        self.memo = memo if memo is not None else PlacementMemo()
         self.memo_path = memo_path
-        if owns_memo and memo_path is not None:
-            import os
-
-            if os.path.exists(memo_path) and hasattr(self.memo, "restore"):
-                self.memo.restore(memo_path, topology)
+        if owns_memo and memo_path is not None and os.path.exists(memo_path):
+            self.memo.restore(memo_path, topology)
         self.placer = DPPlacer(topology, memo=self.memo)
         self.synthesizer = IncrementalSynthesizer(topology, incremental=incremental)
         self.emulator = NetworkEmulator(topology)
@@ -97,11 +94,10 @@ class ClickINC:
             adaptive_weights=adaptive_weights,
             obs=self.obs,
         )
-        # expose the memo's live counter bag on the registry (shared memos
-        # register once thanks to identity-keyed registration)
-        memo_counters = getattr(self.memo, "counters", None)
-        if memo_counters is not None:
-            self.obs.registry.register_counters("clickinc_memo", memo_counters)
+        # expose the memo's live counter bag on the registry (a memo shared
+        # between controllers registers once: registration is identity-keyed)
+        self.obs.registry.register_counters("clickinc_memo",
+                                            self.memo.counters)
         self.deployed: Dict[str, DeployedProgram] = {}
         self._runtime = None   # lazily-created RuntimeManager (see runtime())
 
@@ -162,7 +158,6 @@ class ClickINC:
         return report.deployed
 
     def deploy_many(self, requests: Sequence[DeployRequest],
-                    workers: Optional[int] = None,
                     commit_guard=None) -> List[PipelineReport]:
         """Deploy a batch of independent requests.
 
@@ -171,26 +166,14 @@ class ClickINC:
         sequentially in request order — holding *commit_guard*, when the
         caller serialises commits on one — so the batch produces exactly
         the placements (and name-collision behaviour) of a serial loop over
-        the same requests.  With ``workers=N`` (N > 1) a batch of two or
-        more requests runs its pure phase *and the placement search* in a
-        process pool for a real multi-core speedup: placement is
-        commit-free, so workers speculatively place against a snapshot of
-        device allocations and the commit phase validates each plan's
-        device fingerprints, re-placing on conflict.  A batch of one always
-        compiles in-process.  The worker pool is persistent: the first
-        pooled batch forks it, later batches re-sync the workers' topology
-        snapshots via fingerprint deltas instead of re-forking (release it
-        with :meth:`close` or a ``with`` block).  Requests caught in a
-        worker-process crash are retried in-process; only a genuine failure
-        is captured, per request, never a batch abort.
+        the same requests.
 
         Returns one :class:`PipelineReport` per request, in request order;
         failed requests carry ``succeeded=False`` and an ``error`` instead
         of aborting the batch.  A duplicate name fails at the ``validation``
         stage only if the earlier holder of the name actually deployed.
         """
-        return self.pipeline.run_many(requests, workers=workers,
-                                      commit_guard=commit_guard,
+        return self.pipeline.run_many(requests, commit_guard=commit_guard,
                                       registry=self.deployed)
 
     def update_program(self, name: str,
@@ -255,17 +238,13 @@ class ClickINC:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the persistent worker pool deterministically.
+        """Persist the placement memo when ``memo_path`` is set.
 
-        Safe to call multiple times; afterwards the controller remains
-        usable (a later ``deploy_many(workers=N)`` simply starts a fresh
-        pool).  Without an explicit close the pool would only be reaped at
-        garbage collection / interpreter exit.  With ``memo_path`` set the
-        placement memo is persisted here (best-effort — a failed write
-        never blocks shutdown; the next start simply cold-solves).
+        Best-effort — a failed write never blocks shutdown; the next start
+        simply cold-solves.  Safe to call multiple times; the controller
+        remains usable afterwards.
         """
-        self.pipeline.close()
-        if self.memo_path is not None and hasattr(self.memo, "save"):
+        if self.memo_path is not None:
             try:
                 self.memo.save(self.memo_path, self.topology)
             except Exception:
@@ -277,13 +256,13 @@ class ClickINC:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    def as_service(self, workers: int = 2, max_wave: int = 8):
+    def as_service(self, max_wave: int = 8):
         """An asyncio :class:`~repro.core.service.INCService` over this
         controller (shares its pipeline, cache and deployed-program
         registry)."""
         from repro.core.service import INCService
 
-        return INCService(self, workers=workers, max_wave=max_wave)
+        return INCService(self, max_wave=max_wave)
 
     def runtime(self, auto_migrate: Optional[bool] = None):
         """The :class:`~repro.runtime.manager.RuntimeManager` over this

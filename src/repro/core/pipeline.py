@@ -7,22 +7,23 @@ A deployment is an explicit sequence of named stages::
 and there is **one** way a request travels through them
 (:meth:`CompilationPipeline.run_many`):
 
-1. the *pure phase* — :meth:`ParallelCompileService.compile_batch
-   <repro.core.parallel.ParallelCompileService.compile_batch>` — runs
-   ``frontend`` and ``ir-verify`` (and, in a worker process, a speculative
-   commit-free placement against a snapshot of device allocations).  It reads
-   nothing but the request and the shared
-   :class:`~repro.core.cache.ArtifactCache`, so it holds no lock;
+1. the *pure phase* — :meth:`CompilationPipeline.compile_batch` — runs
+   ``frontend`` and ``ir-verify`` for every request of the batch, in request
+   order, in this process.  It reads nothing but the request and the shared
+   :class:`~repro.core.cache.ArtifactCache`, so it holds no lock; a verified
+   program is stored as it is compiled, so requests of one batch with equal
+   content compile once;
 2. the *commit phase* — :meth:`CompilationPipeline.commit_speculative_result`
-   per request, in admission order, under the caller's commit guard —
-   validates a speculative plan against the live topology (committing it
-   untouched when no consulted device changed, re-placing on conflict) or
-   places through the plan cache when the pure phase ran in-process, then
-   synthesises, installs and generates code.
+   per request, in admission order, under the caller's commit guard — places
+   through the plan cache against the live topology, then synthesises,
+   installs and generates code.  A caller that placed *speculatively*
+   between the two phases (the cross-shard two-phase commit) hands its plan
+   in: it commits untouched when no consulted device changed and is
+   re-placed on conflict.
 
-Either executor of the pure phase therefore yields exactly the placements of
-the equivalent serial loop.  :meth:`CompilationPipeline.run` is a batch of
-one that re-raises the failure its report captured.
+A batch therefore yields exactly the placements of the equivalent serial
+loop.  :meth:`CompilationPipeline.run` is a batch of one that re-raises the
+failure its report captured.
 
 Every stage appends a :class:`StageRecord` (duration, cache-hit flag,
 diagnostics) to the deployment's :class:`PipelineReport`.  If a commit stage
@@ -91,9 +92,9 @@ class DeployRequest:
     header_fields: Optional[Dict[str, int]] = None
     traffic_rates: Optional[Dict[str, float]] = None
     #: Distributed-tracing context.  Attached by whoever started the trace
-    #: (gateway or service), propagated through admission queues and the
-    #: worker-pool pickle boundary, and deliberately excluded from every
-    #: cache key (keys derive from program content and placement state).
+    #: (gateway or service), propagated through admission queues and
+    #: executor hops, and deliberately excluded from every cache key (keys
+    #: derive from program content and placement state).
     trace: Optional[TraceContext] = None
 
     def __post_init__(self) -> None:
@@ -154,8 +155,7 @@ class PipelineReport:
     error: Optional[str] = None
     failed_stage: Optional[str] = None
     deployed: Optional[DeployedProgram] = None
-    #: the typed exception behind ``error`` when the failure happened in this
-    #: process (worker-side failures cross the pickle boundary as strings);
+    #: the typed exception behind ``error``;
     #: :meth:`CompilationPipeline.run` re-raises it
     exception: Optional[BaseException] = field(default=None, repr=False,
                                                compare=False)
@@ -187,16 +187,10 @@ class PipelineReport:
 
 def complete_report(report: PipelineReport, started: float,
                     deployed: Optional[DeployedProgram] = None, *,
-                    error: Optional[str] = None,
-                    failed_stage: Optional[str] = None,
                     exception: Optional[BaseException] = None
                     ) -> PipelineReport:
-    """Fill in the outcome of *report*: success with *deployed*, else failure.
-
-    A failure is described by the *exception* caught in this process, by
-    the picklable ``error``/``failed_stage`` strings a worker sent, or both
-    (the strings win: they may carry more context than the exception).
-    """
+    """Fill in the outcome of *report*: success with *deployed*, else the
+    failure *exception* (whose ``pipeline_stage`` names the failed stage)."""
     report.total_s = time.perf_counter() - started
     report.succeeded = deployed is not None
     if deployed is not None:
@@ -204,12 +198,27 @@ def complete_report(report: PipelineReport, started: float,
         deployed.deploy_time_s = report.total_s
         deployed.report = report
     else:
-        report.error = error if error is not None else str(exception)
-        report.failed_stage = (
-            failed_stage if failed_stage is not None
-            else getattr(exception, "pipeline_stage", None))
+        report.error = str(exception)
+        report.failed_stage = getattr(exception, "pipeline_stage", None)
         report.exception = exception
     return report
+
+
+@dataclass
+class SpeculativeResult:
+    """Outcome of the pure phase for one request.
+
+    Either ``program`` and its stage ``records``, or the ``exception`` that
+    stopped it (annotated with ``pipeline_stage``).  ``plan`` is a
+    commit-free placement the caller computed before the commit phase (the
+    cross-shard two-phase commit does); when it is ``None`` the commit phase
+    places against the live topology.
+    """
+
+    program: Optional[IRProgram] = None
+    records: List[StageRecord] = field(default_factory=list)
+    plan: Optional[PlacementPlan] = None
+    exception: Optional[BaseException] = None
 
 
 def program_cache_key(request: DeployRequest, cache: ArtifactCache) -> Optional[str]:
@@ -222,105 +231,6 @@ def program_cache_key(request: DeployRequest, cache: ArtifactCache) -> Optional[
         "program",
         source_compile_key(request.source, request.constants,
                            request.header_fields),
-    )
-
-
-def single_flight_waves(keys: Sequence[Optional[str]],
-                        skip: Optional[set] = None
-                        ) -> Tuple[List[int], List[int]]:
-    """Partition request indices into single-flight leaders and followers.
-
-    Requests sharing a compile key ride on one leader compilation; followers
-    run in a second wave, once the leaders' programs are in the shared
-    cache.  Requests without a key (precompiled IR) are always leaders.
-    Indices in *skip* (requests already served, e.g. from the warm plan
-    cache) are excluded from both waves.
-    """
-    leaders: List[int] = []
-    followers: List[int] = []
-    seen: set = set()
-    for index, key in enumerate(keys):
-        if skip is not None and index in skip:
-            continue
-        if key is None or key not in seen:
-            leaders.append(index)
-            if key is not None:
-                seen.add(key)
-        else:
-            followers.append(index)
-    return leaders, followers
-
-
-def compile_request(request: DeployRequest, compiler: FrontendCompiler,
-                    cache: ArtifactCache,
-                    precompiled: Optional[IRProgram] = None
-                    ) -> Tuple[IRProgram, List[StageRecord]]:
-    """Run the pure ``frontend`` and ``ir-verify`` stages of one request.
-
-    This is a free function (rather than pipeline state) so process-pool
-    workers can run it against their own compiler and cache; exceptions are
-    annotated with a ``pipeline_stage`` attribute naming the failing stage.
-    *precompiled* is the single-flight follower case: the batch's leader
-    already compiled the shared program content, so the frontend only
-    re-owns it.
-    """
-    records: List[StageRecord] = []
-    name = request.resolved_name()
-
-    start = time.perf_counter()
-    stage = "frontend"
-    try:
-        hit = False
-        key = None
-        if precompiled is not None:
-            hit = True
-            program = precompiled.rebrand(name)
-            detail: Dict[str, object] = {"kind": "single-flight"}
-        elif request.program is not None:
-            program = request.program
-            if program.name != name:
-                program = program.rebrand(name)
-            detail = {"kind": "precompiled"}
-        else:
-            kind = "profile" if request.profile is not None else "source"
-            key = program_cache_key(request, cache)
-            hit, cached = cache.lookup(key)
-            if hit:
-                program = cached.rebrand(name)
-            elif request.profile is not None:
-                program = compiler.compile_profile(request.profile, name=name)
-            else:
-                program = compiler.compile_source(
-                    request.source, name=name, constants=request.constants,
-                    header_fields=request.header_fields,
-                )
-            detail = {"kind": kind, "instructions": len(program)}
-        records.append(StageRecord(stage, time.perf_counter() - start,
-                                   cache_hit=hit, detail=detail))
-
-        stage = "ir-verify"
-        start = time.perf_counter()
-        verify_program(program)
-        records.append(StageRecord(stage, time.perf_counter() - start))
-        if key is not None and not hit:
-            # only verified programs enter the content-addressed store
-            cache.store(key, program)
-    except Exception as exc:
-        setattr(exc, "pipeline_stage", stage)
-        raise
-    return program, records
-
-
-def build_placement_request(program: IRProgram, request: DeployRequest,
-                            adaptive_weights: bool) -> PlacementRequest:
-    """The placement search input for *program* deployed as *request*."""
-    return PlacementRequest(
-        program=program,
-        source_groups=list(request.source_groups),
-        destination_group=request.destination_group,
-        traffic_rates=dict(request.traffic_rates)
-        if request.traffic_rates else None,
-        adaptive_weights=adaptive_weights,
     )
 
 
@@ -389,10 +299,6 @@ class CompilationPipeline:
         self.cache = cache if cache is not None else ArtifactCache()
         self.generate_code = generate_code
         self.adaptive_weights = adaptive_weights
-        #: the live compile service that runs the pure phase, or None before
-        #: first use — read it for observability (pool generation, batches
-        #: served); its lifecycle stays with parallel_service() and close()
-        self.parallel = None
         self.obs = obs if obs is not None else Observability.default()
         registry = self.obs.registry
         self._stage_hist = registry.histogram(
@@ -410,20 +316,91 @@ class CompilationPipeline:
     # ------------------------------------------------------------------ #
     # pure stages (safe to run concurrently across requests)
     # ------------------------------------------------------------------ #
-    def program_cache_key(self, request: DeployRequest) -> Optional[str]:
-        """The ``program`` cache address of *request*, or None if precompiled."""
-        return program_cache_key(request, self.cache)
-
     def compile_stages(self, request: DeployRequest
                        ) -> Tuple[IRProgram, List[StageRecord]]:
-        """Run ``frontend`` and ``ir-verify`` for one request."""
-        return compile_request(request, self.compiler, self.cache)
+        """Run the pure ``frontend`` and ``ir-verify`` stages of one request.
+
+        A verified program enters the content-addressed ``program``
+        namespace as soon as it is compiled, so the next request with equal
+        content — in the same batch or a later one — only re-owns it.
+        Exceptions are annotated with a ``pipeline_stage`` attribute naming
+        the failing stage.
+        """
+        records: List[StageRecord] = []
+        name = request.resolved_name()
+
+        start = time.perf_counter()
+        stage = "frontend"
+        try:
+            hit = False
+            key = None
+            if request.program is not None:
+                program = request.program
+                if program.name != name:
+                    program = program.rebrand(name)
+                detail: Dict[str, object] = {"kind": "precompiled"}
+            else:
+                kind = "profile" if request.profile is not None else "source"
+                key = program_cache_key(request, self.cache)
+                hit, cached = self.cache.lookup(key)
+                if hit:
+                    program = cached.rebrand(name)
+                elif request.profile is not None:
+                    program = self.compiler.compile_profile(request.profile,
+                                                            name=name)
+                else:
+                    program = self.compiler.compile_source(
+                        request.source, name=name, constants=request.constants,
+                        header_fields=request.header_fields,
+                    )
+                detail = {"kind": kind, "instructions": len(program)}
+            records.append(StageRecord(stage, time.perf_counter() - start,
+                                       cache_hit=hit, detail=detail))
+
+            stage = "ir-verify"
+            start = time.perf_counter()
+            verify_program(program)
+            records.append(StageRecord(stage, time.perf_counter() - start))
+            if key is not None and not hit:
+                # only verified programs enter the content-addressed store
+                self.cache.store(key, program)
+        except Exception as exc:
+            setattr(exc, "pipeline_stage", stage)
+            raise
+        return program, records
+
+    def compile_batch(self, requests: Sequence[DeployRequest]
+                      ) -> List[SpeculativeResult]:
+        """Run the pure phase of a batch; results in request order.
+
+        Never raises for a request's own failure: it comes back on the
+        request's result so the rest of the batch proceeds.
+        """
+        compile_start = time.perf_counter()
+        results: List[SpeculativeResult] = []
+        for request in requests:
+            try:
+                program, records = self.compile_stages(request)
+            except Exception as exc:
+                results.append(SpeculativeResult(exception=exc))
+            else:
+                results.append(SpeculativeResult(program=program,
+                                                 records=records))
+        self._phase_hist.labels("compile").observe(
+            time.perf_counter() - compile_start)
+        return results
 
     def placement_request(self, program: IRProgram,
                           request: DeployRequest) -> PlacementRequest:
         """The placement search input for *program* deployed as *request*."""
-        return build_placement_request(program, request,
-                                       self.adaptive_weights)
+        return PlacementRequest(
+            program=program,
+            source_groups=list(request.source_groups),
+            destination_group=request.destination_group,
+            traffic_rates=dict(request.traffic_rates)
+            if request.traffic_rates else None,
+            adaptive_weights=self.adaptive_weights,
+        )
 
     def plan_cache_key(self, placement_request: PlacementRequest) -> str:
         """Content address of a placement under the live topology state.
@@ -451,8 +428,7 @@ class CompilationPipeline:
     # ------------------------------------------------------------------ #
     def commit_stages(self, program: IRProgram, request: DeployRequest,
                       records: List[StageRecord],
-                      speculative_plan: Optional[PlacementPlan] = None,
-                      speculative_from_cache: bool = False
+                      speculative_plan: Optional[PlacementPlan] = None
                       ) -> DeployedProgram:
         """Run placement → synthesis → emulator-install → codegen.
 
@@ -461,8 +437,6 @@ class CompilationPipeline:
         against the live topology first: if no consulted device changed, the
         plan commits as-is; otherwise the request is re-placed sequentially,
         which reproduces exactly what a serial loop would have computed.
-        ``speculative_from_cache`` marks a plan served from the shared plan
-        cache (it is recorded as a cache hit and not written back again).
 
         On failure every already-committed stage is rolled back in reverse
         order before the original exception is re-raised (annotated with a
@@ -490,25 +464,22 @@ class CompilationPipeline:
                                           "conflicts": conflicts}
                 else:
                     plan = speculative_plan
-                    hit = speculative_from_cache
                     speculative_detail = {
                         "speculative": True,
                         "speculative_place_s": speculative_plan.compile_time_s,
                     }
-                    if not speculative_from_cache:
-                        # plan-cache write-back: a validated speculative plan
-                        # is exactly what the sequential DP search would
-                        # produce against the live (pre-commit) topology, so
-                        # store it under the same content address
-                        # _place_cached would use — later identical requests
-                        # hit warm instead of paying the search again in a
-                        # worker.
-                        key = self.plan_cache_key(
-                            self.placement_request(program, request)
-                        )
-                        if key not in self.cache:
-                            self.cache.store(key, plan)
-                            speculative_detail["plan_write_back"] = True
+                    # plan-cache write-back: a validated speculative plan is
+                    # exactly what the sequential DP search would produce
+                    # against the live (pre-commit) topology, so store it
+                    # under the content address _place_cached would use —
+                    # later identical requests hit warm instead of paying
+                    # the search again.
+                    key = self.plan_cache_key(
+                        self.placement_request(program, request)
+                    )
+                    if key not in self.cache:
+                        self.cache.store(key, plan)
+                        speculative_detail["plan_write_back"] = True
             if plan is None:
                 placement_request = self.placement_request(program, request)
                 plan, hit = self._place_cached(placement_request)
@@ -706,34 +677,6 @@ class CompilationPipeline:
     # ------------------------------------------------------------------ #
     # the one deploy path
     # ------------------------------------------------------------------ #
-    def parallel_service(self, workers: Optional[int] = None):
-        """The compile service that runs the pure phase, created on demand.
-
-        The service survives across batches.  Its pool width is a property
-        of the service, not of a call: ``workers=None`` (``run()``,
-        migrations, escalations, the cross-shard 2PC) uses whatever service
-        is live and never resizes it; an explicit count that differs from
-        the live service's replaces it.  :meth:`close` releases it
-        deterministically.
-        """
-        from repro.core.parallel import ParallelCompileService
-
-        service = self.parallel
-        if (workers is not None and service is not None
-                and service.workers != max(1, int(workers))):
-            service.close()
-            service = None
-        if service is None:
-            service = ParallelCompileService(self, workers=workers or 1)
-            self.parallel = service
-        return service
-
-    def close(self) -> None:
-        """Release the compile service and its worker pool (idempotent)."""
-        if self.parallel is not None:
-            self.parallel.close()
-            self.parallel = None
-
     def run(self, request: DeployRequest) -> PipelineReport:
         """Deploy one request: a batch of one that raises instead of reporting.
 
@@ -746,21 +689,17 @@ class CompilationPipeline:
         return report
 
     def run_many(self, requests: Sequence[DeployRequest],
-                 workers: Optional[int] = None,
                  commit_guard=None,
                  registry: Optional[Dict[str, DeployedProgram]] = None
                  ) -> List[PipelineReport]:
         """Deploy a batch: lock-free pure phase, then commits in request order.
 
-        The pure phase (``compile_batch``) runs outside *commit_guard* — its
-        speculative plans are validated, and re-placed on conflict, by the
-        commit phase, so commits landing meanwhile are harmless.  The commit
-        phase holds the guard (any context manager; a shard passes its commit
-        lock) and records each committed program in *registry* before
-        releasing it, so the caller's book-keeping never lags a commit.
-        ``workers`` > 1 asks for a process pool of that width, which
-        dispatch waves of two or more requests use; see
-        :meth:`parallel_service`.
+        The pure phase (:meth:`compile_batch`) runs outside *commit_guard* —
+        it touches nothing but the artifact cache, so commits landing
+        meanwhile are harmless.  The commit phase holds the guard (any
+        context manager; a shard passes its commit lock) and records each
+        committed program in *registry* before releasing it, so the caller's
+        book-keeping never lags a commit.
 
         Reports are returned in request order.  A failing request is captured
         in its report (``succeeded=False``, ``error``, ``failed_stage``) and
@@ -771,12 +710,9 @@ class CompilationPipeline:
         if not requests:
             return []
         started = time.perf_counter()
-        guard = commit_guard if commit_guard is not None else nullcontext()
-        with guard:  # replacing a live pool mutates shared pipeline state
-            service = self.parallel_service(workers)
-        results = service.compile_batch(requests)
+        results = self.compile_batch(requests)
         reports: List[PipelineReport] = []
-        with guard:
+        with commit_guard if commit_guard is not None else nullcontext():
             for request, result in zip(requests, results):
                 report = self.commit_speculative_result(
                     request, result,
@@ -788,37 +724,30 @@ class CompilationPipeline:
                 reports.append(report)
         return reports
 
-    def commit_speculative_result(self, request: DeployRequest, result,
+    def commit_speculative_result(self, request: DeployRequest,
+                                  result: SpeculativeResult,
                                   report: PipelineReport,
                                   started: float) -> PipelineReport:
         """Drive the commit phase for one result of the pure phase.
 
-        *result* is a :class:`~repro.core.parallel.SpeculativeResult` from
-        ``compile_batch`` — produced in a worker process (with a speculative
-        plan) or in-process (without one).  This method serialises its
-        outcome into the shared topology, validating the speculative plan
-        (or placing against the live state) and filling in *report*.
-        Callers must invoke it sequentially, in admission order, holding
-        their commit guard.
+        *result* comes from :meth:`compile_batch`, optionally carrying a
+        speculative plan its caller placed since.  This method serialises
+        its outcome into the shared topology — validating that plan, or
+        placing against the live state — and fills in *report*.  Callers
+        must invoke it sequentially, in admission order, holding their
+        commit guard.
         """
         commit_start = time.perf_counter()
         report.stages = list(result.records)
-        # a placement failure against a snapshot is advisory: the commit
-        # stages re-place against the live topology
-        retryable = (result.failed_stage == "placement"
-                     and result.program is not None)
         try:
-            if result.error is not None and not retryable:
-                return complete_report(
-                    report, started, error=result.error,
-                    failed_stage=result.failed_stage,
-                    exception=result.exception)
+            if result.exception is not None:
+                return complete_report(report, started,
+                                       exception=result.exception)
             report.program_name = result.program.name
             try:
                 deployed = self.commit_stages(
                     result.program, request, report.stages,
                     speculative_plan=result.plan,
-                    speculative_from_cache=result.plan_from_cache,
                 )
             except Exception as exc:
                 return complete_report(report, started, exception=exc)
@@ -836,8 +765,8 @@ class CompilationPipeline:
         the request carries a trace context, emits one span per stage.
         Stage spans are duration-faithful but end-aligned: the records only
         store durations, so spans are stacked back from now — exact for the
-        just-committed stages, shifted for compile stages that ran earlier
-        in a worker (whose own worker-side spans carry real timestamps).
+        just-committed stages, shifted for the compile stages, which ran
+        before the rest of the batch compiled.
         """
         tracer = self.obs.tracer
         ctx = request.trace

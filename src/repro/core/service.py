@@ -5,7 +5,7 @@ continuously submit, update and remove programs against one shared network.
 :class:`INCService` is that front-end — an asyncio API over the staged
 pipeline::
 
-    async with INCService(topology, workers=4) as svc:
+    async with INCService(topology) as svc:
         report = await svc.submit(request)        # deploy
         ...
         await svc.remove(report.program_name)     # undeploy
@@ -15,11 +15,7 @@ Requests enter an **admission queue** and are drained by a single dispatcher
 task into *waves*, and a wave is deployed the one way anything is deployed
 (:meth:`CompilationPipeline.run_many
 <repro.core.pipeline.CompilationPipeline.run_many>`): a lock-free pure phase
-— in-process for a wave of one, on the pipeline's persistent process pool
-(:class:`~repro.core.parallel.ParallelCompileService` — forked once,
-re-synced per wave via epoch-tagged fingerprint deltas) for a wave of two or
-more when the service was built with ``workers`` > 1 — then commits in
-admission order.
+in this process, then commits in admission order.
 
 Batching is **natural**: a wave is whatever queued while the previous wave
 ran (bounded by ``max_wave``).  There is no coalescing timer — a serial
@@ -47,8 +43,8 @@ for the shards it touches and invisible to the rest.  Its serialisation
 point is lock acquisition, not admission order: untouched lanes keep
 flowing throughout.
 
-Everything blocking (worker-pool waits, commits) runs on the event loop's
-default thread-pool executor, so the loop itself never stalls on a wave.
+Everything blocking (compiles, commits) runs on the event loop's default
+thread-pool executor, so the loop itself never stalls on a wave.
 """
 
 from __future__ import annotations
@@ -64,7 +60,6 @@ from repro.core.pipeline import DeployRequest, PipelineReport
 from repro.core.stats import CounterMixin, ShardCounters
 from repro.exceptions import DeploymentError
 from repro.obs import Observability
-from repro.obs.metrics import Sample
 from repro.synthesis.incremental import SynthesisDelta
 from repro.topology.network import NetworkTopology
 
@@ -184,10 +179,6 @@ class INCService:
         cache and deployed-program registry), or a
         :class:`~repro.topology.network.NetworkTopology` from which the
         service builds — and then owns — a controller.
-    workers:
-        Process-pool width for the unsharded queue's waves of two or more
-        submissions (``<= 1``: no pool; a wave of one always compiles
-        in-process).  Sharded lanes use ``shard_workers`` instead.
     max_wave:
         Upper bound on submissions batched into one compile wave.
     max_pending:
@@ -196,10 +187,9 @@ class INCService:
         ``0`` means unbounded.
     """
 
-    def __init__(self, controller_or_topology, *, workers: int = 2,
+    def __init__(self, controller_or_topology, *,
                  max_wave: int = 8, max_pending: int = 0,
-                 sharded: bool = False,
-                 partition=None, shard_workers: Optional[int] = None,
+                 sharded: bool = False, partition=None,
                  obs: Optional[Observability] = None,
                  **controller_kwargs) -> None:
         from repro.sharding.coordinator import ShardCoordinator
@@ -227,10 +217,7 @@ class INCService:
         elif isinstance(controller_or_topology, NetworkTopology):
             if sharded or partition is not None:
                 self.coordinator = ShardCoordinator(
-                    controller_or_topology, partition,
-                    shard_workers=(1 if shard_workers is None
-                                   else shard_workers),
-                    **controller_kwargs)
+                    controller_or_topology, partition, **controller_kwargs)
                 self.controller = self.coordinator.inter
             else:
                 self.controller = ClickINC(controller_or_topology,
@@ -241,7 +228,6 @@ class INCService:
                 "INCService needs a ClickINC controller, a ShardCoordinator "
                 "or a NetworkTopology"
             )
-        self.workers = max(1, int(workers))
         self.max_wave = max(1, int(max_wave))
         self.max_pending = max(0, int(max_pending))
         # sharded mode shares the coordinator's counter bag, so cross-shard
@@ -259,8 +245,6 @@ class INCService:
             "Seconds a submission waited in its admission lane before "
             "its compile wave dispatched", ("lane",))
         registry.register_counters("clickinc_service", self.stats)
-        registry.register_collector(self._pool_samples,
-                                    key=("service-pool", id(self)))
         self._queue: Optional["asyncio.Queue[_Admission]"] = None
         self._dispatcher: Optional["asyncio.Task"] = None
         #: sharded mode: one admission lane (queue + dispatcher) per shard
@@ -318,7 +302,7 @@ class INCService:
 
     async def close(self, drain: bool = True) -> None:
         """Stop the service: drain (by default), stop the dispatcher, and —
-        when the service owns its controller — release the worker pool.
+        when the service owns its controller — close it.
 
         Close is idempotent.  Operations already admitted always complete
         (the stop sentinel queues behind them); ``drain=False`` merely skips
@@ -571,22 +555,6 @@ class INCService:
             self.obs.tracer.finish(ctx, status=status)
         return finish
 
-    def _pool_samples(self):
-        """Render-time gauge/counter samples of the worker-pool vitals."""
-        service = self.controller.pipeline.parallel
-        if service is None:
-            return []
-        return [
-            Sample("clickinc_pool_generation", {}, service.pool_generation,
-                   "gauge", "Worker pools forked over the service lifetime"),
-            Sample("clickinc_pool_batches_served_total", {},
-                   service.batches_served, "counter",
-                   "Speculative compile batches served by the pool"),
-            Sample("clickinc_pool_inline_fallbacks_total", {},
-                   service.inline_fallbacks, "counter",
-                   "Requests that fell back to the in-process compile path"),
-        ]
-
     def _admit(self, admission: _Admission) -> _Admission:
         self._ensure_started()
         self._outstanding.add(admission.future)
@@ -680,21 +648,13 @@ class INCService:
         return self.controller.deployed_programs()
 
     def service_summary(self) -> Dict[str, object]:
-        """Batching counters, pool vitals, and runtime-layer activity."""
+        """Batching counters, memo counters, and runtime-layer activity."""
         summary = self.stats.summary()
-        service = self.controller.pipeline.parallel
-        if service is not None:
-            summary["pool_generation"] = service.pool_generation
-            summary["batches_served"] = service.batches_served
-            summary["inline_fallbacks"] = service.inline_fallbacks
-        memo = getattr(self.controller.placer, "memo", None)
-        if memo is not None and hasattr(memo, "counters"):
-            # the shared placement memo's hit/miss/delta-bytes counters; in
-            # sharded mode ``self.controller`` is the coordinator's
-            # full-fabric controller, whose memo is the one shared with
-            # every shard, so this covers both deployments.  Flows into the
-            # gateway's /v1/status via gateway_summary().
-            summary["memo"] = memo.summary()
+        # in sharded mode ``self.controller`` is the coordinator's
+        # full-fabric controller, whose memo is the one shared with every
+        # shard, so this covers both deployments.  Flows into the gateway's
+        # /v1/status via gateway_summary().
+        summary["memo"] = self.controller.memo.summary()
         runtime = getattr(self.controller, "_runtime", None)
         if runtime is not None:
             summary["runtime"] = runtime.runtime_summary()
@@ -779,12 +739,11 @@ class INCService:
         total, wave = len(wave), live
         requests = [admission.request for admission in wave]
         if shard_id is not None:
-            # shard lane: the wave runs on the shard's own pipeline and
-            # worker pool, holding only that shard's commit lock
+            # shard lane: the wave runs on the shard's own pipeline,
+            # holding only that shard's commit lock
             run = partial(self.coordinator.deploy_wave, shard_id, requests)
         else:
-            run = partial(self.controller.deploy_many, requests,
-                          workers=self.workers)
+            run = partial(self.controller.deploy_many, requests)
         wave_start = time.perf_counter()
         try:
             reports = await loop.run_in_executor(None, run)

@@ -1,9 +1,9 @@
-"""Shared counter plumbing for the service, runtime and pool statistics.
+"""Shared counter plumbing for the service, runtime and memo statistics.
 
 Every long-lived layer keeps a small dataclass of running integer counters
 (:class:`~repro.core.service.ServiceStats`,
-:class:`~repro.runtime.manager.RuntimeStats`, the pool counters of
-:class:`~repro.core.parallel.ParallelCompileService`).  They all update
+:class:`~repro.runtime.manager.RuntimeStats`, :class:`MemoCounters`).  They
+all update
 through :meth:`CounterMixin.increment` — one internal helper instead of
 ad-hoc ``stats.attr += 1`` scattered through the call sites — so a typo'd
 counter name fails loudly instead of silently creating a new attribute,
@@ -92,11 +92,10 @@ class ShardCounters(CounterMixin):
 
 @dataclass
 class MemoCounters(CounterMixin):
-    """Activity of one :class:`~repro.placement.memo.SharedPlacementMemo`.
+    """Activity of one :class:`~repro.placement.memo.PlacementMemo`.
 
-    Tracks how lookups fared, the delta-sync traffic exchanged with pool
-    workers, and the persistence life-cycle.  Surfaced through
-    ``SharedPlacementMemo.summary()`` into the service/gateway status
+    Tracks how lookups fared and the persistence life-cycle.  Surfaced
+    through ``PlacementMemo.summary()`` into the service/gateway status
     responses.
     """
 
@@ -109,18 +108,6 @@ class MemoCounters(CounterMixin):
     shared_hits: int = 0
     #: lookups that missed (the caller derives and stores)
     misses: int = 0
-    #: entries merged in from delta/snapshot blobs
-    delta_entries_in: int = 0
-    #: bytes of delta/snapshot blobs merged in
-    delta_bytes_in: int = 0
-    #: entries exported into delta/snapshot blobs
-    delta_entries_out: int = 0
-    #: bytes of delta/snapshot blobs exported
-    delta_bytes_out: int = 0
-    #: delta entries skipped because the key was already present — with a
-    #: worker pool, exactly the duplicated work that cross-process
-    #: single-flight cannot prevent
-    duplicate_entries: int = 0
     #: entries admitted from a persisted file on restore
     restored_entries: int = 0
     #: entries written out by save()

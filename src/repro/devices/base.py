@@ -163,6 +163,12 @@ class Device:
         #: sums these into its allocation epoch, so "did anything change?"
         #: is an integer comparison rather than a full re-hash.
         self.alloc_version: int = 0
+        #: Monotonic counter bumped only when *routing* can change: a status
+        #: flip or an adjacent link change.  Allocations leave it alone, so
+        #: the topology's forwarding-graph and path caches (keyed on the sum
+        #: of these) survive commits and releases.  It lives on the device so
+        #: a flip made through any shard view is seen by every other one.
+        self.forwarding_version: int = 0
         self._fingerprint_cache: tuple = (-1, "")
         self._availability_cache: tuple = (-1, [])
 
@@ -325,39 +331,6 @@ class Device:
         self._fingerprint_cache = (self.alloc_version, fingerprint)
         return fingerprint
 
-    def allocation_state(self) -> Dict[str, object]:
-        """Picklable snapshot of the mutable allocation state.
-
-        This is the payload of the persistent worker pool's re-sync protocol:
-        instead of re-forking workers per batch, the parent ships the
-        allocation state of every device whose fingerprint drifted from the
-        worker snapshot and the workers apply it with
-        :meth:`set_allocation_state` (absolute state, so application is
-        idempotent).
-        """
-        return {
-            "used": [dict(stage.used) for stage in self.stages],
-            "deployed_programs": {
-                name: list(blocks)
-                for name, blocks in self.deployed_programs.items()
-            },
-            "status": self.status,
-            "topology_version": self.topology_version,
-        }
-
-    def set_allocation_state(self, state: Dict[str, object]) -> None:
-        """Overwrite the allocation state with a parent-process snapshot."""
-        for stage, used in zip(self.stages, state["used"]):
-            stage.used = {key: 0.0 for key in stage.capacities}
-            stage.used.update(used)
-        self.deployed_programs = {
-            name: list(blocks)
-            for name, blocks in state["deployed_programs"].items()
-        }
-        self.status = state.get("status", "up")
-        self.topology_version = int(state.get("topology_version", 0))
-        self.alloc_version += 1
-
     # ------------------------------------------------------------------ #
     # operational status
     # ------------------------------------------------------------------ #
@@ -379,12 +352,14 @@ class Device:
             return False
         self.status = status
         self.alloc_version += 1
+        self.forwarding_version += 1
         return True
 
     def bump_topology_version(self) -> None:
         """Record an adjacent structural change (link failure/removal)."""
         self.topology_version += 1
         self.alloc_version += 1
+        self.forwarding_version += 1
 
     def snapshot(self) -> List[StageResources]:
         """Copy of per-stage resource usage, for rollback during search."""

@@ -554,8 +554,7 @@ async def _serve(args) -> None:
         tenant = registry.register("tenant0")
         print(f"no --tenants file: registered 'tenant0' with API key"
               f" {tenant.api_key}")
-    async with INCService(topology, workers=args.workers,
-                          sharded=args.sharded) as service:
+    async with INCService(topology, sharded=args.sharded) as service:
         gateway = Gateway(service, registry,
                           queue_capacity=args.queue_capacity,
                           admin_key=args.admin_key)
@@ -577,11 +576,6 @@ def main(argv=None) -> int:
                         help="fat-tree arity (fattree topology)")
     parser.add_argument("--sharded", action="store_true",
                         help="shard the controller per pod")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="process-pool width of the unsharded service, "
-                             "used only by waves of two or more concurrent "
-                             "submissions (a lone submit always compiles "
-                             "in-process; <= 1: no pool)")
     parser.add_argument("--queue-capacity", type=int, default=64)
     parser.add_argument("--admin-key", default=None)
     parser.add_argument("--tenants", default=None,

@@ -8,8 +8,7 @@ Three primitives and one hub:
   bags.  Prometheus text exposition via ``render()``.
 * :class:`~repro.obs.trace.Tracer` — per-submission span trees with a
   :class:`~repro.obs.trace.TraceContext` that propagates through the
-  asyncio admission queue, across the worker-pool pickle boundary and
-  through the cross-shard 2PC; bounded completed-trace ring with Chrome
+  asyncio admission queue and through the cross-shard 2PC; bounded completed-trace ring with Chrome
   trace-event export.
 * :class:`~repro.obs.events.EventLog` — a structured JSONL log of
   operational events (migrations, sheds, deadline aborts, device
@@ -43,7 +42,6 @@ from repro.obs.profiling import (
     install_placement_collector,
 )
 from repro.obs.trace import (
-    SpanCollector,
     SpanRecord,
     TraceContext,
     Tracer,
@@ -58,7 +56,6 @@ __all__ = [
     "PlacementCounters",
     "PlacementProfile",
     "Sample",
-    "SpanCollector",
     "SpanRecord",
     "StageTimers",
     "TraceContext",

@@ -18,7 +18,7 @@ from typing import List
 from repro.obs import Observability
 
 
-def _demo(controller, workers: int) -> List[str]:
+def _demo(controller) -> List[str]:
     from repro.core.pipeline import DeployRequest
     from repro.lang.profile import default_profile
 
@@ -33,7 +33,7 @@ def _demo(controller, workers: int) -> List[str]:
             profile=default_profile(app),
             trace=obs.tracer.start_trace("deploy", program=f"{app.lower()}_obs_{index}"),
         ))
-    reports = controller.deploy_many(requests, workers=workers)
+    reports = controller.deploy_many(requests)
     for request, report in zip(requests, reports):
         obs.tracer.finish(request.trace,
                           status="ok" if report.succeeded else "error")
@@ -46,8 +46,6 @@ def main(argv=None) -> int:
         description="dump ClickINC telemetry after a demo deployment wave")
     parser.add_argument("--format", choices=("json", "prom"), default="json",
                         help="output format (default: json)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker processes for the demo wave")
     parser.add_argument("--traces", type=int, default=8,
                         help="max trace summaries to include")
     args = parser.parse_args(argv)
@@ -59,7 +57,7 @@ def main(argv=None) -> int:
     # the closed controller stays referenced until the dump is written: the
     # clickinc_placement_* collector reads live placers only
     with ClickINC(build_paper_emulation_topology(), obs=obs) as controller:
-        deployed = _demo(controller, workers=args.workers)
+        deployed = _demo(controller)
 
     if args.format == "prom":
         sys.stdout.write(obs.registry.render())

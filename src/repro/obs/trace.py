@@ -1,23 +1,13 @@
 """Distributed request tracing for the ClickINC control plane.
 
-A *trace* is the span tree of one submission: queue wait → speculative
-wave → worker-pool compile → commit (or cross-shard 2PC prepare/commit).
-The design is shaped by the two process boundaries a submission crosses:
+A *trace* is the span tree of one submission: queue wait → wave → compile
+→ commit (or cross-shard 2PC prepare/commit).  The :class:`TraceContext`
+(two small strings) is attached to the ``DeployRequest`` itself, so it
+follows the request through the asyncio admission queue, waves and executor
+hops without any task-local state.
 
-* **asyncio admission queue** — the :class:`TraceContext` (two small
-  strings) is attached to the ``DeployRequest`` itself, so it follows
-  the request through coalescing, waves and executor hops without any
-  task-local state.
-* **worker-pool pickle boundary** — workers have no access to the
-  parent's :class:`Tracer`.  They record spans into a plain
-  :class:`SpanCollector` (picklable :class:`SpanRecord` dataclasses that
-  ride back on ``SpeculativeResult.trace_spans``) and the parent stitches
-  them into the live trace with :meth:`Tracer.add_spans` — exactly the
-  channel placement-memo deltas use.
-
-Span ids embed the recording process id, so a stitched tree shows *where*
-each span ran.  Timestamps are wall-clock (``time.time``) so worker and
-parent timelines line up; durations are measured with ``perf_counter``.
+Timestamps are wall-clock (``time.time``); durations are measured with
+``perf_counter``.
 Completed traces live in a bounded ring and export as Chrome trace-event
 JSON (load the dict from ``GET /v1/traces/<id>`` in ``chrome://tracing``
 or Perfetto).
@@ -31,13 +21,12 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 from uuid import uuid4
 
 __all__ = [
     "TraceContext",
     "SpanRecord",
-    "SpanCollector",
     "Tracer",
     "get_tracer",
 ]
@@ -57,7 +46,7 @@ def _proc_name() -> str:
 class TraceContext:
     """The propagated part of a trace: rides on ``DeployRequest.trace``.
 
-    Frozen, tiny and picklable; never carries the span tree itself.
+    Frozen and tiny; never carries the span tree itself.
     """
 
     trace_id: str
@@ -69,7 +58,7 @@ class TraceContext:
 
 @dataclass
 class SpanRecord:
-    """One completed span.  Picklable — workers ship lists of these."""
+    """One completed span."""
 
     trace_id: str
     span_id: str
@@ -90,37 +79,6 @@ class SpanRecord:
             "proc": self.proc,
             "attrs": self.attrs,
         }
-
-
-class SpanCollector:
-    """Tracer-free span recording for worker processes.
-
-    Built around the :class:`TraceContext` that arrived on the request;
-    every recorded span is parented to it (or to a nested span).  The
-    ``records`` list travels back to the parent process on
-    ``SpeculativeResult.trace_spans``.
-    """
-
-    def __init__(self, ctx: TraceContext) -> None:
-        self.ctx = ctx
-        self.records: List[SpanRecord] = []
-        self._proc = _proc_name()
-
-    @contextmanager
-    def span(self, name: str, parent: Optional[TraceContext] = None,
-             **attrs: object):
-        parent = parent or self.ctx
-        child = parent.child()
-        start_wall = time.time()
-        start = time.perf_counter()
-        try:
-            yield child
-        finally:
-            self.records.append(SpanRecord(
-                trace_id=child.trace_id, span_id=child.span_id,
-                parent_id=parent.span_id, name=name, start_s=start_wall,
-                duration_s=time.perf_counter() - start, proc=self._proc,
-                attrs=dict(attrs)))
 
 
 class _LiveTrace:
@@ -152,8 +110,8 @@ class Tracer:
         self._lock = threading.Lock()
         self._active: Dict[str, _LiveTrace] = {}
         self._ring: List[Dict[str, object]] = []
-        # spans that arrived after their trace finished (late worker
-        # stitches): folded into the ring entry when possible
+        # spans that arrived after their trace finished are folded into
+        # the ring entry when possible, counted here otherwise
         self.dropped_spans = 0
 
     # ------------------------------------------------------------------ #
@@ -249,16 +207,6 @@ class Tracer:
             parent_id=ctx.span_id, name=name, start_s=end - duration_s,
             duration_s=duration_s, proc=_proc_name(), attrs=dict(attrs)))
         return child
-
-    def add_spans(self, records: Optional[Iterable[SpanRecord]]) -> int:
-        """Stitch spans recorded elsewhere (worker processes) in."""
-        if not records or not self.enabled:
-            return 0
-        added = 0
-        for record in records:
-            self._record(record)
-            added += 1
-        return added
 
     # ------------------------------------------------------------------ #
     # inspection / export

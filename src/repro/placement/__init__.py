@@ -25,7 +25,7 @@ from repro.placement.depgraph import DependencyGraph, build_dependency_graph
 from repro.placement.blocks import Block, BlockDAG, build_block_dag
 from repro.placement.objective import ObjectiveWeights, PlacementObjective
 from repro.placement.intra import IntraDeviceAllocator, StageAssignment
-from repro.placement.memo import PlacementMemo, SharedPlacementMemo
+from repro.placement.memo import PlacementMemo
 from repro.placement.plan import BlockAssignment, PlacementPlan
 from repro.placement.scoring import IntervalScorer
 from repro.placement.facts import ProgramFacts, derive_program_facts
@@ -45,7 +45,6 @@ __all__ = [
     "StageAssignment",
     "BlockAssignment",
     "PlacementMemo",
-    "SharedPlacementMemo",
     "PlacementPlan",
     "IntervalScorer",
     "ProgramFacts",

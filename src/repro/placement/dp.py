@@ -97,7 +97,7 @@ class PlacementRequest:
     program:
         The compiled IR program.
     source_groups:
-        Host groups whose traffic the program must process (clients/workers).
+        Host groups whose traffic the program must process (clients/trainers).
     destination_group:
         Host group the traffic is destined to (servers / parameter server).
     traffic_rates:
@@ -326,9 +326,7 @@ class _SearchContext:
             if device.allocation_fingerprint() != fingerprint:
                 stale.append(name)
         if stale:
-            counters = getattr(self.memo, "counters", None)
-            if counters is not None:
-                counters.increment("stale_rejections", by=len(stale))
+            self.memo.counters.increment("stale_rejections", by=len(stale))
             raise StaleMemoError(
                 f"memo-served sub-tree table was derived against superseded "
                 f"allocation states on devices {sorted(stale)}; the memo's "
@@ -473,8 +471,7 @@ class DPPlacer:
 
         The search is commit-free: it reads device allocations but never
         mutates them, so independent requests can be placed concurrently
-        (even in separate worker processes holding a snapshot of the
-        topology).  The returned plan records the allocation fingerprints of
+        (controller shards do, from their own threads).  The returned plan records the allocation fingerprints of
         every device consulted; :meth:`commit` applies the plan's resources
         and can revalidate those fingerprints first (see :meth:`validate`).
 
@@ -568,8 +565,8 @@ class DPPlacer:
         committed as-is.  An unchanged topology allocation epoch proves no
         device changed at all, skipping the per-device fingerprint sweep
         entirely; the fingerprints remain the fallback for plans placed
-        against an older epoch (e.g. earlier commits of the same wave, or a
-        worker snapshot).  Plans without fingerprints (hand-built, or from
+        against an older epoch (e.g. a cross-shard plan placed before a
+        commit landed).  Plans without fingerprints (hand-built, or from
         older cache entries) validate trivially.
 
         With *restrict*, only the named devices are checked — the shard
@@ -804,12 +801,11 @@ class DPPlacer:
 
         A hit is trusted only after :meth:`_SearchContext.verify_table_stamps`
         confirms the stored table's consulted devices still carry the
-        allocation fingerprints recorded at derivation time.  On a miss
-        against a :class:`~repro.placement.memo.SharedPlacementMemo`, the
+        allocation fingerprints recorded at derivation time.  On a miss the
         derive runs under the memo's per-key single-flight guard, so
-        concurrent in-process users (controller shards on symmetric pods)
-        solve each distinct sub-tree once: the second thread blocks, then
-        hits on its re-check.
+        concurrent users (controller shards on symmetric pods) solve each
+        distinct sub-tree once: the second thread blocks, then hits on its
+        re-check.
         """
         if ctx is None:
             return solve()
@@ -817,14 +813,11 @@ class DPPlacer:
         table = self._memo_table_hit(ctx, table_key, node)
         if table is not None:
             return table
-        guard = getattr(ctx.memo, "table_guard", None)
-        if guard is not None:
-            with guard(table_key):
-                table = self._memo_table_hit(ctx, table_key, node)
-                if table is not None:
-                    return table
-                return self._solve_and_store(ctx, table_key, node, solve)
-        return self._solve_and_store(ctx, table_key, node, solve)
+        with ctx.memo.table_guard(table_key):
+            table = self._memo_table_hit(ctx, table_key, node)
+            if table is not None:
+                return table
+            return self._solve_and_store(ctx, table_key, node, solve)
 
     def _memo_table_hit(self, ctx: _SearchContext, table_key: Tuple,
                         node: ReducedNode) -> Optional[Dict[int, _Candidate]]:

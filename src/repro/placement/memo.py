@@ -25,28 +25,24 @@ hits again.  That is why nothing prunes by device: the entry a commit or a
 release would drop is the next one asked for.  The memo is bounded by
 ``max_entries`` in total and LRU is its only eviction.
 
-:class:`SharedPlacementMemo` is the same store plus what sharing needs: a
-lock (controller shards run in threads over one memo), hit/miss counters, a
-sequence-numbered delta log so process-pool workers can ship newly derived
-entries back to the parent and receive batched delta sync, per-key
-single-flight guards so concurrent in-process users never derive the same
-sub-tree table twice, and on-disk persistence with fingerprint validation
-for warm restarts.  Because every key is content-addressed, sharing needs no
-coherence protocol: a missed or dropped delta costs a re-derivation, never a
-wrong answer.
+The store is locked (controller shards run in threads over one memo) and
+counts its lookups; per-key single-flight guards keep concurrent users from
+deriving the same sub-tree table twice, and on-disk persistence with
+fingerprint validation serves warm restarts.  Because every key is
+content-addressed, sharing needs no coherence protocol.
 
 Next to the sub-solutions every memo owns a :class:`ProgramFactsStore`: what
 the search knows about a program's *content* before it sees a topology
 (:class:`~repro.placement.facts.ProgramFacts`), kept for content that has
-been seen before.  It is process-local by design — facts are not logged as
-deltas, not saved or restored, and never pickled to a worker (a worker's own
-memo has its own store) — and its lookups are counted by the placer that
-makes them, under their own names, never as memo ``hits`` / ``misses``.
+been seen before.  Facts are not saved or restored, and their lookups are
+counted by the placer that makes them, under their own names, never as memo
+``hits`` / ``misses``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 import threading
 from collections import OrderedDict
@@ -56,14 +52,13 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 __all__ = [
     "PlacementMemo",
     "ProgramFactsStore",
-    "SharedPlacementMemo",
     "MISS",
     "INFEASIBLE",
     "MEMO_FILE_FORMAT",
     "topology_structure_signature",
 ]
 
-#: On-disk format version of :meth:`SharedPlacementMemo.save` files; bumped
+#: On-disk format version of :meth:`PlacementMemo.save` files; bumped
 #: whenever the entry layout changes so a restart never misreads old files.
 MEMO_FILE_FORMAT = 1
 
@@ -73,10 +68,9 @@ class _Sentinel:
 
     The memo's sentinels are compared by identity (``is MISS``), which bare
     ``object()`` instances do not survive: unpickling creates a *new*
-    object, so a sentinel that crossed a process boundary (worker delta
-    blobs) or a restart (persisted memo files) would stop comparing equal.
-    ``__reduce__`` routes unpickling back through the per-tag registry, so
-    identity is preserved across pickling, forks and restarts.
+    object, so a sentinel that crossed a restart (persisted memo files are
+    pickles) would stop comparing equal.  ``__reduce__`` routes unpickling
+    back through the per-tag registry, so identity is preserved.
     """
 
     _registry: Dict[str, "_Sentinel"] = {}
@@ -198,43 +192,72 @@ class ProgramFactsStore:
 
 
 class PlacementMemo:
-    """Three LRU stores under one total bound of ``max_entries``."""
+    """Three LRU stores under one total bound of ``max_entries``.
+
+    One memo handed to every controller shard is what lets shard A's pod
+    sub-tree table warm shard B (all keys are name-blind and
+    fingerprint-addressed, so reuse across shard views is sound by
+    construction).  Every public operation is thread-safe — controller
+    shards run in threads and share one ``Device`` world, hence potentially
+    one memo — and lookups are counted (:attr:`counters`).  Next to the
+    stores it offers:
+
+    * :meth:`table_guard`, per-key **single-flight** for concurrent users:
+      the second thread asking for an uncached sub-tree table blocks until
+      the first finishes deriving it, then hits;
+    * :meth:`save` / :meth:`restore`, which persist the stores next to the
+      artifact cache and bring them back after a controller/service
+      restart, validating the file's topology signature and per-device
+      allocation fingerprints so only still-live sub-solutions return.
+    """
 
     def __init__(self, max_entries: int = 100000) -> None:
+        from repro.core.stats import MemoCounters  # local: avoids an import
+        # cycle (repro.core.__init__ imports the controller, which imports
+        # the placer, which imports this module)
+
         self.max_entries = max(16, int(max_entries))
         #: per-content search inputs; not a sub-solution store — outside
-        #: ``len()`` / ``sizes()`` / ``max_entries``, deltas and persistence
+        #: ``len()`` / ``sizes()`` / ``max_entries`` and persistence
         self.program_facts = ProgramFactsStore()
         #: store name -> OrderedDict key -> (value, consulted device names);
-        #: the names are what ``restore`` validates and the delta wire
-        #: format carries, not an eviction index
+        #: the names are what ``restore`` validates, not an eviction index
         self._stores: Dict[str, "OrderedDict[_Key, Tuple[object, Tuple[str, ...]]]"] = {
             "device": OrderedDict(),
             "interval": OrderedDict(),
             "table": OrderedDict(),
         }
+        self._lock = threading.RLock()
+        #: per-key single-flight guards: key -> [lock, waiter count]
+        self._guards: Dict[_Key, List[object]] = {}
+        self._guard_meta = threading.Lock()
+        self.counters = MemoCounters()
 
     # ------------------------------------------------------------------ #
     # generic store plumbing
     # ------------------------------------------------------------------ #
     def _lookup(self, store: str, key: _Key) -> object:
-        entries = self._stores[store]
-        entry = entries.get(key)
-        if entry is None:
-            return MISS
-        entries.move_to_end(key)
-        return entry[0]
+        with self._lock:
+            entries = self._stores[store]
+            entry = entries.get(key)
+            if entry is None:
+                self.counters.increment("misses")
+                return MISS
+            entries.move_to_end(key)
+            self.counters.increment("hits")
+            return entry[0]
 
     def _store(self, store: str, key: _Key, value: object,
                devices: Iterable[str]) -> None:
-        entries = self._stores[store]
-        entries[key] = (value, tuple(devices))
-        entries.move_to_end(key)
-        # over the total bound the largest store gives up its oldest entry,
-        # which keeps the few, expensive sub-tree tables longest
-        stores = self._stores.values()
-        while sum(map(len, stores)) > self.max_entries:
-            max(stores, key=len).popitem(last=False)
+        with self._lock:
+            entries = self._stores[store]
+            entries[key] = (value, tuple(devices))
+            entries.move_to_end(key)
+            # over the total bound the largest store gives up its oldest
+            # entry, which keeps the few, expensive sub-tree tables longest
+            stores = self._stores.values()
+            while sum(map(len, stores)) > self.max_entries:
+                max(stores, key=len).popitem(last=False)
 
     # ------------------------------------------------------------------ #
     # typed accessors
@@ -262,119 +285,6 @@ class PlacementMemo:
     def store_table(self, key: _Key, value: object,
                     devices: Iterable[str]) -> None:
         self._store("table", key, value, devices)
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-    def clear(self) -> int:
-        """Drop everything; returns the number of sub-solutions dropped."""
-        total = len(self)
-        for entries in self._stores.values():
-            entries.clear()
-        self.program_facts.clear()
-        return total
-
-    def __len__(self) -> int:
-        return sum(len(entries) for entries in self._stores.values())
-
-    def sizes(self) -> Dict[str, int]:
-        return {store: len(entries) for store, entries in self._stores.items()}
-
-    def summary(self) -> Dict[str, object]:
-        return {"entries": len(self), "sizes": self.sizes(),
-                "program_facts": self.program_facts.summary()}
-
-
-class SharedPlacementMemo(PlacementMemo):
-    """A process-shared, persistable placement memo.
-
-    The inherited stores *are* the memo — one :class:`SharedPlacementMemo`
-    handed to every controller shard is what lets shard A's pod sub-tree
-    table warm shard B (all keys are name-blind and
-    fingerprint-addressed, so reuse across shard views is sound by
-    construction).  This class adds what sharing needs:
-
-    * a sequence-numbered **delta log** feeds the worker-pool sync
-      protocol: :meth:`export_delta` packages entries derived since a
-      watermark into one pickled blob, :meth:`apply_delta` merges a blob
-      from another process.  Sync is *lossy-safe* — a dropped blob (idle
-      worker, trimmed log) costs a re-derivation, never a wrong answer —
-      so the log is bounded rather than durable;
-    * :meth:`table_guard` provides per-key **single-flight** for
-      concurrent in-process users: the second thread asking for an
-      uncached sub-tree table blocks until the first finishes deriving
-      it, then hits.  (Process-pool workers have no shared locks; their
-      duplicate derivations are collapsed at delta-merge time and show up
-      in ``counters.duplicate_entries``.)
-    * :meth:`save` / :meth:`restore` persist the store next to the
-      artifact cache and bring it back after a controller/service
-      restart, validating the file's topology signature and per-device
-      allocation fingerprints so only still-live sub-solutions return.
-
-    All public operations are thread-safe (controller shards run in
-    threads and share one ``Device`` world, hence potentially one memo).
-    The *type* is also what tells
-    :class:`~repro.core.parallel.ParallelCompileService` that pool workers
-    should exchange memo deltas; a plain :class:`PlacementMemo` stays
-    private to its process.
-    """
-
-    def __init__(self, max_entries: int = 100000,
-                 max_log_entries: int = 50000) -> None:
-        super().__init__(max_entries)
-        self._lock = threading.RLock()
-        self.max_log_entries = max(16, int(max_log_entries))
-        #: delta log: (seq, store, key, value, names), oldest first
-        self._log: List[Tuple[int, str, _Key, object, Tuple[str, ...]]] = []
-        self._log_seq = 0
-        #: per-key single-flight guards: key -> [lock, waiter count]
-        self._guards: Dict[_Key, List[object]] = {}
-        self._guard_meta = threading.Lock()
-        from repro.core.stats import MemoCounters  # local: avoids an import
-        # cycle (repro.core.__init__ imports the controller, which imports
-        # the placer, which imports this module)
-
-        self.counters = MemoCounters()
-
-    # ------------------------------------------------------------------ #
-    # locked, counted, logged store plumbing
-    # ------------------------------------------------------------------ #
-    def _lookup(self, store: str, key: _Key) -> object:
-        with self._lock:
-            value = super()._lookup(store, key)
-            self.counters.increment("misses" if value is MISS else "hits")
-            return value
-
-    def _store(self, store: str, key: _Key, value: object,
-               devices: Iterable[str]) -> None:
-        names = tuple(devices)
-        with self._lock:
-            super()._store(store, key, value, names)
-            self._append_log(store, key, value, names)
-
-    def _append_log(self, store: str, key: _Key, value: object,
-                    names: Tuple[str, ...]) -> None:
-        self._log_seq += 1
-        self._log.append((self._log_seq, store, key, value, names))
-        # bound the log: entries beyond the cap fall off the front.  A
-        # consumer whose watermark predates the trim simply misses them —
-        # it re-derives on demand, which content-addressing makes safe.
-        if len(self._log) > self.max_log_entries:
-            del self._log[: len(self._log) - self.max_log_entries]
-
-    def clear(self) -> int:
-        with self._lock:
-            removed = super().clear()
-            self._log.clear()
-            return removed
-
-    def __len__(self) -> int:
-        with self._lock:
-            return super().__len__()
-
-    def sizes(self) -> Dict[str, int]:
-        with self._lock:
-            return super().sizes()
 
     # ------------------------------------------------------------------ #
     # single-flight
@@ -410,87 +320,6 @@ class SharedPlacementMemo(PlacementMemo):
                     self._guards.pop(key, None)
 
     # ------------------------------------------------------------------ #
-    # delta sync (worker pools)
-    # ------------------------------------------------------------------ #
-    @property
-    def delta_seq(self) -> int:
-        """Sequence number of the newest logged entry (0 when empty)."""
-        with self._lock:
-            return self._log_seq
-
-    def export_delta(self, since_seq: int) -> Optional[Tuple[int, bytes]]:
-        """``(to_seq, blob)`` of entries logged after *since_seq*, or None.
-
-        The blob is a pickle of ``[(store, key, value, names), ...]``;
-        consumers apply it with :meth:`apply_delta` and advance their
-        watermark to ``to_seq``.  Entries trimmed from the bounded log are
-        silently absent — acceptable because sync is performance-only.
-        """
-        with self._lock:
-            if self._log_seq <= since_seq:
-                return None
-            entries = [
-                (store, key, value, names)
-                for seq, store, key, value, names in self._log
-                if seq > since_seq
-            ]
-            blob = pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
-            self.counters.increment("delta_entries_out", by=len(entries))
-            self.counters.increment("delta_bytes_out", by=len(blob))
-            return self._log_seq, blob
-
-    def export_snapshot(self) -> Tuple[int, bytes]:
-        """``(seq, blob)`` covering every entry currently in the memo.
-
-        Used to warm a brand-new consumer (pool-fork initialisation),
-        where the bounded delta log may no longer reach back far enough.
-        """
-        with self._lock:
-            entries = self._entries()
-            blob = pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
-            self.counters.increment("delta_entries_out", by=len(entries))
-            self.counters.increment("delta_bytes_out", by=len(blob))
-            return self._log_seq, blob
-
-    def _entries(self) -> List[Tuple[str, _Key, object, Tuple[str, ...]]]:
-        """Every entry in the delta/file layout (callers hold the lock)."""
-        return [
-            (store, key, value, names)
-            for store, store_entries in self._stores.items()
-            for key, (value, names) in store_entries.items()
-        ]
-
-    def apply_delta(self, blob: bytes, record: bool = False
-                    ) -> Tuple[int, int]:
-        """Merge a delta blob; returns ``(applied, duplicates)``.
-
-        Entries whose key is already present are counted as duplicates
-        and skipped — with process-pool workers racing on the same cold
-        fabric, duplicates measure exactly the work single-flight could
-        not prevent across processes.  With ``record=True`` the applied
-        entries are re-logged, so a parent merging one worker's delta
-        relays it to the *other* workers through the next batched sync.
-        """
-        entries = pickle.loads(blob)
-        applied = duplicates = 0
-        with self._lock:
-            for store, key, value, names in entries:
-                store_entries = self._stores.get(store)
-                if store_entries is None:
-                    continue
-                if key in store_entries:
-                    duplicates += 1
-                    continue
-                PlacementMemo._store(self, store, key, value, names)
-                if record:
-                    self._append_log(store, key, value, names)
-                applied += 1
-            self.counters.increment("delta_entries_in", by=applied)
-            self.counters.increment("delta_bytes_in", by=len(blob))
-            self.counters.increment("duplicate_entries", by=duplicates)
-        return applied, duplicates
-
-    # ------------------------------------------------------------------ #
     # persistence (warm restarts)
     # ------------------------------------------------------------------ #
     def save(self, path: str, topology) -> int:
@@ -502,14 +331,16 @@ class SharedPlacementMemo(PlacementMemo):
         entry.  The write is atomic (temp file + rename), so a crash
         mid-save leaves the previous file intact.
         """
-        import os
-
         with self._lock:
             payload = {
                 "format": MEMO_FILE_FORMAT,
                 "topology": topology_structure_signature(topology),
                 "fingerprints": topology.device_fingerprints(),
-                "entries": self._entries(),
+                "entries": [
+                    (store, key, value, names)
+                    for store, store_entries in self._stores.items()
+                    for key, (value, names) in store_entries.items()
+                ],
             }
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         tmp_path = f"{path}.tmp.{os.getpid()}"
@@ -527,8 +358,7 @@ class SharedPlacementMemo(PlacementMemo):
         file saved against a structurally different topology restores
         nothing.  Otherwise each entry is admitted only if every device it
         consulted still carries the allocation fingerprint recorded at
-        save time — the warm-restart analogue of the worker pool's epoch
-        validation — so allocation drift between save and restore drops
+        save time, so allocation drift between save and restore drops
         exactly the invalidated sub-solutions.
         """
         try:
@@ -550,25 +380,43 @@ class SharedPlacementMemo(PlacementMemo):
             if live_fps.get(name) == fingerprint
         }
         restored = 0
-        with self._lock:
-            for entry in payload.get("entries", ()):
-                try:
-                    store, key, value, names = entry
-                except (TypeError, ValueError):
-                    continue
-                if store not in self._stores:
-                    continue
-                if any(name not in valid for name in names):
-                    continue
-                PlacementMemo._store(self, store, key, value, names)
-                restored += 1
+        for entry in payload.get("entries", ()):
+            try:
+                store, key, value, names = entry
+            except (TypeError, ValueError):
+                continue
+            if store not in self._stores:
+                continue
+            if any(name not in valid for name in names):
+                continue
+            self._store(store, key, value, names)
+            restored += 1
         self.counters.increment("restored_entries", by=restored)
         return restored
 
     # ------------------------------------------------------------------ #
-    def summary(self) -> Dict[str, object]:
+    # introspection
+    # ------------------------------------------------------------------ #
+    def clear(self) -> int:
+        """Drop everything; returns the number of sub-solutions dropped."""
         with self._lock:
-            summary = super().summary()
-            summary["log_entries"] = len(self._log)
+            total = len(self)
+            for entries in self._stores.values():
+                entries.clear()
+            self.program_facts.clear()
+            return total
+
+    def __len__(self) -> int:
+        with self._lock:
+            return sum(len(entries) for entries in self._stores.values())
+
+    def sizes(self) -> Dict[str, int]:
+        with self._lock:
+            return {store: len(entries)
+                    for store, entries in self._stores.items()}
+
+    def summary(self) -> Dict[str, object]:
+        summary = {"entries": len(self), "sizes": self.sizes(),
+                   "program_facts": self.program_facts.summary()}
         summary.update(self.counters.summary())
         return summary

@@ -2,8 +2,8 @@
 
 The control-plane scale-out layer.  A fabric is partitioned into regions
 (:class:`~repro.topology.partition.PartitionMap` — per-pod by default),
-each served by a :class:`ControllerShard` with its own plan cache, worker
-pool and runtime manager over a shard-local topology view; the
+each served by a :class:`ControllerShard` with its own plan cache and
+runtime manager over a shard-local topology view; the
 :class:`ShardCoordinator` routes deployments, drives the cross-shard
 two-phase commit for programs whose traffic spans regions, and escalates
 migrations a shard cannot solve inside its own view.

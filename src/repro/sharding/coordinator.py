@@ -3,7 +3,7 @@
 The :class:`ShardCoordinator` is the control-plane scale-out story: it
 partitions a fabric into regions (:mod:`repro.topology.partition`), runs
 one :class:`~repro.sharding.shard.ControllerShard` per region — each with
-its own plan cache, worker pool and runtime manager — and keeps the whole
+its own plan cache and runtime manager — and keeps the whole
 thing serial-equivalent with a deliberately small commit protocol:
 
 * **Intra-shard programs** (all traffic endpoints in one region) compile,
@@ -40,6 +40,7 @@ placement that can see the device.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -50,6 +51,7 @@ from repro.core.controller import ClickINC
 from repro.core.pipeline import DeployRequest, PipelineReport
 from repro.core.service import ServiceStats, deadline_report
 from repro.exceptions import DeploymentError
+from repro.placement.memo import PlacementMemo
 from repro.runtime.manager import MigrationReport
 from repro.sharding.shard import ControllerShard
 from repro.synthesis.incremental import SynthesisDelta
@@ -112,12 +114,8 @@ class ShardCoordinator:
         :func:`partition_by_pod` (one shard per pod, cores on the border —
         degenerating to a single whole-fabric shard on unlabelled
         topologies).
-    shard_workers:
-        Per-shard process-pool width, used by shard waves of two or more
-        requests (``<= 1``: no pool).  A cross-shard deployment is always a
-        wave of one, so its pure phase runs in-process.
     memo:
-        A :class:`~repro.placement.memo.SharedPlacementMemo` shared by
+        A :class:`~repro.placement.memo.PlacementMemo` shared by
         every shard *and* the coordinator's own full-fabric controller; one
         is created when omitted.  Memo keys are name-blind sub-tree
         signatures over shared ``Device`` content, so shard A's pod table
@@ -136,26 +134,21 @@ class ShardCoordinator:
 
     def __init__(self, topology: NetworkTopology,
                  partition: Optional[PartitionMap] = None, *,
-                 shard_workers: int = 1,
-                 memo=None, memo_path: Optional[str] = None,
+                 memo: Optional[PlacementMemo] = None,
+                 memo_path: Optional[str] = None,
                  **controller_kwargs) -> None:
-        from repro.placement.memo import SharedPlacementMemo
-
         self.topology = topology
         self.partition = partition or partition_by_pod(topology)
-        self.memo = memo if memo is not None else SharedPlacementMemo()
+        self.memo = memo if memo is not None else PlacementMemo()
         self.memo_path = memo_path
-        if memo_path is not None and hasattr(self.memo, "restore"):
-            import os
-
-            if os.path.exists(memo_path):
-                # validate against the full fabric: every shard view shares
-                # its Device objects, so fabric-valid entries are valid in
-                # every shard
-                self.memo.restore(memo_path, topology)
+        if memo_path is not None and os.path.exists(memo_path):
+            # validate against the full fabric: every shard view shares its
+            # Device objects, so fabric-valid entries are valid in every
+            # shard
+            self.memo.restore(memo_path, topology)
         views = self.partition.shard_views(topology)
         self.shards: Dict[str, ControllerShard] = {
-            shard_id: ControllerShard(shard_id, view, workers=shard_workers,
+            shard_id: ControllerShard(shard_id, view,
                                       memo=self.memo, **controller_kwargs)
             for shard_id, view in views.items()
         }
@@ -327,8 +320,8 @@ class ShardCoordinator:
 
         The caller has already routed *requests* to *shard_id* (all traffic
         endpoints inside that region).  Holding only the shard's own commit
-        lock, the wave runs through the shard's pipeline and worker pool —
-        concurrently with every other shard's waves.  Reports come back in
+        lock, the wave runs through the shard's pipeline — concurrently with
+        every other shard's waves.  Reports come back in
         request order; duplicates of an already-deployed name fail at the
         ``validation`` stage without dispatch.
         """
@@ -368,7 +361,7 @@ class ShardCoordinator:
         """Deploy a batch: per-shard waves in parallel, then cross-shard.
 
         Requests are grouped by owning shard; each group runs as one wave
-        through its shard's own pipeline (and worker pool), concurrently
+        through its shard's own pipeline, concurrently
         with the other shards' waves — the commit phases hold only their
         own shard's lock.  Requests spanning shards run afterwards, in
         request order, through the two-phase commit.  Reports come back in
@@ -429,9 +422,9 @@ class ShardCoordinator:
         ctx = request.trace
         report = PipelineReport(program_name=request.resolved_name())
 
-        # phase 1 (no locks): the pure phase — a wave of one, so in-process
-        # — then a commit-free placement against an epoch-tagged snapshot
-        # of every touched shard's allocations.  The epoch snapshot is
+        # phase 1 (no locks): the pure phase, then a commit-free placement
+        # against an epoch-tagged snapshot of every touched shard's
+        # allocations.  The epoch snapshot is
         # taken BEFORE the search: the search reads the live shared
         # topology lock-free, so only an epoch unchanged across the whole
         # search window proves no touched shard committed mid-search
@@ -439,8 +432,7 @@ class ShardCoordinator:
         # search never saw).  Any mid-search commit moves an epoch and
         # turns into a prepare abort + serial re-place.
         spec_start = time.perf_counter()
-        result = pipeline.parallel_service().compile_batch([request])[0]
-        result.via = "cross-shard"
+        result = pipeline.compile_batch([request])[0]
         if result.program is not None:
             shard_epochs = {shard_id: self.shards[shard_id].allocation_epoch()
                             for shard_id in touched}
@@ -448,10 +440,10 @@ class ShardCoordinator:
                 plan = self.inter.placer.place(
                     pipeline.placement_request(result.program, request)
                 )
-            except Exception as exc:
-                # advisory: the commit wave re-places under the locks
-                result.error = str(exc)
-                result.failed_stage = "placement"
+            except Exception:
+                # advisory: without a plan the commit wave places under the
+                # locks, and reports the failure if that fails too
+                pass
             else:
                 plan.shard_epochs = shard_epochs
                 result.plan = plan
@@ -763,15 +755,14 @@ class ShardCoordinator:
         summary["cross_shard_programs"] = sum(
             1 for owner in self._owner.values() if owner == CROSS_SHARD
         )
-        if hasattr(self.memo, "summary"):
-            summary["memo"] = self.memo.summary()
+        summary["memo"] = self.memo.summary()
         return summary
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release every shard's worker pool and the coordinator's own.
+        """Close every shard's controller and the coordinator's own.
 
         With ``memo_path`` set the shared memo is persisted here
         (best-effort, like the controller's own save path).
@@ -779,7 +770,7 @@ class ShardCoordinator:
         for shard in self.shards.values():
             shard.close()
         self.inter.close()
-        if self.memo_path is not None and hasattr(self.memo, "save"):
+        if self.memo_path is not None:
             try:
                 self.memo.save(self.memo_path, self.topology)
             except Exception:

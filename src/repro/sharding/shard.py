@@ -2,7 +2,7 @@
 
 A :class:`ControllerShard` owns everything the whole-fabric controller owns
 — compiler, DP placer, incremental synthesizer, emulator, artifact/plan
-cache, persistent worker pool, runtime manager — but scoped to one
+cache, runtime manager — but scoped to one
 partition region's view of the topology
 (:meth:`~repro.topology.network.NetworkTopology.subview`).  Because the
 view shares ``Device``/``Link`` objects with the parent fabric, resource
@@ -33,7 +33,7 @@ __all__ = ["ControllerShard"]
 
 
 class ControllerShard:
-    """A per-region controller: own pipeline, caches, pool and runtime.
+    """A per-region controller: own pipeline, caches and runtime.
 
     Parameters
     ----------
@@ -41,12 +41,9 @@ class ControllerShard:
         The partition region this shard serves (e.g. ``"pod0"``).
     view:
         The shard-local topology view (region devices + shared border).
-    workers:
-        Process-pool width for this shard's waves of two or more requests
-        (``<= 1``: no pool, every wave compiles in-process).
     memo:
         Placement memo for the shard's DP placer.  The coordinator passes
-        one :class:`~repro.placement.memo.SharedPlacementMemo` to every
+        one :class:`~repro.placement.memo.PlacementMemo` to every
         shard (and to its own cross-shard controller): memo keys are
         name-blind and content-addressed via the symmetric-pod sub-tree
         signatures, so a pod sub-tree table derived while placing in shard
@@ -57,10 +54,9 @@ class ControllerShard:
     """
 
     def __init__(self, shard_id: str, view: NetworkTopology, *,
-                 workers: int = 1, memo=None, **controller_kwargs) -> None:
+                 memo=None, **controller_kwargs) -> None:
         self.shard_id = shard_id
         self.view = view
-        self.workers = max(1, int(workers))
         self.controller = ClickINC(view, memo=memo, **controller_kwargs)
         #: the shard's commit lock: intra-shard waves hold it for their
         #: commit phase, cross-shard prepares take it for the 2PC window
@@ -91,15 +87,14 @@ class ControllerShard:
                     ) -> List[PipelineReport]:
         """Deploy a batch of intra-shard requests (shard-local wave).
 
-        The pure phase runs *outside* the commit lock — its plans are
-        validated (and re-placed on conflict) by the commit phase, so
-        mid-compile commits by a cross-shard 2PC or a device event are
-        harmless.  Only the commit phase holds the shard lock, which keeps
-        it exactly the window cross-shard prepares ever wait on.
+        The pure phase runs *outside* the commit lock — it reads nothing
+        but the requests and the artifact cache, so mid-compile commits by a
+        cross-shard 2PC or a device event are harmless.  Only the commit
+        phase holds the shard lock, which keeps it exactly the window
+        cross-shard prepares ever wait on.
         """
-        reports = self.controller.deploy_many(
-            requests, workers=self.workers, commit_guard=self.lock
-        )
+        reports = self.controller.deploy_many(requests,
+                                              commit_guard=self.lock)
         self.stats.increment(
             "deploys", sum(1 for r in reports if r.succeeded)
         )

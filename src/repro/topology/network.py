@@ -1,7 +1,7 @@
 """Network topology container.
 
 A :class:`NetworkTopology` is a graph of :class:`~repro.devices.base.Device`
-nodes plus host groups (racks of servers / workers) attached to ToR switches.
+nodes plus host groups (racks of servers / trainers) attached to ToR switches.
 It provides path enumeration between host groups, which the placement layer
 uses to find the devices INC programs can occupy.
 """
@@ -35,7 +35,7 @@ class Link:
 
 @dataclass
 class HostGroup:
-    """A group of end hosts (servers or ML workers) under one ToR switch.
+    """A group of end hosts (servers or ML trainers) under one ToR switch.
 
     ``name`` examples: ``"pod0(a)"``, ``"pod2(b)"`` as in the paper's Fig. 11.
     """
@@ -69,11 +69,10 @@ class NetworkTopology:
         self.host_groups: Dict[str, HostGroup] = {}
         self.bypass: Dict[str, str] = {}   # switch name -> attached accelerator name
         self._fingerprint_cache: tuple = (-1, "")
-        self._forwarding_cache: tuple = (-1, None)
-        # (src_group, dst_group, max_paths) -> path list, valid for one
-        # forwarding epoch; routing consults this once per emulated packet
-        self._paths_cache_epoch: tuple = (-1,)
-        self._paths_cache: dict = {}
+        # the forwarding graph and the (src_group, dst_group, max_paths) ->
+        # path list memo, both valid for one forwarding epoch; routing
+        # consults the latter once per emulated packet
+        self._forwarding_cache: tuple = (None, None, {})
         # shard-view bookkeeping: views share Device/Link objects with the
         # root topology, but each instance owns its graph structure, so
         # structural removals must propagate (see remove_link / subview)
@@ -266,16 +265,11 @@ class NetworkTopology:
             return [[src_tor]]
         # memoised per forwarding epoch: routing asks once per emulated
         # packet, and shortest-path enumeration dominates packet cost
-        epoch = (self.allocation_epoch(), self.graph.number_of_nodes(),
-                 self.graph.number_of_edges())
-        if self._paths_cache_epoch != epoch:
-            self._paths_cache_epoch = epoch
-            self._paths_cache = {}
+        forwarding, paths_cache = self._forwarding()
         key = (src_group, dst_group, max_paths)
-        cached = self._paths_cache.get(key)
+        cached = paths_cache.get(key)
         if cached is not None:
             return list(cached)
-        forwarding = self._forwarding_graph()
         try:
             paths = list(
                 nx.all_shortest_paths(forwarding, source=src_tor, target=dst_tor)
@@ -285,25 +279,40 @@ class NetworkTopology:
                 f"no path between {src_group!r} and {dst_group!r}"
             ) from exc
         paths = paths[:max_paths]
-        self._paths_cache[key] = paths
+        paths_cache[key] = paths
         return list(paths)
 
-    def _forwarding_graph(self) -> "nx.Graph":
-        """The live forwarding graph: no accelerators, no down devices/links.
+    def forwarding_epoch(self) -> tuple:
+        """Moves exactly when routing can: never on an allocation.
 
-        Memoised per :meth:`allocation_epoch` — status flips, link flips and
-        link removals all advance the epoch, so routing (which runs per
-        emulated packet) pays the graph construction once per topology
-        change instead of once per call.  Structural additions
-        (``add_device``/``add_link``) are construction-time operations and
-        also rebuild it, since an epoch built from different device sets
-        never collides in practice with the node/edge count changing.
+        The sum of the per-device forwarding versions covers device status
+        flips, link flips and link removals (made through this topology or
+        any view sharing its devices); the node/edge counts cover the
+        construction-time ``add_device``/``add_link`` and the structural
+        half of ``remove_link``.
         """
-        epoch = (self.allocation_epoch(), self.graph.number_of_nodes(),
-                 self.graph.number_of_edges())
-        cached_epoch, cached = self._forwarding_cache
-        if cached_epoch == epoch and cached is not None:
-            return cached
+        return (
+            sum(device.forwarding_version for device in self.devices.values()),
+            self.graph.number_of_nodes(), self.graph.number_of_edges(),
+        )
+
+    def _forwarding(self) -> tuple:
+        """``(forwarding graph, paths memo)`` of the live forwarding epoch.
+
+        Both are replaced once per :meth:`forwarding_epoch` — commits and
+        releases leave them alone — so routing (which runs per emulated
+        packet) and tree reduction (once per placement) pay the graph
+        construction once per topology change.
+        """
+        epoch = self.forwarding_epoch()
+        cached_epoch, forwarding, paths_cache = self._forwarding_cache
+        if cached_epoch != epoch:
+            forwarding, paths_cache = self._build_forwarding_graph(), {}
+            self._forwarding_cache = (epoch, forwarding, paths_cache)
+        return forwarding, paths_cache
+
+    def _build_forwarding_graph(self) -> "nx.Graph":
+        """The live forwarding graph: no accelerators, no down devices/links."""
         usable = [
             n for n in self.graph.nodes
             if self.layers[n] != "accel" and self.devices[n].is_available()
@@ -314,7 +323,6 @@ class NetworkTopology:
         for a, b, data in self.graph.edges(data=True):
             if a in usable_set and b in usable_set and data["link"].is_up():
                 forwarding.add_edge(a, b)
-        self._forwarding_cache = (epoch, forwarding)
         return forwarding
 
     def paths_for_traffic(self, sources: Sequence[str], destination: str,
@@ -396,34 +404,6 @@ class NetworkTopology:
         return fingerprint
 
     # ------------------------------------------------------------------ #
-    # snapshot re-sync (persistent worker pools)
-    # ------------------------------------------------------------------ #
-    def fingerprint_delta(self, base: Dict[str, str]) -> List[str]:
-        """Names of devices whose allocation fingerprint differs from *base*.
-
-        *base* is a ``device_fingerprints()`` snapshot taken when a worker
-        pool forked its topology copy; the delta names the devices the pool
-        must re-sync (via :meth:`allocation_states` /
-        :meth:`apply_allocation_states`) instead of being re-forked.
-        Devices unknown to *base* are included defensively.
-        """
-        return sorted(
-            name for name, device in self.devices.items()
-            if base.get(name) != device.allocation_fingerprint()
-        )
-
-    def allocation_states(self, names: Iterable[str]
-                          ) -> Dict[str, Dict[str, object]]:
-        """Picklable allocation state of *names*, for worker re-sync."""
-        return {name: self.device(name).allocation_state() for name in names}
-
-    def apply_allocation_states(self, states: Dict[str, Dict[str, object]]
-                                ) -> None:
-        """Overwrite named devices' allocations with a shipped snapshot."""
-        for name, state in states.items():
-            self.device(name).set_allocation_state(state)
-
-    # ------------------------------------------------------------------ #
     # shard-local views (controller sharding)
     # ------------------------------------------------------------------ #
     def subview(self, name: str, device_names: Iterable[str],
@@ -488,19 +468,6 @@ class NetworkTopology:
         root._subviews = [ref for ref in root._subviews if ref() is not None]
         root._subviews.append(weakref.ref(view))
         return view
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Drop the weakref view links on pickle (worker-pool snapshots).
-
-        A pickled topology is a point-in-time snapshot for a worker
-        process; it neither receives nor propagates structural changes, so
-        the view family does not survive the trip (weakrefs cannot be
-        pickled anyway).
-        """
-        state = self.__dict__.copy()
-        state["_view_root"] = None
-        state["_subviews"] = []
-        return state
 
     def reset_resources(self) -> None:
         """Release every allocation on every device (between experiments)."""

@@ -191,8 +191,8 @@ class TestPlanCacheStaleness:
         from repro.topology import build_fattree
 
         inc = ClickINC(build_fattree(k=4))
-        inc.deploy_many([self._request("a")], workers=1)   # entry stamped: pod0 free
-        inc.deploy_many([self._request("b")], workers=1)   # entry stamped: a present
+        inc.deploy_many([self._request("a")])   # entry stamped: pod0 free
+        inc.deploy_many([self._request("b")])   # entry stamped: a present
         assert len(self._plan_entries(inc.cache)) == 2
 
         inc.remove("kvs_b")
@@ -210,11 +210,11 @@ class TestPlanCacheStaleness:
         from repro.topology import build_fattree
 
         inc = ClickINC(build_fattree(k=4))
-        inc.deploy_many([self._request("a")], workers=1)
+        inc.deploy_many([self._request("a")])
         inc.remove("kvs_a")
         # the removal restored the state a's entry was stamped against, so
         # the entry is retained and the re-deploy hits warm
-        report = inc.deploy_many([self._request("a2")], workers=1)[0]
+        report = inc.deploy_many([self._request("a2")])[0]
         assert report.succeeded
         assert report.stage("placement").cache_hit
 
@@ -224,7 +224,7 @@ class TestPlanCacheStaleness:
 
         inc = ClickINC(build_fattree(k=4))
         for cycle in range(4):
-            inc.deploy_many([self._request(f"u{cycle}")], workers=1)
+            inc.deploy_many([self._request(f"u{cycle}")])
             inc.remove(f"kvs_u{cycle}")
         # one reusable entry (the empty-pod placement), not one per cycle
         assert len(self._plan_entries(inc.cache)) == 1

@@ -1,18 +1,14 @@
 """One deploy path: every entry point is ``compile_batch`` → commit.
 
-Two properties of the single driver
-(:meth:`repro.core.pipeline.CompilationPipeline.run_many`):
-
-* the same script yields the same deployments through every entry point —
-  one-by-one raising calls, in-process and pooled batches, the shard
-  coordinator, and the asyncio service sharded and unsharded;
-* a wave of one never crosses the pickle boundary, whatever ``workers`` says.
+The single driver (:meth:`repro.core.pipeline.CompilationPipeline.run_many`)
+yields the same deployments for the same script through every entry point —
+one-by-one raising calls, a batch, the shard coordinator, and the asyncio
+service sharded and unsharded — and no entry point selects an executor.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 
 import pytest
 
@@ -88,12 +84,9 @@ def one_by_one(topology):
     return outcomes
 
 
-def batch(workers):
-    def drive(topology):
-        with ClickINC(topology) as inc:
-            return [outcome(r)
-                    for r in inc.deploy_many(script(), workers=workers)]
-    return drive
+def batch(topology):
+    with ClickINC(topology) as inc:
+        return [outcome(r) for r in inc.deploy_many(script())]
 
 
 def coordinator(topology):
@@ -113,10 +106,9 @@ def service(**kwargs):
 
 ENTRY_POINTS = {
     "one-by-one": one_by_one,
-    "deploy_many-workers-1": batch(1),
-    "deploy_many-workers-2": batch(2),
+    "deploy_many": batch,
     "coordinator": coordinator,
-    "service-unsharded": service(workers=2),
+    "service-unsharded": service(),
     "service-sharded": service(sharded=True),
 }
 #: the coordinator refuses a taken name at its claim, before any stage runs
@@ -126,7 +118,7 @@ SHARDED = ("coordinator", "service-sharded")
 @pytest.fixture(scope="module")
 def reference():
     topology = build_fattree(k=4)
-    return batch(1)(topology), topology.device_fingerprints()
+    return batch(topology), topology.device_fingerprints()
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -143,51 +135,17 @@ def test_every_entry_point_yields_the_same_deployments(entry, reference):
 
 
 # --------------------------------------------------------------------- #
-# a wave of one never reaches the pool
+# nothing selects an executor
 # --------------------------------------------------------------------- #
-def _exit_worker(index, request, precompiled, sync=None):  # pragma: no cover
-    os._exit(13)
-
-
-def tenant(pod: int, user: str) -> DeployRequest:
-    return template("KVS", user, [f"pod{pod}(a)"], f"pod{pod}(b)", depth=1000)
-
-
-def test_a_wave_of_one_never_reaches_the_pool(monkeypatch):
-    monkeypatch.setattr(
-        "repro.core.parallel._worker_compile_and_place", _exit_worker)
-
+def test_no_entry_point_accepts_a_worker_count():
+    with pytest.raises(TypeError):
+        INCService(build_fattree(k=4), workers=2)
+    with pytest.raises(TypeError):
+        INCService(build_fattree(k=4), sharded=True, shard_workers=2)
+    with pytest.raises(TypeError):
+        ShardCoordinator(build_fattree(k=4), shard_workers=2)
     with ClickINC(build_fattree(k=4)) as inc:
-        for index in range(10):
-            (report,) = inc.deploy_many([tenant(index % 4, f"s{index}")],
-                                        workers=2)
-            assert report.succeeded
-            assert "speculative" not in report.stage("placement").detail
-        pool = inc.pipeline.parallel
-        assert pool.workers == 2
-        assert (pool.pool_generation, pool._pool_broken) == (0, False)
-        assert pool.inline_fallbacks == 10
-
-        # the same controller still crosses the pool with a wave of two
-        monkeypatch.undo()
-        request = tenant(0, "traced")
-        request.trace = inc.obs.tracer.start_trace("deploy")
-        results = pool.compile_batch([request, tenant(1, "p1")])
-        assert [result.via for result in results] == ["process", "process"]
-        assert pool.pool_generation == 1
-        inc.obs.tracer.finish(request.trace)
-        spans = inc.obs.tracer.get(request.trace.trace_id)["spans"]
-        assert {"worker.compile", "worker.place"} <= {s.name for s in spans}
-
-    async def submit_serially():
-        async with INCService(build_fattree(k=4), workers=2) as svc:
-            reports = [await svc.submit(tenant(index % 4, f"w{index}"))
-                       for index in range(10)]
-            pool = svc.controller.pipeline.parallel
-            return reports, pool.pool_generation, pool._pool_broken
-
-    monkeypatch.setattr(
-        "repro.core.parallel._worker_compile_and_place", _exit_worker)
-    reports, generation, broken = asyncio.run(submit_serially())
-    assert all(report.succeeded for report in reports)
-    assert (generation, broken) == (0, False)
+        with pytest.raises(TypeError):
+            inc.deploy_many([], workers=2)
+        with pytest.raises(TypeError):
+            inc.as_service(workers=2)

@@ -58,7 +58,7 @@ def auth(tenant_id: str):
 
 
 async def make_gateway(registry=None, *, sharded=True, **gw_kwargs):
-    service = INCService(build_fattree(k=4), workers=2, sharded=sharded)
+    service = INCService(build_fattree(k=4), sharded=sharded)
     await service.__aenter__()
     gateway = Gateway(
         service, registry or make_registry(acme=(1.0, None)), **gw_kwargs
@@ -542,7 +542,7 @@ class TestDeadlines:
         from tests.test_service import tenant_request
 
         async def drive():
-            async with INCService(build_fattree(k=4), workers=2) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 report = await svc.submit(tenant_request(0, "late"),
                                           deadline=time.monotonic() - 1.0)
                 return report, svc.stats.summary()

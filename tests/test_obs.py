@@ -1,10 +1,9 @@
 """Unified telemetry: metrics registry, tracing, events, exposition.
 
-The tracing tests pin the two hard propagation paths: across the worker
-pool's pickle boundary (spans recorded in a child process come back on
-the SpeculativeResult and are stitched under the submitting trace) and
-through the cross-shard two-phase commit behind the gateway (one trace
-covers gateway queue -> compile -> prepare -> commit -> install).
+The tracing tests pin the two propagation paths: through a batch (every
+traced request of a wave gets its own stage spans) and through the
+cross-shard two-phase commit behind the gateway (one trace covers gateway
+queue -> compile -> prepare -> commit -> install).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.obs import (
     EventLog,
     MetricsRegistry,
     Observability,
-    TraceContext,
 )
 from repro.topology import build_fattree, build_paper_emulation_topology
 
@@ -162,10 +160,10 @@ class TestEventLog:
 
 
 # ---------------------------------------------------------------------- #
-# tracing across the worker-pool pickle boundary
+# tracing through a batch
 # ---------------------------------------------------------------------- #
-class TestWorkerTracePropagation:
-    def test_worker_spans_are_stitched_into_the_submitting_trace(self):
+class TestBatchTracePropagation:
+    def test_every_request_of_a_wave_gets_its_stage_spans(self):
         obs = Observability()
         topology = build_paper_emulation_topology()
         requests = [
@@ -175,40 +173,24 @@ class TestWorkerTracePropagation:
             for i in range(3)
         ]
         with ClickINC(topology, obs=obs) as controller:
-            reports = controller.deploy_many(requests, workers=2)
+            reports = controller.deploy_many(requests)
         assert all(r.succeeded for r in reports)
         for request in requests:
             obs.tracer.finish(request.trace)
-        compiled_anywhere = False
         for request in requests:
             done = obs.tracer.get(request.trace.trace_id)
             assert done is not None
             spans = {s.name: s for s in done["spans"]}
-            # every request places in a worker; single-flight followers
-            # skip the compile, so worker.compile appears at least once
-            assert "worker.place" in spans
-            compiled_anywhere |= "worker.compile" in spans
-            root = spans["deploy"]
-            procs = {s.proc for s in done["spans"]}
-            if len(procs) > 1:       # pool ran out-of-process
-                assert spans["worker.place"].proc != root.proc
-            # worker spans are parented into this trace's tree
-            ids = {s.span_id for s in done["spans"]}
-            assert spans["worker.place"].parent_id in ids
+            assert {"deploy", "frontend", "ir-verify", "placement",
+                    "synthesis", "emulator-install", "codegen"} == set(spans)
+            # one process, and every stage span hangs off this trace's root
+            assert len({s.proc for s in done["spans"]}) == 1
+            root = spans.pop("deploy")
+            assert all(s.parent_id == root.span_id for s in spans.values())
             chrome = obs.tracer.to_chrome(request.trace.trace_id)
             json.dumps(chrome)
-            assert any(e["ph"] == "X" and e["name"] == "worker.place"
+            assert any(e["ph"] == "X" and e["name"] == "placement"
                        for e in chrome["traceEvents"])
-        assert compiled_anywhere
-
-    def test_trace_context_round_trips_pickle(self):
-        import pickle
-
-        ctx = TraceContext(trace_id="abc", span_id="1.2")
-        clone = pickle.loads(pickle.dumps(ctx))
-        assert clone == ctx
-        child = clone.child()
-        assert child.trace_id == "abc" and child.span_id != clone.span_id
 
 
 # ---------------------------------------------------------------------- #
@@ -218,7 +200,7 @@ class TestGatewayObservability:
     def make_gateway(self, obs, **service_kwargs):
         registry = TenantRegistry()
         tenant = registry.register("acme", weight=1.0)
-        service = INCService(build_fattree(k=4), workers=2, sharded=True,
+        service = INCService(build_fattree(k=4), sharded=True,
                              obs=obs, **service_kwargs)
         gateway = Gateway(service, registry, admin_key="s3cret", obs=obs)
         auth = {"Authorization": f"Bearer {tenant.api_key}"}

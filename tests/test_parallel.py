@@ -1,22 +1,25 @@
-"""Tests for process-pool parallel compilation and speculative placement.
+"""Tests for batch deployment: the pure phase, then commits in request order.
 
-Covers the commit-free place → validate → commit protocol, picklability of
-the artifacts that cross process boundaries, serial-equivalence of
-``deploy_many(workers=N)``, conflict handling, and the fallback paths
-(unpicklable payloads, worker-process crashes, ``workers<=1``).
+Covers the commit-free place → validate → commit protocol (what the
+cross-shard two-phase commit runs on), picklability of programs, plans and
+requests, serial-equivalence of ``deploy_many``, what a batch shares (one
+frontend run per distinct content) and per-request failure capture.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 
 import pytest
 
-from repro.core import ClickINC, DeployRequest
-from repro.core.parallel import ParallelCompileService
-from repro.exceptions import PlacementConflictError
+from repro.core import ClickINC, DeployRequest, PipelineReport
+from repro.exceptions import (
+    LanguageError,
+    PlacementConflictError,
+    PlacementError,
+)
 from repro.frontend import compile_template
+from repro.frontend.compiler import FrontendCompiler
 from repro.lang.profile import default_profile
 from repro.placement.dp import DPPlacer, PlacementRequest
 from repro.topology import build_fattree
@@ -44,7 +47,7 @@ def colliding_requests():
 
 
 # --------------------------------------------------------------------- #
-# picklability (requests, programs and plans cross process boundaries)
+# picklability (persisted memo files are pickles; these stay picklable too)
 # --------------------------------------------------------------------- #
 class TestPickling:
     def test_ir_program_round_trip(self, kvs_program):
@@ -145,216 +148,125 @@ class TestSpeculativePlacement:
 
 
 # --------------------------------------------------------------------- #
-# deploy_many(workers=N)
+# deploy_many
 # --------------------------------------------------------------------- #
 class TestParallelDeployMany:
     def test_matches_serial_placements_when_disjoint(self):
         serial = ClickINC(build_fattree(k=4))
-        serial_reports = serial.deploy_many(disjoint_requests(), workers=1)
-        parallel = ClickINC(build_fattree(k=4))
-        reports = parallel.deploy_many(disjoint_requests(), workers=2)
-        parallel.close()
+        serial_reports = [serial.deploy_many([request])[0]
+                          for request in disjoint_requests()]
+        batch = ClickINC(build_fattree(k=4))
+        reports = batch.deploy_many(disjoint_requests())
         assert all(r.succeeded for r in serial_reports)
         assert all(r.succeeded for r in reports)
         for ref, got in zip(serial_reports, reports):
             assert got.deployed.devices() == ref.deployed.devices()
-            assert got.stage("placement").detail.get("speculative") is True
-        assert parallel.deployed_programs() == serial.deployed_programs()
+            # a batch places at commit time: nothing speculates for it
+            assert "speculative" not in got.stage("placement").detail
+        assert batch.deployed_programs() == serial.deployed_programs()
 
     def test_conflicting_plans_one_commits_one_replaces(self):
+        """Two plans placed against the same snapshot: the first validates
+        and commits untouched, the second is re-placed — to exactly the
+        serial loop's placement."""
         serial = ClickINC(build_fattree(k=4))
-        serial_reports = serial.deploy_many(colliding_requests(), workers=1)
-        parallel = ClickINC(build_fattree(k=4))
-        reports = parallel.deploy_many(colliding_requests(), workers=2)
-        parallel.close()
+        serial_reports = serial.deploy_many(colliding_requests())
+
+        speculative = ClickINC(build_fattree(k=4))
+        pipeline = speculative.pipeline
+        requests = colliding_requests()
+        results = pipeline.compile_batch(requests)
+        for request, result in zip(requests, results):
+            result.plan = pipeline.placer.place(
+                pipeline.placement_request(result.program, request))
+        reports = [
+            pipeline.commit_speculative_result(
+                request, result,
+                PipelineReport(program_name=request.resolved_name()), 0.0)
+            for request, result in zip(requests, results)
+        ]
         assert all(r.succeeded for r in reports)
         first, second = (r.stage("placement").detail for r in reports)
         assert first.get("speculative") is True
+        assert first.get("plan_write_back") is True
         assert second.get("replaced_on_conflict") is True
         assert second.get("conflicts")
-        # both ended up deployed, with exactly the serial loop's placements
         for ref, got in zip(serial_reports, reports):
             assert got.deployed.devices() == ref.deployed.devices()
-        assert parallel.deployed_programs() == ["kvs_c0", "kvs_c1"]
 
     def test_single_flight_shares_leader_compilation(self):
-        parallel = ClickINC(build_fattree(k=4))
+        controller = ClickINC(build_fattree(k=4))
         twins = [tenant_request(0, "t0"), tenant_request(1, "t1")]
-        reports = parallel.deploy_many(twins, workers=2)
-        parallel.close()
+        reports = controller.deploy_many(twins)
         assert all(r.succeeded for r in reports)
         assert not reports[0].stage("frontend").cache_hit
         assert reports[1].stage("frontend").cache_hit
 
+    def test_a_wave_compiles_each_distinct_content_once(self, monkeypatch):
+        """Eight requests, three contents: three frontend runs (the program
+        cache is the single-flight), reports in request order."""
+        compiled = []
+        compile_profile = FrontendCompiler.compile_profile
+
+        def counting(self, profile, name=None):
+            compiled.append(name)
+            return compile_profile(self, profile, name=name)
+
+        monkeypatch.setattr(FrontendCompiler, "compile_profile", counting)
+        depths = [1000, 2000, 3000]
+        wave = [tenant_request(index % 4, f"w{index}",
+                               depth=depths[index % 3])
+                for index in range(8)]
+        controller = ClickINC(build_fattree(k=4))
+        reports = controller.deploy_many(wave)
+        assert compiled == ["kvs_w0", "kvs_w1", "kvs_w2"]
+        assert [r.program_name for r in reports] == [
+            request.name for request in wave]
+        assert all(r.succeeded for r in reports)
+        assert [r.stage("frontend").cache_hit for r in reports] == (
+            [False] * 3 + [True] * 5)
+
     def test_duplicate_names_fail_validation_without_aborting(self):
-        parallel = ClickINC(build_fattree(k=4))
+        controller = ClickINC(build_fattree(k=4))
         requests = [tenant_request(0, "dup"), tenant_request(1, "dup")]
-        reports = parallel.deploy_many(requests, workers=2)
-        parallel.close()
+        reports = controller.deploy_many(requests)
         assert reports[0].succeeded
         assert not reports[1].succeeded
         assert reports[1].failed_stage == "validation"
-        assert parallel.deployed_programs() == ["kvs_dup"]
+        assert controller.deployed_programs() == ["kvs_dup"]
 
     def test_compile_error_is_captured_per_request(self):
-        parallel = ClickINC(build_fattree(k=4))
+        controller = ClickINC(build_fattree(k=4))
         bad = DeployRequest(source_groups=["pod0(a)"],
                             destination_group="pod0(b)", name="bad",
                             source="this is ( not a program")
-        reports = parallel.deploy_many([bad, tenant_request(1, "ok")],
-                                       workers=2)
-        parallel.close()
+        reports = controller.deploy_many([bad, tenant_request(1, "ok")])
         assert not reports[0].succeeded
         assert reports[0].failed_stage == "frontend"
         assert reports[1].succeeded
 
-    def test_workers_one_uses_thread_path(self):
+    def test_uncompilable_and_unplaceable_are_reported_per_request(self):
+        """Each failure carries its stage and its typed exception; the rest
+        of the wave commits, and nothing of the failed ones stays behind."""
         controller = ClickINC(build_fattree(k=4))
-        reports = controller.deploy_many(disjoint_requests(2), workers=1)
-        assert all(r.succeeded for r in reports)
-        # the in-process executor places at commit time: no speculative marker
-        for report in reports:
-            assert "speculative" not in report.stage("placement").detail
+        bad = DeployRequest(source_groups=["pod0(a)"],
+                            destination_group="pod0(b)", name="bad",
+                            source="this is ( not a program")
+        reports = controller.deploy_many([
+            tenant_request(0, "ok0"), bad,
+            tenant_request(1, "huge", depth=10 ** 9),
+            tenant_request(2, "ok2"),
+        ])
+        assert [r.succeeded for r in reports] == [True, False, False, True]
+        assert reports[1].failed_stage == "frontend"
+        assert isinstance(reports[1].exception, LanguageError)
+        assert reports[1].error == str(reports[1].exception)
+        assert reports[2].failed_stage == "placement"
+        assert isinstance(reports[2].exception, PlacementError)
+        assert controller.deployed_programs() == ["kvs_ok0", "kvs_ok2"]
 
-
-# --------------------------------------------------------------------- #
-# the persistent pool: reuse across batches + snapshot re-sync
-# --------------------------------------------------------------------- #
-class TestPersistentPool:
-    # every batch here carries two requests: a batch of one compiles
-    # in-process and never reaches the pool (tests/test_entry_points.py)
-    def test_pool_survives_across_batches(self):
-        with ClickINC(build_fattree(k=4)) as controller:
-            controller.deploy_many(
-                [tenant_request(0, "b1"), tenant_request(2, "b1x")], workers=2)
-            service = controller.pipeline.parallel
-            assert service is not None
-            controller.deploy_many(
-                [tenant_request(1, "b2"), tenant_request(3, "b2x")], workers=2)
-            assert controller.pipeline.parallel is service
-            assert service.pool_generation == 1
-            assert service.batches_served == 2
-
-    def test_later_batch_speculates_against_resynced_snapshot(self):
-        """A second-batch tenant colliding with a first-batch commit must
-        still speculate cleanly: the worker snapshot is re-synced via the
-        fingerprint delta, so its plan is computed against the live
-        allocations rather than the stale fork-time state."""
-        with ClickINC(build_fattree(k=4)) as controller:
-            first = controller.deploy_many(
-                [tenant_request(0, "r1"), tenant_request(1, "r1x")],
-                workers=2)
-            assert first[0].stage("placement").detail.get("speculative")
-            second = controller.deploy_many(
-                [tenant_request(0, "r2"), tenant_request(2, "r2x")],
-                workers=2)
-            detail = second[0].stage("placement").detail
-            assert detail.get("speculative") is True
-            assert not detail.get("replaced_on_conflict")
-        # and it matches the serial schedule exactly
-        serial = ClickINC(build_fattree(k=4))
-        serial.deploy_many([tenant_request(0, "r1")], workers=1)
-        ref = serial.deploy_many([tenant_request(0, "r2")], workers=1)
-        assert (second[0].deployed.devices()
-                == ref[0].deployed.devices())
-
-    def test_resync_covers_removals(self):
-        """Capacity freed by remove() between batches must be visible to
-        the workers (the ever-dirty set keeps restored devices in the
-        payload), so a re-submission speculates to the serial placement."""
-        with ClickINC(build_fattree(k=4)) as controller:
-            controller.deploy_many(
-                [tenant_request(0, "a"), tenant_request(0, "b")], workers=2
-            )
-            controller.remove("kvs_a")
-            report = controller.deploy_many(
-                [tenant_request(0, "c"), tenant_request(1, "cx")],
-                workers=2)[0]
-            assert report.succeeded
-        serial = ClickINC(build_fattree(k=4))
-        serial.deploy_many([tenant_request(0, "a")], workers=1)
-        serial.deploy_many([tenant_request(0, "b")], workers=1)
-        serial.remove("kvs_a")
-        ref = serial.deploy_many([tenant_request(0, "c")], workers=1)[0]
-        assert report.deployed.devices() == ref.deployed.devices()
-
-    def test_close_releases_pool_and_next_batch_recreates(self):
-        controller = ClickINC(build_fattree(k=4))
-        controller.deploy_many(
-            [tenant_request(0, "c1"), tenant_request(2, "c1x")], workers=2)
-        service = controller.pipeline.parallel
-        controller.close()
-        assert controller.pipeline.parallel is None
-        assert service._pool is None
-        # the controller stays usable: a later batch starts a fresh pool
-        reports = controller.deploy_many(
-            [tenant_request(1, "c2"), tenant_request(3, "c2x")], workers=2)
-        assert reports[0].succeeded
-        assert controller.pipeline.parallel is not service
-        controller.close()
-
-    def test_unclosed_pool_is_reaped_when_the_service_is_collected(self):
-        """Callers that never close() must not leak worker processes: a
-        finalizer shuts the executor down when the service is collected."""
-        import gc
-        import weakref
-
-        controller = ClickINC(build_fattree(k=4))
-        controller.deploy_many(
-            [tenant_request(0, "gc"), tenant_request(1, "gcx")], workers=2)
-        service = controller.pipeline.parallel
-        pool = service._pool
-        ref = weakref.ref(service)
-        del controller, service
-        gc.collect()
-        assert ref() is None
-        with pytest.raises(RuntimeError):  # shut down by the finalizer
-            pool.submit(int)
-
-    def test_changing_worker_count_replaces_the_pool(self):
-        with ClickINC(build_fattree(k=4)) as controller:
-            controller.deploy_many(
-                [tenant_request(0, "w1"), tenant_request(2, "w1x")], workers=2)
-            first = controller.pipeline.parallel
-            controller.deploy_many(
-                [tenant_request(1, "w2"), tenant_request(3, "w2x")], workers=3)
-            second = controller.pipeline.parallel
-            assert second is not first
-            assert second.workers == 3
-
-    def test_warm_cache_resubmission_skips_the_pool(self):
-        """After remove() restores a written-back plan's keyed state, the
-        re-submission is served from the shared caches (via='warm-cache')
-        and reported as a placement cache hit."""
-        with ClickINC(build_fattree(k=4)) as controller:
-            controller.deploy_many(
-                [tenant_request(pod, f"u{pod}") for pod in range(3)],
-                workers=2,
-            )
-            controller.remove("kvs_u2")
-            service = controller.pipeline.parallel
-            results = service.compile_batch(
-                [tenant_request(2, "u2b"), tenant_request(3, "u3b")])
-            assert results[0].via == "warm-cache"
-            assert results[0].plan is not None
-            assert results[0].plan_from_cache
-            report = controller.deploy_many(
-                [tenant_request(2, "u2c"), tenant_request(3, "u3c")],
-                workers=2)[0]
-            placement = report.stage("placement")
-            assert placement.cache_hit
-            assert placement.detail.get("speculative") is True
-
-
-# --------------------------------------------------------------------- #
-# fallbacks
-# --------------------------------------------------------------------- #
-def _crash_worker(index, request, precompiled, sync=None):  # pragma: no cover
-    os._exit(13)
-
-
-class TestFallbacks:
-    def test_unpicklable_request_falls_back_in_process(self):
+    def test_unpicklable_request_deploys(self):
+        """Nothing on the deploy path crosses a pickle boundary."""
         def local_closure():  # local functions cannot be pickled
             return None
 
@@ -363,67 +275,6 @@ class TestFallbacks:
         with pytest.raises(Exception):
             pickle.dumps(request)
         controller = ClickINC(build_fattree(k=4))
-        # the second request makes this a pooled wave (a wave of one
-        # compiles in-process whether or not it pickles)
-        reports = controller.deploy_many(
-            [request, tenant_request(1, "pk")], workers=2)
-        controller.close()
-        assert reports[0].succeeded
-        assert reports[0].stage("placement").detail.get("speculative") is None
-        assert reports[1].stage("placement").detail.get("speculative") is True
-        assert controller.deployed_programs() == ["kvs_np", "kvs_pk"]
-
-    def test_worker_crash_does_not_abort_the_batch(self, monkeypatch):
-        """A crashed worker fails every in-flight future of its wave; the
-        pure compile stages are retried in-process, so the batch survives
-        and every request still deploys."""
-        monkeypatch.setattr(
-            "repro.core.parallel._worker_compile_and_place", _crash_worker
-        )
-        controller = ClickINC(build_fattree(k=4))
-        reports = controller.deploy_many(
-            [tenant_request(0, "boom"), tenant_request(1, "ok2")], workers=2
-        )
+        reports = controller.deploy_many([request, tenant_request(1, "pk")])
         assert [r.succeeded for r in reports] == [True, True]
-        assert controller.deployed_programs() == ["kvs_boom", "kvs_ok2"]
-        monkeypatch.undo()
-        # the controller survives and the next batch deploys normally
-        reports = controller.deploy_many([tenant_request(2, "after")],
-                                         workers=2)
-        controller.close()
-        assert reports[0].succeeded
-
-    def test_worker_crash_with_failing_retry_is_per_request(self, monkeypatch):
-        """When the in-process retry after a crash also fails, the failure is
-        captured per-request (annotated with the crash) without aborting."""
-        monkeypatch.setattr(
-            "repro.core.parallel._worker_compile_and_place", _crash_worker
-        )
-        controller = ClickINC(build_fattree(k=4))
-        bad = DeployRequest(source_groups=["pod0(a)"],
-                            destination_group="pod0(b)", name="bad",
-                            source="this is ( not a program")
-        reports = controller.deploy_many([bad, tenant_request(1, "ok")],
-                                         workers=2)
-        controller.close()
-        assert not reports[0].succeeded
-        assert reports[0].failed_stage == "frontend"
-        assert "worker" in reports[0].error and "crash" in reports[0].error
-        assert reports[1].succeeded
-
-    def test_pool_unavailable_falls_back_in_process(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.core.parallel.ProcessPoolExecutor",
-            lambda *a, **k: (_ for _ in ()).throw(OSError("no mp")),
-        )
-        controller = ClickINC(build_fattree(k=4))
-        reports = controller.deploy_many(disjoint_requests(2), workers=4)
-        assert all(r.succeeded for r in reports)
-
-    def test_service_workers_one_runs_inline(self):
-        controller = ClickINC(build_fattree(k=4))
-        with ParallelCompileService(controller.pipeline, workers=1) as service:
-            results = service.compile_batch([tenant_request(0, "inline")])
-        assert results[0].via == "inline"
-        assert results[0].plan is None
-        assert results[0].error is None
+        assert controller.deployed_programs() == ["kvs_np", "kvs_pk"]

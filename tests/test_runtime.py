@@ -387,7 +387,7 @@ class TestServiceRuntimeOps:
         a half-updated network: the post-drain state equals the serial
         schedule's."""
         async def drive():
-            async with INCService(build_fattree(k=4), workers=1) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 await svc.submit(tenant_request(0, "a"))
                 results = await asyncio.gather(
                     svc.submit(tenant_request(1, "b")),
@@ -425,7 +425,7 @@ class TestServiceRuntimeOps:
 
     def test_fail_device_barrier_migrates_and_counts(self):
         async def drive():
-            async with INCService(build_fattree(k=4), workers=1) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 await asyncio.gather(
                     *(svc.submit(tenant_request(pod, f"p{pod}"))
                       for pod in range(3))
@@ -445,7 +445,7 @@ class TestServiceRuntimeOps:
 
     def test_drain_device_barrier(self):
         async def drive():
-            async with INCService(build_fattree(k=4), workers=1) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 await svc.submit(tenant_request(0, "a"))
                 report = await svc.drain_device("Agg0_0")
                 return report
@@ -455,7 +455,7 @@ class TestServiceRuntimeOps:
 
     def test_failed_wave_counter(self):
         async def drive():
-            async with INCService(build_fattree(k=4), workers=1) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 good = await svc.submit(tenant_request(0, "a"))
                 dup = await svc.submit(tenant_request(0, "a"))   # name clash
                 return good, dup, svc.service_summary()

@@ -9,6 +9,7 @@ equivalent serial schedule.
 from __future__ import annotations
 
 import asyncio
+import os
 
 import pytest
 
@@ -47,7 +48,7 @@ def run(coro):
 class TestServiceBasics:
     def test_gathered_submits_match_serial_placements(self):
         async def drive():
-            async with INCService(build_fattree(k=4), workers=2) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 reports = await asyncio.gather(
                     *(svc.submit(tenant_request(pod, f"p{pod}"))
                       for pod in range(3))
@@ -59,13 +60,13 @@ class TestServiceBasics:
 
         serial = ClickINC(build_fattree(k=4))
         serial.deploy_many(
-            [tenant_request(pod, f"p{pod}") for pod in range(3)], workers=1
+            [tenant_request(pod, f"p{pod}") for pod in range(3)]
         )
         assert got == deployed_devices(serial)
 
     def test_concurrent_submits_batch_into_waves(self):
         async def drive():
-            async with INCService(build_fattree(k=4), workers=2,
+            async with INCService(build_fattree(k=4),
                                   max_wave=8) as svc:
                 await asyncio.gather(
                     *(svc.submit(tenant_request(pod, f"w{pod}"))
@@ -81,7 +82,7 @@ class TestServiceBasics:
 
     def test_submit_failure_is_reported_not_raised(self):
         async def drive():
-            async with INCService(build_fattree(k=4), workers=2) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 bad = DeployRequest(
                     source_groups=["pod0(a)"], destination_group="pod0(b)",
                     name="bad", source="this is ( not a program",
@@ -96,7 +97,7 @@ class TestServiceBasics:
 
     def test_remove_unknown_program_raises(self):
         async def drive():
-            async with INCService(build_fattree(k=4), workers=1) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 with pytest.raises(DeploymentError):
                     await svc.remove("never_deployed")
 
@@ -111,7 +112,7 @@ class TestServiceBasics:
         )
 
         async def drive():
-            async with controller.as_service(workers=1) as svc:
+            async with controller.as_service() as svc:
                 await svc.submit(tenant_request(1, "async"))
                 await svc.remove("kvs_sync")
                 return svc.deployed_programs()
@@ -131,7 +132,7 @@ class TestInterleavings:
         devices must commit against the un-removed topology — exactly the
         serial schedule [deploy a, deploy b, remove a]."""
         async def drive():
-            async with INCService(build_fattree(k=4), workers=2) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 await svc.submit(tenant_request(0, "a"))
                 # admission order is creation order: submit(b) enqueues
                 # before remove(a), so b commits while a still holds pod-0
@@ -147,8 +148,8 @@ class TestInterleavings:
         assert report_b.succeeded
 
         serial = ClickINC(build_fattree(k=4))
-        serial.deploy_many([tenant_request(0, "a")], workers=1)
-        serial.deploy_many([tenant_request(0, "b")], workers=1)
+        serial.deploy_many([tenant_request(0, "a")])
+        serial.deploy_many([tenant_request(0, "b")])
         serial.remove("kvs_a")
         assert got == deployed_devices(serial)
 
@@ -156,7 +157,7 @@ class TestInterleavings:
         """The mirrored order — remove(a) admitted before submit(b) — must
         produce the serial schedule [deploy a, remove a, deploy b]."""
         async def drive():
-            async with INCService(build_fattree(k=4), workers=2) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 await svc.submit(tenant_request(0, "a"))
                 remove_a = asyncio.ensure_future(svc.remove("kvs_a"))
                 submit_b = asyncio.ensure_future(
@@ -169,9 +170,9 @@ class TestInterleavings:
         assert report_b.succeeded
 
         serial = ClickINC(build_fattree(k=4))
-        serial.deploy_many([tenant_request(0, "a")], workers=1)
+        serial.deploy_many([tenant_request(0, "a")])
         serial.remove("kvs_a")
-        serial.deploy_many([tenant_request(0, "b")], workers=1)
+        serial.deploy_many([tenant_request(0, "b")])
         assert got == deployed_devices(serial)
 
     def test_mixed_traffic_matches_equivalent_serial_schedule(self):
@@ -187,7 +188,7 @@ class TestInterleavings:
         ]
 
         async def drive():
-            async with INCService(build_fattree(k=4), workers=2) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 futures = []
                 for kind, payload in script:
                     if kind == "submit":
@@ -206,56 +207,22 @@ class TestInterleavings:
         serial = ClickINC(build_fattree(k=4))
         for kind, payload in script:
             if kind == "submit":
-                serial.deploy_many([payload], workers=1)
+                serial.deploy_many([payload])
             else:
                 serial.remove(payload)
         assert got == deployed_devices(serial)
 
 
 # --------------------------------------------------------------------- #
-# persistent pool behaviour through the service
+# the plan cache through the service
 # --------------------------------------------------------------------- #
-class TestServicePool:
-    def test_worker_crash_mid_wave_survives_and_pool_regenerates(
-        self, monkeypatch
-    ):
-        import repro.core.parallel as parallel_mod
-
-        def crash(index, request, precompiled, sync=None):  # pragma: no cover
-            import os
-            os._exit(13)
-
-        async def drive():
-            async with INCService(build_fattree(k=4), workers=2) as svc:
-                monkeypatch.setattr(
-                    parallel_mod, "_worker_compile_and_place", crash
-                )
-                reports = await asyncio.gather(
-                    svc.submit(tenant_request(0, "boom")),
-                    svc.submit(tenant_request(1, "ok")),
-                )
-                assert [r.succeeded for r in reports] == [True, True]
-                monkeypatch.undo()
-                # the next pooled wave (two or more submissions) replaces
-                # the broken pool and speculates again
-                after, _ = await asyncio.gather(
-                    svc.submit(tenant_request(2, "after")),
-                    svc.submit(tenant_request(3, "after2")),
-                )
-                pool = svc.controller.pipeline.parallel
-                return after, pool.pool_generation
-
-        after, generation = run(drive())
-        assert after.succeeded
-        assert generation == 2
-        assert after.stage("placement").detail.get("speculative") is True
-
+class TestServicePlanCache:
     def test_plan_cache_hit_on_resubmission_after_remove(self):
-        """Committed speculative plans are written back to the shared plan
-        cache; re-submitting after a removal restores their keyed state and
-        must hit warm (the acceptance criterion)."""
+        """A committed plan is stored under its content address;
+        re-submitting after a removal restores the keyed state and must hit
+        warm (the acceptance criterion)."""
         async def drive():
-            async with INCService(build_fattree(k=4), workers=2) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 first = await asyncio.gather(
                     svc.submit(tenant_request(0, "a")),
                     svc.submit(tenant_request(1, "b")),
@@ -263,8 +230,6 @@ class TestServicePool:
                 )
                 assert all(r.succeeded for r in first)
                 await svc.remove("kvs_c")
-                # a wave of two: a lone re-submission compiles in-process
-                # and hits the same plan through _place_cached instead
                 resubmit, _ = await asyncio.gather(
                     svc.submit(tenant_request(2, "c2")),
                     svc.submit(tenant_request(3, "d")),
@@ -272,13 +237,9 @@ class TestServicePool:
                 return first, resubmit
 
         first, resubmit = run(drive())
-        assert any(
-            r.stage("placement").detail.get("plan_write_back") for r in first
-        )
+        assert not any(r.stage("placement").cache_hit for r in first)
         assert resubmit.succeeded
-        placement = resubmit.stage("placement")
-        assert placement.cache_hit
-        assert placement.detail.get("speculative") is True
+        assert resubmit.stage("placement").cache_hit
 
 
 # --------------------------------------------------------------------- #
@@ -287,7 +248,7 @@ class TestServicePool:
 class TestLifecycle:
     def test_close_drains_queued_submissions(self):
         async def drive():
-            svc = INCService(build_fattree(k=4), workers=2)
+            svc = INCService(build_fattree(k=4))
             futures = [
                 asyncio.ensure_future(svc.submit(tenant_request(pod, f"d{pod}")))
                 for pod in range(3)
@@ -304,7 +265,7 @@ class TestLifecycle:
 
     def test_submit_after_close_raises(self):
         async def drive():
-            svc = INCService(build_fattree(k=4), workers=1)
+            svc = INCService(build_fattree(k=4))
             async with svc:
                 await svc.submit(tenant_request(0, "one"))
             with pytest.raises(DeploymentError):
@@ -314,7 +275,7 @@ class TestLifecycle:
 
     def test_close_is_idempotent(self):
         async def drive():
-            svc = INCService(build_fattree(k=4), workers=1)
+            svc = INCService(build_fattree(k=4))
             async with svc:
                 await svc.submit(tenant_request(0, "x"))
             await svc.close()
@@ -322,14 +283,18 @@ class TestLifecycle:
 
         run(drive())
 
-    def test_owned_controller_pool_is_released_on_close(self):
-        async def drive():
-            svc = INCService(build_fattree(k=4), workers=2)
-            async with svc:
-                await svc.submit(tenant_request(0, "own"))
-                pipeline = svc.controller.pipeline
-                assert pipeline.parallel is not None
-            return pipeline
+    def test_owned_controller_is_closed_on_close(self, tmp_path):
+        """A service that built its controller closes it (persisting the
+        memo); one handed a controller leaves closing to its owner."""
+        owned, borrowed = (str(tmp_path / name) for name in ("o.bin", "b.bin"))
 
-        pipeline = run(drive())
-        assert pipeline.parallel is None
+        async def drive():
+            async with INCService(build_fattree(k=4), memo_path=owned) as svc:
+                await svc.submit(tenant_request(0, "own"))
+            controller = ClickINC(build_fattree(k=4), memo_path=borrowed)
+            async with INCService(controller) as svc:
+                await svc.submit(tenant_request(0, "lent"))
+
+        run(drive())
+        assert os.path.exists(owned)
+        assert not os.path.exists(borrowed)

@@ -1,10 +1,9 @@
-"""Tests for the shared cross-process placement memo.
+"""Tests for the placement memo as a shared, persistable store.
 
-Covers the :class:`~repro.placement.memo.SharedPlacementMemo` store
-semantics (delta export/apply, pickle-stable sentinels, per-key
-derivation guards), the acceptance properties of the
-ISSUE — cross-worker reuse must be byte-identical to private-memo plans,
-persistence must survive a simulated controller restart, and a
+Covers the :class:`~repro.placement.memo.PlacementMemo` store semantics
+(pickle-stable sentinels, counted lookups, per-key derivation guards), its
+acceptance properties — a warm memo must return plans byte-identical to a
+cold one, persistence must survive a simulated controller restart, and a
 corrupted/stale memo file must degrade to a cold solve — plus the
 stale-table guard (:class:`~repro.exceptions.StaleMemoError`), the memo
 counters surfaced through the service/coordinator summaries, and the
@@ -16,6 +15,8 @@ from __future__ import annotations
 import asyncio
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -28,10 +29,9 @@ from repro.placement import (
     DPPlacer,
     PlacementMemo,
     PlacementRequest,
-    SharedPlacementMemo,
     build_block_dag,
 )
-from repro.placement.memo import INFEASIBLE, MISS
+from repro.placement.memo import INFEASIBLE, MEMO_FILE_FORMAT, MISS
 from repro.placement.objective import ObjectiveWeights, PlacementObjective
 from repro.placement.scoring import IntervalScorer
 from repro.sharding import ShardCoordinator
@@ -71,7 +71,7 @@ def plan_key(plan):
 
 
 # --------------------------------------------------------------------- #
-# sentinels (cross the process boundary inside delta blobs)
+# sentinels (cross a restart inside persisted memo files)
 # --------------------------------------------------------------------- #
 class TestSentinels:
     def test_pickle_preserves_identity(self):
@@ -92,87 +92,27 @@ class TestSentinels:
 # --------------------------------------------------------------------- #
 class TestSharedMemoStore:
     def test_miss_returns_sentinel(self):
-        memo = SharedPlacementMemo()
+        memo = PlacementMemo()
         assert memo.lookup_interval(("absent",)) is MISS
         assert memo.counters.misses == 1
 
-    def test_delta_export_apply_round_trip(self):
-        source = SharedPlacementMemo()
-        source.store_device(("dev",), True, ("sw0",))
-        source.store_interval(("iv",), 2.25, ("sw0", "sw1"))
-        source.store_table(("tb",), ((0,), {"t": 1}, (("sw0", "fp"),)),
-                           ("sw0",))
-        exported = source.export_delta(0)
-        assert exported is not None
-        seq, blob = exported
-        assert seq == source.delta_seq
-
-        target = SharedPlacementMemo()
-        applied, duplicates = target.apply_delta(blob)
-        assert (applied, duplicates) == (3, 0)
-        assert target.lookup_device(("dev",)) is True
-        assert target.lookup_interval(("iv",)) == 2.25
-        assert target.lookup_table(("tb",))[1] == {"t": 1}
-
-        # re-applying the same blob is pure duplicate work
-        applied, duplicates = target.apply_delta(blob)
-        assert (applied, duplicates) == (0, 3)
-        assert target.counters.duplicate_entries == 3
-
-    def test_apply_with_record_relays(self):
-        source = SharedPlacementMemo()
-        source.store_interval(("iv",), 3.5, ("sw0",))
-        _, blob = source.export_delta(0)
-
-        relay = SharedPlacementMemo()
-        relay.apply_delta(blob, record=True)
-        relayed = relay.export_delta(0)
-        assert relayed is not None
-
-        # without record=True the merge is not re-exported
-        sink = SharedPlacementMemo()
-        sink.apply_delta(blob)
-        assert sink.export_delta(0) is None
-
-        downstream = SharedPlacementMemo()
-        applied, _ = downstream.apply_delta(relayed[1])
-        assert applied == 1
-        assert downstream.lookup_interval(("iv",)) == 3.5
-
-    def test_export_delta_at_watermark_is_none(self):
-        memo = SharedPlacementMemo()
+    def test_clear_empties_store(self):
+        memo = PlacementMemo()
         memo.store_interval(("iv",), 1.0, ("sw0",))
-        assert memo.export_delta(memo.delta_seq) is None
-
-    def test_snapshot_round_trip(self):
-        source = SharedPlacementMemo()
-        source.store_device(("dev",), False, ("sw0",))
-        seq, blob = source.export_snapshot()
-        target = SharedPlacementMemo()
-        applied, _ = target.apply_delta(blob)
-        assert applied == 1
-        assert target.lookup_device(("dev",)) is False
-        assert seq == source.delta_seq
-
-    def test_clear_empties_store_and_log(self):
-        memo = SharedPlacementMemo()
-        memo.store_interval(("iv",), 1.0, ("sw0",))
-        assert memo.summary()["log_entries"] == 1
         dropped = memo.clear()
         assert dropped == 1
         assert len(memo) == 0
-        assert memo.summary()["log_entries"] == 0
         assert memo.lookup_interval(("iv",)) is MISS
 
     def test_table_guard_refcount_cleanup(self):
-        memo = SharedPlacementMemo()
+        memo = PlacementMemo()
         with memo.table_guard(("tb",)):
             assert ("tb",) in memo._guards
         assert not memo._guards
 
 
 # --------------------------------------------------------------------- #
-# ArtifactCache namespace accounting (backs the warm-plan guard)
+# ArtifactCache namespace accounting
 # --------------------------------------------------------------------- #
 class TestNamespaceLen:
     def test_tracks_stores_and_invalidation(self):
@@ -211,32 +151,9 @@ class TestNamespaceLen:
 
 
 # --------------------------------------------------------------------- #
-# cross-worker reuse: shared memo must not change any placement
+# reuse: a warm or shared memo must not change any placement
 # --------------------------------------------------------------------- #
-class TestCrossWorkerReuse:
-    def test_worker_pool_plans_match_private_memo(self):
-        requests = [tenant_request(pod, f"sm{pod}") for pod in range(3)]
-
-        shared = ClickINC(build_fattree(k=4), generate_code=False)
-        try:
-            reports = shared.deploy_many(requests, workers=2)
-            assert all(r.succeeded for r in reports)
-            got = [r.deployed.devices() for r in reports]
-            # the pool shipped delta blobs back to the parent store
-            assert shared.memo.counters.delta_entries_in > 0
-        finally:
-            shared.close()
-
-        private = ClickINC(build_fattree(k=4), generate_code=False,
-                           memo=PlacementMemo())
-        try:
-            ref_reports = private.deploy_many(requests, workers=2)
-            assert all(r.succeeded for r in ref_reports)
-        finally:
-            private.close()
-
-        assert got == [r.deployed.devices() for r in ref_reports]
-
+class TestWarmReuse:
     def test_sequential_reuse_is_byte_identical(self):
         """The same search against a warm memo returns the identical plan."""
         topo = build_fattree(k=4)
@@ -245,7 +162,7 @@ class TestCrossWorkerReuse:
         cold = DPPlacer(build_fattree(k=4), memo=PlacementMemo())
         reference = plan_key(cold.place(request))
 
-        memo = SharedPlacementMemo()
+        memo = PlacementMemo()
         placer = DPPlacer(topo, memo=memo)
         first = placer.place(request)
         second = placer.place(request)
@@ -253,15 +170,103 @@ class TestCrossWorkerReuse:
         assert plan_key(second) == reference
 
 
+class TestSingleFlight:
+    """Four shard placers search isomorphic pods at once over one memo."""
+
+    def _solve_all(self, threaded):
+        program = compile_template(default_profile("KVS", user="sf"),
+                                   name="kvs_sf")
+        coordinator = ShardCoordinator(build_fattree(k=4))
+        placers = {shard_id: shard.controller.placer
+                   for shard_id, shard in coordinator.shards.items()}
+        assert len(placers) == 4
+        gains = {}
+
+        def search(shard_id):
+            gains[shard_id] = placers[shard_id].place(PlacementRequest(
+                program=program.rebrand(f"kvs_{shard_id}"),
+                source_groups=[f"{shard_id}(a)"],
+                destination_group=f"{shard_id}(b)",
+            )).gain
+
+        if threaded:
+            threads = [threading.Thread(target=search, args=(shard_id,))
+                       for shard_id in placers]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        else:
+            for shard_id in placers:
+                search(shard_id)
+        solves = sum(placer.profile.counters.subtree_solves
+                     for placer in placers.values())
+        assert not coordinator.memo._guards
+        return solves, gains, coordinator.memo.sizes()["table"]
+
+    def test_racing_shard_threads_derive_each_table_once(self):
+        serial_solves, serial_gains, serial_tables = self._solve_all(False)
+        solves, gains, tables = self._solve_all(True)
+        assert serial_solves > 0
+        # table_guard: the second thread to want a table waits, then hits
+        assert solves == serial_solves
+        assert tables == serial_tables
+        assert gains == serial_gains
+
+
 # --------------------------------------------------------------------- #
 # persistence
 # --------------------------------------------------------------------- #
 class TestPersistence:
+    def test_file_layout_is_format_one(self, tmp_path):
+        """The persisted layout is a contract with files already on disk."""
+        path = str(tmp_path / "memo.bin")
+        memo = PlacementMemo()
+        placer = DPPlacer(build_fattree(k=4), memo=memo)
+        placer.place(placement_request(0, "kvs_layout"))
+        written = memo.save(path, placer.topology)
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        assert set(payload) == {"format", "topology", "fingerprints",
+                                "entries"}
+        assert payload["format"] == MEMO_FILE_FORMAT == 1
+        assert payload["fingerprints"] == placer.topology.device_fingerprints()
+        assert len(payload["entries"]) == written == len(memo)
+        for store, key, value, names in payload["entries"]:
+            assert store in ("device", "interval", "table")
+            assert isinstance(key, tuple) and isinstance(names, tuple)
+
+        fresh = PlacementMemo()
+        assert fresh.restore(path, build_fattree(k=4)) == written
+        assert fresh.sizes() == memo.sizes()
+
+    def test_truncated_file_cold_solves(self, tmp_path):
+        path = str(tmp_path / "memo.bin")
+        memo = PlacementMemo()
+        placer = DPPlacer(build_fattree(k=4), memo=memo)
+        placer.place(placement_request(0, "kvs_trunc"))
+        memo.save(path, placer.topology)
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(blob[: len(blob) // 2])
+
+        fresh = PlacementMemo()
+        assert fresh.restore(path, build_fattree(k=4)) == 0
+        assert fresh.counters.restore_rejected == 1
+        assert len(fresh) == 0
+
     def test_round_trip_across_restart(self, tmp_path):
         path = str(tmp_path / "memo.bin")
         request = placement_request(0, "kvs_persist")
 
-        memo = SharedPlacementMemo()
+        memo = PlacementMemo()
         placer = DPPlacer(build_fattree(k=4), memo=memo)
         reference = plan_key(placer.place(request))
         persisted = memo.save(path, placer.topology)
@@ -269,7 +274,7 @@ class TestPersistence:
 
         # simulated restart: fresh topology object, fresh memo, same file
         topo = build_fattree(k=4)
-        restored_memo = SharedPlacementMemo()
+        restored_memo = PlacementMemo()
         restored = restored_memo.restore(path, topo)
         assert restored == persisted
         assert restored_memo.counters.restored_entries == restored
@@ -286,8 +291,7 @@ class TestPersistence:
 
         first = ClickINC(topo, generate_code=False, memo_path=path)
         try:
-            report = first.deploy_many([tenant_request(0, "mp0")],
-                                       workers=1)[0]
+            report = first.deploy_many([tenant_request(0, "mp0")])[0]
             assert report.succeeded
         finally:
             first.close()   # best-effort save on close
@@ -298,8 +302,7 @@ class TestPersistence:
         second = ClickINC(topo, generate_code=False, memo_path=path)
         try:
             assert second.memo.counters.restored_entries > 0
-            follow_up = second.deploy_many([tenant_request(1, "mp1")],
-                                           workers=1)[0]
+            follow_up = second.deploy_many([tenant_request(1, "mp1")])[0]
             assert follow_up.succeeded
         finally:
             second.close()
@@ -310,7 +313,7 @@ class TestPersistence:
             handle.write(b"not a memo file")
 
         topo = build_fattree(k=4)
-        memo = SharedPlacementMemo()
+        memo = PlacementMemo()
         assert memo.restore(path, topo) == 0
         assert memo.counters.restore_rejected == 1
         assert memo.counters.restored_entries == 0
@@ -318,8 +321,7 @@ class TestPersistence:
         controller = ClickINC(topo, generate_code=False, memo_path=path)
         try:
             assert controller.memo.counters.restore_rejected == 1
-            report = controller.deploy_many([tenant_request(0, "cor")],
-                                            workers=1)[0]
+            report = controller.deploy_many([tenant_request(0, "cor")])[0]
             assert report.succeeded
         finally:
             controller.close()
@@ -329,24 +331,24 @@ class TestPersistence:
         with open(path, "wb") as handle:
             pickle.dump({"format": -1, "topology": "x", "fingerprints": {},
                          "entries": []}, handle)
-        memo = SharedPlacementMemo()
+        memo = PlacementMemo()
         assert memo.restore(path, build_fattree(k=4)) == 0
         assert memo.counters.restore_rejected == 1
 
     def test_structural_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "memo.bin")
-        memo = SharedPlacementMemo()
+        memo = PlacementMemo()
         placer = DPPlacer(build_fattree(k=4), memo=memo)
         placer.place(placement_request(0, "kvs_struct"))
         assert memo.save(path, placer.topology) > 0
 
-        other = SharedPlacementMemo()
+        other = PlacementMemo()
         assert other.restore(path, build_fattree(k=8)) == 0
         assert other.counters.restore_rejected == 1
 
     def test_allocation_drift_drops_only_stale_entries(self, tmp_path):
         path = str(tmp_path / "memo.bin")
-        memo = SharedPlacementMemo()
+        memo = PlacementMemo()
         placer = DPPlacer(build_fattree(k=4), memo=memo)
         placer.place(placement_request(0, "kvs_drift"))
         persisted = memo.save(path, placer.topology)
@@ -355,7 +357,7 @@ class TestPersistence:
         topo = build_fattree(k=4)
         topo.devices["ToR0_0"].allocate_stage(0, {"instructions": 4.0})
 
-        restored_memo = SharedPlacementMemo()
+        restored_memo = PlacementMemo()
         restored = restored_memo.restore(path, topo)
         assert 0 < restored < persisted
         # the admitted remainder still serves a cold-start placement
@@ -370,7 +372,7 @@ class TestPersistence:
 # --------------------------------------------------------------------- #
 class TestStaleGuard:
     def test_poisoned_table_raises_stale_memo_error(self):
-        memo = SharedPlacementMemo()
+        memo = PlacementMemo()
         placer = DPPlacer(build_fattree(k=4), memo=memo)
         request = placement_request(0, "kvs_stale")
         placer.place(request)
@@ -393,16 +395,21 @@ class TestStaleGuard:
 class TestSummaries:
     def test_service_summary_includes_memo_section(self):
         async def drive():
-            async with INCService(build_fattree(k=4), workers=1) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 report = await svc.submit(tenant_request(0, "sum"))
                 assert report.succeeded
                 return svc.service_summary()
 
         summary = asyncio.run(drive())
         memo = summary["memo"]
-        for field in ("hits", "misses", "delta_bytes_in", "delta_bytes_out",
+        for field in ("hits", "shared_hits", "misses", "restored_entries",
+                      "persisted_entries", "restore_rejected",
                       "stale_rejections"):
             assert field in memo
+        assert not [key for key in memo
+                    if key.startswith("delta_") or key in (
+                        "duplicate_entries", "log_entries")]
+        assert "pool_generation" not in summary
 
     def test_coordinator_shards_share_one_memo(self):
         with ShardCoordinator(build_fattree(k=4)) as coord:

@@ -80,75 +80,6 @@ class TestNetworkTopology:
         topo.device("SW0").release_stage(0, {"alu": 5.0})
         assert topo.allocation_fingerprint() == baseline  # content-addressed
 
-    def test_fingerprint_delta_and_state_sync_round_trip(self):
-        topo = build_chain(3)
-        base = topo.device_fingerprints()
-        assert topo.fingerprint_delta(base) == []
-        topo.device("SW1").allocate_stage(0, {"alu": 3.0})
-        topo.device("SW1").deployed_programs["p"] = [0]
-        topo.device("SW1").alloc_version += 1
-        assert topo.fingerprint_delta(base) == ["SW1"]
-        # ship the delta to a pristine replica (a worker snapshot)
-        replica = build_chain(3)
-        states = topo.allocation_states(topo.fingerprint_delta(base))
-        replica.apply_allocation_states(states)
-        assert replica.device_fingerprints() == topo.device_fingerprints()
-        # applying the same absolute state twice is idempotent
-        replica.apply_allocation_states(states)
-        assert replica.device_fingerprints() == topo.device_fingerprints()
-
-    def test_fingerprint_delta_across_multiple_epoch_bumps(self):
-        """A delta accumulates every device touched since *base*, no matter
-        how many epoch bumps happened in between."""
-        topo = build_chain(4)
-        base = topo.device_fingerprints()
-        epoch0 = topo.allocation_epoch()
-        topo.device("SW1").allocate_stage(0, {"alu": 3.0})
-        topo.device("SW1").alloc_version += 1
-        epoch1 = topo.allocation_epoch()
-        assert epoch1 > epoch0
-        topo.device("SW3").allocate_stage(0, {"alu": 2.0})
-        topo.device("SW3").alloc_version += 1
-        topo.device("SW1").allocate_stage(1, {"alu": 1.0})
-        topo.device("SW1").alloc_version += 1
-        assert topo.allocation_epoch() > epoch1  # >= 2 bumps past base
-        assert topo.fingerprint_delta(base) == ["SW1", "SW3"]
-
-    def test_fingerprint_delta_after_remove_link_and_status_change(self):
-        """remove_link + set_device_status on the same device show up once
-        in the delta (and both bump its fingerprint)."""
-        topo = build_chain(4)
-        base = topo.device_fingerprints()
-        topo.remove_link("SW1", "SW2")
-        assert topo.fingerprint_delta(base) == ["SW1", "SW2"]
-        topo.set_device_status("SW1", "drain")
-        # SW1 changed twice (topology version + status) but is named once
-        assert topo.fingerprint_delta(base) == ["SW1", "SW2"]
-        # a replica synced from the delta converges on the same fingerprints
-        replica = build_chain(4)
-        replica.remove_link("SW1", "SW2")
-        replica.apply_allocation_states(
-            topo.allocation_states(topo.fingerprint_delta(base))
-        )
-        assert (replica.device_fingerprints()["SW1"]
-                == topo.device_fingerprints()["SW1"])
-
-    def test_fingerprint_delta_equals_fresh_snapshot(self):
-        """An empty delta is exactly 'base == a fresh full snapshot'."""
-        topo = build_chain(3)
-        base = topo.device_fingerprints()
-        topo.device("SW0").allocate_stage(0, {"alu": 4.0})
-        topo.device("SW0").alloc_version += 1
-        topo.set_device_status("SW2", "down")
-        fresh = topo.device_fingerprints()
-        delta = topo.fingerprint_delta(base)
-        assert delta == sorted(
-            name for name in fresh if fresh[name] != base[name]
-        )
-        # re-snapshotting yields an empty delta against the fresh snapshot
-        assert topo.fingerprint_delta(fresh) == []
-        assert topo.device_fingerprints() == fresh
-
 
 class TestSubview:
     def test_subview_shares_devices_and_links(self):
@@ -181,11 +112,6 @@ class TestSubview:
         # and removal on a view propagates back to the parent + siblings
         view.remove_link("ToR0_0", "Agg0_1")
         assert not topo.graph.has_edge("ToR0_0", "Agg0_1")
-        # views stay picklable (worker-pool snapshots drop the weakrefs)
-        import pickle
-
-        clone = pickle.loads(pickle.dumps(view))
-        assert not clone.graph.has_edge("ToR0_0", "Agg0_0")
 
     def test_subview_rejects_unknown_devices_and_foreign_groups(self):
         topo = build_fattree(k=4)
@@ -405,10 +331,95 @@ class TestOperationalStatus:
         members = {m for cls in classes for m in cls.members}
         assert "Agg0_0" not in members
 
-    def test_allocation_state_round_trips_status(self):
+
+class TestForwardingCache:
+    """The forwarding graph and the path memo move with routing only."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Names of the topologies whose forwarding graph was (re)built."""
+        built = []
+        build = NetworkTopology._build_forwarding_graph
+
+        def counting(topology):
+            built.append(topology.name)
+            return build(topology)
+
+        monkeypatch.setattr(NetworkTopology, "_build_forwarding_graph",
+                            counting)
+        return built
+
+    @staticmethod
+    def fabric():
         topo = build_fattree(k=4)
+        view = topo.subview("pod0", [
+            name for name in topo.devices
+            if topo.pods[name] in (0, -1)])
+        return topo, view
+
+    @staticmethod
+    def route(*topologies):
+        for topology in topologies:
+            topology.paths_between_groups("pod0(a)", "pod0(b)")
+
+    def test_commit_release_cycles_rebuild_nothing(self, built):
+        from repro.core import ClickINC
+        from repro.lang.profile import default_profile
+
+        topo, view = self.fabric()
+        inc = ClickINC(topo)
+        self.route(topo, view)
+        assert built == [topo.name, "pod0"]
+        epochs = topo.forwarding_epoch(), view.forwarding_epoch()
+        for cycle in range(20):
+            allocation_epoch = topo.allocation_epoch()
+            inc.deploy_profile(default_profile("KVS", user=f"c{cycle}"),
+                               ["pod0(a)"], "pod0(b)", name=f"kvs_c{cycle}")
+            assert topo.allocation_epoch() > allocation_epoch
+            self.route(topo, view)
+            inc.remove(f"kvs_c{cycle}")
+            self.route(topo, view)
+        assert built == [topo.name, "pod0"]
+        assert (topo.forwarding_epoch(), view.forwarding_epoch()) == epochs
+
+    def test_each_routing_event_invalidates_once_on_root_and_view(self, built):
+        topo, view = self.fabric()
+        self.route(topo, view)
+        events = [
+            lambda: topo.set_device_status("Agg0_0", "down"),      # fail
+            lambda: view.set_device_status("Agg0_0", "up"),        # restore
+            lambda: topo.set_device_status("Agg0_1", "drain"),     # drain
+            lambda: view.set_device_status("Agg0_1", "up"),
+            lambda: topo.set_link_status("ToR0_0", "Agg0_0", "down"),
+            lambda: view.set_link_status("ToR0_0", "Agg0_0", "up"),
+            lambda: view.remove_link("ToR0_0", "Agg0_1"),
+        ]
+        for event in events:
+            del built[:]
+            event()
+            self.route(topo, view)
+            self.route(topo, view)                # the rebuilt graph is kept
+            assert sorted(built) == sorted([topo.name, "pod0"])
+
+    def test_no_op_flips_invalidate_nothing(self, built):
+        topo, view = self.fabric()
+        self.route(topo, view)
+        del built[:]
+        assert not topo.set_device_status("Agg0_0", "up")
+        assert not topo.set_link_status("ToR0_0", "Agg0_0", "up")
+        self.route(topo, view)
+        assert built == []
+
+    def test_paths_follow_the_rebuilt_graph(self):
+        topo, view = self.fabric()
+        before = view.paths_between_groups("pod0(a)", "pod0(b)")
+        assert any("Agg0_0" in path for path in before)
         topo.set_device_status("Agg0_0", "down")
-        state = topo.allocation_states(["Agg0_0"])
-        other = build_fattree(k=4)
-        other.apply_allocation_states(state)
-        assert other.device_status("Agg0_0") == "down"
+        for topology in (topo, view):
+            paths = topology.paths_between_groups("pod0(a)", "pod0(b)")
+            assert paths and not any("Agg0_0" in path for path in paths)
+        # the outer list is the caller's: emptying it leaves the memo alone
+        paths.clear()
+        assert view.paths_between_groups("pod0(a)", "pod0(b)") != []
+        view.set_device_status("Agg0_0", "up")
+        assert topo.paths_between_groups("pod0(a)", "pod0(b)") == before
