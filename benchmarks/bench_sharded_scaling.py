@@ -4,7 +4,9 @@ Two measurements on the 4-pod fat-tree:
 
 1. **N shards vs 1 shard** — the same batch of intra-pod tenants (spread
    over all four pods) deployed through (a) the degenerate whole-fabric
-   single shard and (b) one controller shard per pod, whose lanes are
+   single shard — one controller over the fabric itself, which is also the
+   coordinator's ``inter`` — and (b) one controller shard per pod (plus a
+   separate ``inter``), whose lanes are
    threads under one GIL.  Sharding buys partitioned state, per-region
    commit locks and the 2PC, not throughput: the measurement bounds what it
    *costs* (``MIN_RATIO``), and placements must stay identical to the

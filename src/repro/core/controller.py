@@ -258,8 +258,13 @@ class ClickINC:
 
     def as_service(self, max_wave: int = 8):
         """An asyncio :class:`~repro.core.service.INCService` over this
-        controller (shares its pipeline, cache and deployed-program
-        registry)."""
+        controller.
+
+        The service runs a one-shard
+        :class:`~repro.sharding.coordinator.ShardCoordinator` whose only
+        shard is this controller (same pipeline, cache and emulator); the
+        programs deployed so far seed its name registry.  Closing the
+        service leaves the controller open."""
         from repro.core.service import INCService
 
         return INCService(self, max_wave=max_wave)

@@ -204,6 +204,18 @@ def complete_report(report: PipelineReport, started: float,
     return report
 
 
+def deadline_report(name: str, detail: str) -> PipelineReport:
+    """A failed :class:`PipelineReport` for a deadline-expired submission.
+
+    Deadline expiry is an admission outcome, not a pipeline error, so it is
+    reported (``failed_stage="deadline"``) exactly like any other
+    per-request failure — never raised — and carries no partial state:
+    nothing was compiled or committed on its behalf.
+    """
+    return PipelineReport(program_name=name, error=detail,
+                          failed_stage="deadline")
+
+
 @dataclass
 class SpeculativeResult:
     """Outcome of the pure phase for one request.

@@ -1,9 +1,8 @@
 """Shared counter plumbing for the service, runtime and memo statistics.
 
 Every long-lived layer keeps a small dataclass of running integer counters
-(:class:`~repro.core.service.ServiceStats`,
-:class:`~repro.runtime.manager.RuntimeStats`, :class:`MemoCounters`).  They
-all update
+(:class:`ServiceStats`, :class:`~repro.runtime.manager.RuntimeStats`,
+:class:`MemoCounters`).  They all update
 through :meth:`CounterMixin.increment` — one internal helper instead of
 ad-hoc ``stats.attr += 1`` scattered through the call sites — so a typo'd
 counter name fails loudly instead of silently creating a new attribute,
@@ -12,7 +11,7 @@ and per-shard breakdowns (:class:`ShardCounters`) aggregate uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict
 
 __all__ = [
@@ -20,6 +19,7 @@ __all__ = [
     "DataplaneStats",
     "EngineCounters",
     "MemoCounters",
+    "ServiceStats",
     "ShardCounters",
     "TenantCounters",
 ]
@@ -87,6 +87,75 @@ class ShardCounters(CounterMixin):
     aborted_prepares: int = 0
     #: programs migrated off this shard's devices by runtime events
     migrations: int = 0
+
+
+@dataclass
+class ServiceStats(CounterMixin):
+    """Counters describing the service's batching behaviour.
+
+    One bag per :class:`~repro.sharding.coordinator.ShardCoordinator`,
+    shared with the :class:`~repro.core.service.INCService` in front of it.
+    Running aggregates only — an always-on service processes an unbounded
+    number of waves, so nothing here may grow with the wave count.  Every
+    update goes through :meth:`CounterMixin.increment` (or the
+    :meth:`record_wave` helper built on it).
+    """
+
+    submitted: int = 0
+    removed: int = 0
+    waves: int = 0
+    max_wave: int = 0
+    #: waves in which at least one request failed to deploy
+    failed_waves: int = 0
+    #: rolling updates swapped through the barrier path
+    updates: int = 0
+    #: programs live-migrated by device failures/drains
+    migrations: int = 0
+    #: cross-shard programs committed through the two-phase commit
+    cross_shard_commits: int = 0
+    #: cross-shard prepares aborted because a touched shard's allocation
+    #: state drifted from the epoch-tagged snapshot placement ran against
+    aborted_prepares: int = 0
+    #: submissions that expired in the admission queue (deadline passed
+    #: before their wave was dispatched)
+    deadline_expired: int = 0
+    #: cross-shard two-phase commits aborted because the submission's
+    #: deadline passed between the speculative phase and the commit wave
+    deadline_aborts: int = 0
+    #: per-shard activity breakdown: each entry is the owning shard's own
+    #: :class:`ShardCounters` bag, aliased in by the coordinator so the
+    #: counters are incremented exactly once
+    per_shard: Dict[str, ShardCounters] = field(default_factory=dict)
+
+    def record_wave(self, size: int, failures: int = 0) -> None:
+        self.increment("waves")
+        self.increment("submitted", size)
+        if size > self.max_wave:
+            self.max_wave = size
+        if failures:
+            self.increment("failed_waves")
+
+    def summary(self) -> Dict[str, object]:
+        summary: Dict[str, object] = {
+            "submitted": self.submitted,
+            "removed": self.removed,
+            "waves": self.waves,
+            "max_wave": self.max_wave,
+            "mean_wave": self.submitted / self.waves if self.waves else 0.0,
+            "failed_waves": self.failed_waves,
+            "updates": self.updates,
+            "migrations": self.migrations,
+            "cross_shard_commits": self.cross_shard_commits,
+            "aborted_prepares": self.aborted_prepares,
+            "deadline_expired": self.deadline_expired,
+            "deadline_aborts": self.deadline_aborts,
+        }
+        if self.per_shard:
+            summary["per_shard"] = {
+                shard_id: counters.summary()
+                for shard_id, counters in sorted(self.per_shard.items())
+            }
+        return summary
 
 
 

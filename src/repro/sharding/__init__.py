@@ -8,9 +8,10 @@ runtime manager over a shard-local topology view; the
 two-phase commit for programs whose traffic spans regions, and escalates
 migrations a shard cannot solve inside its own view.
 
-A whole-fabric single shard is the degenerate default, so sharding is
-strictly additive: every existing entry point (:class:`~repro.core.ClickINC`,
-:class:`~repro.core.INCService`) behaves exactly as before.
+A whole-fabric single shard is the degenerate case: one controller over
+the fabric itself, which is also the coordinator's full-fabric controller.
+Every :class:`~repro.core.INCService` runs over a coordinator — the
+default one over exactly that single shard.
 """
 
 from repro.sharding.coordinator import (

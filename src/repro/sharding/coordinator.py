@@ -36,6 +36,14 @@ Because every shard view shares ``Device`` objects with the full-fabric
 topology the coordinator's own controller uses, resource accounting needs
 no reconciliation: a commit anywhere is immediately visible to every
 placement that can see the device.
+
+**A one-region partition is the fabric.**  A partition with one region and
+no border (:func:`~repro.topology.partition.whole_fabric_partition`) gets
+exactly one :class:`ClickINC`, over the topology itself: it is both the
+only shard's controller and :attr:`ShardCoordinator.inter`.  Every request
+then routes to that one shard, nothing is cross-shard, and a shard
+migration has nothing larger to escalate to.  This is the stack the
+default :class:`~repro.core.service.INCService` runs.
 """
 
 from __future__ import annotations
@@ -43,20 +51,25 @@ from __future__ import annotations
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.controller import ClickINC
-from repro.core.pipeline import DeployRequest, PipelineReport
-from repro.core.service import ServiceStats, deadline_report
+from repro.core.pipeline import DeployRequest, PipelineReport, deadline_report
+from repro.core.stats import ServiceStats
 from repro.exceptions import DeploymentError
 from repro.placement.memo import PlacementMemo
-from repro.runtime.manager import MigrationReport
+from repro.runtime.manager import MigrationReport, RuntimeManager
 from repro.sharding.shard import ControllerShard
 from repro.synthesis.incremental import SynthesisDelta
 from repro.topology.network import NetworkTopology
-from repro.topology.partition import PartitionMap, partition_by_pod
+from repro.topology.partition import (
+    PartitionMap,
+    partition_by_pod,
+    whole_fabric_partition,
+)
 
 __all__ = ["ShardCoordinator", "ShardedEventReport", "CROSS_SHARD"]
 
@@ -77,6 +90,12 @@ class ShardedEventReport:
     #: programs a shard could not re-place inside its own view that the
     #: coordinator successfully re-homed on the full fabric
     escalated: List[str] = field(default_factory=list)
+
+    @property
+    def succeeded(self) -> bool:
+        """Every shard's migration and the cross-shard one succeeded."""
+        reports = list(self.shard_reports.values()) + [self.cross_report]
+        return all(r.succeeded for r in reports if r is not None)
 
     def migrated(self) -> List[str]:
         """Every program that ended up on new devices, coordinator-wide."""
@@ -113,7 +132,8 @@ class ShardCoordinator:
         An explicit :class:`PartitionMap`; defaults to
         :func:`partition_by_pod` (one shard per pod, cores on the border —
         degenerating to a single whole-fabric shard on unlabelled
-        topologies).
+        topologies).  A partition with one region and no border builds one
+        controller, over *topology* itself, which is also :attr:`inter`.
     memo:
         A :class:`~repro.placement.memo.PlacementMemo` shared by
         every shard *and* the coordinator's own full-fabric controller; one
@@ -137,24 +157,53 @@ class ShardCoordinator:
                  memo: Optional[PlacementMemo] = None,
                  memo_path: Optional[str] = None,
                  **controller_kwargs) -> None:
-        self.topology = topology
-        self.partition = partition or partition_by_pod(topology)
-        self.memo = memo if memo is not None else PlacementMemo()
-        self.memo_path = memo_path
+        partition = partition or partition_by_pod(topology)
+        memo = memo if memo is not None else PlacementMemo()
         if memo_path is not None and os.path.exists(memo_path):
             # validate against the full fabric: every shard view shares its
             # Device objects, so fabric-valid entries are valid in every
             # shard
-            self.memo.restore(memo_path, topology)
-        views = self.partition.shard_views(topology)
+            memo.restore(memo_path, topology)
+        controllers = {
+            shard_id: ClickINC(view, memo=memo, **controller_kwargs)
+            for shard_id, view in partition.shard_views(topology).items()
+        }
+        # a one-region partition's only view is the fabric itself, so its
+        # controller already is the full-fabric one
+        inter = next((controller for controller in controllers.values()
+                      if controller.topology is topology), None)
+        if inter is None:
+            inter = ClickINC(topology, memo=memo, **controller_kwargs)
+        self._assemble(topology, partition, controllers, inter, memo_path)
+
+    @classmethod
+    def serving(cls, controller: ClickINC) -> "ShardCoordinator":
+        """A one-shard coordinator whose only shard — and full-fabric
+        controller — is the existing *controller*; the programs it already
+        deployed seed the name registry.  Persisting the memo stays the
+        controller's business (its own ``memo_path``)."""
+        partition = whole_fabric_partition(controller.topology)
+        (region,) = partition.regions
+        coordinator = cls.__new__(cls)
+        coordinator._assemble(controller.topology, partition,
+                              {region: controller}, controller, None)
+        coordinator._owner.update(dict.fromkeys(controller.deployed, region))
+        return coordinator
+
+    def _assemble(self, topology: NetworkTopology, partition: PartitionMap,
+                  controllers: Dict[str, ClickINC], inter: ClickINC,
+                  memo_path: Optional[str]) -> None:
+        self.topology = topology
+        self.partition = partition
+        self.memo = inter.memo
+        self.memo_path = memo_path
         self.shards: Dict[str, ControllerShard] = {
-            shard_id: ControllerShard(shard_id, view,
-                                      memo=self.memo, **controller_kwargs)
-            for shard_id, view in views.items()
+            shard_id: ControllerShard(shard_id, controller)
+            for shard_id, controller in controllers.items()
         }
         #: the coordinator's own full-fabric controller: cross-shard
         #: programs compile, commit and run through it
-        self.inter = ClickINC(topology, memo=self.memo, **controller_kwargs)
+        self.inter = inter
         self.stats = ServiceStats()
         # one counter bag per shard, shared between the shard object and the
         # coordinator's per-shard breakdown — incremented exactly once
@@ -356,8 +405,8 @@ class ShardCoordinator:
                     self._resolve_claim(name, None)
         return reports  # type: ignore[return-value]
 
-    def deploy_many(self, requests: Sequence[DeployRequest],
-                    parallel_shards: bool = True) -> List[PipelineReport]:
+    def deploy_many(self, requests: Sequence[DeployRequest]
+                    ) -> List[PipelineReport]:
         """Deploy a batch: per-shard waves in parallel, then cross-shard.
 
         Requests are grouped by owning shard; each group runs as one wave
@@ -385,16 +434,10 @@ class ShardCoordinator:
             for i, report in zip(indices, self.deploy_wave(shard_id, wave)):
                 reports[i] = report
 
-        if parallel_shards and len(by_shard) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
+        if len(by_shard) > 1:
             with ThreadPoolExecutor(max_workers=len(by_shard)) as pool:
-                futures = [
-                    pool.submit(run_shard_wave, shard_id, indices)
-                    for shard_id, indices in by_shard.items()
-                ]
-                for future in futures:
-                    future.result()
+                # re-raises the first failed wave, in shard order
+                list(pool.map(run_shard_wave, by_shard, by_shard.values()))
         else:
             for shard_id, indices in by_shard.items():
                 run_shard_wave(shard_id, indices)
@@ -636,16 +679,23 @@ class ShardCoordinator:
 
     def restore_device(self, name: str) -> bool:
         """Bring a failed/drained device back, refreshing every watcher."""
-        changed = False
-        with self._inter_lock, self._locks(self.shards_seeing_device(name)):
-            for shard_id in self.shards_seeing_device(name):
-                changed = (self.shards[shard_id].runtime().restore_device(name)
-                           or changed)
+        seeing = self.shards_seeing_device(name)
+        with self._inter_lock, self._locks(seeing):
             # always refresh the inter controller's monitor too: a shard's
             # restore already flipped the shared device, and a stale inter
             # baseline would re-report the recovery on its next poll()
-            changed = self.inter.runtime().restore_device(name) or changed
-        return changed
+            changed = [controller.runtime().restore_device(name)
+                       for controller in self._controllers(seeing)]
+        return any(changed)
+
+    def _controllers(self, shard_ids) -> List[ClickINC]:
+        """The controllers of *shard_ids*, then :attr:`inter` — each once
+        (a one-region partition's shard controller *is* ``inter``)."""
+        controllers = [self.shards[shard_id].controller
+                       for shard_id in shard_ids]
+        if self.inter not in controllers:
+            controllers.append(self.inter)
+        return controllers
 
     def _device_event(self, name: str, kind: str,
                       state_lost: bool) -> ShardedEventReport:
@@ -660,20 +710,22 @@ class ShardCoordinator:
         # there without their lock would race their intra-shard waves.
         # Untouched shards are only paused, never worked: no migrations,
         # no epoch bumps, no cache invalidation.
+        # The whole-fabric shard of a one-region partition is ``inter``
+        # itself: it migrates once, and has nothing larger to escalate to.
+        migrate = (RuntimeManager.fail_device if state_lost
+                   else RuntimeManager.drain_device)
         with self._inter_lock, self._locks(self.shards):
-            for shard_id in seeing:
-                manager = self.shards[shard_id].runtime()
-                report = (manager.fail_device(name) if state_lost
-                          else manager.drain_device(name))
-                event.shard_reports[shard_id] = report
-            inter_manager = self.inter.runtime()
-            event.cross_report = (
-                inter_manager.fail_device(name) if state_lost
-                else inter_manager.drain_device(name)
-            )
+            seen_by = {shard_id: self.shards[shard_id].controller
+                       for shard_id in seeing}
+            for shard_id, controller in seen_by.items():
+                event.shard_reports[shard_id] = migrate(controller.runtime(),
+                                                        name)
+            if self.inter not in seen_by.values():
+                event.cross_report = migrate(self.inter.runtime(), name)
             for shard_id in seeing:
                 report = event.shard_reports[shard_id]
-                if report.rolled_back and report.affected:
+                if (report.rolled_back and report.affected
+                        and seen_by[shard_id] is not self.inter):
                     event.escalated.extend(
                         self._escalate(shard_id, report, name, state_lost)
                     )
@@ -762,14 +814,14 @@ class ShardCoordinator:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Close every shard's controller and the coordinator's own.
+        """Close every shard's controller and the coordinator's own (each
+        once).
 
         With ``memo_path`` set the shared memo is persisted here
         (best-effort, like the controller's own save path).
         """
-        for shard in self.shards.values():
-            shard.close()
-        self.inter.close()
+        for controller in self._controllers(self.shards):
+            controller.close()
         if self.memo_path is not None:
             try:
                 self.memo.save(self.memo_path, self.topology)

@@ -1,15 +1,15 @@
-"""One controller shard: a full ClickINC stack over a shard-local view.
+"""One controller shard: a full ClickINC stack plus its commit lock.
 
-A :class:`ControllerShard` owns everything the whole-fabric controller owns
-— compiler, DP placer, incremental synthesizer, emulator, artifact/plan
-cache, runtime manager — but scoped to one
-partition region's view of the topology
-(:meth:`~repro.topology.network.NetworkTopology.subview`).  Because the
-view shares ``Device``/``Link`` objects with the parent fabric, resource
-accounting is globally consistent with zero coordination; because the
-view's allocation epoch covers only the shard's own (plus border) devices,
-commits in *other* shards never invalidate this shard's plan cache or
-speculative placements.
+A :class:`ControllerShard` wraps one :class:`ClickINC` controller —
+compiler, DP placer, incremental synthesizer, emulator, artifact/plan
+cache, runtime manager — scoped to one partition region's view of the
+topology (:meth:`~repro.topology.network.NetworkTopology.subview`), or to
+the fabric itself when the partition has one region and no border.
+Because a view shares ``Device``/``Link`` objects with the parent fabric,
+resource accounting is globally consistent with zero coordination; because
+the view's allocation epoch covers only the shard's own (plus border)
+devices, commits in *other* shards never invalidate this shard's plan cache
+or speculative placements.
 
 Every mutation of shared state goes through :attr:`lock` — the shard's
 commit lock.  Intra-shard work only ever takes its own lock, so shards
@@ -27,7 +27,6 @@ from repro.core.controller import ClickINC
 from repro.core.pipeline import DeployRequest, PipelineReport
 from repro.core.stats import ShardCounters
 from repro.synthesis.incremental import SynthesisDelta
-from repro.topology.network import NetworkTopology
 
 __all__ = ["ControllerShard"]
 
@@ -39,25 +38,20 @@ class ControllerShard:
     ----------
     shard_id:
         The partition region this shard serves (e.g. ``"pod0"``).
-    view:
-        The shard-local topology view (region devices + shared border).
-    memo:
-        Placement memo for the shard's DP placer.  The coordinator passes
-        one :class:`~repro.placement.memo.PlacementMemo` to every
-        shard (and to its own cross-shard controller): memo keys are
-        name-blind and content-addressed via the symmetric-pod sub-tree
-        signatures, so a pod sub-tree table derived while placing in shard
-        A is a direct hit for the isomorphic pod of shard B.  Omit it for
-        a private per-shard memo.
-    controller_kwargs:
-        Forwarded to the shard's :class:`ClickINC` controller.
+    controller:
+        The :class:`ClickINC` controller serving the region; its topology
+        is the shard's :attr:`view` (region devices + shared border).  The
+        coordinator builds it with the placement memo it shares with every
+        shard: memo keys are name-blind and content-addressed via the
+        symmetric-pod sub-tree signatures, so a pod sub-tree table derived
+        while placing in shard A is a direct hit for the isomorphic pod of
+        shard B.
     """
 
-    def __init__(self, shard_id: str, view: NetworkTopology, *,
-                 memo=None, **controller_kwargs) -> None:
+    def __init__(self, shard_id: str, controller: ClickINC) -> None:
         self.shard_id = shard_id
-        self.view = view
-        self.controller = ClickINC(view, memo=memo, **controller_kwargs)
+        self.controller = controller
+        self.view = controller.topology
         #: the shard's commit lock: intra-shard waves hold it for their
         #: commit phase, cross-shard prepares take it for the 2PC window
         self.lock = threading.RLock()
@@ -114,7 +108,7 @@ class ControllerShard:
         return self.controller.runtime(auto_migrate=auto_migrate)
 
     # ------------------------------------------------------------------ #
-    # observability / lifecycle
+    # observability
     # ------------------------------------------------------------------ #
     def deployed_programs(self) -> List[str]:
         return self.controller.deployed_programs()
@@ -125,9 +119,6 @@ class ControllerShard:
         summary["devices"] = len(self.view.devices)
         summary["epoch"] = self.view.allocation_epoch()
         return summary
-
-    def close(self) -> None:
-        self.controller.close()
 
     def __repr__(self) -> str:
         return (

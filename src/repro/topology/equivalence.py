@@ -283,6 +283,22 @@ def subtree_correspondence(stored_ids: Sequence[str],
     return mapping
 
 
+def _cyclic_nodes(nodes: Dict[str, ReducedNode]) -> List[str]:
+    """Ids of the nodes on or below a parent→child cycle (Kahn's
+    algorithm); empty when the graph is acyclic."""
+    indegree = dict.fromkeys(nodes, 0)
+    for node in nodes.values():
+        for child in node.children:
+            indegree[child.name] += 1
+    ready = [ec_id for ec_id, degree in indegree.items() if degree == 0]
+    while ready:
+        for child in nodes[ready.pop()].children:
+            indegree[child.name] -= 1
+            if indegree[child.name] == 0:
+                ready.append(child.name)
+    return sorted(ec_id for ec_id, degree in indegree.items() if degree)
+
+
 def build_reduced_tree(
     topo: NetworkTopology,
     source_groups: Sequence[str],
@@ -296,6 +312,10 @@ def build_reduced_tree(
     arranged as a tree rooted at the top-most shared layer.  Traffic shares
     are attached per node from *traffic_rates* (per source group, defaulting
     to uniform).
+
+    Raises :class:`TopologyError` when the classes do not arrange into an
+    acyclic graph — in a fat-tree, exactly when the sources include a group
+    in the destination's pod and a group in another pod.
     """
     if not source_groups:
         raise TopologyError("at least one source host group is required")
@@ -389,6 +409,17 @@ def build_reduced_tree(
         if not node.bypass:
             node.bypass = [topo.bypass[m] for m in node.ec.members if m in topo.bypass]
 
+    cyclic = _cyclic_nodes(nodes)
+    if cyclic:
+        # e.g. sources in the destination's own pod *and* in another one:
+        # the intra-pod path misses the core root, so the destination ToR
+        # becomes a client parent of the pod's Agg class while the
+        # cross-pod path makes that Agg its server parent
+        raise TopologyError(
+            f"traffic from {list(source_groups)} to {destination_group!r} "
+            f"reduces to a cyclic placement graph (through {cyclic}); "
+            f"this source/destination shape cannot be placed"
+        )
     return ReducedTree(
         root=root,
         client_leaves=sorted(client_leaves),

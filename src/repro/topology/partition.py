@@ -127,8 +127,14 @@ class PartitionMap:
 
     def shard_views(self, topology: NetworkTopology
                     ) -> Dict[str, NetworkTopology]:
-        """One shard-local view per region: region devices + the border."""
+        """One shard-local view per region: region devices + the border.
+
+        A partition with one region and no border is the fabric itself: its
+        only "view" is *topology*, not a subview of it.
+        """
         self.validate(topology)
+        if len(self.regions) == 1 and not self.border:
+            return dict.fromkeys(self.regions, topology)
         return {
             region: topology.subview(
                 f"{topology.name}/{region}", devices | self.border
@@ -165,5 +171,6 @@ def partition_by_pod(topology: NetworkTopology) -> PartitionMap:
 
 def whole_fabric_partition(topology: NetworkTopology,
                            region: str = "fabric") -> PartitionMap:
-    """A single region holding every device: the degenerate single shard."""
+    """A single region holding every device: the degenerate single shard,
+    whose view is the fabric itself."""
     return PartitionMap(regions={region: set(topology.devices)}, border=set())

@@ -112,7 +112,8 @@ ENTRY_POINTS = {
     "service-sharded": service(sharded=True),
 }
 #: the coordinator refuses a taken name at its claim, before any stage runs
-SHARDED = ("coordinator", "service-sharded")
+#: (every service runs over one)
+SHARDED = ("coordinator", "service-sharded", "service-unsharded")
 
 
 @pytest.fixture(scope="module")

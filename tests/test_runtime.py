@@ -437,7 +437,7 @@ class TestServiceRuntimeOps:
                 }
 
         report, summary, deployed = run(drive())
-        assert report.succeeded and report.migrated == ["kvs_p0"]
+        assert report.succeeded and report.migrated() == ["kvs_p0"]
         assert summary["migrations"] == 1
         assert summary["runtime"]["migrations"] == 1
         assert "Agg0_0" not in deployed["kvs_p0"]
@@ -451,7 +451,7 @@ class TestServiceRuntimeOps:
                 return report
 
         report = run(drive())
-        assert report.succeeded and report.migrated == ["kvs_a"]
+        assert report.succeeded and report.migrated() == ["kvs_a"]
 
     def test_failed_wave_counter(self):
         async def drive():

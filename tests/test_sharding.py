@@ -347,11 +347,17 @@ class TestSerialEquivalence:
         requests = [tenant(p, p, f"u{p}") for p in range(4)]
         requests.append(tenant(1, 2, "x"))
         parallel = ShardCoordinator(build_fattree(k=4))
-        parallel.deploy_many(requests, parallel_shards=True)
-        sequential = ShardCoordinator(build_fattree(k=4))
-        sequential.deploy_many(requests, parallel_shards=False)
-        assert (coordinator_devices(parallel)
-                == coordinator_devices(sequential))
+        assert all(r.succeeded for r in parallel.deploy_many(requests))
+        # the threaded shard waves against the serial schedule every other
+        # equivalence test uses: one controller, one request at a time
+        sequential = ClickINC(build_fattree(k=4))
+        serial_devices = {}
+        for request in requests:
+            run_report = sequential.pipeline.run(request)
+            serial_devices[run_report.program_name] = (
+                run_report.deployed.devices()
+            )
+        assert coordinator_devices(parallel) == serial_devices
         parallel.close()
         sequential.close()
 

@@ -1,5 +1,7 @@
 """Unit tests for topologies, equivalence classes and the reduced tree."""
 
+import itertools
+
 import pytest
 
 from repro.devices import TofinoDevice, XilinxFPGADevice
@@ -252,6 +254,61 @@ class TestReducedTree:
         topo = build_chain(2)
         with pytest.raises(TopologyError):
             build_reduced_tree(topo, [], "server")
+
+    @pytest.mark.parametrize("build, cyclic", [
+        (build_paper_emulation_topology, 90),
+        (lambda: build_fattree(k=4), 504),
+    ], ids=["paper", "fattree4"])
+    def test_every_shape_is_a_tree_or_a_typed_error(self, build, cyclic):
+        """Every non-empty source subset x destination outside it either
+        reduces to an acyclic tree or raises ``TopologyError`` — and it
+        raises exactly when the sources include a group in the
+        destination's pod and a group in another pod."""
+        topo = build()
+        groups = sorted(topo.host_groups)
+
+        def pod(group):
+            return topo.pods[topo.host_group(group).tor]
+
+        raised = 0
+        for destination in groups:
+            others = [g for g in groups if g != destination]
+            for size in range(1, len(others) + 1):
+                for sources in itertools.combinations(others, size):
+                    pods = {pod(g) for g in sources}
+                    mixed = pod(destination) in pods and len(pods) > 1
+                    try:
+                        tree = build_reduced_tree(topo, sources, destination)
+                    except TopologyError:
+                        assert mixed, (sources, destination)
+                        raised += 1
+                        continue
+                    assert not mixed, (sources, destination)
+                    # terminates only on an acyclic graph
+                    assert tree.root in tree.all_nodes()
+        assert raised == cyclic
+
+    def test_cyclic_shape_is_a_placement_failure(self):
+        """The mixed shape fails fast and typed through every deploy entry
+        point instead of recursing in the placer."""
+        from repro.core import ClickINC, DeployRequest
+        from repro.lang.profile import default_profile
+        from repro.sharding import ShardCoordinator
+
+        def request():
+            return DeployRequest(
+                source_groups=["pod0(a)", "pod1(a)"],
+                destination_group="pod1(b)", name="kvs_mixed",
+                profile=default_profile("KVS", user="mixed"))
+
+        with ClickINC(build_paper_emulation_topology()) as inc:
+            (report,) = inc.deploy_many([request()])
+        with ShardCoordinator(build_paper_emulation_topology()) as coord:
+            cross = coord.deploy(request())     # pod0 + pod1: the 2PC path
+        for failed in (report, cross):
+            assert not failed.succeeded
+            assert failed.failed_stage == "placement"
+            assert isinstance(failed.exception, TopologyError)
 
 
 class TestOperationalStatus:
