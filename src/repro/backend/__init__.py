@@ -15,11 +15,22 @@ output, and (c) the emulator can attach generated sources to its device
 images for inspection.
 """
 
-from repro.backend.codegen import CodeGenerator, generate_for_device
+from repro.backend.codegen import (
+    CodeGenerator,
+    generate_for_device,
+    register_generator,
+)
 from repro.backend.p4 import P4Generator
 from repro.backend.npl import NPLGenerator
 from repro.backend.microc import MicroCGenerator
 from repro.backend.hls import HLSGenerator
+
+# registered at import, once: a lazy first-call registration let a second
+# thread see a half-filled registry
+for _generator in (P4Generator(), NPLGenerator(), MicroCGenerator(),
+                   HLSGenerator()):
+    register_generator(_generator)
+del _generator
 
 __all__ = [
     "CodeGenerator",

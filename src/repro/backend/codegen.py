@@ -69,6 +69,9 @@ class CodeGenerator(abc.ABC):
         return str(operand)
 
 
+#: device type -> generator.  Importing this module imports the
+#: :mod:`repro.backend` package, which registers the built-in generators,
+#: so the registry is complete before any caller can reach it.
 _GENERATOR_REGISTRY: Dict[str, "CodeGenerator"] = {}
 
 
@@ -78,25 +81,18 @@ def register_generator(generator: CodeGenerator) -> None:
 
 
 def generate_for_device(device: Device, program: IRProgram,
-                        cache: Optional[object] = None) -> str:
+                        cache: Optional[object] = None, *,
+                        key: Optional[str] = None) -> str:
     """Generate device-specific source for *program* on *device*.
 
     When an :class:`~repro.core.cache.ArtifactCache` is passed, the generated
-    source is memoised under ``(program content hash, device model)``:
-    generation is deterministic per device type, so regenerating code for an
-    identical snippet on an identical device model is a cache hit.
+    source is memoised under *key*, or — without one — under ``(program
+    content hash, device model)``: generation is deterministic per device
+    type, so regenerating code for an identical snippet on an identical
+    device model is a cache hit.  The pipeline passes a *key* built from
+    what the placement plan already knows, so a warm commit never hashes a
+    snippet's IR.
     """
-    # imported lazily to avoid circular imports at module load time
-    from repro.backend.p4 import P4Generator
-    from repro.backend.npl import NPLGenerator
-    from repro.backend.microc import MicroCGenerator
-    from repro.backend.hls import HLSGenerator
-
-    if not _GENERATOR_REGISTRY:
-        register_generator(P4Generator())
-        register_generator(NPLGenerator())
-        register_generator(MicroCGenerator())
-        register_generator(HLSGenerator())
     generator = _GENERATOR_REGISTRY.get(device.dev_type)
     if generator is None:
         raise BackendError(
@@ -104,10 +100,10 @@ def generate_for_device(device: Device, program: IRProgram,
         )
     if cache is None:
         return generator.generate(program)
+    if key is None:
+        from repro.core.cache import fingerprint_ir
 
-    from repro.core.cache import fingerprint_ir
-
-    key = cache.make_key("codegen", device.dev_type, fingerprint_ir(program))
+        key = cache.make_key("codegen", device.dev_type, fingerprint_ir(program))
     hit, code = cache.lookup(key)
     if hit:
         return code

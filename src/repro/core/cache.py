@@ -10,19 +10,21 @@ stable content hashes:
   fields).  Program names are excluded from the key; a hit is re-branded to
   the requesting tenant's name.
 * ``plan`` — :class:`~repro.placement.plan.PlacementPlan`s, keyed by the
-  name-normalised program fingerprint, the placement request parameters and
-  a fingerprint of the topology's current resource allocations.  Releasing a
-  program restores the fingerprint, so re-deploying a template app after a
-  removal is a pure cache hit.  Each plan carries ``device_fingerprints`` —
-  the allocation fingerprint of every device its search consulted — and the
-  pipeline writes validated speculative plans back under the same content
-  address the sequential path would use, so later identical requests hit
-  warm.  :meth:`ArtifactCache.prune_stale_plans` evicts entries whose
-  stamps no longer match the live topology after a removal frees capacity —
-  such plans can never validate again, so pruning them is purely a memory
-  bound.
-* ``codegen`` — generated backend source, keyed by (snippet fingerprint,
-  device model).
+  name-normalised program fingerprint, the placement request parameters,
+  the structural signature of the request's reduced tree and the allocation
+  fingerprints of exactly the devices a search over that tree consults
+  (:meth:`CompilationPipeline.plan_cache_key
+  <repro.core.pipeline.CompilationPipeline.plan_cache_key>`).  The search
+  reads nothing else, so a hit is the plan the search would make.  A plan
+  is stored only once its content has been seen before (the placement
+  memo's program facts are admitted), so never-repeating programs store
+  none.  Nothing is pruned: an entry whose devices changed state simply
+  stops matching any live key, comes back when a release restores that
+  state, and otherwise ages out of the LRU.
+* ``codegen`` — generated backend source, keyed by what the plan knows
+  (device type and name, program name and fingerprint, the device's blocks
+  in step order), or by (snippet fingerprint, device model) for direct
+  callers.
 
 The DP placer's sub-solutions are not a namespace here: the placement memo
 (:mod:`repro.placement.memo`) keeps them in its own LRU, keyed on the
@@ -42,7 +44,7 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.ir.program import IRProgram
 from repro.topology.network import NetworkTopology
@@ -111,10 +113,9 @@ def fingerprint_ir(program: IRProgram, normalize_name: bool = False) -> str:
 def topology_resource_fingerprint(topology: NetworkTopology) -> str:
     """Hash of every device's current resource allocations.
 
-    Placement decisions depend only on the topology's structure (static) and
-    on what is currently allocated on each device, so this fingerprint is the
-    part of a placement cache key that tracks the mutable world: committing a
-    plan changes it, releasing the same plan restores it.
+    Committing a plan changes it and releasing the same plan restores it, so
+    "the fabric is back where it started" (after a removal, a rollback or a
+    failed deploy) is one comparison.
     """
     return topology.allocation_fingerprint()
 
@@ -206,55 +207,6 @@ class ArtifactCache:
             for key in victims:
                 del self._entries[key]
             return len(victims)
-
-    def invalidate_matching(self, namespace: str, predicate) -> int:
-        """Drop *namespace* entries whose value satisfies *predicate*.
-
-        Returns the number of entries dropped.  Only *namespace*'s own
-        entries are visited, whatever the other namespaces hold.  The
-        predicate runs under the cache lock, so it must be cheap and must
-        not call back into the cache.
-        """
-        with self._lock:
-            victims = [
-                key for key in self._ns_keys.get(namespace, ())
-                if predicate(self._entries[key])
-            ]
-            for key in victims:
-                del self._entries[key]
-                self._forget(key)
-            return len(victims)
-
-    def prune_stale_plans(self, live_fingerprints: Dict[str, str],
-                          devices: Optional[Iterable[str]] = None) -> int:
-        """Evict ``plan`` entries stamped against superseded device states.
-
-        A cached plan records the allocation fingerprint of every device its
-        search consulted.  After a removal frees capacity on *devices*, any
-        entry whose search consulted one of them under a different allocation
-        state — i.e. an entry that assumed the removed program's resources
-        were (or were not) present — can never validate against the live
-        topology again; it only pins the LRU and risks being served through a
-        non-content-addressed path.  Entries whose stamps on *devices* match
-        *live_fingerprints* are retained (e.g. the removed program's own
-        plan, stamped against the very state the removal just restored —
-        keeping warm re-deploys warm), as are entries that never consulted
-        the affected devices (disjoint tenants keep their warm plans).  With
-        ``devices=None`` every stamped device is checked.
-        """
-        affected = set(devices) if devices is not None else None
-
-        def stale(value: object) -> bool:
-            fingerprints = getattr(value, "device_fingerprints", None)
-            if not fingerprints:
-                return False
-            return any(
-                live_fingerprints.get(name) != fingerprint
-                for name, fingerprint in fingerprints.items()
-                if affected is None or name in affected
-            )
-
-        return self.invalidate_matching("plan", stale)
 
     def namespace_len(self, namespace: str) -> int:
         """Live entry count in one namespace, in O(1)."""

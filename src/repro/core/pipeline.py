@@ -15,10 +15,11 @@ and there is **one** way a request travels through them
    content compile once;
 2. the *commit phase* — :meth:`CompilationPipeline.commit_speculative_result`
    per request, in admission order, under the caller's commit guard — places
-   through the plan cache against the live topology, then synthesises,
-   installs and generates code.  A caller that placed *speculatively*
-   between the two phases (the cross-shard two-phase commit) hands its plan
-   in: it commits untouched when no consulted device changed and is
+   through the plan cache (:meth:`CompilationPipeline.place_cached`) against
+   the live topology, then synthesises, installs and generates code.  A
+   caller that placed *speculatively* between the two phases (the
+   cross-shard two-phase commit, through the same plan cache) hands its
+   plan in: it commits untouched when no consulted device changed and is
    re-placed on conflict.
 
 A batch therefore yields exactly the placements of the equivalent serial
@@ -35,16 +36,13 @@ they were before the deployment started.
 from __future__ import annotations
 
 import time
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backend.codegen import generate_for_device
-from repro.core.cache import (
-    ArtifactCache,
-    CacheStats,
-    topology_resource_fingerprint,
-)
+from repro.core.cache import ArtifactCache, CacheStats
 from repro.emulator.network import NetworkEmulator
 from repro.exceptions import DeploymentError
 from repro.frontend.compiler import (
@@ -223,14 +221,17 @@ class SpeculativeResult:
     Either ``program`` and its stage ``records``, or the ``exception`` that
     stopped it (annotated with ``pipeline_stage``).  ``plan`` is a
     commit-free placement the caller computed before the commit phase (the
-    cross-shard two-phase commit does); when it is ``None`` the commit phase
-    places against the live topology.
+    cross-shard two-phase commit does) for ``placement``, which the commit
+    phase reuses; ``plan_hit`` says the plan cache served it.  When ``plan``
+    is ``None`` the commit phase places against the live topology.
     """
 
     program: Optional[IRProgram] = None
     records: List[StageRecord] = field(default_factory=list)
     plan: Optional[PlacementPlan] = None
     exception: Optional[BaseException] = None
+    placement: Optional[PlacementRequest] = None
+    plan_hit: bool = False
 
 
 def program_cache_key(request: DeployRequest, cache: ArtifactCache) -> Optional[str]:
@@ -281,7 +282,7 @@ def rebrand_plan(plan: PlacementPlan, program: IRProgram) -> PlacementPlan:
         served_traffic_fraction=plan.served_traffic_fraction,
         transfer_bits=plan.transfer_bits,
         metadata=dict(plan.metadata),
-        topology_fingerprint=plan.topology_fingerprint,
+        program_fingerprint=plan.program_fingerprint,
         device_fingerprints=dict(plan.device_fingerprints),
         epoch=plan.epoch,
         shard_epochs=dict(plan.shard_epochs),
@@ -311,6 +312,10 @@ class CompilationPipeline:
         self.cache = cache if cache is not None else ArtifactCache()
         self.generate_code = generate_code
         self.adaptive_weights = adaptive_weights
+        #: content fingerprint -> the program the stored plans of that
+        #: content are owned by (see :meth:`_admit`)
+        self._plan_programs: "weakref.WeakValueDictionary[str, IRProgram]" = (
+            weakref.WeakValueDictionary())
         self.obs = obs if obs is not None else Observability.default()
         registry = self.obs.registry
         self._stage_hist = registry.histogram(
@@ -418,10 +423,14 @@ class CompilationPipeline:
         """Content address of a placement under the live topology state.
 
         The key covers the name-normalised program content, every placement
-        parameter, and a fingerprint of the topology's current allocations —
-        so a hit is only possible when the DP search would provably retrace
-        the cached run.
+        parameter, the structural signature of the request's reduced tree
+        and the live allocation fingerprints of exactly the devices a search
+        over that tree consults (:meth:`DPPlacer.routed_tree`, memoised per
+        forwarding epoch).  The search reads nothing else, so a hit is the
+        plan it would make; a status or link flip moves the tree or a
+        consulted fingerprint, and with it the key.
         """
+        routed = self.placer.routed_tree(placement_request)
         return self.cache.make_key(
             "plan",
             placement_request.program_fingerprint(),
@@ -432,7 +441,8 @@ class CompilationPipeline:
             placement_request.use_blocks,
             placement_request.adaptive_weights,
             placement_request.prune,
-            topology_resource_fingerprint(self.topology),
+            routed.signature,
+            routed.fingerprints(),
         )
 
     # ------------------------------------------------------------------ #
@@ -440,8 +450,9 @@ class CompilationPipeline:
     # ------------------------------------------------------------------ #
     def commit_stages(self, program: IRProgram, request: DeployRequest,
                       records: List[StageRecord],
-                      speculative_plan: Optional[PlacementPlan] = None
-                      ) -> DeployedProgram:
+                      speculative_plan: Optional[PlacementPlan] = None, *,
+                      placement_request: Optional[PlacementRequest] = None,
+                      speculative_hit: bool = False) -> DeployedProgram:
         """Run placement → synthesis → emulator-install → codegen.
 
         When a *speculative_plan* (a commit-free placement computed against
@@ -449,6 +460,9 @@ class CompilationPipeline:
         against the live topology first: if no consulted device changed, the
         plan commits as-is; otherwise the request is re-placed sequentially,
         which reproduces exactly what a serial loop would have computed.
+        *placement_request* is the search input the caller already built
+        (one per deployment); *speculative_hit* says the plan cache served
+        the speculative plan, so there is nothing to write back.
 
         On failure every already-committed stage is rolled back in reverse
         order before the original exception is re-raised (annotated with a
@@ -465,6 +479,8 @@ class CompilationPipeline:
                 raise DeploymentError(f"program {name!r} is already deployed")
             stage = "placement"
             start = time.perf_counter()
+            if placement_request is None:
+                placement_request = self.placement_request(program, request)
             plan: Optional[PlacementPlan] = None
             hit = False
             speculative_detail: Dict[str, object] = {}
@@ -475,26 +491,23 @@ class CompilationPipeline:
                                           "replaced_on_conflict": True,
                                           "conflicts": conflicts}
                 else:
-                    plan = speculative_plan
+                    plan, hit = speculative_plan, speculative_hit
                     speculative_detail = {
                         "speculative": True,
                         "speculative_place_s": speculative_plan.compile_time_s,
                     }
                     # plan-cache write-back: a validated speculative plan is
                     # exactly what the sequential DP search would produce
-                    # against the live (pre-commit) topology, so store it
-                    # under the content address _place_cached would use —
-                    # later identical requests hit warm instead of paying
-                    # the search again.
-                    key = self.plan_cache_key(
-                        self.placement_request(program, request)
-                    )
-                    if key not in self.cache:
-                        self.cache.store(key, plan)
+                    # against the live (pre-commit) topology, so it may be
+                    # stored under the address place_cached would use —
+                    # keyed here, under the commit guard, not before the
+                    # lock-free search
+                    if not hit and self._admit(
+                            self.plan_cache_key(placement_request),
+                            placement_request, plan):
                         speculative_detail["plan_write_back"] = True
             if plan is None:
-                placement_request = self.placement_request(program, request)
-                plan, hit = self._place_cached(placement_request)
+                plan, hit = self.place_cached(placement_request)
             self.placer.commit(plan)
             undo.append(lambda: self.placer.release(plan))
             detail: Dict[str, object] = {"devices": plan.devices_used(),
@@ -531,10 +544,20 @@ class CompilationPipeline:
             device_sources: Dict[str, str] = {}
             hits_before = self.cache.stats().get("codegen", CacheStats()).hits
             if self.generate_code:
+                blocks = plan.device_blocks()
                 for device_name, snippet in snippets.items():
                     device = self.topology.device(device_name)
+                    key = None
+                    if plan.program_fingerprint is not None:
+                        # the snippet is a function of the program content
+                        # and name, the device and the blocks it hosts
+                        # (their instruction uids pin the block partition)
+                        key = self.cache.make_key(
+                            "codegen", device.dev_type, device_name,
+                            plan.program_name, plan.program_fingerprint,
+                            blocks[device_name])
                     device_sources[device_name] = generate_for_device(
-                        device, snippet, cache=self.cache
+                        device, snippet, cache=self.cache, key=key
                     )
             hits_after = self.cache.stats().get("codegen", CacheStats()).hits
             all_hit = bool(device_sources) and (
@@ -567,24 +590,54 @@ class CompilationPipeline:
             if request.traffic_rates else None,
         )
 
-    def _place_cached(self, placement_request: PlacementRequest
-                      ) -> Tuple[PlacementPlan, bool]:
-        """Placement memoised under :meth:`plan_cache_key`."""
-        program = placement_request.program
+    def place_cached(self, placement_request: PlacementRequest, *,
+                     store: bool = True) -> Tuple[PlacementPlan, bool]:
+        """Placement memoised under :meth:`plan_cache_key`; ``(plan, hit)``.
+
+        A miss places and, with *store*, offers the plan to the cache.  A
+        caller searching without the commit guard (the cross-shard
+        speculative phase) passes ``store=False``: allocations may move under
+        its search, so only the commit phase's write-back may store.
+        """
         key = self.plan_cache_key(placement_request)
         lookup_start = time.perf_counter()
         hit, cached = self.cache.lookup(key)
+        # a plan entry is the root entry of the placement memo — a hit
+        # answers the whole search — so its lookups count with the memo's
+        self.placer.memo.counters.increment("hits" if hit else "misses")
         if hit:
-            plan = rebrand_plan(cached, program)
-            # the key embeds the live topology fingerprint, so a hit proves
-            # the allocation state is content-identical to placement time;
-            # re-stamp the epoch so validation fast-paths on the live value
+            plan = rebrand_plan(cached, placement_request.program)
+            # the key embeds the live fingerprints of every consulted
+            # device, so a hit proves they are content-identical to
+            # placement time; re-stamp the epoch so validation fast-paths
+            # on the live value
             plan.epoch = self.topology.allocation_epoch()
             self._memo_hit_hist.observe(time.perf_counter() - lookup_start)
             return plan, True
         plan = self.placer.place(placement_request)
-        self.cache.store(key, plan)
+        if store:
+            self._admit(key, placement_request, plan)
         return plan, False
+
+    def _admit(self, key: str, placement_request: PlacementRequest,
+               plan: PlacementPlan) -> bool:
+        """Store *plan* under *key* if its content has been seen before.
+
+        Admission on second sight reuses the placement memo's rule for
+        program facts: the content's facts are admitted from its second
+        search on.  A stream of never-repeating programs therefore stores
+        no plans.  Returns whether the plan was stored.
+        """
+        if key in self.cache or not self.placer.facts_admitted(
+                placement_request):
+            return False
+        # a hit re-owns the plan with the requester's program, so the
+        # entries of one content share one program instead of each pinning
+        # its tenant's copy; it is dropped with the last of them
+        program = self._plan_programs.setdefault(
+            placement_request.program_fingerprint(), plan.block_dag.program)
+        self.cache.store(key, rebrand_plan(plan, program))
+        return True
 
     # ------------------------------------------------------------------ #
     # removal (the reverse commit phase)
@@ -595,16 +648,11 @@ class CompilationPipeline:
 
         The removal order is synthesis → placement → emulator; a failure
         mid-removal re-installs the already-released layers before
-        re-raising, so no resources are stranded without a record.  After a
-        successful removal, plan-cache entries stamped against the
-        pre-removal allocations of the devices the program occupied are
-        evicted (:meth:`ArtifactCache.prune_stale_plans`): the capacity they
-        assumed occupied is free again, so they can never validate against
-        the live topology.  Entries that never consulted those devices, or
-        whose stamps match the restored state, are retained.  The placer's
-        memo is left alone: its keys embed the allocation fingerprints, the
-        release just restored them, and the entries derived for the
-        restored state are the next ones asked for.
+        re-raising, so no resources are stranded without a record.  No
+        cache is touched: plan-cache and memo keys embed the allocation
+        fingerprints of the devices they consulted, the release just
+        restored them, and the entries stamped against the restored state
+        are the next ones asked for.
         """
         delta = self.synthesizer.remove_program(name, lazy=lazy)
         try:
@@ -618,10 +666,6 @@ class CompilationPipeline:
             self.placer.commit(deployed.plan)
             self.synthesizer.add_program(deployed.plan)
             raise
-        self.cache.prune_stale_plans(
-            self.topology.device_fingerprints(),
-            devices=deployed.plan.devices_used(),
-        )
         return delta
 
     # ------------------------------------------------------------------ #
@@ -760,6 +804,8 @@ class CompilationPipeline:
                 deployed = self.commit_stages(
                     result.program, request, report.stages,
                     speculative_plan=result.plan,
+                    placement_request=result.placement,
+                    speculative_hit=result.plan_hit,
                 )
             except Exception as exc:
                 return complete_report(report, started, exception=exc)

@@ -168,14 +168,15 @@ class MemoCounters(CounterMixin):
     responses.
     """
 
-    #: lookups the memo answered
+    #: lookups the memo answered, counting a ``plan`` cache lookup as the
+    #: lookup of the memo's root entry (the whole search)
     hits: int = 0
     #: always 0: the memo is one store, so there is no second tier to be
     #: served from.  The key stays because ``benchmarks/e2e/trace.py`` (which
     #: only a ``[benchmark]`` PR may edit) and operators' dashboards index
     #: ``summary()["shared_hits"]`` by name.
     shared_hits: int = 0
-    #: lookups that missed (the caller derives and stores)
+    #: lookups that missed (the caller derives and stores), root included
     misses: int = 0
     #: entries admitted from a persisted file on restore
     restored_entries: int = 0

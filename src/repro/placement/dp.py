@@ -87,6 +87,10 @@ from repro.topology.network import NetworkTopology
 
 NEG_INF = float("-inf")
 
+#: Most request shapes one placer keeps reduced trees for, per forwarding
+#: epoch (a shape is a few sub-KB nodes; the dict is dropped when full).
+ROUTED_TREE_MAX_ENTRIES = 256
+
 
 @dataclass
 class PlacementRequest:
@@ -137,6 +141,41 @@ class PlacementRequest:
             self._fingerprint = fingerprint_ir(self.program,
                                                normalize_name=True)
         return self._fingerprint
+
+
+class RoutedTree:
+    """The reduced tree of one traffic shape, and what a search over it reads.
+
+    ``devices`` are the devices a search consults — every node's
+    ``ec.members`` plus its ``bypass``, sorted by name (``consulted``) — and
+    ``signature`` digests the tree's structure: ids, members, bypasses,
+    sides, traffic shares and shape.  Two searches of one program content
+    with equal signatures and equal allocation fingerprints on ``devices``
+    return the same plan.
+    """
+
+    __slots__ = ("tree", "consulted", "devices", "signature")
+
+    def __init__(self, tree: ReducedTree, topology: NetworkTopology) -> None:
+        consulted = set()
+        shape = []
+        for node in tree.all_nodes():
+            consulted.update(node.ec.members)
+            consulted.update(node.bypass)
+            shape.append((node.ec.ec_id, node.ec.layer, node.ec.dev_type,
+                          tuple(node.ec.members), tuple(node.bypass),
+                          node.side, repr(float(node.traffic_share)),
+                          len(node.children)))
+        self.tree = tree
+        self.consulted: Tuple[str, ...] = tuple(sorted(consulted))
+        self.devices = tuple(topology.device(name) for name in self.consulted)
+        self.signature = hashlib.sha256(
+            repr(shape).encode("utf-8")).hexdigest()[:32]
+
+    def fingerprints(self) -> List[str]:
+        """Live allocation fingerprints of the consulted devices, in
+        ``consulted`` order."""
+        return [device.allocation_fingerprint() for device in self.devices]
 
 
 @dataclass
@@ -462,6 +501,8 @@ class DPPlacer:
         self.optimize = bool(optimize)
         self.memo = memo if memo is not None else PlacementMemo()
         self.profile = PlacementProfile()
+        #: ``(forwarding epoch, {request shape: RoutedTree})``
+        self._routed: Tuple[object, Dict[Tuple, RoutedTree]] = (None, {})
 
     # ------------------------------------------------------------------ #
     # public API
@@ -485,12 +526,8 @@ class DPPlacer:
             block_dag = facts.block_dag(request.program)
             ordered_blocks = facts.order
         with timers.stage("reduce_tree"):
-            tree = build_reduced_tree(
-                self.topology,
-                request.source_groups,
-                request.destination_group,
-                traffic_rates=request.traffic_rates,
-            )
+            routed = self.routed_tree(request)
+            tree = routed.tree
         objective = self._make_objective(block_dag, tree, request)
         packer = _IntervalPacker(facts.table, ordered_blocks)
         ctx = (
@@ -516,7 +553,8 @@ class DPPlacer:
                     block_dag, ordered_blocks, tree, candidate, request,
                     elapsed, packer
                 )
-                self._stamp_fingerprints(plan, tree)
+                plan.program_fingerprint = request.program_fingerprint()
+                self._stamp_fingerprints(plan, routed)
         finally:
             counters = self.profile.counters
             counters.increment("packing_runs", by=packer.packing_runs)
@@ -524,18 +562,59 @@ class DPPlacer:
                                by=packer.packed_instructions)
         return plan
 
+    def routed_tree(self, request: PlacementRequest) -> RoutedTree:
+        """The :class:`RoutedTree` of the request's traffic shape.
+
+        Memoised per (sources, destination, rates) and
+        :meth:`~repro.topology.network.NetworkTopology.forwarding_epoch`:
+        the tree is a function of routing and device status only, so
+        commits and releases keep it, while a status flip, link flip or
+        link removal rebuilds it.  Raises
+        :class:`~repro.exceptions.TopologyError` for shapes that cannot be
+        reduced (unknown or unreachable groups, cyclic shapes).
+        """
+        epoch = self.topology.forwarding_epoch()
+        cached_epoch, trees = self._routed
+        if cached_epoch != epoch or len(trees) >= ROUTED_TREE_MAX_ENTRIES:
+            trees = {}
+            self._routed = (epoch, trees)
+        rates = request.traffic_rates
+        key = (tuple(request.source_groups), request.destination_group,
+               tuple(sorted(rates.items())) if rates else None)
+        routed = trees.get(key)
+        if routed is None:
+            tree = build_reduced_tree(
+                self.topology,
+                request.source_groups,
+                request.destination_group,
+                traffic_rates=rates,
+            )
+            routed = trees[key] = RoutedTree(tree, self.topology)
+        return routed
+
+    @staticmethod
+    def _facts_key(request: PlacementRequest) -> Tuple:
+        """(content fingerprint, block size, ``use_blocks``): every input
+        of a :class:`ProgramFacts` derivation."""
+        return (request.program_fingerprint(),
+                request.max_block_size if request.use_blocks else 1,
+                bool(request.use_blocks))
+
+    def facts_admitted(self, request: PlacementRequest) -> bool:
+        """Whether the request's content has been seen before: its facts
+        were admitted by the memo's store (on second sight)."""
+        return self.memo.program_facts.lookup(
+            self._facts_key(request)) is not None
+
     def _program_facts(self, request: PlacementRequest) -> ProgramFacts:
         """The :class:`ProgramFacts` of the request's content.
 
-        Looked up in the memo's store by (content fingerprint, block size,
-        ``use_blocks``) — every input of the derivation — or derived and
+        Looked up in the memo's store by :meth:`_facts_key` or derived and
         offered to it; the store admits on second sight.  The reference
         search is the oracle of the differential tests and derives from
         scratch every time.
         """
-        key = (request.program_fingerprint(),
-               request.max_block_size if request.use_blocks else 1,
-               bool(request.use_blocks))
+        key = self._facts_key(request)
         if not self.optimize:
             return derive_program_facts(request.program, *key)
         store = self.memo.program_facts
@@ -546,14 +625,11 @@ class DPPlacer:
         self.profile.counters.increment("program_facts_derived")
         return store.offer(key, derive_program_facts(request.program, *key))
 
-    def _stamp_fingerprints(self, plan: PlacementPlan, tree: ReducedTree) -> None:
+    def _stamp_fingerprints(self, plan: PlacementPlan,
+                            routed: RoutedTree) -> None:
         """Record the allocation state the speculative search was based on."""
-        consulted = set()
-        for node in tree.all_nodes():
-            consulted.update(node.ec.members)
-            consulted.update(node.bypass)
-        plan.device_fingerprints = self.topology.device_fingerprints(consulted)
-        plan.topology_fingerprint = self.topology.allocation_fingerprint()
+        plan.device_fingerprints = dict(zip(routed.consulted,
+                                            routed.fingerprints()))
         plan.epoch = self.topology.allocation_epoch()
 
     def validate(self, plan: PlacementPlan,
@@ -606,9 +682,6 @@ class DPPlacer:
                     if name not in known
                 ))
             return conflicts
-        if plan.topology_fingerprint is not None and restrict is None:
-            if self.topology.allocation_fingerprint() != plan.topology_fingerprint:
-                return ["<topology>"]
         return []
 
     def commit(self, plan: PlacementPlan, validate: bool = False) -> None:

@@ -82,7 +82,6 @@ class GreedySinglePathPlacer:
         )
         # the greedy search consulted exactly the devices of the chosen path
         plan.device_fingerprints = self.topology.device_fingerprints(path)
-        plan.topology_fingerprint = self.topology.allocation_fingerprint()
         plan.epoch = self.topology.allocation_epoch()
         if not plan.is_complete():
             raise PlacementError(
@@ -139,6 +138,5 @@ class ReplicateAllPlacer:
         plan.device_fingerprints = self.topology.device_fingerprints(
             [device.name for device in devices]
         )
-        plan.topology_fingerprint = self.topology.allocation_fingerprint()
         plan.epoch = self.topology.allocation_epoch()
         return plan

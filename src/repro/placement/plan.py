@@ -9,7 +9,7 @@ per-device IR program snippets for synthesis and emulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import PlacementError
 from repro.ir.program import IRProgram
@@ -48,10 +48,9 @@ class PlacementPlan:
     served_traffic_fraction: float = 1.0
     transfer_bits: int = 0
     metadata: Dict[str, object] = field(default_factory=dict)
-    #: Full-topology allocation fingerprint at placement time.  A speculative
-    #: (commit-free) plan whose fingerprint still matches the live topology
-    #: can be committed with no further checks.
-    topology_fingerprint: Optional[str] = None
+    #: Name-normalised content fingerprint of the placed program, computed
+    #: once per request by the search; the code generator keys on it.
+    program_fingerprint: Optional[str] = None
     #: Allocation fingerprints of every device the placement search consulted
     #: (not just the devices the plan uses).  If these all still match at
     #: commit time the plan is provably the one a sequential placement under
@@ -78,6 +77,18 @@ class PlacementPlan:
                 if name not in names:
                     names.append(name)
         return names
+
+    def device_blocks(self) -> Dict[str, List[Tuple[int, List[int]]]]:
+        """``(block id, instruction uids)`` per device, in the step order
+        :meth:`device_snippets` appends them in: together with the program
+        and the device this is everything a snippet is built from."""
+        blocks: Dict[str, List[Tuple[int, List[int]]]] = {}
+        for assignment in sorted(self.assignments, key=lambda a: a.step):
+            block = self.block_dag.block(assignment.block_id)
+            for device in assignment.device_names:
+                blocks.setdefault(device, []).append(
+                    (block.block_id, block.instruction_uids))
+        return blocks
 
     def blocks_on_device(self, device_name: str) -> List[int]:
         return [
@@ -154,12 +165,15 @@ class PlacementPlan:
         and later strip it.
 
         Every call copies every placed instruction and nothing is memoised
-        here (plans live on in the ``plan`` cache namespace and in
-        ``DeployedProgram``; snippets are about twice the program), so a
-        commit calls it once and hands the dict to synthesis, the emulator
-        install and codegen.  All three only read a snippet —
-        ``isolate_program`` copies what it rewrites, the runtimes and the
-        backends never write — which is what makes the sharing safe.
+        here (plans live on in ``DeployedProgram`` and, once their content
+        has been seen twice, in the ``plan`` cache namespace; snippets are
+        about twice the program), so a commit calls it once and hands the
+        dict to synthesis, the emulator install and codegen.  All three only
+        read a snippet — ``isolate_program`` copies what it rewrites, the
+        runtimes and the backends never write — which is what makes the
+        sharing safe.  Codegen keys a snippet on what the plan already
+        knows (program fingerprint and name, device, :meth:`device_blocks`),
+        never on the snippet's IR.
         """
         program = self.block_dag.program
         snippets: Dict[str, IRProgram] = {}

@@ -466,6 +466,7 @@ class ShardCoordinator:
         report = PipelineReport(program_name=request.resolved_name())
 
         # phase 1 (no locks): the pure phase, then a commit-free placement
+        # — served by the inter pipeline's plan cache when it can be —
         # against an epoch-tagged snapshot of every touched shard's
         # allocations.  The epoch snapshot is
         # taken BEFORE the search: the search reads the live shared
@@ -473,16 +474,18 @@ class ShardCoordinator:
         # search window proves no touched shard committed mid-search
         # (post-search fingerprints alone could match live values the
         # search never saw).  Any mid-search commit moves an epoch and
-        # turns into a prepare abort + serial re-place.
+        # turns into a prepare abort + serial re-place.  The one placement
+        # request travels on to the commit wave.
         spec_start = time.perf_counter()
         result = pipeline.compile_batch([request])[0]
         if result.program is not None:
             shard_epochs = {shard_id: self.shards[shard_id].allocation_epoch()
                             for shard_id in touched}
+            result.placement = pipeline.placement_request(result.program,
+                                                          request)
             try:
-                plan = self.inter.placer.place(
-                    pipeline.placement_request(result.program, request)
-                )
+                plan, result.plan_hit = pipeline.place_cached(
+                    result.placement, store=False)
             except Exception:
                 # advisory: without a plan the commit wave places under the
                 # locks, and reports the failure if that fails too
@@ -622,15 +625,6 @@ class ShardCoordinator:
         })
         with self._inter_lock, self._locks(touched):
             delta = self.inter.remove(name, lazy=lazy)
-            # the release restored allocation states the shards' plan caches
-            # may have stamped entries against before the cross-shard commit;
-            # those can no longer validate, so evict them shard-locally too
-            for shard_id in touched:
-                shard = self.shards[shard_id]
-                shard.controller.cache.prune_stale_plans(
-                    shard.view.device_fingerprints(),
-                    devices=[d for d in used if shard.sees_device(d)],
-                )
         self.stats.increment("removed")
         with self._registry_lock:
             self._owner.pop(name, None)

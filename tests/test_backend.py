@@ -1,5 +1,11 @@
 """Unit tests for the chip-specific code generators."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.backend import (
@@ -111,3 +117,51 @@ class TestDeviceDispatch:
         device.dev_type = "martian"
         with pytest.raises(BackendError):
             generate_for_device(device, kvs_program)
+
+
+class TestRegistry:
+    def test_concurrent_first_calls_find_every_backend(self):
+        """Every generator is registered when the package is imported, so
+        threads whose first calls race (shard waves commit concurrently)
+        all find their backend.  Runs in a fresh interpreter: in this one
+        earlier tests have long since filled the registry."""
+        script = textwrap.dedent("""
+            import threading
+            from repro.backend.codegen import (
+                _GENERATOR_REGISTRY, generate_for_device)
+            from repro.frontend import compile_source
+            from repro.topology import build_paper_emulation_topology
+
+            topology = build_paper_emulation_topology()
+            devices = {}
+            for device in topology.devices.values():
+                devices.setdefault(device.dev_type, device)
+            assert set(devices) <= set(_GENERATOR_REGISTRY), devices
+            program = compile_source("drop()\\n", name="d")
+            barrier = threading.Barrier(len(devices))
+            errors = []
+
+            def generate(device):
+                barrier.wait()
+                try:
+                    generate_for_device(device, program)
+                except Exception as exc:
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=generate, args=(device,))
+                       for device in devices.values()]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not errors, errors
+            print(sorted(devices))
+        """)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "tofino" in done.stdout and "td4" in done.stdout

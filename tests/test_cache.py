@@ -70,27 +70,20 @@ class TestArtifactCache:
         cache = ArtifactCache(max_entries=2048)
         for index in range(1000):
             cache.store(cache.make_key("codegen", index), f"source {index}")
-        seen = []
-
-        def stale(value):
-            seen.append(value)
-            return value == "stale"
-
-        assert cache.invalidate_matching("plan", stale) == 0
-        assert seen == []           # nothing to visit: no plan was stored
-        cache.store(cache.make_key("plan", "a"), "stale")
-        cache.store(cache.make_key("plan", "b"), "live")
-        cache.store(cache.make_key("plan", "b"), "live")      # re-stored
-        assert cache.invalidate_matching("plan", stale) == 1
-        assert sorted(seen) == ["live", "stale"]
-        assert cache.namespace_len("plan") == 1
-        assert cache.namespace_len("codegen") == 1000
-        # the index follows LRU eviction and invalidation too
+        assert cache.invalidate("plan") == 0     # no plan was stored
+        cache.store(cache.make_key("plan", "a"), "a")
+        cache.store(cache.make_key("plan", "b"), "b")
+        cache.store(cache.make_key("plan", "b"), "b")         # re-stored
+        assert cache.namespace_len("plan") == 2
+        assert cache.invalidate("plan") == 2
+        assert cache.namespace_len("plan") == 0
+        assert cache.namespace_len("codegen") == 1000 == len(cache)
+        # the index follows LRU eviction too
         small = ArtifactCache(max_entries=2)
         for index in range(3):
             small.store(small.make_key("plan", index), index)
         assert small.namespace_len("plan") == 2
-        assert small.invalidate_matching("plan", lambda value: True) == 2
+        assert small.invalidate("plan") == 2
         assert small.namespace_len("plan") == 0 and len(small) == 0
 
     def test_rejects_nonpositive_capacity(self):
@@ -170,9 +163,9 @@ class TestCompileKeys:
 
 
 class TestPlanCacheStaleness:
-    """Regression tests: remove() must not leave plan-cache entries stamped
-    against allocations that no longer exist (satellite of the service-
-    runtime refactor)."""
+    """The ``plan`` namespace is keyed on the devices a search consults,
+    admits a plan on its content's second sight and is never pruned: an
+    entry whose devices changed state cannot match a live key."""
 
     @staticmethod
     def _request(user):
@@ -186,35 +179,49 @@ class TestPlanCacheStaleness:
     def _plan_entries(cache):
         return [key for key in cache._entries if key.startswith("plan:")]
 
-    def test_remove_evicts_entries_stamped_against_freed_capacity(self):
+    def test_remove_keeps_entries_and_a_stale_one_never_matches(self):
         from repro.core import ClickINC
         from repro.topology import build_fattree
 
         inc = ClickINC(build_fattree(k=4))
-        inc.deploy_many([self._request("a")])   # entry stamped: pod0 free
-        inc.deploy_many([self._request("b")])   # entry stamped: a present
-        assert len(self._plan_entries(inc.cache)) == 2
 
+        def matching():
+            live = inc.topology.device_fingerprints()
+            return [key for key in self._plan_entries(inc.cache)
+                    if all(live[name] == fp for name, fp in
+                           inc.cache._entries[key].device_fingerprints.items())]
+
+        inc.deploy_many([self._request("a")])   # first sight: not stored
+        assert self._plan_entries(inc.cache) == []
+        inc.deploy_many([self._request("b")])   # stored, stamped: a present
+        (one_kvs,) = self._plan_entries(inc.cache)
         inc.remove("kvs_b")
-        # live state == "a present": b's entry (stamped with it) survives,
-        # a's entry (stamped against the empty pod) is stale and evicted
-        remaining = self._plan_entries(inc.cache)
-        assert len(remaining) == 1
-        survivor = inc.cache._entries[remaining[0]]
-        live = inc.topology.device_fingerprints()
-        assert all(live[name] == fp
-                   for name, fp in survivor.device_fingerprints.items())
+        inc.remove("kvs_a")
+        # nothing is evicted, yet the entry stamped with a KVS in pod0
+        # matches nothing live: the re-deploy searches and stores the
+        # empty pod's plan
+        assert self._plan_entries(inc.cache) == [one_kvs]
+        assert matching() == []
+        report = inc.deploy_many([self._request("c")])[0]
+        assert not report.stage("placement").cache_hit
+        assert len(self._plan_entries(inc.cache)) == 2
+        # fingerprints are name-blind: pod0 holding c is the state the
+        # first entry was stamped in, so the next tenant is served from it
+        assert matching() == [one_kvs]
+        report = inc.deploy_many([self._request("d")])[0]
+        assert report.stage("placement").cache_hit
 
     def test_warm_redeploy_after_remove_is_still_a_cache_hit(self):
         from repro.core import ClickINC
         from repro.topology import build_fattree
 
         inc = ClickINC(build_fattree(k=4))
-        inc.deploy_many([self._request("a")])
-        inc.remove("kvs_a")
-        # the removal restored the state a's entry was stamped against, so
-        # the entry is retained and the re-deploy hits warm
-        report = inc.deploy_many([self._request("a2")])[0]
+        for user in ("a", "a2"):
+            inc.deploy_many([self._request(user)])
+            inc.remove(f"kvs_{user}")
+        # the second sight stored the empty-pod plan; the removal restored
+        # the state it was stamped against, so the re-deploy hits warm
+        report = inc.deploy_many([self._request("a3")])[0]
         assert report.succeeded
         assert report.stage("placement").cache_hit
 
@@ -229,9 +236,14 @@ class TestPlanCacheStaleness:
         # one reusable entry (the empty-pod placement), not one per cycle
         assert len(self._plan_entries(inc.cache)) == 1
 
-    def test_prune_stale_plans_ignores_unstamped_values(self):
-        cache = ArtifactCache()
-        cache.store(cache.make_key("plan", "legacy"), object())
-        cache.store(cache.make_key("program", "x"), object())
-        assert cache.prune_stale_plans({}) == 0
-        assert len(cache) == 2
+    def test_a_plan_is_admitted_on_second_sight(self):
+        from repro.core import ClickINC
+        from repro.topology import build_fattree
+
+        inc = ClickINC(build_fattree(k=4))
+        inc.deploy_many([self._request("a")])
+        inc.remove("kvs_a")
+        assert inc.cache.namespace_len("plan") == 0
+        assert inc.cache.stats()["plan"].misses == 1
+        inc.deploy_many([self._request("b")])
+        assert inc.cache.namespace_len("plan") == 1

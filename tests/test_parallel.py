@@ -70,7 +70,7 @@ class TestPickling:
         assert clone.devices_used() == plan.devices_used()
         assert clone.gain == plan.gain
         assert clone.device_fingerprints == plan.device_fingerprints
-        assert clone.topology_fingerprint == plan.topology_fingerprint
+        assert clone.program_fingerprint == plan.program_fingerprint
         assert clone.step_table() == plan.step_table()
         # the clone is committable on an equivalent topology
         DPPlacer(topology).commit(clone, validate=True)
@@ -107,8 +107,8 @@ class TestSpeculativePlacement:
         placer = DPPlacer(topology)
         plan = self._place(placer, topology, "free")
         assert topology.allocation_fingerprint() == baseline
-        assert plan.topology_fingerprint == baseline
-        assert plan.device_fingerprints
+        assert plan.device_fingerprints == topology.device_fingerprints(
+            plan.device_fingerprints)
         assert placer.validate(plan) == []
 
     def test_conflicting_commit_raises_and_leaves_state_clean(self):
@@ -142,7 +142,6 @@ class TestSpeculativePlacement:
         placer = DPPlacer(topology)
         plan = self._place(placer, topology, "legacy")
         plan.device_fingerprints = {}
-        plan.topology_fingerprint = None
         assert placer.validate(plan) == []
         placer.commit(plan, validate=True)
 

@@ -53,6 +53,12 @@ class TestStagedDeploy:
         cold_devices = cold.devices()
         cold_summary = controller.placement_summary("kvs_warm")
         controller.remove("kvs_warm")
+        # a plan enters the cache on its content's second sight
+        second = controller.deploy_profile(profile, ["pod0(a)"], "pod2(b)",
+                                           name="kvs_warm")
+        assert "placement" not in second.report.cache_hits()
+        stored_summary = controller.placement_summary("kvs_warm")
+        controller.remove("kvs_warm")
 
         warm = controller.deploy_profile(profile, ["pod0(a)"], "pod2(b)",
                                          name="kvs_warm")
@@ -61,7 +67,11 @@ class TestStagedDeploy:
         assert "placement" in hits
         assert "codegen" in hits
         assert warm.devices() == cold_devices
-        assert controller.placement_summary("kvs_warm") == cold_summary
+        # the stored plan itself, which is the cold search's plan
+        assert controller.placement_summary("kvs_warm") == stored_summary
+        stored_summary.pop("compile_time_s")
+        cold_summary.pop("compile_time_s")
+        assert stored_summary == cold_summary
         assert warm.device_sources == cold.device_sources
 
     def test_tenants_share_compiled_template(self, controller):
@@ -339,12 +349,16 @@ class TestSharedCache:
     def test_cache_can_be_shared_between_controllers(self):
         cache = ArtifactCache()
         first = ClickINC(build_paper_emulation_topology(), cache=cache)
-        first.deploy_profile(default_profile("KVS"), ["pod0(a)"], "pod2(b)",
-                             name="kvs_shared")
+        for _ in range(2):      # the second sight stores the plan
+            first.deploy_profile(default_profile("KVS"), ["pod0(a)"],
+                                 "pod2(b)", name="kvs_shared")
+            first.remove("kvs_shared")
+        assert cache.namespace_len("plan") == 1
         second = ClickINC(build_paper_emulation_topology(), cache=cache)
         deployed = second.deploy_profile(default_profile("KVS"), ["pod0(a)"],
                                          "pod2(b)", name="kvs_shared")
         hits = deployed.report.cache_hits()
         assert "frontend" in hits
-        assert "placement" in hits  # same (fresh) topology state ⇒ same key
+        # same reduced tree, same (fresh) state of its devices ⇒ same key
+        assert "placement" in hits
         assert second.cache_summary()["program"]["hits"] >= 1

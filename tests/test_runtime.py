@@ -43,7 +43,6 @@ def plan_signature(controller, name):
         deployed.devices(),
         dict(deployed.plan.device_fingerprints),
         deployed.plan.epoch,
-        deployed.plan.topology_fingerprint,
     )
 
 

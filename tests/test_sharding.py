@@ -293,6 +293,9 @@ class TestCrossShardCommit:
         coord._pre_prepare_hook = break_source_tor
         report = coord.deploy(tenant(0, 2, "x"))
         assert not report.succeeded
+        # b, the body's second sight, stored pod2's plan: the comparison
+        # below covers a non-empty cache
+        assert any(snapshot["plan_keys"].values())
         assert coord.stats.aborted_prepares == 1
         assert coord.stats.cross_shard_commits == 0
         # byte-identical world: allocations, plan caches, registries
@@ -373,6 +376,9 @@ class TestEventRouting:
         pod1 = coord.shards["pod1"]
         epoch_b = pod1.allocation_epoch()
         plan_keys_b = plan_cache_keys(pod1.controller)
+        # b is the body's second sight (the shards share one memo), so
+        # pod1 stored its plan: the snapshot below is not vacuous
+        assert plan_keys_b
         devices_b = pod1.controller.deployed["kvs_b"].devices()
         fps_b = {n: pod1.view.device(n).allocation_fingerprint()
                  for n in devices_b}

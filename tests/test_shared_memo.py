@@ -142,13 +142,6 @@ class TestNamespaceLen:
         assert cache.namespace_len("a") == 1
         assert cache.namespace_len("b") == 1
 
-    def test_tracks_invalidate_matching(self):
-        cache = ArtifactCache(max_entries=8)
-        cache.store("a:1", 1)
-        cache.store("a:2", 2)
-        assert cache.invalidate_matching("a", lambda v: v == 2) == 1
-        assert cache.namespace_len("a") == 1
-
 
 # --------------------------------------------------------------------- #
 # reuse: a warm or shared memo must not change any placement
