@@ -62,7 +62,7 @@ class PlacementCounters(CounterMixin):
     #: matrices) came from the memo's ProgramFactsStore
     program_facts_hits: int = 0
     #: searches that derived them (first and second sight of a content, or
-    #: an evicted entry); the reference search derives always, uncounted
+    #: an evicted entry)
     program_facts_derived: int = 0
 
 

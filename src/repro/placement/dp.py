@@ -13,10 +13,10 @@ so far along every path through this node", and the recurrence tries every
 interval the current node could host, pruning intervals whose capability or
 resource requirements the node cannot satisfy (paper's constraint pruning).
 
-Fabric-scale search adds three coordinated optimisations,
-all enabled by default and all provably plan-identical to the reference
-search (``DPPlacer(topology, optimize=False)``, asserted by the differential
-tests in ``tests/test_placement_scale.py``):
+Fabric-scale search adds three coordinated optimisations, each
+plan-identical to the seed search, which the differential tests in
+``tests/test_placement_scale.py`` keep as their oracle
+(``tests/oracles/dp_reference.py``):
 
 * **incremental DP** — feasibility checks, interval gains and whole
   sub-tree DP tables are memoised across ``place()`` calls in a
@@ -54,7 +54,7 @@ import hashlib
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import (
     PlacementConflictError,
@@ -64,12 +64,7 @@ from repro.exceptions import (
 from repro.ir.program import IRProgram
 from repro.placement.blocks import Block, BlockDAG
 from repro.placement.facts import ProgramFacts, derive_program_facts
-from repro.placement.intra import (
-    IntraDeviceAllocator,
-    PackingRows,
-    PackingTable,
-    StageAssignment,
-)
+from repro.placement.intra import PackingRows, PackingTable, StageAssignment
 from repro.placement.memo import INFEASIBLE, MISS, PlacementMemo
 from repro.placement.objective import ObjectiveWeights, PlacementObjective
 from repro.placement.plan import BlockAssignment, PlacementPlan
@@ -227,28 +222,38 @@ class _IntervalPacker:
 
 
 class _SearchContext:
-    """Per-``place()`` state of the optimised search path.
+    """Per-``place()`` state of the search.
 
-    Bundles the memo handle, the vectorised scorer, the profiling counters
-    and the per-call caches (node content digests, sub-tree signatures,
-    hoisted per-node objective weights, gain rows) next to the search's
-    interval packer.  ``ctx is None`` throughout the DP methods selects the
-    reference path, which recomputes everything from scratch exactly like
-    the seed implementation.
+    Bundles what the DP recurrences read — the reduced tree, the block
+    count, the objective, the request — with the memo handle, the
+    vectorised scorer, the profiling counters, the search's interval
+    packer and the per-call caches (node content digests, sub-tree
+    signatures, hoisted per-node objective weights, gain rows).
+
+    It also records every consulted device's ``alloc_version`` when the
+    search begins.  The search reads the shared ``Device`` objects without
+    a lock (the cross-shard speculative search runs while pod shards
+    commit), so a memo entry is stored only if every device it names is
+    still at that version (:meth:`unchanged`): its key and its value were
+    then both read from one allocation state.  Otherwise the search uses
+    the value and does not store it; its plan is rejected by the commit's
+    epoch check anyway.
     """
 
     def __init__(self, placer: "DPPlacer", facts: ProgramFacts,
-                 block_dag: BlockDAG, objective: PlacementObjective,
-                 request: PlacementRequest, packer: _IntervalPacker) -> None:
+                 block_dag: BlockDAG, routed: RoutedTree,
+                 objective: PlacementObjective,
+                 request: PlacementRequest) -> None:
         self.topology = placer.topology
         self.memo = placer.memo
         self.counters = placer.profile.counters
-        self.block_dag = block_dag
-        self.ordered_blocks = facts.order
+        self.tree = routed.tree
         self.num_blocks = len(facts.order)
         self.objective = objective
         self.request = request
-        self.packer = packer
+        self.packer = _IntervalPacker(facts.table, facts.order)
+        self._versions = {device.name: device.alloc_version
+                          for device in routed.devices}
         self.scorer = IntervalScorer(block_dag, facts.order, objective,
                                      matrices=facts.matrices)
         # The context digest pins everything a sub-solution's value depends
@@ -279,6 +284,13 @@ class _SearchContext:
         # combinations, and a plain dict probe is much cheaper than the
         # LRU-maintaining memo lookup
         self._local_evals: Dict[Tuple[int, int, int], Optional[float]] = {}
+
+    def unchanged(self, devices: Iterable) -> bool:
+        """Whether none of *devices* changed allocation since the search
+        began — the condition for storing a memo entry that names them."""
+        versions = self._versions
+        return all(device.alloc_version == versions[device.name]
+                   for device in devices)
 
     # -- per-node caches ---------------------------------------------------
     def node_devices(self, node: ReducedNode) -> Tuple[list, list]:
@@ -402,12 +414,16 @@ class _SearchContext:
             self.counters.increment("device_memo_hits")
             return bool(cached)
         feasible = self.packer.pack(device, start, end) is not None
-        self.memo.store_device(key, feasible, (device.name,))
+        if self.unchanged((device,)):
+            self.memo.store_device(key, feasible, (device.name,))
         return feasible
 
     def eval_interval(self, node: ReducedNode, start: int,
                       end: int) -> Optional[float]:
-        """Memoised gain of hosting blocks [start, end) on *node*."""
+        """Gain of hosting blocks [start, end) on *node* (memoised), ``None``
+        when infeasible."""
+        if end <= start:
+            return 0.0 if end == start else None
         local_key = (id(node), start, end)
         if local_key in self._local_evals:
             return self._local_evals[local_key]
@@ -424,7 +440,7 @@ class _SearchContext:
             self.counters.increment("interval_memo_hits")
             return None if cached is INFEASIBLE else cached
         devices, bypass_devices = self.node_devices(node)
-        consulted = [d.name for d in devices] + [b.name for b in bypass_devices]
+        gain: Optional[float] = None
         for device in devices:
             feasible = self.device_feasible(device, start, end)
             if not feasible and bypass_devices:
@@ -434,10 +450,14 @@ class _SearchContext:
                     for bypass in bypass_devices
                 )
             if not feasible:
-                self.memo.store_interval(key, INFEASIBLE, consulted)
-                return None
-        gain = self.gain(node, start, end)
-        self.memo.store_interval(key, gain, consulted)
+                break
+        else:
+            gain = self.gain(node, start, end)
+        consulted = devices + bypass_devices
+        if self.unchanged(consulted):
+            self.memo.store_interval(
+                key, INFEASIBLE if gain is None else gain,
+                [device.name for device in consulted])
         return gain
 
     # -- sub-tree table reuse ----------------------------------------------
@@ -484,21 +504,14 @@ class DPPlacer:
         one is created when omitted.  Shared placer instances (controller,
         service waves, runtime migrations) therefore share warm sub-solutions
         automatically.
-    optimize:
-        ``False`` selects the reference search path — no memoisation, no
-        symmetric sub-tree reuse, no vectorised scoring — used by the
-        differential tests as the ground truth the optimised path must match
-        byte-for-byte.
     """
 
     def __init__(self, topology: NetworkTopology,
-                 memo: Optional[PlacementMemo] = None,
-                 optimize: bool = True) -> None:
+                 memo: Optional[PlacementMemo] = None) -> None:
         from repro.obs.profiling import PlacementProfile  # local: avoids an
         # import cycle through repro.core.__init__
 
         self.topology = topology
-        self.optimize = bool(optimize)
         self.memo = memo if memo is not None else PlacementMemo()
         self.profile = PlacementProfile()
         #: ``(forwarding epoch, {request shape: RoutedTree})``
@@ -524,22 +537,14 @@ class DPPlacer:
         with timers.stage("block_dag"):
             facts = self._program_facts(request)
             block_dag = facts.block_dag(request.program)
-            ordered_blocks = facts.order
         with timers.stage("reduce_tree"):
             routed = self.routed_tree(request)
-            tree = routed.tree
-        objective = self._make_objective(block_dag, tree, request)
-        packer = _IntervalPacker(facts.table, ordered_blocks)
-        ctx = (
-            _SearchContext(self, facts, block_dag, objective, request, packer)
-            if self.optimize else None
-        )
+        objective = self._make_objective(block_dag, routed.tree, request)
+        ctx = _SearchContext(self, facts, block_dag, routed, objective, request)
 
         try:
             with timers.stage("search"):
-                candidate = self._solve(
-                    block_dag, ordered_blocks, tree, objective, request, ctx
-                )
+                candidate = self._solve(ctx)
             if candidate is None or candidate.gain == NEG_INF:
                 raise PlacementError(
                     f"no feasible placement for {request.program.name!r} on the "
@@ -550,16 +555,16 @@ class DPPlacer:
             elapsed = time.perf_counter() - start_time
             with timers.stage("materialise"):
                 plan = self._materialise_plan(
-                    block_dag, ordered_blocks, tree, candidate, request,
-                    elapsed, packer
+                    block_dag, facts.order, routed.tree, candidate, request,
+                    elapsed, ctx.packer
                 )
                 plan.program_fingerprint = request.program_fingerprint()
                 self._stamp_fingerprints(plan, routed)
         finally:
             counters = self.profile.counters
-            counters.increment("packing_runs", by=packer.packing_runs)
+            counters.increment("packing_runs", by=ctx.packer.packing_runs)
             counters.increment("packed_instructions",
-                               by=packer.packed_instructions)
+                               by=ctx.packer.packed_instructions)
         return plan
 
     def routed_tree(self, request: PlacementRequest) -> RoutedTree:
@@ -610,13 +615,9 @@ class DPPlacer:
         """The :class:`ProgramFacts` of the request's content.
 
         Looked up in the memo's store by :meth:`_facts_key` or derived and
-        offered to it; the store admits on second sight.  The reference
-        search is the oracle of the differential tests and derives from
-        scratch every time.
+        offered to it; the store admits on second sight.
         """
         key = self._facts_key(request)
-        if not self.optimize:
-            return derive_program_facts(request.program, *key)
         store = self.memo.program_facts
         facts = store.lookup(key)
         if facts is not None:
@@ -745,13 +746,9 @@ class DPPlacer:
             adaptive=request.adaptive_weights,
         )
 
-    def _solve(self, block_dag: BlockDAG, ordered_blocks: Sequence[Block],
-               tree: ReducedTree, objective: PlacementObjective,
-               request: PlacementRequest,
-               ctx: Optional[_SearchContext] = None) -> Optional[_Candidate]:
-        num_blocks = len(ordered_blocks)
-        root = tree.root
-        counters = ctx.counters if ctx is not None else None
+    def _solve(self, ctx: _SearchContext) -> Optional[_Candidate]:
+        num_blocks = ctx.num_blocks
+        root = ctx.tree.root
 
         client_children = [c for c in root.children if c.side == "client"]
         server_children = [c for c in root.children if c.side == "server"]
@@ -759,16 +756,12 @@ class DPPlacer:
         # DFS_DP over the client-side sub-tree: for each child of the root,
         # table[i] = best partial solution covering blocks [0, i) below it.
         client_tables: List[Dict[int, _Candidate]] = [
-            self._client_dp(child, block_dag, ordered_blocks, objective,
-                            request, ctx)
-            for child in client_children
+            self._client_dp(child, ctx) for child in client_children
         ]
         # DFS_DP over the server-side sub-tree: table[j] = best solution
         # covering blocks [j, n) at and below the child.
         server_tables: List[Dict[int, _Candidate]] = [
-            self._server_dp(child, block_dag, ordered_blocks, objective,
-                            request, ctx)
-            for child in server_children
+            self._server_dp(child, ctx) for child in server_children
         ]
 
         best: Optional[_Candidate] = None
@@ -808,8 +801,8 @@ class DPPlacer:
         if join_states is None:
             # no client children: the root must host the program from block 0
             join_states = {(0, 0): _Candidate(gain=0.0)}
-        if counters is not None and join_states:
-            counters.increment("product_combos", by=len(join_states))
+        if join_states:
+            ctx.counters.increment("product_combos", by=len(join_states))
 
         for (i_min, i_max), below in sorted(join_states.items()):
             below_gain = below.gain
@@ -817,14 +810,9 @@ class DPPlacer:
             if below_gain == NEG_INF:
                 continue
             for j in range(i_max, num_blocks + 1):
-                root_interval = (i_min, j)
-                root_eval = self._evaluate_interval(
-                    root, root_interval, block_dag, ordered_blocks, objective,
-                    request, ctx
-                )
-                if root_eval is None:
+                root_gain = ctx.eval_interval(root, i_min, j)
+                if root_gain is None:
                     continue
-                root_gain = root_eval
                 # server side must cover [j, n) on every server child
                 server_gain = 0.0
                 server_assignments: List[Tuple[str, int, int]] = []
@@ -850,26 +838,19 @@ class DPPlacer:
                     best = _Candidate(gain=total_gain, assignments=assignments)
         return best
 
-    def _client_dp(self, node: ReducedNode, block_dag: BlockDAG,
-                   ordered_blocks: Sequence[Block], objective: PlacementObjective,
-                   request: PlacementRequest,
-                   ctx: Optional[_SearchContext] = None) -> Dict[int, _Candidate]:
-        """Bottom-up DP on the client sub-tree (memoised when ``ctx`` is set).
+    def _client_dp(self, node: ReducedNode,
+                   ctx: _SearchContext) -> Dict[int, _Candidate]:
+        """Bottom-up DP on the client sub-tree (memoised).
 
         Returns a table mapping "blocks [0, i) are covered at or below this
         node" to the best partial candidate.  Traffic flows leaf → root, so a
         node's own interval sits *after* its children's intervals.
         """
         return self._memoised_table(
-            "client", node, ctx,
-            lambda: self._client_dp_table(
-                node, block_dag, ordered_blocks, objective, request, ctx
-            ),
-        )
+            "client", node, ctx, lambda: self._client_dp_table(node, ctx))
 
     def _memoised_table(self, side: str, node: ReducedNode,
-                        ctx: Optional[_SearchContext],
-                        solve) -> Dict[int, _Candidate]:
+                        ctx: _SearchContext, solve) -> Dict[int, _Candidate]:
         """Serve a sub-tree DP table from the memo, or derive and store it.
 
         A hit is trusted only after :meth:`_SearchContext.verify_table_stamps`
@@ -880,8 +861,6 @@ class DPPlacer:
         distinct sub-tree once: the second thread blocks, then hits on its
         re-check.
         """
-        if ctx is None:
-            return solve()
         table_key = ctx.table_key(side, node)
         table = self._memo_table_hit(ctx, table_key, node)
         if table is not None:
@@ -909,61 +888,46 @@ class DPPlacer:
                          node: ReducedNode, solve) -> Dict[int, _Candidate]:
         ctx.counters.increment("subtree_solves")
         table = solve()
-        ctx.memo.store_table(
-            table_key,
-            (subtree_class_ids(node), table, ctx.table_stamps(node)),
-            ctx.subtree_device_names(node),
-        )
+        names = ctx.subtree_device_names(node)
+        if ctx.unchanged(map(self.topology.device, names)):
+            ctx.memo.store_table(
+                table_key,
+                (subtree_class_ids(node), table, ctx.table_stamps(node)),
+                names,
+            )
         return table
 
-    def _client_dp_table(self, node: ReducedNode, block_dag: BlockDAG,
-                         ordered_blocks: Sequence[Block],
-                         objective: PlacementObjective,
-                         request: PlacementRequest,
-                         ctx: Optional[_SearchContext]) -> Dict[int, _Candidate]:
-        num_blocks = len(ordered_blocks)
+    def _client_dp_table(self, node: ReducedNode,
+                         ctx: _SearchContext) -> Dict[int, _Candidate]:
+        num_blocks = ctx.num_blocks
+        prune = ctx.request.prune
         if not node.children:
             table: Dict[int, _Candidate] = {}
             for end in range(0, num_blocks + 1):
-                interval = (0, end)
-                result = self._evaluate_interval(
-                    node, interval, block_dag, ordered_blocks, objective,
-                    request, ctx
-                )
-                if result is None:
-                    if request.prune:
+                gain = ctx.eval_interval(node, 0, end)
+                if gain is None:
+                    if prune:
                         break
                     continue
-                gain = result
                 assignments = [(node.name, 0, end)] if end > 0 else []
                 table[end] = _Candidate(gain=gain, assignments=assignments)
             return table
 
-        child_tables = [
-            self._client_dp(child, block_dag, ordered_blocks, objective,
-                            request, ctx)
-            for child in node.children
-        ]
+        child_tables = [self._client_dp(child, ctx) for child in node.children]
         table: Dict[int, _Candidate] = {}
-        counters = ctx.counters if ctx is not None else None
         for combo in _product_limited([sorted(t.items()) for t in child_tables],
-                                      counters=counters):
+                                      counters=ctx.counters):
             i_values = [i for i, _ in combo]
             base_gain = sum(c.gain for _, c in combo)
             base_assignments = [a for _, c in combo for a in c.assignments]
             i_min = min(i_values)
             i_max = max(i_values)
             for end in range(i_max, num_blocks + 1):
-                interval = (i_min, end)
-                result = self._evaluate_interval(
-                    node, interval, block_dag, ordered_blocks, objective,
-                    request, ctx
-                )
-                if result is None:
-                    if request.prune:
+                gain = ctx.eval_interval(node, i_min, end)
+                if gain is None:
+                    if prune:
                         break
                     continue
-                gain = result
                 total = base_gain + gain
                 existing = table.get(end)
                 if existing is None or total > existing.gain:
@@ -973,48 +937,31 @@ class DPPlacer:
                     table[end] = _Candidate(gain=total, assignments=assignments)
         return table
 
-    def _server_dp(self, node: ReducedNode, block_dag: BlockDAG,
-                   ordered_blocks: Sequence[Block], objective: PlacementObjective,
-                   request: PlacementRequest,
-                   ctx: Optional[_SearchContext] = None) -> Dict[int, _Candidate]:
-        """Top-down DP on the server sub-tree (memoised when ``ctx`` is set).
+    def _server_dp(self, node: ReducedNode,
+                   ctx: _SearchContext) -> Dict[int, _Candidate]:
+        """Top-down DP on the server sub-tree (memoised).
 
         Returns a table mapping "traffic arrives at this node with blocks
         [0, j) already executed" to the best candidate that finishes the
         program at or below the node.
         """
         return self._memoised_table(
-            "server", node, ctx,
-            lambda: self._server_dp_table(
-                node, block_dag, ordered_blocks, objective, request, ctx
-            ),
-        )
+            "server", node, ctx, lambda: self._server_dp_table(node, ctx))
 
-    def _server_dp_table(self, node: ReducedNode, block_dag: BlockDAG,
-                         ordered_blocks: Sequence[Block],
-                         objective: PlacementObjective,
-                         request: PlacementRequest,
-                         ctx: Optional[_SearchContext]) -> Dict[int, _Candidate]:
-        num_blocks = len(ordered_blocks)
-        child_tables = [
-            self._server_dp(child, block_dag, ordered_blocks, objective,
-                            request, ctx)
-            for child in node.children
-        ]
+    def _server_dp_table(self, node: ReducedNode,
+                         ctx: _SearchContext) -> Dict[int, _Candidate]:
+        num_blocks = ctx.num_blocks
+        prune = ctx.request.prune
+        child_tables = [self._server_dp(child, ctx) for child in node.children]
         table: Dict[int, _Candidate] = {}
         for start in range(0, num_blocks + 1):
             best: Optional[_Candidate] = None
             for end in range(start, num_blocks + 1):
-                interval = (start, end)
-                result = self._evaluate_interval(
-                    node, interval, block_dag, ordered_blocks, objective,
-                    request, ctx
-                )
-                if result is None:
-                    if request.prune:
+                gain = ctx.eval_interval(node, start, end)
+                if gain is None:
+                    if prune:
                         break
                     continue
-                gain = result
                 if child_tables:
                     child_gain = 0.0
                     child_assignments: List[Tuple[str, int, int]] = []
@@ -1042,66 +989,6 @@ class DPPlacer:
             if best is not None:
                 table[start] = best
         return table
-
-    # ------------------------------------------------------------------ #
-    # interval evaluation (calls Algorithm 2 per representative device)
-    # ------------------------------------------------------------------ #
-    def _evaluate_interval(self, node: ReducedNode, interval: Tuple[int, int],
-                           block_dag: BlockDAG, ordered_blocks: Sequence[Block],
-                           objective: PlacementObjective,
-                           request: PlacementRequest,
-                           ctx: Optional[_SearchContext] = None
-                           ) -> Optional[float]:
-        """Gain of hosting *interval* on *node*, ``None`` when infeasible."""
-        start, end = interval
-        if end < start:
-            return None
-        if end == start:
-            return 0.0
-        if ctx is not None:
-            return ctx.eval_interval(node, start, end)
-        blocks = ordered_blocks[start:end]
-        instructions = [
-            instr for block in blocks for instr in block.instructions(block_dag.program)
-        ]
-        devices = [self.topology.device(name) for name in node.ec.members]
-        bypass_devices = [self.topology.device(name) for name in node.bypass]
-        for device in devices:
-            allocator = IntraDeviceAllocator(device)
-            assignment = allocator.allocate(block_dag.program, instructions)
-            if assignment is None and bypass_devices:
-                # fall back to the bypass accelerator attached to this switch
-                for bypass in bypass_devices:
-                    assignment = IntraDeviceAllocator(bypass).allocate(
-                        block_dag.program, instructions
-                    )
-                    if assignment is not None:
-                        break
-            if assignment is None:
-                return None
-
-        weights = objective.current_weights(devices)
-        instruction_count = len(instructions)
-        transfer_bits = self._interval_cut_bits(block_dag, ordered_blocks, start, end)
-        return objective.gain(
-            served_fraction=node.traffic_share if node.side != "root" else 1.0,
-            instruction_count=instruction_count,
-            transfer_bits=transfer_bits,
-            weights=weights,
-            replicas=len(devices),
-        )
-
-    @staticmethod
-    def _interval_cut_bits(block_dag: BlockDAG, ordered_blocks: Sequence[Block],
-                           start: int, end: int) -> int:
-        inside = {block.block_id for block in ordered_blocks[start:end]}
-        bits = 0
-        for src, dst, data in block_dag.graph.edges(data=True):
-            src_in = src in inside
-            dst_in = dst in inside
-            if src_in != dst_in:
-                bits += data.get("bits", 0)
-        return bits
 
     # ------------------------------------------------------------------ #
     # plan materialisation

@@ -10,8 +10,7 @@ function's value — name-blind and read-only — and
 
 :meth:`DPPlacer.place <repro.placement.dp.DPPlacer.place>` looks facts up by
 content in the :class:`~repro.placement.memo.ProgramFactsStore` its placement
-memo owns and derives them on a miss; the reference search derives them from
-scratch on every call.  Nothing tenant-specific is kept: the
+memo owns and derives them on a miss.  Nothing tenant-specific is kept: the
 :class:`~repro.placement.blocks.BlockDAG` a plan carries is re-owned with the
 request's own program (:meth:`ProgramFacts.block_dag`), and the
 :class:`~repro.placement.intra.PackingTable` holds no program at all.

@@ -38,7 +38,7 @@ search (the rows of each interval, every packing outcome, the
 ``packing_runs`` / ``packed_instructions`` tally) lives on the search's own
 ``_IntervalPacker``, which :meth:`PackingTable.pack` counts into.
 :class:`IntraDeviceAllocator` is the front for callers that hold a bare
-instruction list (the baselines, the reference search) and builds a
+instruction list (the greedy and exhaustive baselines) and builds a
 throw-away table for it.  The previous allocator lives on as the oracle of
 the differential test (``tests/oracles/intra_reference.py``).
 """

@@ -4,9 +4,9 @@ The DP search of :class:`~repro.placement.dp.DPPlacer` decomposes into three
 kinds of sub-solutions, each cached here across ``place()`` calls:
 
 * **device feasibility** — can this device (plus bypass fallbacks) host this
-  block interval?  One :class:`~repro.placement.intra.IntraDeviceAllocator`
-  run per *distinct* key; symmetric devices share the answer because the key
-  is the device's *content* (type + allocation fingerprint), not its name.
+  block interval?  One Algorithm 2 packing run per *distinct* key; symmetric
+  devices share the answer because the key is the device's *content*
+  (type + allocation fingerprint), not its name.
 * **interval gains** — the Eq. 1 gain of hosting an interval on a reduced
   node, keyed on the node's content signature.
 * **sub-tree tables** — whole ``_client_dp`` / ``_server_dp`` DP tables,
@@ -23,7 +23,11 @@ superseded entry can never be returned — and when a removal restores the
 allocation, the fingerprint and therefore the key come back and the entry
 hits again.  That is why nothing prunes by device: the entry a commit or a
 release would drop is the next one asked for.  The memo is bounded by
-``max_entries`` in total and LRU is its only eviction.
+``max_entries`` in total and LRU is its only eviction.  The other half of
+the invariant is on the storing side: a search stores an entry only if no
+device it names changed allocation while the search ran, so a commit that
+lands mid-search cannot file a value derived from one state under the key
+of another.
 
 The store is locked (controller shards run in threads over one memo) and
 counts its lookups; per-key single-flight guards keep concurrent users from

@@ -1,23 +1,27 @@
 """Differential tests for the fabric-scale placement optimizations.
 
-The optimized :class:`DPPlacer` (cross-epoch memo, equivalence-class
-pruning, vectorized interval scoring) must be *plan-identical* to the
-reference search (``optimize=False``, the seed algorithm): same devices,
-same steps, same gains, same consulted-device fingerprints — across
-randomized fat-tree and spine-leaf topologies, allocation drift and
-fail/restore churn.  Any divergence is a soundness bug in the pruning or
-the memo, not a tuning knob.
+:class:`DPPlacer` (cross-epoch memo, equivalence-class pruning, vectorized
+interval scoring) must be *plan-identical* to the seed search kept as the
+oracle :class:`~oracles.dp_reference.ReferencePlacer`: same devices, same
+steps, same gains, same consulted-device fingerprints — across randomized
+fat-tree and spine-leaf topologies, allocation drift, fail/restore churn
+and the Fig. 14 / Table 5 ablation knobs.  Any divergence is a soundness
+bug in the pruning or the memo, not a tuning knob.
 """
 
 from __future__ import annotations
 
+import ast
 import gc
+import itertools
+import pathlib
 import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.dp_reference import ReferencePlacer, interval_cut_bits
 
 from repro.exceptions import PlacementError, TopologyError
 from repro.frontend import compile_template
@@ -90,19 +94,22 @@ def apply_drift(topo, rng, fraction=1.0):
             device.allocate_stage(stage, {"instructions": float(rng.randint(1, 5))})
 
 
-def make_request(program, sources, destination, max_block_size=8):
+def make_request(program, sources, destination, max_block_size=8,
+                 **ablations):
     return PlacementRequest(
         program=program,
         source_groups=list(sources),
         destination_group=destination,
         max_block_size=max_block_size,
+        **ablations,
     )
 
 
 def assert_plan_identical(topo, request):
-    """Place with both searches against identical topology state."""
+    """Place with the placer and the oracle against identical topology
+    state."""
     optimized = DPPlacer(topo).place(request)
-    reference = DPPlacer(topo, optimize=False).place(request)
+    reference = ReferencePlacer(topo).place(request)
     assert plan_key(optimized) == plan_key(reference)
     return optimized
 
@@ -176,7 +183,7 @@ class TestPlanIdentity:
                 for name in list(topo.devices):
                     topo.set_device_status(name, "up")
             warm_plan = warm.place(request)
-            cold_plan = DPPlacer(topo, optimize=False).place(request)
+            cold_plan = ReferencePlacer(topo).place(request)
             assert plan_key(warm_plan) == plan_key(cold_plan), (
                 f"divergence after churn round {round_no}")
 
@@ -190,12 +197,12 @@ class TestPlanIdentity:
         plan_a = placer.place(req_a)
         placer.commit(plan_a)
         plan_b = placer.place(req_b)
-        ref_b = DPPlacer(topo, optimize=False).place(req_b)
+        ref_b = ReferencePlacer(topo).place(req_b)
         assert plan_key(plan_b) == plan_key(ref_b)
 
         placer.release(plan_a)
         plan_a2 = placer.place(req_a)
-        ref_a2 = DPPlacer(topo, optimize=False).place(req_a)
+        ref_a2 = ReferencePlacer(topo).place(req_a)
         assert plan_key(plan_a2) == plan_key(ref_a2)
 
     @pytest.mark.parametrize("order", [
@@ -209,7 +216,7 @@ class TestPlanIdentity:
         One warm placer deploys and removes two programs so the fabric
         keeps returning to allocation states it has been in before; every
         placement — the re-deploys of a removed program's body above all —
-        must be the reference search's, byte for byte.
+        must be the oracle's, byte for byte.
         """
         topo = build_fattree(k=8)
         placer = DPPlacer(topo)
@@ -223,18 +230,53 @@ class TestPlanIdentity:
                 placer.release(live.pop(which))
                 continue
             plan = placer.place(requests[which])
-            reference = DPPlacer(topo, optimize=False).place(requests[which])
+            reference = ReferencePlacer(topo).place(requests[which])
             assert plan_key(plan) == plan_key(reference), (
                 f"divergence at step {step} ({op}{which})")
             placer.commit(plan)
             live[which] = plan
 
+    def test_ablation_knobs_share_one_memo(self):
+        """The memo's context digest covers ``use_blocks``, ``prune`` and
+        ``adaptive_weights``: one warm placer places one content under each
+        of their eight combinations, committing every other plan, then
+        again after every commit is released — so the memo holds entries of
+        all eight contexts for the states it is asked about — and every
+        plan is the oracle's."""
+        from repro.topology import build_paper_emulation_topology
+
+        program = compile_template(default_profile("DQAcc"), name="ablate")
+        topo, twin = (build_paper_emulation_topology() for _ in range(2))
+        placer, reference = DPPlacer(topo), ReferencePlacer(twin)
+        combos = list(itertools.product((True, False), repeat=3))
+        committed = []
+        for lap in range(2):
+            for index, (use_blocks, prune, adaptive) in enumerate(combos):
+                request = make_request(
+                    program.rebrand(f"ablate{lap}_{index}"),
+                    ["pod1(a)", "pod2(b)"], "pod0(a)",
+                    use_blocks=use_blocks, prune=prune,
+                    adaptive_weights=adaptive)
+                plan = placer.place(request)
+                expected = reference.place(request)
+                assert plan_key(plan) == plan_key(expected), (lap, index)
+                if lap == 0 and index % 2 == 0:
+                    placer.commit(plan)
+                    reference.commit(expected)
+                    committed.append((plan, expected))
+            for plan, expected in committed:
+                placer.release(plan)
+                reference.release(expected)
+            committed.clear()
+
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_second_tenant_on_warm_program_facts(self, seed):
         """Facts derived for tenant A serve tenant B's search of the same
-        content: B's plan is the reference search's on a twin topology, and
-        nothing of A — program, owner, annotation — crosses into it."""
+        content: A's and B's plans are the oracle's on a twin topology —
+        under every Fig. 14 / Table 5 ablation (``use_blocks``, ``prune``,
+        ``adaptive_weights``), with or without A committed in between —
+        and nothing of A — program, owner, annotation — crosses into B's."""
         from repro.topology import build_paper_emulation_topology
 
         rng = random.Random(seed)
@@ -258,18 +300,26 @@ class TestPlanIdentity:
                 [f"pod{p}({s})" for p in range(3) if p != pod for s in "ab"],
                 k=rng.randrange(1, 3))
         block_size = rng.choice((4, 8, 16))
+        # each ablation is off in about a third of the runs.  Without blocks
+        # every instruction is a block, and the oracle, which evaluates each
+        # interval from scratch, takes seconds per search on KVS and MLAgg
+        # (≈ 0.2 s on DQAcc), so that ablation is drawn for DQAcc only
+        ablations = {knob: rng.random() >= 0.3
+                     for knob in ("use_blocks", "prune", "adaptive_weights")}
+        ablations["use_blocks"] |= app != "DQAcc"
+        commit_a = rng.random() < 0.5
 
         def request(program):
             return make_request(program, sorted(sources), destination,
-                                max_block_size=block_size)
+                                max_block_size=block_size, **ablations)
 
         topo, twin = (build_paper_emulation_topology() for _ in range(2))
         for fabric in (topo, twin):
             apply_drift(fabric, random.Random(seed), fraction=0.5)
         placer = DPPlacer(topo)
-        reference = DPPlacer(twin, optimize=False)
+        reference = ReferencePlacer(twin)
 
-        # A twice: the second sight admits the facts; then A moves in
+        # A twice: the second sight admits the facts; then A may move in
         try:
             placer.place(request(program_a))
         except PlacementError:
@@ -280,8 +330,11 @@ class TestPlanIdentity:
         counters = placer.profile.counters
         assert (counters.program_facts_derived,
                 counters.program_facts_hits) == (2, 0)
-        placer.commit(plan_a)
-        reference.commit(reference.place(request(program_a)))
+        reference_a = reference.place(request(program_a))
+        assert plan_key(plan_a) == plan_key(reference_a)
+        if commit_a:
+            placer.commit(plan_a)
+            reference.commit(reference_a)
 
         try:
             plan_b = placer.place(request(program_b))
@@ -565,7 +618,7 @@ class TestIntervalScorer:
                     for b in ordered[start:end])
                 assert scorer.instruction_count(start, end) == expected_count
                 assert scorer.cut_bits(start, end) == (
-                    DPPlacer._interval_cut_bits(dag, ordered, start, end))
+                    interval_cut_bits(dag, ordered, start, end))
 
 
 # --------------------------------------------------------------------- #
@@ -609,3 +662,24 @@ class TestProductLimited:
         for combo in _product_limited([b, a, b]):
             assert len(combo) == 3
             assert combo[1][1].gain == 1.0  # middle child stays in place
+
+
+# --------------------------------------------------------------------- #
+# the oracles stay outside src/
+# --------------------------------------------------------------------- #
+def test_no_module_under_src_imports_the_oracles():
+    """``tests/oracles`` checks ``src/``: a production import of an oracle
+    would make the differential compare the placer with itself."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any("oracles" in module.split(".") for module in modules):
+                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert not offenders

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 
+from oracles.dp_reference import ReferencePlacer
 from test_placement_scale import plan_key
 
 from repro.placement import DPPlacer, PlacementMemo, PlacementRequest
@@ -68,12 +69,15 @@ class TestAdmissionOnSecondSight:
 
     def test_the_reference_search_neither_reads_nor_feeds_the_store(
             self, paper_topology, kvs_program):
+        """The oracle stays independent of what it checks: it derives the
+        facts itself and leaves the placer's memo untouched."""
         memo = PlacementMemo()
-        reference = DPPlacer(paper_topology, memo=memo, optimize=False)
+        reference = ReferencePlacer(paper_topology, memo=memo)
         for name in "abc":
             reference.place(tenant_request(kvs_program, name))
         assert facts_counters(reference) == (0, 0)
         assert memo.program_facts.summary() == {"entries": 0, "seen_once": 0}
+        assert len(memo) == 0
 
     def test_a_never_repeating_stream_retains_nothing_and_evicts_nothing(self):
         store = ProgramFactsStore()

@@ -19,10 +19,12 @@ import sys
 import threading
 
 import pytest
+from oracles.dp_reference import ReferencePlacer
+from test_placement_scale import plan_key
 
 from repro.core import ClickINC, DeployRequest, INCService
 from repro.core.cache import ArtifactCache
-from repro.exceptions import StaleMemoError
+from repro.exceptions import PlacementError, StaleMemoError
 from repro.frontend import compile_template
 from repro.lang.profile import default_profile
 from repro.placement import (
@@ -31,11 +33,12 @@ from repro.placement import (
     PlacementRequest,
     build_block_dag,
 )
+from repro.placement.intra import PackingTable
 from repro.placement.memo import INFEASIBLE, MEMO_FILE_FORMAT, MISS
 from repro.placement.objective import ObjectiveWeights, PlacementObjective
 from repro.placement.scoring import IntervalScorer
 from repro.sharding import ShardCoordinator
-from repro.topology import build_fattree
+from repro.topology import build_fattree, build_paper_emulation_topology
 
 
 def tenant_request(pod: int, user: str, depth: int = 1000) -> DeployRequest:
@@ -380,6 +383,67 @@ class TestStaleGuard:
         with pytest.raises(StaleMemoError):
             placer.place(request)
         assert memo.counters.stale_rejections > 0
+
+
+class TestMidSearchCommit:
+    """A commit that lands on a consulted device while a search runs.
+
+    The cross-shard speculative search reads the shared devices without a
+    lock while pod shards commit, so a device can change between the read
+    of a memo key and the store of its value.  Such an entry must not be
+    stored: kept, it answers later searches of the pristine state with a
+    value derived from the raced one (a sub-tree table whose stamps then
+    fail the stale guard forever, or a wrong device-feasibility answer).
+    """
+
+    @staticmethod
+    def request(program):
+        return PlacementRequest(program=program,
+                                source_groups=["pod0(a)", "pod1(a)"],
+                                destination_group="pod2(b)",
+                                max_block_size=8)
+
+    @pytest.mark.parametrize("race_at", [0.0, 0.2, 0.4, 0.6, 0.7, 0.8])
+    def test_entries_raced_by_a_commit_are_not_stored(
+            self, monkeypatch, paper_topology, kvs_program, race_at):
+        request = self.request(kvs_program)
+        pack = PackingTable.pack
+        packs, filled = [], []
+        race_point = None
+
+        def racing_pack(table, device, *args, **kwargs):
+            packs.append(device.name)
+            if len(packs) == race_point:
+                # what a concurrent commit does: take every stage's room
+                for index, stage in enumerate(device.stages):
+                    demand = {key: stage.available(key)
+                              for key in stage.capacities
+                              if stage.available(key) > 0}
+                    device.allocate_stage(index, demand)
+                    filled.append((device, index, demand))
+            return pack(table, device, *args, **kwargs)
+
+        monkeypatch.setattr(PackingTable, "pack", racing_pack)
+        # an undisturbed cold search counts the packs to race at
+        DPPlacer(build_paper_emulation_topology()).place(request)
+        race_point = max(1, int(len(packs) * race_at))
+        packs.clear()
+        memo = PlacementMemo()
+        placer = DPPlacer(paper_topology, memo=memo)
+        try:
+            placer.place(request)
+        except PlacementError:
+            pass    # the raced search may find no room; that is fine
+        monkeypatch.undo()
+        assert filled
+        # the commit is released: the fabric is back in its pre-race state
+        for device, index, demand in filled:
+            device.release_stage(index, demand)
+
+        expected = plan_key(ReferencePlacer(paper_topology).place(request))
+        for _ in range(3):
+            assert plan_key(placer.place(request)) == expected
+        assert memo.counters.stale_rejections == 0
 
 
 # --------------------------------------------------------------------- #
