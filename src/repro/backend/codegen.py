@@ -56,19 +56,6 @@ class CodeGenerator(abc.ABC):
             .replace("]", "").replace("__", "_").replace("#", "_")
         )
 
-    @classmethod
-    def operand_text(cls, operand: object) -> str:
-        if isinstance(operand, str):
-            if operand.startswith("const."):
-                return f'"{operand[6:]}"'
-            if operand.startswith("hdr."):
-                return "hdr." + cls.sanitize(operand[4:])
-            if operand.startswith("meta."):
-                return "meta." + cls.sanitize(operand[5:])
-            return cls.sanitize(operand)
-        return str(operand)
-
-
 #: device type -> generator.  Importing this module imports the
 #: :mod:`repro.backend` package, which registers the built-in generators,
 #: so the registry is complete before any caller can reach it.

@@ -189,29 +189,19 @@ class ClickINC:
         Exactly one of *source* / *profile* / *program* describes the new
         version; routing (source groups, destination, traffic rates) is
         inherited from the running deployment unless *traffic_rates*
-        overrides it.  The new version is compiled against a shadow
-        snapshot, then swapped in through the serial commit phase as one
-        wave barrier: concurrent ``deploy``/``remove`` callers serialised
-        through that phase observe either the old version or the new one,
-        never a half-updated network.  Compatible register/table state
-        carries across.  On any failure the old version is reinstalled
-        unchanged and the error re-raised.
+        overrides it.  The swap is :meth:`CompilationPipeline.update
+        <repro.core.pipeline.CompilationPipeline.update>`: old and new never
+        coexist, compatible register/table state carries across, and on any
+        failure the old version is reinstalled unchanged and the error
+        re-raised.
         """
         deployed = self.deployed.get(name)
         if deployed is None:
             raise DeploymentError(f"program {name!r} is not deployed")
-        request = DeployRequest(
-            source_groups=list(deployed.source_groups),
-            destination_group=deployed.destination_group,
-            name=name,
-            source=source,
-            profile=profile,
-            program=program,
-            constants=constants,
-            header_fields=header_fields,
-            traffic_rates=traffic_rates if traffic_rates is not None
-            else deployed.traffic_rates,
-        )
+        request = deployed.request(
+            source=source, profile=profile, program=program,
+            constants=constants, header_fields=header_fields,
+            traffic_rates=traffic_rates)
         report = self.pipeline.update(name, deployed, request)
         self.deployed[name] = report.deployed
         return report
@@ -222,10 +212,7 @@ class ClickINC:
         Removal is atomic with respect to the controller's book-keeping: the
         program stays registered until every layer released it, and a failure
         mid-removal re-installs the already-released layers before
-        re-raising, so no resources are stranded without a record.  The
-        removal also evicts plan-cache entries stamped against the
-        pre-removal allocations of the affected devices (they can no longer
-        validate once the capacity they assumed occupied is free again).
+        re-raising, so no resources are stranded without a record.
         """
         deployed = self.deployed.get(name)
         if deployed is None:

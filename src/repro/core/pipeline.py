@@ -24,7 +24,8 @@ and there is **one** way a request travels through them
 
 A batch therefore yields exactly the placements of the equivalent serial
 loop.  :meth:`CompilationPipeline.run` is a batch of one that re-raises the
-failure its report captured.
+failure its report captured.  :meth:`CompilationPipeline.swap` is the one
+way a committed program changes — rolling update, migration, escalation.
 
 Every stage appends a :class:`StageRecord` (duration, cache-hit flag,
 diagnostics) to the deployment's :class:`PipelineReport`.  If a commit stage
@@ -39,7 +40,7 @@ import time
 import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.backend.codegen import generate_for_device
 from repro.core.cache import ArtifactCache, CacheStats
@@ -140,6 +141,25 @@ class DeployedProgram:
 
     def devices(self) -> List[str]:
         return self.plan.devices_used()
+
+    def request(self, **version) -> DeployRequest:
+        """The request that deploys this program again under its name,
+        routing and traffic rates.
+
+        Without *version* it carries the committed IR (a re-placement);
+        otherwise *version* — ``source`` / ``profile`` / ``program`` plus
+        compile options — describes the new version.  ``traffic_rates``
+        left ``None`` keeps the committed rates.
+        """
+        fields: Dict[str, object] = (
+            {} if version else {"program": self.plan.block_dag.program})
+        fields["traffic_rates"] = (dict(self.traffic_rates)
+                                   if self.traffic_rates else None)
+        fields.update((key, value) for key, value in version.items()
+                      if value is not None)
+        return DeployRequest(source_groups=list(self.source_groups),
+                             destination_group=self.destination_group,
+                             name=self.name, **fields)
 
 
 @dataclass
@@ -669,17 +689,16 @@ class CompilationPipeline:
         return delta
 
     # ------------------------------------------------------------------ #
-    # runtime operations (migration rollback, rolling updates)
+    # changing committed programs: update, migration, escalation
     # ------------------------------------------------------------------ #
     def reinstall(self, deployed: DeployedProgram) -> None:
         """Re-commit a previously removed program's exact plan.
 
         The reverse of :meth:`remove`: placement resources, the synthesised
         executables and the emulator installs are restored unchanged, with
-        no placement search and no validation — the caller asserts the plan
-        is the state to return to (migration rollback, failed update).  A
-        failure mid-reinstall unwinds the layers already restored before
-        re-raising, so the operation is atomic either way.
+        no placement search and no validation — :meth:`swap` undoes a failed
+        swap with it.  A failure mid-reinstall unwinds the layers already
+        restored before re-raising, so the operation is atomic either way.
         """
         plan = deployed.plan
         self.placer.commit(plan)
@@ -696,39 +715,101 @@ class CompilationPipeline:
             self.placer.release(plan)
             raise
 
+    def swap(self, olds: Sequence[DeployedProgram],
+             requests: Sequence[DeployRequest], *,
+             into: Optional["CompilationPipeline"] = None,
+             lost: Sequence[str] = (),
+             release: Optional[Callable[[DeployedProgram], object]] = None
+             ) -> List[PipelineReport]:
+        """Replace the committed *olds* by *requests*, atomically.
+
+        The one way a committed program changes — a rolling update, a
+        migration, an escalation to the full fabric:
+
+        1. compile every request (the pure stages: nothing is touched yet);
+        2. snapshot each old program's register/table state, skipping the
+           *lost* devices (a failed switch's memory is gone);
+        3. release every old program, in order — through *release* when
+           given (a controller's own removal path), else :meth:`remove`;
+        4. commit the replacements in order, into *into* (default: this
+           pipeline);
+        5. carry each snapshot into the replacement at its position.
+
+        On any failure the replacements committed so far are removed
+        again, the originals reinstalled with their state, and the error
+        re-raised, its ``swap_program`` naming the program whose step failed
+        (a failed release is annotated ``pipeline_stage="removal"``).
+        Registries are the caller's: the swap reads none and writes none,
+        so a program stays registered under its old record until the caller
+        settles the outcome.  Returns one report per replacement.
+        """
+        into = into if into is not None else self
+        release = release or (lambda old: self.remove(old.name, old))
+        started = time.perf_counter()
+        compiled: List[Tuple[IRProgram, List[StageRecord]]] = []
+        snapshots: List[Dict[str, Dict]] = []
+        released: List[DeployedProgram] = []
+        reports: List[PipelineReport] = []
+        subject = None
+        try:
+            for request in requests:
+                subject = request.resolved_name()
+                compiled.append(into.compile_stages(request))
+            snapshots = [self.emulator.snapshot_owner_state(
+                old.name, skip_devices=lost) for old in olds]
+            for old in olds:
+                subject = old.name
+                try:
+                    release(old)
+                except Exception as exc:
+                    if not hasattr(exc, "pipeline_stage"):
+                        exc.pipeline_stage = "removal"
+                    raise
+                released.append(old)
+            for request, (program, records) in zip(requests, compiled):
+                subject = program.name
+                report = into.commit_speculative_result(
+                    request, SpeculativeResult(program=program,
+                                               records=records),
+                    PipelineReport(program_name=program.name), started)
+                if not report.succeeded:
+                    raise report.exception or DeploymentError(report.error)
+                reports.append(report)
+        except Exception as exc:
+            exc.swap_program = subject
+            for report in reversed(reports):
+                into.remove(report.program_name, report.deployed)
+            for old, snapshot in zip(released, snapshots):
+                self.reinstall(old)
+                self.emulator.restore_owner_state(old.name, snapshot)
+            raise
+        for report, snapshot in zip(reports, snapshots):
+            into.emulator.restore_owner_state(report.program_name, snapshot)
+        return reports
+
     def update(self, name: str, deployed: DeployedProgram,
                request: DeployRequest) -> PipelineReport:
         """Swap *deployed* for the new version described by *request*.
 
-        The new version is compiled against a shadow snapshot first (the
-        pure stages read nothing but the request and the artifact cache),
-        so the shared network is untouched until the swap itself: the old
-        version is removed and the new one committed back-to-back through
-        the serial commit phase — one wave barrier, so callers serialised
-        through it (the asyncio service, a shard's commit lock) never
-        observe a half-updated network.  Compatible register/table state is
-        carried across the swap.  If the new version cannot be placed or
-        installed, the old version is reinstalled unchanged and the error
-        re-raised — the update either fully happens or leaves no trace.
+        A :meth:`swap` of one: the new version compiles before the shared
+        network is touched, then the old version is removed and the new one
+        committed back-to-back through the serial commit phase — one wave
+        barrier, so callers serialised through it (the asyncio service, a
+        shard's commit lock) never observe a half-updated network.
+        Compatible register/table state is carried across.  If the new
+        version cannot be placed or installed, the old version is
+        reinstalled unchanged and the error re-raised — the update either
+        fully happens or leaves no trace.
         """
-        start = time.perf_counter()
-        report = PipelineReport(program_name=name)
-        program, records = self.compile_stages(request)
-        if program.name != name:
-            program = program.rebrand(name)
-        report.stages = records
-        snapshot = self.emulator.snapshot_owner_state(name)
-        self.remove(name, deployed)
+        if request.resolved_name() != name:
+            request = replace(request, name=name)
         try:
-            new_deployed = self.commit_stages(program, request, records)
+            (report,) = self.swap([deployed], [request])
         except Exception as exc:
-            self.reinstall(deployed)
-            self.emulator.restore_owner_state(name, snapshot)
-            setattr(exc, "pipeline_stage",
-                    getattr(exc, "pipeline_stage", "update"))
+            if getattr(exc, "pipeline_stage", None) is None:
+                exc.pipeline_stage = "update"
             raise
-        self.emulator.restore_owner_state(name, snapshot)
-        return complete_report(report, start, new_deployed)
+        return report
 
     # ------------------------------------------------------------------ #
     # the one deploy path

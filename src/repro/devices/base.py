@@ -100,9 +100,6 @@ class DeviceResources:
 
     stages: List[StageResources] = field(default_factory=list)
 
-    def total_capacity(self, key: str) -> float:
-        return sum(stage.capacities.get(key, 0.0) for stage in self.stages)
-
     def copy(self) -> "DeviceResources":
         return DeviceResources([stage.copy() for stage in self.stages])
 

@@ -74,14 +74,6 @@ from repro.ir.program import IRProgram
 
 MISS = -1
 
-#: Per-row outcome bits of one device visit (diagnostic / metrics view; the
-#: authoritative per-flag arrays ride on :class:`KernelResult`).
-OUTCOME_FORWARDED = 1
-OUTCOME_DROPPED = 2
-OUTCOME_REFLECTED = 4
-OUTCOME_MIRRORED = 8
-OUTCOME_COPIED_TO_CPU = 16
-
 _TABLE_KINDS = (StateKind.EXACT_TABLE, StateKind.TERNARY_TABLE,
                 StateKind.DIRECT_TABLE)
 _LOOKUP_OPS = (Opcode.EMT_LOOKUP, Opcode.SEMT_LOOKUP, Opcode.TMT_LOOKUP,
@@ -309,15 +301,6 @@ class KernelResult:
     reflected: np.ndarray
     mirrored: np.ndarray
     copied_to_cpu: np.ndarray
-
-    def outcome_codes(self) -> np.ndarray:
-        codes = np.where(self.forwarded, OUTCOME_FORWARDED, 0)
-        codes |= np.where(self.dropped, OUTCOME_DROPPED, 0)
-        codes |= np.where(self.reflected, OUTCOME_REFLECTED, 0)
-        codes |= np.where(self.mirrored, OUTCOME_MIRRORED, 0)
-        codes |= np.where(self.copied_to_cpu, OUTCOME_COPIED_TO_CPU, 0)
-        return codes
-
 
 @dataclass
 class _Access:

@@ -63,22 +63,6 @@ class RunMetrics:
             return 1.0
         return (self.bytes_delivered + self.bytes_reflected) / self.bytes_sent
 
-    def goodput_gbps(self, offered_load_gbps: float) -> float:
-        """Application goodput achieved for a given offered load.
-
-        In-network aggregation / caching lets the fabric carry more useful
-        application work per unit of server-side bandwidth: the goodput is the
-        offered load divided by the fraction of traffic that still needs
-        server processing (bounded below by the raw delivery ratio).
-        """
-        if self.packets_sent == 0:
-            return 0.0
-        surviving = self.bytes_delivered / self.bytes_sent if self.bytes_sent else 1.0
-        served_in_network = self.app_counters.get("served_in_network", 0.0)
-        served_fraction = served_in_network / self.packets_sent
-        effective = offered_load_gbps * (1.0 + served_fraction) * (1.0 - surviving * 0.0)
-        return effective
-
     def summary(self) -> Dict[str, float]:
         return {
             "packets_sent": self.packets_sent,

@@ -333,12 +333,6 @@ class NetworkEmulator:
         except KeyError as exc:
             raise EmulationError(f"unknown device {device_name!r}") from exc
 
-    def state_of(self, device_name: str, state_name: str) -> Dict:
-        runtime = self.runtime(device_name)
-        if state_name in runtime.state.tables:
-            return dict(runtime.state.tables[state_name])
-        return dict(runtime.state.registers.get(state_name, {}))
-
     def reset_state(self) -> None:
         """Wipe every runtime's persistent state, keeping registered installs.
 

@@ -79,10 +79,6 @@ class SynthesisError(ClickINCError):
     """User snippets could not be merged with the base program."""
 
 
-class IsolationError(SynthesisError):
-    """Two user programs would share state or control flow after merging."""
-
-
 class BackendError(ClickINCError):
     """Chip-specific code generation failed."""
 

@@ -345,10 +345,6 @@ class Instruction:
         """True for drop/forward/mirror/... packet-flow primitives."""
         return self.opcode in PACKET_FLOW_OPCODES
 
-    @property
-    def is_declaration(self) -> bool:
-        return self.opcode is Opcode.DECL_STATE
-
     # -- dataflow helpers ----------------------------------------------------
     def reads(self) -> Tuple[str, ...]:
         """Variable names read by this instruction (operands + guard)."""

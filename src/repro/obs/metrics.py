@@ -313,10 +313,6 @@ class MetricsRegistry:
         with self._lock:
             self._collectors[key] = (lambda c=collect: c)
 
-    def unregister(self, key: object) -> None:
-        with self._lock:
-            self._collectors.pop(key, None)
-
     # ------------------------------------------------------------------ #
     # rendering
     # ------------------------------------------------------------------ #

@@ -352,29 +352,24 @@ class _SearchContext:
         """Raise :class:`StaleMemoError` if a stamped device drifted.
 
         The memo's table keys embed every consulted device's allocation
-        fingerprint (via the recursive sub-tree signature), so for a hit on
-        *node*'s own devices signature equality implies fingerprint
-        equality — a stamp that disagrees with the live device means that
-        invariant was violated somewhere (a mutation that bypassed the
-        ``alloc_version`` bump, an entry injected under a wrong key) and
-        placing from the table could double-book resources, so the placer
-        refuses instead of silently continuing.  Stamps naming devices
-        *outside* the node's sub-tree are skipped: symmetric reuse
-        legitimately serves pod B a table derived on the isomorphic pod A
-        (possibly in another shard's view) whose namesake devices have
-        since drifted — the signature match already proves the content of
-        *this* node's devices equals what the table was derived against.
+        fingerprint (via the recursive sub-tree signature), so signature
+        equality implies fingerprint equality position by position: the
+        stamps were taken in the DFS pre-order of the sub-tree the table was
+        derived on, and an equal signature makes that pre-order correspond
+        to *node*'s own (the correspondence :meth:`remap_table` replays the
+        table through).  Each stamp is therefore checked against the local
+        device at its position, whatever that device is called — symmetric
+        reuse legitimately serves pod B a table derived on pod A, where a
+        device named like one of A's may sit at another position.  A stamp
+        that disagrees means the invariant was violated somewhere (a
+        mutation that bypassed the ``alloc_version`` bump, an entry injected
+        under a wrong key) and placing from the table could double-book
+        resources, so the placer refuses instead of silently continuing.
         """
-        local = set(self.subtree_device_names(node))
         stale = []
-        known = self.topology.devices
-        for name, fingerprint in stamps:
-            if name not in local:
-                continue
-            device = known.get(name)
-            if device is None:
-                continue
-            if device.allocation_fingerprint() != fingerprint:
+        local = self.subtree_device_names(node)
+        for (_stamped, fingerprint), name in zip(stamps, local):
+            if self.topology.device(name).allocation_fingerprint() != fingerprint:
                 stale.append(name)
         if stale:
             self.memo.counters.increment("stale_rejections", by=len(stale))

@@ -70,10 +70,6 @@ class StageAssignment:
     stages_used: int
     instruction_count: int
 
-    def demand_items(self) -> List[Tuple[int, Dict[str, float]]]:
-        return sorted(self.stage_demands.items())
-
-
 class PackingRows(NamedTuple):
     """The rows of one instruction selection, ready to pack."""
 

@@ -90,11 +90,6 @@ class PlacementPlan:
                     (block.block_id, block.instruction_uids))
         return blocks
 
-    def blocks_on_device(self, device_name: str) -> List[int]:
-        return [
-            a.block_id for a in self.assignments if device_name in a.device_names
-        ]
-
     def assignment_for_block(self, block_id: int) -> BlockAssignment:
         for assignment in self.assignments:
             if assignment.block_id == block_id:

@@ -84,10 +84,6 @@ class HealthMonitor:
         if callback not in self._subscribers:
             self._subscribers.append(callback)
 
-    def unsubscribe(self, callback: Callable[[TopologyEvent], None]) -> None:
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
-
     def emit(self, event: TopologyEvent) -> TopologyEvent:
         """Record *event* and deliver it to every subscriber, in order."""
         self.events.append(event)
@@ -169,9 +165,6 @@ class HealthMonitor:
     def attach(self, emulator) -> None:
         """Register :meth:`observe_run` as a run observer on *emulator*."""
         emulator.add_observer(self.observe_run)
-
-    def detach(self, emulator) -> None:
-        emulator.remove_observer(self.observe_run)
 
     def observe_run(self, metrics: RunMetrics) -> List[TopologyEvent]:
         """Flag devices that carried an outsized share of a run's packets."""

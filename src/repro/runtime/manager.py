@@ -10,20 +10,15 @@ makes committed deployments survive change:
   programs whose committed plans occupy the device, found through a
   per-device owner index.  Untouched tenants keep their plans, allocations
   and emulator installs byte-for-byte.
-* **live migration** — affected programs are removed and re-placed one at a
-  time through the pipeline's speculative place/validate/commit machinery
-  against the surviving topology, so a migration interleaves with ordinary
-  deploys exactly like the equivalent serial schedule.  Register and table
-  state is snapshotted from the old runtimes (skipping a failed device,
-  whose memory is gone) and restored into the new ones.  If any affected
-  program cannot be re-placed, everything is rolled back to the pre-failure
-  committed state: re-placed programs are removed again and every original
-  plan is re-committed unchanged.
-* **rolling updates** — :meth:`update_program` compiles a new program
-  version against a shadow snapshot (the pure compile stages touch no
-  shared state), then swaps old for new through the serial commit phase as
-  one atomic wave barrier, carrying compatible state across; a failed swap
-  reinstalls the old version.
+* **live migration** — the affected programs are replaced by
+  re-placements of themselves in one
+  :meth:`~repro.core.pipeline.CompilationPipeline.swap`: all are released,
+  then re-placed one at a time through the serial commit phase against the
+  surviving topology, carrying the register/table state of their surviving
+  devices (a failed device's memory is gone).  If any cannot be re-placed
+  the swap puts every original plan and its state back unchanged.
+* **rolling updates** — :meth:`update_program` swaps a program for a new
+  version through the same swap.
 
 The manager subscribes to a :class:`~repro.runtime.health.HealthMonitor`,
 so status changes made directly on the topology (and discovered by
@@ -37,7 +32,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.pipeline import DeployRequest
 from repro.obs import Observability
 from repro.core.stats import CounterMixin
 from repro.exceptions import DeploymentError
@@ -295,106 +289,59 @@ class RuntimeManager:
     def _migrate(self, owners: Sequence[str], trigger: str, subject: str,
                  state_lost: bool,
                  skip_devices: Sequence[str]) -> MigrationReport:
+        """Re-place *owners* as one :meth:`CompilationPipeline.swap
+        <repro.core.pipeline.CompilationPipeline.swap>`.
+
+        Every affected program is released before any is re-placed (their
+        combined capacity must be free, or k programs squeezed onto the
+        survivors could spuriously fail one at a time), then each is
+        re-placed in order against the surviving topology, carrying the
+        state its surviving devices held.  If any step fails the swap puts
+        the pre-event committed state back and the report says
+        ``rolled_back``.
+        """
         start = time.perf_counter()
         report = MigrationReport(trigger=trigger, subject=subject,
                                  affected=list(owners))
         controller = self.controller
-        pipeline = controller.pipeline
-        emulator = controller.emulator
-        if not owners:
-            report.duration_s = time.perf_counter() - start
-            self._log(report)
-            return report
-
-        # phase 0: snapshot every affected program's deployment record and
-        # its carryable runtime state (a failed device contributes nothing)
-        saved: Dict[str, tuple] = {}
+        olds = []
         for owner in owners:
             deployed = controller.deployed.get(owner)
             if deployed is None:
                 raise DeploymentError(
                     f"program {owner!r} is not registered with the controller"
                 )
-            snapshot = emulator.snapshot_owner_state(
-                owner, skip_devices=skip_devices if state_lost else ())
-            saved[owner] = (deployed, snapshot)
+            olds.append(deployed)
             report.old_devices[owner] = deployed.devices()
-
-        # phase 1: release every affected program (their combined capacity
-        # must be free before re-placement, or k programs squeezed onto the
-        # survivors could spuriously fail one at a time).  A failure here is
-        # rolled back too: controller.remove is itself atomic, so only the
-        # owners already removed need reinstalling.
-        removed: List[str] = []
-        for owner in owners:
+        if olds:
             try:
-                controller.remove(owner)
+                reports = controller.pipeline.swap(
+                    olds, [deployed.request() for deployed in olds],
+                    lost=skip_devices if state_lost else (),
+                    release=lambda old: controller.remove(old.name))
             except Exception as exc:
-                self._reinstall_all(reversed(removed), saved)
+                # the swap reinstalled every original; the registry gets
+                # back the entries the controller's removal dropped
+                controller.deployed.update((old.name, old) for old in olds)
+                failed = ("removal failed: "
+                          if getattr(exc, "pipeline_stage", None) == "removal"
+                          else "")
                 report.rolled_back = True
-                report.error = f"{owner}: removal failed: {exc}"
-                report.duration_s = time.perf_counter() - start
+                report.error = f"{getattr(exc, 'swap_program', '?')}: " \
+                               f"{failed}{exc}"
                 self.stats.increment("rollbacks")
-                self._log(report)
-                return report
-            removed.append(owner)
-
-        # phase 2: re-place serially against the surviving topology through
-        # the pipeline's place/validate/commit machinery
-        replaced: List[str] = []
-        failure: Optional[str] = None
-        for owner in owners:
-            deployed, _snapshot = saved[owner]
-            request = DeployRequest(
-                source_groups=list(deployed.source_groups),
-                destination_group=deployed.destination_group,
-                name=owner,
-                program=deployed.plan.block_dag.program,
-                traffic_rates=dict(deployed.traffic_rates)
-                if deployed.traffic_rates else None,
-            )
-            try:
-                run_report = pipeline.run(request)
-            except Exception as exc:
-                failure = f"{owner}: {exc}"
-                break
-            controller.deployed[owner] = run_report.deployed
-            replaced.append(owner)
-
-        if failure is not None:
-            # phase 2b: atomic rollback to the pre-failure committed state —
-            # undo the re-placements, then re-commit every original plan
-            # (and its state) exactly as it was
-            for owner in reversed(replaced):
-                controller.remove(owner)
-            self._reinstall_all(owners, saved)
-            report.rolled_back = True
-            report.error = failure
-            report.duration_s = time.perf_counter() - start
-            self.stats.increment("rollbacks")
-            self._log(report)
-            return report
-
-        # phase 3: carry forward the snapshotted state into the new runtimes
-        for owner in owners:
-            _deployed, snapshot = saved[owner]
-            emulator.restore_owner_state(owner, snapshot)
-            report.new_devices[owner] = controller.deployed[owner].devices()
-
-        report.migrated = replaced
+            else:
+                for run_report in reports:
+                    controller.deployed[run_report.program_name] = (
+                        run_report.deployed)
+                    report.new_devices[run_report.program_name] = (
+                        run_report.deployed.devices())
+                report.migrated = list(owners)
+                self.stats.increment("migrations")
+                self.stats.increment("migrated_programs", len(owners))
         report.duration_s = time.perf_counter() - start
-        self.stats.increment("migrations")
-        self.stats.increment("migrated_programs", len(replaced))
         self._log(report)
         return report
-
-    def _reinstall_all(self, owners, saved: Dict[str, tuple]) -> None:
-        """Re-commit the saved (plan, state) records of *owners* unchanged."""
-        for owner in owners:
-            deployed, snapshot = saved[owner]
-            self.controller.pipeline.reinstall(deployed)
-            self.controller.deployed[owner] = deployed
-            self.controller.emulator.restore_owner_state(owner, snapshot)
 
     def _log(self, report: MigrationReport) -> None:
         self.migration_log.append(report)

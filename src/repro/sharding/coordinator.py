@@ -52,9 +52,9 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.controller import ClickINC
 from repro.core.pipeline import DeployRequest, PipelineReport, deadline_report
@@ -75,6 +75,8 @@ __all__ = ["ShardCoordinator", "ShardedEventReport", "CROSS_SHARD"]
 
 #: Owner tag for programs committed through the cross-shard path.
 CROSS_SHARD = "<cross-shard>"
+#: Owner tag of a name claimed by a submission that has not committed yet.
+PENDING = "<pending>"
 
 
 @dataclass
@@ -179,15 +181,14 @@ class ShardCoordinator:
     @classmethod
     def serving(cls, controller: ClickINC) -> "ShardCoordinator":
         """A one-shard coordinator whose only shard — and full-fabric
-        controller — is the existing *controller*; the programs it already
-        deployed seed the name registry.  Persisting the memo stays the
-        controller's business (its own ``memo_path``)."""
+        controller — is the existing *controller*, so the programs it
+        already deployed are the coordinator's.  Persisting the memo stays
+        the controller's business (its own ``memo_path``)."""
         partition = whole_fabric_partition(controller.topology)
         (region,) = partition.regions
         coordinator = cls.__new__(cls)
         coordinator._assemble(controller.topology, partition,
                               {region: controller}, controller, None)
-        coordinator._owner.update(dict.fromkeys(controller.deployed, region))
         return coordinator
 
     def _assemble(self, topology: NetworkTopology, partition: PartitionMap,
@@ -219,8 +220,11 @@ class ShardCoordinator:
             "clickinc_2pc_phase_seconds",
             "Seconds per cross-shard two-phase-commit phase",
             ("phase",))
-        #: program name -> owning shard id, or :data:`CROSS_SHARD`
-        self._owner: Dict[str, str] = {}
+        #: names claimed by submissions that have not committed yet
+        self._pending: Set[str] = set()
+        #: while a device event runs: every program's owner before it, for
+        #: the moments a migration has a program between registry records
+        self._moving: Dict[str, str] = {}
         self._registry_lock = threading.Lock()
         #: serialises every mutation of the coordinator's own full-fabric
         #: controller (two cross-shard commits touching *disjoint* shard
@@ -270,17 +274,66 @@ class ShardCoordinator:
                                              str(exc))
 
     def owner_of(self, name: str) -> Optional[str]:
-        """The shard owning *name*, :data:`CROSS_SHARD`, or None."""
-        return self._owner.get(name)
+        """The shard owning *name*, :data:`CROSS_SHARD`, :data:`PENDING`
+        or None.
+
+        Read from the controllers' ``deployed`` registries — the shards'
+        first, then :attr:`inter`'s as cross-shard — so there is no second
+        copy of ownership to keep in agreement.  Only a name no registry
+        shows falls back to the device event moving it and to the pending
+        claims.
+        """
+        for shard_id, shard in self.shards.items():
+            if name in shard.controller.deployed:
+                return shard_id
+        if name in self.inter.deployed:
+            return CROSS_SHARD
+        owner = self._moving.get(name)
+        if owner is None and name in self._pending:
+            return PENDING
+        return owner
 
     def controller_for(self, name: str) -> ClickINC:
         """The controller actually hosting a deployed program."""
-        owner = self._owner.get(name)
-        if owner is None:
+        return self._host(name)[1]
+
+    def _host(self, name: str):
+        """``(owner, hosting controller, shard ids guarding it)``.
+
+        A shard-owned program is guarded by its shard's lock; a cross-shard
+        one by the locks of every shard seeing one of its devices (all of
+        them while a device event has it between records).
+        """
+        owner = self.owner_of(name)
+        if owner is None or owner == PENDING:
             raise DeploymentError(f"program {name!r} is not deployed")
-        if owner == CROSS_SHARD:
-            return self.inter
-        return self.shards[owner].controller
+        if owner != CROSS_SHARD:
+            return owner, self.shards[owner].controller, (owner,)
+        deployed = self.inter.deployed.get(name)
+        if deployed is None:                # between records in an event
+            return owner, self.inter, tuple(sorted(self.shards))
+        return owner, self.inter, tuple(sorted({
+            shard_id for device in deployed.devices()
+            for shard_id in self.shards_seeing_device(device)}))
+
+    @contextmanager
+    def _hosting(self, name: str):
+        """Hold the locks guarding *name*; yields ``(owner, controller)``.
+
+        The owner is read without a lock, then again under the locks it
+        named: a device event holding them may have moved the program
+        meanwhile (an escalation makes it cross-shard), and then the
+        operation follows it to its new host instead of failing.
+        """
+        while True:
+            host = self._host(name)
+            owner, controller, shard_ids = host
+            inter_lock = (self._inter_lock if owner == CROSS_SHARD
+                          else nullcontext())
+            with inter_lock, self._locks(shard_ids):
+                if self._host(name) == host:
+                    yield owner, controller
+                    return
 
     def shards_seeing_device(self, device: str) -> List[str]:
         """Sorted ids of every shard whose view contains *device*."""
@@ -309,18 +362,15 @@ class ShardCoordinator:
     def _claim(self, name: str) -> Optional[str]:
         """Reserve *name* coordinator-wide; returns an error string if taken."""
         with self._registry_lock:
-            if name in self._owner:
+            if self.owner_of(name) is not None:
                 return f"program {name!r} is already deployed"
-            self._owner[name] = "<pending>"
+            self._pending.add(name)
             return None
 
-    def _resolve_claim(self, name: str, owner: Optional[str]) -> None:
-        """Finalise (owner given) or release (None) a pending claim."""
+    def _release_claim(self, name: str) -> None:
+        """Drop a pending claim: the commit registered the name, or failed."""
         with self._registry_lock:
-            if owner is None:
-                self._owner.pop(name, None)
-            else:
-                self._owner[name] = owner
+            self._pending.discard(name)
 
     # ------------------------------------------------------------------ #
     # deployment
@@ -350,29 +400,29 @@ class ShardCoordinator:
                               touched: Sequence[str],
                               deadline: Optional[float] = None
                               ) -> PipelineReport:
-        """Claim the name, run the 2PC, settle (or release) the claim."""
+        """Claim the name, run the 2PC, release the claim."""
         name = request.resolved_name()
         claim_error = self._claim(name)
         if claim_error is not None:
             return self._failed_report(name, claim_error)
         try:
-            report = self._deploy_cross(request, touched, deadline=deadline)
-        except Exception:
-            self._resolve_claim(name, None)
-            raise
-        self._resolve_claim(name, CROSS_SHARD if report.succeeded else None)
-        return report
+            return self._deploy_cross(request, touched, deadline=deadline)
+        finally:
+            self._release_claim(name)
 
     def deploy_wave(self, shard_id: str, requests: Sequence[DeployRequest]
                     ) -> List[PipelineReport]:
-        """Deploy one shard's wave: claim names, dispatch, settle ownership.
+        """Deploy one shard's wave: claim names, dispatch, release claims.
 
         The caller has already routed *requests* to *shard_id* (all traffic
-        endpoints inside that region).  Holding only the shard's own commit
-        lock, the wave runs through the shard's pipeline — concurrently with
-        every other shard's waves.  Reports come back in
-        request order; duplicates of an already-deployed name fail at the
-        ``validation`` stage without dispatch.
+        endpoints inside that region).  The pure phase runs outside any
+        lock; only the commit phase holds the shard's commit lock, which
+        keeps it exactly the window cross-shard prepares ever wait on — so
+        waves of different shards run concurrently.  Each commit registers
+        its program in the shard controller's ``deployed`` before the lock
+        is released.  Reports come back in request order; duplicates of an
+        already-deployed name fail at the ``validation`` stage without
+        dispatch.
         """
         requests = list(requests)
         reports: List[Optional[PipelineReport]] = [None] * len(requests)
@@ -385,24 +435,19 @@ class ShardCoordinator:
             else:
                 dispatch.append(index)
         if dispatch:
-            wave = [requests[i] for i in dispatch]
-            settled: List[str] = []
+            shard = self.shards[shard_id]
             try:
-                for i, report in zip(dispatch,
-                                     self.shards[shard_id].deploy_many(wave)):
-                    reports[i] = report
-                    self._resolve_claim(
-                        report.program_name,
-                        shard_id if report.succeeded else None,
-                    )
-                    settled.append(report.program_name)
+                wave = shard.controller.deploy_many(
+                    [requests[i] for i in dispatch], commit_guard=shard.lock)
             finally:
-                # a dispatch crash must not strand '<pending>' claims —
-                # they would block the names forever
-                leftover = {requests[i].resolved_name()
-                            for i in dispatch} - set(settled)
-                for name in leftover:
-                    self._resolve_claim(name, None)
+                # a dispatch crash must not strand pending claims — they
+                # would block the names forever
+                for i in dispatch:
+                    self._release_claim(requests[i].resolved_name())
+            shard.stats.increment("deploys",
+                                  sum(1 for r in wave if r.succeeded))
+            for i, report in zip(dispatch, wave):
+                reports[i] = report
         return reports  # type: ignore[return-value]
 
     def deploy_many(self, requests: Sequence[DeployRequest]
@@ -608,46 +653,20 @@ class ShardCoordinator:
     # ------------------------------------------------------------------ #
     def remove(self, name: str, lazy: bool = True) -> SynthesisDelta:
         """Remove a program from whichever controller hosts it."""
-        owner = self._owner.get(name)
-        if owner is None or owner == "<pending>":
-            raise DeploymentError(f"program {name!r} is not deployed")
-        if owner != CROSS_SHARD:
-            delta = self.shards[owner].remove(name, lazy=lazy)
-            self.stats.increment("removed")
-            with self._registry_lock:
-                self._owner.pop(name, None)
-            return delta
-        deployed = self.inter.deployed.get(name)
-        used = deployed.devices() if deployed is not None else []
-        touched = sorted({
-            shard_id for device in used
-            for shard_id in self.shards_seeing_device(device)
-        })
-        with self._inter_lock, self._locks(touched):
-            delta = self.inter.remove(name, lazy=lazy)
+        with self._hosting(name) as (owner, controller):
+            delta = controller.remove(name, lazy=lazy)
         self.stats.increment("removed")
-        with self._registry_lock:
-            self._owner.pop(name, None)
+        if owner in self.shards:
+            self.shards[owner].stats.increment("removed")
         return delta
 
     # ------------------------------------------------------------------ #
     # rolling updates
     # ------------------------------------------------------------------ #
     def update(self, name: str, **kwargs) -> PipelineReport:
-        """Atomically swap a program's version on its owning controller."""
-        owner = self._owner.get(name)
-        if owner is None or owner == "<pending>":
-            raise DeploymentError(f"program {name!r} is not deployed")
-        if owner != CROSS_SHARD:
-            report = self.shards[owner].update(name, **kwargs)
-        else:
-            deployed = self.inter.deployed[name]
-            touched = sorted({
-                shard_id for device in deployed.devices()
-                for shard_id in self.shards_seeing_device(device)
-            })
-            with self._inter_lock, self._locks(touched):
-                report = self.inter.runtime().update_program(name, **kwargs)
+        """Atomically swap a program's version on its hosting controller."""
+        with self._hosting(name) as (_owner, controller):
+            report = controller.runtime().update_program(name, **kwargs)
         self.stats.increment("updates")
         return report
 
@@ -709,20 +728,28 @@ class ShardCoordinator:
         migrate = (RuntimeManager.fail_device if state_lost
                    else RuntimeManager.drain_device)
         with self._inter_lock, self._locks(self.shards):
-            seen_by = {shard_id: self.shards[shard_id].controller
-                       for shard_id in seeing}
-            for shard_id, controller in seen_by.items():
-                event.shard_reports[shard_id] = migrate(controller.runtime(),
-                                                        name)
-            if self.inter not in seen_by.values():
-                event.cross_report = migrate(self.inter.runtime(), name)
-            for shard_id in seeing:
-                report = event.shard_reports[shard_id]
-                if (report.rolled_back and report.affected
-                        and seen_by[shard_id] is not self.inter):
-                    event.escalated.extend(
-                        self._escalate(shard_id, report, name, state_lost)
-                    )
+            # a migration takes a program out of its controller's registry
+            # before it registers the replacement: meanwhile the program
+            # reads as owned where it was
+            self._moving = {program: self.owner_of(program)
+                            for program in self.deployed_programs()}
+            try:
+                seen_by = {shard_id: self.shards[shard_id].controller
+                           for shard_id in seeing}
+                for shard_id, controller in seen_by.items():
+                    event.shard_reports[shard_id] = migrate(
+                        controller.runtime(), name)
+                if self.inter not in seen_by.values():
+                    event.cross_report = migrate(self.inter.runtime(), name)
+                for shard_id in seeing:
+                    report = event.shard_reports[shard_id]
+                    if (report.rolled_back and report.affected
+                            and seen_by[shard_id] is not self.inter):
+                        event.escalated.extend(
+                            self._escalate(shard_id, report, name, state_lost)
+                        )
+            finally:
+                self._moving = {}
         migrated = event.migrated()
         self.stats.increment("migrations", len(migrated))
         for shard_id in seeing:
@@ -737,44 +764,29 @@ class ShardCoordinator:
 
         The shard rolled its migration back, so every affected program is
         committed exactly as before the event (possibly still occupying the
-        failed device).  For each one, remove it from the shard and retry
-        placement on the coordinator's full-fabric controller — devices the
-        shard view cannot see may still have capacity and paths.  On
-        success the program becomes coordinator-owned; on failure the
-        shard's rolled-back state is reinstalled unchanged.
+        failed device).  Each one, in turn, is swapped from the shard's
+        pipeline into the coordinator's full-fabric one — devices the shard
+        view cannot see may still have capacity and paths.  On success the
+        program becomes coordinator-owned (registered with :attr:`inter`
+        before the shard drops it, so it never reads as undeployed); on
+        failure the swap left the shard's committed state as it was.
         """
-        shard = self.shards[shard_id]
+        source = self.shards[shard_id].controller
         escalated: List[str] = []
-        for owner in list(report.affected):
-            deployed = shard.controller.deployed.get(owner)
+        for name in report.affected:
+            deployed = source.deployed.get(name)
             if deployed is None:
                 continue
-            request = DeployRequest(
-                source_groups=list(deployed.source_groups),
-                destination_group=deployed.destination_group,
-                name=owner,
-                program=deployed.plan.block_dag.program,
-                traffic_rates=dict(deployed.traffic_rates)
-                if deployed.traffic_rates else None,
-            )
-            snapshot = shard.controller.emulator.snapshot_owner_state(
-                owner, skip_devices=(subject,) if state_lost else ()
-            )
-            shard.controller.remove(owner)
             try:
-                run_report = self.inter.pipeline.run(request)
+                (moved,) = source.pipeline.swap(
+                    [deployed], [deployed.request()],
+                    into=self.inter.pipeline,
+                    lost=(subject,) if state_lost else ())
             except Exception:
-                # the full fabric cannot host it either: restore the
-                # shard's rolled-back committed state untouched
-                shard.controller.pipeline.reinstall(deployed)
-                shard.controller.deployed[owner] = deployed
-                shard.controller.emulator.restore_owner_state(owner, snapshot)
                 continue
-            self.inter.deployed[owner] = run_report.deployed
-            self.inter.emulator.restore_owner_state(owner, snapshot)
-            with self._registry_lock:
-                self._owner[owner] = CROSS_SHARD
-            escalated.append(owner)
+            self.inter.deployed[name] = moved.deployed
+            del source.deployed[name]
+            escalated.append(name)
         return escalated
 
     # ------------------------------------------------------------------ #
@@ -786,9 +798,11 @@ class ShardCoordinator:
         return self.controller_for(name).run_traffic(packets, **kwargs)
 
     def deployed_programs(self) -> List[str]:
-        with self._registry_lock:
-            return sorted(n for n, o in self._owner.items()
-                          if o != "<pending>")
+        """Every program the controllers' registries hold (plus, during a
+        device event, those it has between records)."""
+        return sorted(set(self._moving).union(
+            *(controller.deployed
+              for controller in self._controllers(self.shards))))
 
     def placement_summary(self, name: str) -> Dict[str, object]:
         return self.controller_for(name).placement_summary(name)
@@ -799,8 +813,8 @@ class ShardCoordinator:
         summary["shards"] = {shard_id: shard.summary()
                              for shard_id, shard in sorted(self.shards.items())}
         summary["cross_shard_programs"] = sum(
-            1 for owner in self._owner.values() if owner == CROSS_SHARD
-        )
+            1 for name in self.deployed_programs()
+            if self.owner_of(name) == CROSS_SHARD)
         summary["memo"] = self.memo.summary()
         return summary
 

@@ -21,18 +21,17 @@ exactly those shards and nobody else.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from repro.core.controller import ClickINC
-from repro.core.pipeline import DeployRequest, PipelineReport
 from repro.core.stats import ShardCounters
-from repro.synthesis.incremental import SynthesisDelta
 
 __all__ = ["ControllerShard"]
 
 
 class ControllerShard:
-    """A per-region controller: own pipeline, caches and runtime.
+    """A per-region controller plus the lock and counters the coordinator
+    keeps for it; every operation goes through the coordinator.
 
     Parameters
     ----------
@@ -57,61 +56,12 @@ class ControllerShard:
         self.lock = threading.RLock()
         self.stats = ShardCounters()
 
-    # ------------------------------------------------------------------ #
-    # device / group membership
-    # ------------------------------------------------------------------ #
-    def device_names(self) -> List[str]:
-        """Every device visible to this shard (own region + border)."""
-        return list(self.view.devices)
-
     def sees_device(self, name: str) -> bool:
         return name in self.view.devices
-
-    def owns_group(self, group: str) -> bool:
-        return group in self.view.host_groups
 
     def allocation_epoch(self) -> int:
         """The shard-scoped allocation epoch (view devices only)."""
         return self.view.allocation_epoch()
-
-    # ------------------------------------------------------------------ #
-    # intra-shard operations (serialised on the shard's own lock only)
-    # ------------------------------------------------------------------ #
-    def deploy_many(self, requests: Sequence[DeployRequest]
-                    ) -> List[PipelineReport]:
-        """Deploy a batch of intra-shard requests (shard-local wave).
-
-        The pure phase runs *outside* the commit lock — it reads nothing
-        but the requests and the artifact cache, so mid-compile commits by a
-        cross-shard 2PC or a device event are harmless.  Only the commit
-        phase holds the shard lock, which keeps it exactly the window
-        cross-shard prepares ever wait on.
-        """
-        reports = self.controller.deploy_many(requests,
-                                              commit_guard=self.lock)
-        self.stats.increment(
-            "deploys", sum(1 for r in reports if r.succeeded)
-        )
-        return reports
-
-    def remove(self, name: str, lazy: bool = True) -> SynthesisDelta:
-        with self.lock:
-            delta = self.controller.remove(name, lazy=lazy)
-            self.stats.increment("removed")
-            return delta
-
-    def update(self, name: str, **kwargs) -> PipelineReport:
-        with self.lock:
-            return self.controller.runtime().update_program(name, **kwargs)
-
-    def runtime(self, auto_migrate: Optional[bool] = None):
-        return self.controller.runtime(auto_migrate=auto_migrate)
-
-    # ------------------------------------------------------------------ #
-    # observability
-    # ------------------------------------------------------------------ #
-    def deployed_programs(self) -> List[str]:
-        return self.controller.deployed_programs()
 
     def summary(self) -> Dict[str, object]:
         summary: Dict[str, object] = dict(self.stats.summary())
@@ -119,10 +69,3 @@ class ControllerShard:
         summary["devices"] = len(self.view.devices)
         summary["epoch"] = self.view.allocation_epoch()
         return summary
-
-    def __repr__(self) -> str:
-        return (
-            f"ControllerShard({self.shard_id!r}, "
-            f"devices={len(self.view.devices)}, "
-            f"programs={len(self.controller.deployed)})"
-        )

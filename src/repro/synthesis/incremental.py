@@ -195,7 +195,3 @@ class IncrementalSynthesizer:
     # ------------------------------------------------------------------ #
     def deployed_programs(self) -> List[str]:
         return sorted(self.plans)
-
-    def programs_on_device(self, device_name: str) -> List[str]:
-        executable = self.executables.get(device_name)
-        return executable.users() if executable else []

@@ -65,10 +65,6 @@ class DeviceExecutable:
             + sum(len(snippet) for snippet in self.snippets.values())
         )
 
-    def parse_tree_size(self) -> int:
-        return self.base.parse_tree.count_nodes()
-
-
 def merge_parse_tree(base_tree: ParseNode, snippet: IRProgram, owner: str) -> int:
     """Graft the snippet's header fields onto the base parse tree.
 

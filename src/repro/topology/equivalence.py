@@ -174,9 +174,6 @@ class ReducedTree:
     def all_nodes(self) -> List[ReducedNode]:
         return list(self.root.iter_nodes())
 
-    def client_subtree(self) -> List[ReducedNode]:
-        return [n for n in self.all_nodes() if n.side == "client"]
-
     def server_subtree(self) -> List[ReducedNode]:
         return [n for n in self.all_nodes() if n.side == "server"]
 

@@ -133,9 +133,6 @@ class NetworkTopology:
     def devices_in_layer(self, layer: str) -> List[Device]:
         return [dev for name, dev in self.devices.items() if self.layers[name] == layer]
 
-    def devices_in_pod(self, pod: int) -> List[Device]:
-        return [dev for name, dev in self.devices.items() if self.pods[name] == pod]
-
     def neighbors(self, name: str) -> List[str]:
         return list(self.graph.neighbors(name))
 
@@ -165,9 +162,6 @@ class NetworkTopology:
         True when the status actually changed.
         """
         return self.device(name).set_status(status)
-
-    def device_status(self, name: str) -> str:
-        return self.device(name).status
 
     def set_link_status(self, a: str, b: str, status: str) -> bool:
         """Mark the link between *a* and *b* ``"up"`` or ``"down"``.
@@ -237,10 +231,6 @@ class NetworkTopology:
             for name, device in sorted(self.devices.items())
             if not device.is_available()
         }
-
-    def available_devices(self) -> List[str]:
-        return [name for name, device in self.devices.items()
-                if device.is_available()]
 
     # ------------------------------------------------------------------ #
     # path enumeration
@@ -332,16 +322,6 @@ class NetworkTopology:
             src: self.paths_between_groups(src, destination, max_paths=max_paths)
             for src in sources
         }
-
-    def devices_on_paths(self, paths: Iterable[List[str]]) -> List[Device]:
-        names: List[str] = []
-        seen = set()
-        for path in paths:
-            for node in path:
-                if node not in seen:
-                    seen.add(node)
-                    names.append(node)
-        return [self.devices[name] for name in names]
 
     def path_bandwidth(self, path: Sequence[str]) -> float:
         """Bottleneck bandwidth along a device path in Gbps."""

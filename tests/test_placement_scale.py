@@ -12,10 +12,12 @@ bug in the pruning or the memo, not a tuning knob.
 from __future__ import annotations
 
 import ast
+import collections
 import gc
 import itertools
 import pathlib
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -683,3 +685,36 @@ def test_no_module_under_src_imports_the_oracles():
             if any("oracles" in module.split(".") for module in modules):
                 offenders.append(f"{path.relative_to(src)}:{node.lineno}")
     assert not offenders
+
+
+def test_every_definition_under_src_is_named_somewhere_else():
+    """A function, method or class under ``src/`` (dunders aside) whose
+    name no code, test, benchmark, example, doc or tool spells anywhere but
+    at its definition is dead code.
+
+    Words are counted over the Python and Markdown files, so a name in a
+    string (a ``getattr`` target, ``__all__``, the e2e tracer's target
+    table), a docstring or a comment counts as a use.
+    """
+    root = pathlib.Path(__file__).resolve().parents[1]
+    word = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+    define = re.compile(
+        r"^[ \t]*(?:async[ \t]+)?(?:def|class)[ \t]+([A-Za-z_][A-Za-z0-9_]*)",
+        re.M)
+    words, definitions = collections.Counter(), []
+    for top in ("src", "tests", "benchmarks", "examples", "docs", "tools"):
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in (".py", ".md"):
+                continue
+            text = path.read_text(encoding="utf-8")
+            words.update(word.findall(text))
+            if top == "src" and path.suffix == ".py":
+                definitions.extend(
+                    (match.group(1), f"{path.relative_to(root)}:"
+                     f"{text.count(chr(10), 0, match.start()) + 1}")
+                    for match in define.finditer(text))
+    sites = collections.Counter(name for name, _ in definitions)
+    unnamed = [f"{where} {name}" for name, where in definitions
+               if not (name.startswith("__") and name.endswith("__"))
+               and words[name] <= sites[name]]
+    assert not unnamed

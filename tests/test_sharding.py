@@ -11,6 +11,7 @@ escalation, and the sharded asyncio service.
 from __future__ import annotations
 
 import asyncio
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -48,6 +49,14 @@ def coordinator_devices(coord: ShardCoordinator):
         name: coord.controller_for(name).deployed[name].devices()
         for name in coord.deployed_programs()
     }
+
+
+def failures(reports) -> str:
+    """Program, stage, exception type and error of every failed report."""
+    return "; ".join(
+        f"{r.program_name}: {r.failed_stage} "
+        f"{type(r.exception).__name__}: {r.error}"
+        for r in reports if not r.succeeded)
 
 
 def plan_cache_keys(controller: ClickINC):
@@ -181,13 +190,13 @@ class TestRoutingAndOwnership:
     def test_dispatch_crash_releases_pending_claims(self):
         with ShardCoordinator(build_fattree(k=4)) as coord:
             shard = coord.shards["pod0"]
-            original = shard.deploy_many
-            shard.deploy_many = lambda *a, **k: (_ for _ in ()).throw(
+            original = shard.controller.deploy_many
+            shard.controller.deploy_many = lambda *a, **k: (_ for _ in ()).throw(
                 RuntimeError("pool exploded")
             )
             with pytest.raises(RuntimeError):
                 coord.deploy_wave("pod0", [tenant(0, 0, "a")])
-            shard.deploy_many = original
+            shard.controller.deploy_many = original
             # the claim was released, so the same name deploys cleanly
             assert coord.deploy(tenant(0, 0, "a")).succeeded
 
@@ -196,7 +205,7 @@ class TestRoutingAndOwnership:
             requests = [tenant(p, p, f"u{p}") for p in range(4)]
             requests.append(tenant(0, 2, "x"))
             reports = coord.deploy_many(requests)
-            assert [r.succeeded for r in reports] == [True] * 5
+            assert [r.succeeded for r in reports] == [True] * 5, failures(reports)
             for pod in range(4):
                 assert coord.owner_of(f"kvs_u{pod}") == f"pod{pod}"
                 assert coord.shards[f"pod{pod}"].stats.deploys == 1
@@ -331,7 +340,7 @@ class TestSerialEquivalence:
             futures = [pool.submit(coord.deploy, r) for r in requests]
             reports = [f.result() for f in futures]
             cross_report = pool.submit(coord.deploy, cross).result()
-        assert all(r.succeeded for r in reports)
+        assert all(r.succeeded for r in reports), failures(reports)
         assert cross_report.succeeded
         concurrent_devices = coordinator_devices(coord)
 
@@ -413,7 +422,7 @@ class TestEventRouting:
         assert coord.inter.runtime().monitor.poll() == []
         for shard in coord.shards.values():
             if shard.controller._runtime is not None:
-                assert shard.runtime().monitor.poll() == []
+                assert shard.controller.runtime().monitor.poll() == []
         coord.close()
 
     def test_border_device_event_routes_to_every_shard(self):
@@ -459,6 +468,149 @@ class TestEscalation:
         assert "kvs_m" not in coord.shards["left"].controller.deployed
         coord.close()
 
+    @pytest.mark.parametrize("verb", ["remove", "update"])
+    def test_operation_racing_an_escalation_follows_the_program(self, verb):
+        """A remove/update issued while an escalation moves its program
+        reads the old owner, waits for the event's locks, and then acts on
+        the program where the escalation put it."""
+        topo = build_diamond()
+        coord = ShardCoordinator(topo, PartitionMap(
+            regions={"left": {"SW0", "SW1", "SW3"}, "right": {"SW2"}}))
+        profile = default_profile("KVS", user="m")
+        profile.performance["depth"] = 1000
+        assert coord.deploy(DeployRequest(
+            source_groups=["client"], destination_group="server",
+            name="kvs_m", profile=profile)).succeeded
+        event_thread = threading.get_ident()
+        waiting = threading.Event()
+
+        class SignallingLock:
+            """The shard lock, telling when another thread waits on it."""
+
+            def __init__(self, lock):
+                self.lock = lock
+
+            def acquire(self, *args, **kwargs):
+                if threading.get_ident() != event_thread:
+                    waiting.set()
+                return self.lock.acquire(*args, **kwargs)
+
+            def release(self):
+                self.lock.release()
+
+            __enter__ = acquire
+
+            def __exit__(self, *exc_info):
+                self.release()
+
+        left = coord.shards["left"]
+        left.lock = SignallingLock(left.lock)
+        outcome = {}
+
+        def operate():
+            try:
+                if verb == "remove":
+                    outcome["result"] = coord.remove("kvs_m")
+                else:
+                    outcome["result"] = coord.update(
+                        "kvs_m", profile=default_profile("KVS", user="m2"))
+            except Exception as exc:        # surfaced by the asserts below
+                outcome["error"] = exc
+
+        operation = threading.Thread(target=operate)
+        commit_stages = coord.inter.pipeline.commit_stages
+
+        def escalating_commit(*args, **kwargs):
+            # mid-escalation: the operation reads the owner and queues
+            if not operation.is_alive() and "started" not in outcome:
+                outcome["started"] = True
+                operation.start()
+                assert waiting.wait(timeout=10)
+            return commit_stages(*args, **kwargs)
+
+        coord.inter.pipeline.commit_stages = escalating_commit
+        event = coord.fail_device("SW1")
+        operation.join(timeout=30)
+        assert not operation.is_alive()
+        assert event.escalated == ["kvs_m"]
+        assert "error" not in outcome, outcome.get("error")
+        if verb == "remove":
+            assert coord.owner_of("kvs_m") is None
+            assert coord.deployed_programs() == []
+        else:
+            assert outcome["result"].succeeded
+            assert coord.owner_of("kvs_m") == CROSS_SHARD
+            assert coord.inter.deployed["kvs_m"].report is outcome["result"]
+        coord.close()
+
+
+class TestOwnershipIsTheRegistries:
+    def test_scripted_operations_keep_owner_and_registries_equal(self):
+        """After every step of a submit/remove/update/fail/drain/restore
+        script, ``owner_of`` and ``deployed_programs()`` say what the
+        controllers' ``deployed`` registries hold — and inside every commit
+        a step makes (migrations re-place through commits), no program
+        deployed before the step reads as undeployed."""
+        coord = ShardCoordinator(build_fattree(k=4))
+        controllers = [s.controller for s in coord.shards.values()]
+        controllers.append(coord.inter)
+        before, gaps = set(), []
+
+        def watching(commit_stages):
+            def commit(*args, **kwargs):
+                gaps.extend(name for name in before
+                            if coord.owner_of(name) is None)
+                return commit_stages(*args, **kwargs)
+            return commit
+
+        for controller in controllers:
+            controller.pipeline.commit_stages = watching(
+                controller.pipeline.commit_stages)
+
+        def registries():
+            owners = {}
+            for controller in reversed(controllers):
+                owner = next((sid for sid, s in coord.shards.items()
+                              if s.controller is controller), CROSS_SHARD)
+                owners.update(dict.fromkeys(controller.deployed, owner))
+            return owners
+
+        down = []
+
+        def agg_of(name):
+            down.append(next(d for d in coord.controller_for(name)
+                             .deployed[name].devices() if d.startswith("Agg")))
+            return down[-1]
+
+        steps = [
+            lambda: coord.deploy(tenant(0, 0, "a")),
+            lambda: coord.deploy(tenant(0, 2, "x")),
+            lambda: coord.deploy(tenant(1, 1, "b")),
+            lambda: coord.update("kvs_a",
+                                 profile=default_profile("KVS", user="a2")),
+            lambda: coord.fail_device(agg_of("kvs_a")),
+            lambda: coord.restore_device(down.pop()),
+            lambda: coord.drain_device(agg_of("kvs_x")),
+            lambda: coord.update("kvs_x",
+                                 profile=default_profile("KVS", user="x2")),
+            lambda: coord.remove("kvs_b"),
+            lambda: coord.restore_device(down.pop()),
+            lambda: coord.fail_device(agg_of("kvs_x")),
+            lambda: coord.remove("kvs_x"),
+            lambda: coord.restore_device(down.pop()),
+            lambda: coord.deploy(tenant(2, 2, "c")),
+        ]
+        for step in steps:
+            before = set(coord.deployed_programs())
+            outcome = step()
+            assert getattr(outcome, "succeeded", True), outcome
+            owners = registries()
+            assert coord.deployed_programs() == sorted(owners)
+            assert {name: coord.owner_of(name) for name in owners} == owners
+            assert gaps == []
+        assert sorted(registries()) == ["kvs_a", "kvs_c"]
+        coord.close()
+
 
 # --------------------------------------------------------------------- #
 # the sharded asyncio service
@@ -479,7 +631,7 @@ class TestShardedService:
                 return reports, coordinator_devices(svc.coordinator)
 
         reports, sharded_devices = asyncio.run(drive())
-        assert all(r.succeeded for r in reports)
+        assert all(r.succeeded for r in reports), failures(reports)
 
         serial = ClickINC(build_fattree(k=4))
         serial_devices = {}
