@@ -1,23 +1,15 @@
 """Shared placement-memo benchmark.
 
-Two service-shaped measurements of :class:`~repro.placement.memo.PlacementMemo`
-on a fabric-scale (k=32, 1280-device) drifted fat-tree:
-
-1. **One memo vs one memo per tenant** — eight aggregation tenants stream
-   from pods 0..7 to a shared destination pod, so their DP searches share
-   the dominant sub-solutions (the ~256-device core layer and the
-   destination-pod sub-tree) and differ only in the per-request client pod.
-   Tenant 0 warms a memo; placing tenants 1..7 through that same memo
-   mostly re-derives client pods, while placing each through a fresh memo
-   of its own re-derives the shared work from scratch.  The shared wave
-   must be at least 1.5x faster while producing byte-identical plans.
-
-2. **Warm restart** — the shared memo is persisted with ``save()`` and
-   restored into a fresh controller via ``memo_path=``.  Re-placing the
-   whole workload on the restarted controller must skip >= 80% of the cold
-   solve's memo derivations (device feasibility checks, interval
-   evaluations and sub-tree table solves), proving the persisted entries
-   actually serve.
+One memo vs one memo per tenant, for
+:class:`~repro.placement.memo.PlacementMemo` on a fabric-scale (k=32,
+1280-device) drifted fat-tree: eight aggregation tenants stream from pods
+0..7 to a shared destination pod, so their DP searches share the dominant
+sub-solutions (the ~256-device core layer and the destination-pod sub-tree)
+and differ only in the per-request client pod.  Tenant 0 warms a memo;
+placing tenants 1..7 through that same memo mostly re-derives client pods,
+while placing each through a fresh memo of its own re-derives the shared
+work from scratch.  The shared wave must be at least 1.5x faster while
+producing byte-identical plans.
 
 The wave is placement only, no commits: the tenants share destination-pod
 and core devices, so every commit would move the allocation state the next
@@ -26,14 +18,12 @@ tenant's sub-solutions are keyed on and drown the memo signal in both modes.
 
 from __future__ import annotations
 
-import os
 import random
-import tempfile
 import time
 from typing import Dict, List
 
 from benchmarks.conftest import print_table
-from repro.core import ClickINC, DeployRequest
+from repro.core import DeployRequest
 from repro.frontend import compile_template
 from repro.lang.profile import default_profile
 from repro.placement import DPPlacer, PlacementMemo, PlacementRequest
@@ -51,7 +41,6 @@ MEMO_TENANTS = 8
 
 #: gate floors (mirrored in BENCH_baseline.json)
 MIN_SHARED_SPEEDUP = 1.5
-MIN_WARM_RESTART_REUSE = 0.8
 
 
 def _drifted_fattree():
@@ -112,21 +101,6 @@ def _plan_identity_key(plan):
     )
 
 
-def _derivations(counters: Dict[str, int]) -> int:
-    """Memo-missable work actually performed by a placer.
-
-    Each term counts one class of derivation net of its memo hits: device
-    feasibility probes, interval gain evaluations, and sub-tree DP table
-    solves (a memo-served table never reaches the solver, so ``subtree_solves``
-    needs no subtraction).
-    """
-    return (
-        counters.get("device_checks", 0) - counters.get("device_memo_hits", 0)
-        + counters.get("interval_evals", 0) - counters.get("interval_memo_hits", 0)
-        + counters.get("subtree_solves", 0)
-    )
-
-
 def _time_wave(topology, requests: List[DeployRequest],
                shared: bool) -> Dict[str, object]:
     """Place tenants 1..7 after tenant 0 warmed a memo.
@@ -165,66 +139,12 @@ def run_shared_wave(reduced: bool = True) -> Dict[str, object]:
         ),
         "plans_identical": shared_result["plans"] == private_result["plans"],
         "memo": shared_result["memo"].summary(),
-        "shared_memo": shared_result["memo"],
     }
 
 
-def run_warm_restart(memo, reduced: bool = True) -> Dict[str, object]:
-    """Persist *memo*, restore into a fresh controller, count derivations.
-
-    The cold reference is a private placer on the same fabric solving the
-    identical workload; both sides place sequentially and commit-free, so
-    the derivation counters isolate exactly what the restored file saves.
-    """
-    requests = _tenant_requests(reduced)
-    tmpdir = tempfile.mkdtemp(prefix="clickinc_memo_")
-    path = os.path.join(tmpdir, "placement_memo.bin")
-
-    # an identically-drifted fabric stands in for the restarted controller's
-    # topology: no wave request ever committed, so its fingerprints match
-    # the memo entries' consultation stamps exactly
-    topo = _drifted_fattree()
-    persisted = memo.save(path, topo)
-
-    warm = ClickINC(topo, generate_code=False, memo_path=path)
-    try:
-        restored = warm.memo.counters.restored_entries
-        for request in requests:
-            warm.placer.place(_placement_request(request))
-        warm_counters = warm.placer.profile.counters.summary()
-    finally:
-        warm.close()
-        os.unlink(path)
-        os.rmdir(tmpdir)
-
-    # placement is commit-free, so the cold reference can share the fabric
-    cold_placer = DPPlacer(topo)
-    for request in requests:
-        cold_placer.place(_placement_request(request))
-    cold_counters = cold_placer.profile.counters.summary()
-
-    warm_derivs = _derivations(warm_counters)
-    cold_derivs = max(1, _derivations(cold_counters))
-    return {
-        "persisted_entries": persisted,
-        "restored_entries": restored,
-        "warm_derivations": warm_derivs,
-        "cold_derivations": cold_derivs,
-        "warm_restart_reuse": 1.0 - warm_derivs / cold_derivs,
-    }
-
-
-def run_all(reduced: bool = True) -> Dict[str, object]:
-    wave = run_shared_wave(reduced=reduced)
-    restart = run_warm_restart(wave.pop("shared_memo"), reduced=reduced)
-    return {"wave": wave, "restart": restart}
-
-
-def test_shared_memo_wave_and_restart(benchmark):
-    results = benchmark.pedantic(run_all, kwargs={"reduced": True},
-                                 rounds=1, iterations=1)
-    wave = results["wave"]
-    restart = results["restart"]
+def test_shared_memo_wave(benchmark):
+    wave = benchmark.pedantic(run_shared_wave, kwargs={"reduced": True},
+                              rounds=1, iterations=1)
     print_table(
         "One memo vs one memo per tenant: wave of 7 (1280 devices)",
         ["tenants", "private (s)", "shared (s)", "speedup", "identical"],
@@ -232,14 +152,5 @@ def test_shared_memo_wave_and_restart(benchmark):
           f"{wave['shared_wave_s']:.3f}",
           f"{wave['shared_memo_speedup']:.1f}x", wave["plans_identical"]]],
     )
-    print_table(
-        "Warm restart from the persisted memo file",
-        ["persisted", "restored", "cold derivs", "warm derivs", "reuse"],
-        [[restart["persisted_entries"], restart["restored_entries"],
-          restart["cold_derivations"], restart["warm_derivations"],
-          f"{restart['warm_restart_reuse']:.1%}"]],
-    )
     assert wave["plans_identical"]
-    assert restart["restored_entries"] > 0
-    assert restart["warm_restart_reuse"] >= MIN_WARM_RESTART_REUSE
     assert wave["shared_memo_speedup"] >= MIN_SHARED_SPEEDUP

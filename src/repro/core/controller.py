@@ -29,7 +29,6 @@ placements of the equivalent serial loop of single deploys.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.cache import ArtifactCache
@@ -62,20 +61,12 @@ class ClickINC:
                  adaptive_weights: bool = True, generate_code: bool = True,
                  cache: Optional[ArtifactCache] = None,
                  memo: Optional[PlacementMemo] = None,
-                 memo_path: Optional[str] = None,
                  obs: Optional["Observability"] = None) -> None:
         self.topology = topology
         self.compiler = FrontendCompiler()
-        # Pass ``memo=`` to share one store between controllers (the
-        # ShardCoordinator does), and ``memo_path=`` to persist it across
-        # restarts — an existing file is restored here (with fingerprint
-        # validation; a stale or corrupt file cold-solves) and ``close()``
-        # writes the store back.
-        owns_memo = memo is None
+        # pass ``memo=`` to share one store between controllers (the
+        # ShardCoordinator does)
         self.memo = memo if memo is not None else PlacementMemo()
-        self.memo_path = memo_path
-        if owns_memo and memo_path is not None and os.path.exists(memo_path):
-            self.memo.restore(memo_path, topology)
         self.placer = DPPlacer(topology, memo=self.memo)
         self.synthesizer = IncrementalSynthesizer(topology, incremental=incremental)
         self.emulator = NetworkEmulator(topology)
@@ -225,17 +216,11 @@ class ClickINC:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Persist the placement memo when ``memo_path`` is set.
+        """Nothing to release: the controller holds no file or thread.
 
-        Best-effort — a failed write never blocks shutdown; the next start
-        simply cold-solves.  Safe to call multiple times; the controller
-        remains usable afterwards.
+        Kept so a controller and a coordinator shut down alike (``with``
+        blocks, :meth:`INCService.close`).  Safe to call multiple times.
         """
-        if self.memo_path is not None:
-            try:
-                self.memo.save(self.memo_path, self.topology)
-            except Exception:
-                pass
 
     def __enter__(self) -> "ClickINC":
         return self

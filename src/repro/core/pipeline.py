@@ -40,7 +40,7 @@ import time
 import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backend.codegen import generate_for_device
 from repro.core.cache import ArtifactCache, CacheStats
@@ -718,9 +718,7 @@ class CompilationPipeline:
     def swap(self, olds: Sequence[DeployedProgram],
              requests: Sequence[DeployRequest], *,
              into: Optional["CompilationPipeline"] = None,
-             lost: Sequence[str] = (),
-             release: Optional[Callable[[DeployedProgram], object]] = None
-             ) -> List[PipelineReport]:
+             lost: Sequence[str] = ()) -> List[PipelineReport]:
         """Replace the committed *olds* by *requests*, atomically.
 
         The one way a committed program changes — a rolling update, a
@@ -729,8 +727,7 @@ class CompilationPipeline:
         1. compile every request (the pure stages: nothing is touched yet);
         2. snapshot each old program's register/table state, skipping the
            *lost* devices (a failed switch's memory is gone);
-        3. release every old program, in order — through *release* when
-           given (a controller's own removal path), else :meth:`remove`;
+        3. release every old program, in order, through :meth:`remove`;
         4. commit the replacements in order, into *into* (default: this
            pipeline);
         5. carry each snapshot into the replacement at its position.
@@ -744,7 +741,6 @@ class CompilationPipeline:
         settles the outcome.  Returns one report per replacement.
         """
         into = into if into is not None else self
-        release = release or (lambda old: self.remove(old.name, old))
         started = time.perf_counter()
         compiled: List[Tuple[IRProgram, List[StageRecord]]] = []
         snapshots: List[Dict[str, Dict]] = []
@@ -760,7 +756,7 @@ class CompilationPipeline:
             for old in olds:
                 subject = old.name
                 try:
-                    release(old)
+                    self.remove(old.name, old)
                 except Exception as exc:
                     if not hasattr(exc, "pipeline_stage"):
                         exc.pipeline_stage = "removal"

@@ -163,7 +163,7 @@ class ServiceStats(CounterMixin):
 class MemoCounters(CounterMixin):
     """Activity of one :class:`~repro.placement.memo.PlacementMemo`.
 
-    Tracks how lookups fared and the persistence life-cycle.  Surfaced
+    Tracks how lookups fared.  Surfaced
     through ``PlacementMemo.summary()`` into the service/gateway status
     responses.
     """
@@ -178,13 +178,6 @@ class MemoCounters(CounterMixin):
     shared_hits: int = 0
     #: lookups that missed (the caller derives and stores), root included
     misses: int = 0
-    #: entries admitted from a persisted file on restore
-    restored_entries: int = 0
-    #: entries written out by save()
-    persisted_entries: int = 0
-    #: restore attempts rejected wholesale (unreadable/corrupt file, format
-    #: or topology-signature mismatch) — each one is a cold-solve fallback
-    restore_rejected: int = 0
     #: memo-served sub-tree tables rejected by the DPPlacer's live
     #: allocation-state guard (should stay 0; see StaleMemoError)
     stale_rejections: int = 0

@@ -78,6 +78,11 @@ MAX_HEAD_LINE_BYTES = 1 << 16
 #: Most header lines one request may carry
 MAX_HEADERS = 100
 
+#: Most seconds from a request's first byte to the end of its body; a client
+#: that stalls mid-request past it gets 408 and loses the connection.  An
+#: idle keep-alive connection *between* requests is not bounded.
+REQUEST_READ_TIMEOUT_S = 10.0
+
 
 def _head_too_large() -> WireError:
     return WireError(
@@ -420,33 +425,27 @@ class GatewayHTTPServer:
                             writer: "asyncio.StreamWriter") -> None:
         try:
             while True:
+                first = await reader.read(1)  # idle between requests: unbounded
+                if not first:
+                    break
                 try:
-                    head = await self._read_head(reader)
+                    method, path, headers, body = await asyncio.wait_for(
+                        self._read_request(reader, first),
+                        REQUEST_READ_TIMEOUT_S)
+                except asyncio.TimeoutError:
+                    await self._write(writer, 408, {}, {
+                        "error": "request_timeout",
+                        "message": "the request was not received within "
+                                   f"{REQUEST_READ_TIMEOUT_S} s of its "
+                                   "first byte",
+                    })
+                    break
                 except WireError as exc:
                     # the rest of the request is never read, so the stream
                     # cannot be re-synchronised: answer, then drop the
                     # connection
                     await self._write(writer, exc.status, {}, exc.payload())
                     break
-                if head is None:
-                    break
-                method, path, headers = head
-                try:
-                    length = int(headers.get("Content-Length") or "0")
-                except ValueError:
-                    length = -1
-                if not 0 <= length <= MAX_BODY_BYTES:
-                    # the body is never read, so the stream cannot be
-                    # re-synchronised: answer, then drop the connection
-                    status, error = ((400, "bad_request") if length < 0
-                                     else (413, "payload_too_large"))
-                    await self._write(writer, status, {}, {
-                        "error": error,
-                        "message": "Content-Length must be an integer in "
-                                   f"[0, {MAX_BODY_BYTES}]",
-                    })
-                    break
-                body = await reader.readexactly(length) if length else b""
                 status, extra, payload = await self.gateway.handle(
                     method, path, headers, body
                 )
@@ -466,11 +465,14 @@ class GatewayHTTPServer:
                 pass
 
     @staticmethod
-    async def _read_head(reader: "asyncio.StreamReader"
-                         ) -> Optional[Tuple[str, str, Dict[str, str]]]:
-        """``(method, path, headers)`` of the next request, None at EOF.
+    async def _read_request(reader: "asyncio.StreamReader", first: bytes
+                            ) -> Tuple[str, str, Dict[str, str], bytes]:
+        """``(method, path, headers, body)`` of the request whose first
+        byte, *first*, was already read.
 
-        Raises :class:`WireError` 400 for a malformed request line and 431
+        Raises :class:`WireError` 400 for a malformed request line or a
+        ``Content-Length`` that is not a non-negative integer, 413 for one
+        past :data:`MAX_BODY_BYTES` (the body is then never read), and 431
         for a line past :data:`MAX_HEAD_LINE_BYTES` or a request with more
         than :data:`MAX_HEADERS` header lines.
         """
@@ -480,9 +482,7 @@ class GatewayHTTPServer:
             except ValueError:  # the line ran past the stream limit
                 raise _head_too_large() from None
 
-        request_line = await readline()
-        if not request_line:
-            return None
+        request_line = first + await readline()
         try:
             method, path, _version = (
                 request_line.decode("latin-1").strip().split(" ", 2)
@@ -493,15 +493,27 @@ class GatewayHTTPServer:
         for _ in range(MAX_HEADERS + 1):  # the headers, then the blank line
             line = await readline()
             if line in (b"\r\n", b"\n", b""):
-                return method, path, headers
+                break
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip()] = value.strip()
-        raise _head_too_large()
+        else:
+            raise _head_too_large()
+        try:
+            length = int(headers.get("Content-Length") or "0")
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            raise WireError(
+                400 if length < 0 else 413,
+                "bad_request" if length < 0 else "payload_too_large",
+                f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}]")
+        body = await reader.readexactly(length) if length else b""
+        return method, path, headers, body
 
     _STATUS_TEXT = {
         200: "OK", 400: "Bad Request", 401: "Unauthorized",
         403: "Forbidden", 404: "Not Found", 405: "Method Not Allowed",
-        409: "Conflict", 413: "Payload Too Large",
+        408: "Request Timeout", 409: "Conflict", 413: "Payload Too Large",
         429: "Too Many Requests", 431: "Request Header Fields Too Large",
         503: "Service Unavailable", 504: "Gateway Timeout",
     }

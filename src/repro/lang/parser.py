@@ -97,11 +97,15 @@ def parse_program(source: str, name: str = "user_program",
     """
     try:
         tree = pyast.parse(source)
+        body = _Converter(name, constants or {}).convert_body(tree.body)
     except SyntaxError as exc:
         raise LanguageError(f"{name}: Python-level syntax error: {exc}") from exc
-
-    converter = _Converter(name, constants or {})
-    body = converter.convert_body(tree.body)
+    except (RecursionError, MemoryError) as exc:
+        # CPython's parser and the recursive conversion both give out on
+        # deep nesting (e.g. ``x = ----...1``), as RecursionError or, past
+        # the parser's own stack, MemoryError
+        raise LanguageError(
+            f"{name}: the program nests too deeply to parse") from exc
     return cnodes.Module(name=name, body=body, source=source)
 
 

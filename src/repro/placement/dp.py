@@ -410,7 +410,7 @@ class _SearchContext:
             return bool(cached)
         feasible = self.packer.pack(device, start, end) is not None
         if self.unchanged((device,)):
-            self.memo.store_device(key, feasible, (device.name,))
+            self.memo.store_device(key, feasible)
         return feasible
 
     def eval_interval(self, node: ReducedNode, start: int,
@@ -448,11 +448,8 @@ class _SearchContext:
                 break
         else:
             gain = self.gain(node, start, end)
-        consulted = devices + bypass_devices
-        if self.unchanged(consulted):
-            self.memo.store_interval(
-                key, INFEASIBLE if gain is None else gain,
-                [device.name for device in consulted])
+        if self.unchanged(devices + bypass_devices):
+            self.memo.store_interval(key, INFEASIBLE if gain is None else gain)
         return gain
 
     # -- sub-tree table reuse ----------------------------------------------
@@ -888,7 +885,6 @@ class DPPlacer:
             ctx.memo.store_table(
                 table_key,
                 (subtree_class_ids(node), table, ctx.table_stamps(node)),
-                names,
             )
         return table
 

@@ -31,95 +31,34 @@ of another.
 
 The store is locked (controller shards run in threads over one memo) and
 counts its lookups; per-key single-flight guards keep concurrent users from
-deriving the same sub-tree table twice, and on-disk persistence with
-fingerprint validation serves warm restarts.  Because every key is
+deriving the same sub-tree table twice.  The memo lives only in its process:
+nothing is written to or read from disk.  Because every key is
 content-addressed, sharing needs no coherence protocol.
 
 Next to the sub-solutions every memo owns a :class:`ProgramFactsStore`: what
 the search knows about a program's *content* before it sees a topology
 (:class:`~repro.placement.facts.ProgramFacts`), kept for content that has
-been seen before.  Facts are not saved or restored, and their lookups are
-counted by the placer that makes them, under their own names, never as memo
-``hits`` / ``misses``.
+been seen before.  Their lookups are counted by the placer that makes
+them, under their own names, never as memo ``hits`` / ``misses``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
-__all__ = [
-    "PlacementMemo",
-    "ProgramFactsStore",
-    "MISS",
-    "INFEASIBLE",
-    "MEMO_FILE_FORMAT",
-    "topology_structure_signature",
-]
-
-#: On-disk format version of :meth:`PlacementMemo.save` files; bumped
-#: whenever the entry layout changes so a restart never misreads old files.
-MEMO_FILE_FORMAT = 1
-
-
-class _Sentinel:
-    """A pickle-stable singleton marker.
-
-    The memo's sentinels are compared by identity (``is MISS``), which bare
-    ``object()`` instances do not survive: unpickling creates a *new*
-    object, so a sentinel that crossed a restart (persisted memo files are
-    pickles) would stop comparing equal.  ``__reduce__`` routes unpickling
-    back through the per-tag registry, so identity is preserved.
-    """
-
-    _registry: Dict[str, "_Sentinel"] = {}
-
-    __slots__ = ("_tag",)
-
-    def __new__(cls, tag: str) -> "_Sentinel":
-        existing = cls._registry.get(tag)
-        if existing is not None:
-            return existing
-        instance = super().__new__(cls)
-        instance._tag = tag
-        cls._registry[tag] = instance
-        return instance
-
-    def __reduce__(self):
-        return (_Sentinel, (self._tag,))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<memo.{self._tag}>"
-
+__all__ = ["PlacementMemo", "ProgramFactsStore", "MISS", "INFEASIBLE"]
 
 #: sentinel returned by lookups when the key is absent (``None`` and floats
 #: are valid cached values, so absence needs its own object)
-MISS = _Sentinel("MISS")
+MISS = object()
 
 #: sentinel cached for intervals/devices proven infeasible
-INFEASIBLE = _Sentinel("INFEASIBLE")
+INFEASIBLE = object()
 
 _Key = Tuple[Hashable, ...]
-
-
-def topology_structure_signature(topology) -> str:
-    """Hash of a topology's *static* shape (names, types, stage counts).
-
-    A persisted memo file is only meaningful against the fabric it was
-    derived on; this signature pins that association without freezing the
-    *mutable* allocation state (which the per-device fingerprints in the
-    file header validate separately).
-    """
-    payload = sorted(
-        (device.name, device.dev_type, device.num_stages)
-        for device in topology.devices.values()
-    )
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
 #: Most :class:`~repro.placement.facts.ProgramFacts` one store retains.  An
@@ -208,11 +147,7 @@ class PlacementMemo:
 
     * :meth:`table_guard`, per-key **single-flight** for concurrent users:
       the second thread asking for an uncached sub-tree table blocks until
-      the first finishes deriving it, then hits;
-    * :meth:`save` / :meth:`restore`, which persist the stores next to the
-      artifact cache and bring them back after a controller/service
-      restart, validating the file's topology signature and per-device
-      allocation fingerprints so only still-live sub-solutions return.
+      the first finishes deriving it, then hits.
     """
 
     def __init__(self, max_entries: int = 100000) -> None:
@@ -222,11 +157,10 @@ class PlacementMemo:
 
         self.max_entries = max(16, int(max_entries))
         #: per-content search inputs; not a sub-solution store — outside
-        #: ``len()`` / ``sizes()`` / ``max_entries`` and persistence
+        #: ``len()`` / ``sizes()`` / ``max_entries``
         self.program_facts = ProgramFactsStore()
-        #: store name -> OrderedDict key -> (value, consulted device names);
-        #: the names are what ``restore`` validates, not an eviction index
-        self._stores: Dict[str, "OrderedDict[_Key, Tuple[object, Tuple[str, ...]]]"] = {
+        #: store name -> OrderedDict key -> value
+        self._stores: Dict[str, "OrderedDict[_Key, object]"] = {
             "device": OrderedDict(),
             "interval": OrderedDict(),
             "table": OrderedDict(),
@@ -243,19 +177,18 @@ class PlacementMemo:
     def _lookup(self, store: str, key: _Key) -> object:
         with self._lock:
             entries = self._stores[store]
-            entry = entries.get(key)
-            if entry is None:
+            value = entries.get(key, MISS)
+            if value is MISS:
                 self.counters.increment("misses")
                 return MISS
             entries.move_to_end(key)
             self.counters.increment("hits")
-            return entry[0]
+            return value
 
-    def _store(self, store: str, key: _Key, value: object,
-               devices: Iterable[str]) -> None:
+    def _store(self, store: str, key: _Key, value: object) -> None:
         with self._lock:
             entries = self._stores[store]
-            entries[key] = (value, tuple(devices))
+            entries[key] = value
             entries.move_to_end(key)
             # over the total bound the largest store gives up its oldest
             # entry, which keeps the few, expensive sub-tree tables longest
@@ -270,25 +203,22 @@ class PlacementMemo:
         """Feasibility of one (context, interval, device-content) key."""
         return self._lookup("device", key)
 
-    def store_device(self, key: _Key, feasible: bool,
-                     devices: Iterable[str]) -> None:
-        self._store("device", key, feasible, devices)
+    def store_device(self, key: _Key, feasible: bool) -> None:
+        self._store("device", key, feasible)
 
     def lookup_interval(self, key: _Key) -> object:
         """Gain (or :data:`INFEASIBLE`) of one (context, node, interval) key."""
         return self._lookup("interval", key)
 
-    def store_interval(self, key: _Key, value: object,
-                       devices: Iterable[str]) -> None:
-        self._store("interval", key, value, devices)
+    def store_interval(self, key: _Key, value: object) -> None:
+        self._store("interval", key, value)
 
     def lookup_table(self, key: _Key) -> object:
         """A stored ``(dfs_ec_ids, dp_table, stamps)`` for a sub-tree signature."""
         return self._lookup("table", key)
 
-    def store_table(self, key: _Key, value: object,
-                    devices: Iterable[str]) -> None:
-        self._store("table", key, value, devices)
+    def store_table(self, key: _Key, value: object) -> None:
+        self._store("table", key, value)
 
     # ------------------------------------------------------------------ #
     # single-flight
@@ -322,81 +252,6 @@ class PlacementMemo:
                 entry[1] -= 1
                 if entry[1] <= 0:
                     self._guards.pop(key, None)
-
-    # ------------------------------------------------------------------ #
-    # persistence (warm restarts)
-    # ------------------------------------------------------------------ #
-    def save(self, path: str, topology) -> int:
-        """Persist the memo to *path*; returns the number of entries written.
-
-        The file carries a header — format version, the topology's
-        structural signature, and the per-device allocation fingerprints
-        at save time — that :meth:`restore` validates before trusting any
-        entry.  The write is atomic (temp file + rename), so a crash
-        mid-save leaves the previous file intact.
-        """
-        with self._lock:
-            payload = {
-                "format": MEMO_FILE_FORMAT,
-                "topology": topology_structure_signature(topology),
-                "fingerprints": topology.device_fingerprints(),
-                "entries": [
-                    (store, key, value, names)
-                    for store, store_entries in self._stores.items()
-                    for key, (value, names) in store_entries.items()
-                ],
-            }
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp_path, path)
-        self.counters.increment("persisted_entries", by=len(payload["entries"]))
-        return len(payload["entries"])
-
-    def restore(self, path: str, topology) -> int:
-        """Load a persisted memo; returns the number of entries restored.
-
-        Validation is strict and failure is always *cold solve*, never an
-        error: an unreadable/corrupted file, a wrong format version, or a
-        file saved against a structurally different topology restores
-        nothing.  Otherwise each entry is admitted only if every device it
-        consulted still carries the allocation fingerprint recorded at
-        save time, so allocation drift between save and restore drops
-        exactly the invalidated sub-solutions.
-        """
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except Exception:
-            self.counters.increment("restore_rejected")
-            return 0
-        if (not isinstance(payload, dict)
-                or payload.get("format") != MEMO_FILE_FORMAT
-                or payload.get("topology")
-                != topology_structure_signature(topology)):
-            self.counters.increment("restore_rejected")
-            return 0
-        saved_fps = payload.get("fingerprints") or {}
-        live_fps = topology.device_fingerprints()
-        valid = {
-            name for name, fingerprint in saved_fps.items()
-            if live_fps.get(name) == fingerprint
-        }
-        restored = 0
-        for entry in payload.get("entries", ()):
-            try:
-                store, key, value, names = entry
-            except (TypeError, ValueError):
-                continue
-            if store not in self._stores:
-                continue
-            if any(name not in valid for name in names):
-                continue
-            self._store(store, key, value, names)
-            restored += 1
-        self.counters.increment("restored_entries", by=restored)
-        return restored
 
     # ------------------------------------------------------------------ #
     # introspection

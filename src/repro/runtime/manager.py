@@ -317,12 +317,9 @@ class RuntimeManager:
             try:
                 reports = controller.pipeline.swap(
                     olds, [deployed.request() for deployed in olds],
-                    lost=skip_devices if state_lost else (),
-                    release=lambda old: controller.remove(old.name))
+                    lost=skip_devices if state_lost else ())
             except Exception as exc:
-                # the swap reinstalled every original; the registry gets
-                # back the entries the controller's removal dropped
-                controller.deployed.update((old.name, old) for old in olds)
+                # the swap reinstalled every original under its old record
                 failed = ("removal failed: "
                           if getattr(exc, "pipeline_stage", None) == "removal"
                           else "")

@@ -48,7 +48,6 @@ default :class:`~repro.core.service.INCService` runs.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -144,11 +143,6 @@ class ShardCoordinator:
         warms the isomorphic pods of every other shard, and the memo's
         per-key single-flight guard keeps concurrent shard threads from
         deriving the same table twice.
-    memo_path:
-        Persist the shared memo to this file on :meth:`close` and restore
-        it (with topology/fingerprint validation) here, so a coordinator
-        restart skips the cold-solve memo derivations that still match the
-        live allocation state.
     controller_kwargs:
         Forwarded to every shard's (and the coordinator's own)
         :class:`ClickINC` controller.
@@ -157,15 +151,9 @@ class ShardCoordinator:
     def __init__(self, topology: NetworkTopology,
                  partition: Optional[PartitionMap] = None, *,
                  memo: Optional[PlacementMemo] = None,
-                 memo_path: Optional[str] = None,
                  **controller_kwargs) -> None:
         partition = partition or partition_by_pod(topology)
         memo = memo if memo is not None else PlacementMemo()
-        if memo_path is not None and os.path.exists(memo_path):
-            # validate against the full fabric: every shard view shares its
-            # Device objects, so fabric-valid entries are valid in every
-            # shard
-            memo.restore(memo_path, topology)
         controllers = {
             shard_id: ClickINC(view, memo=memo, **controller_kwargs)
             for shard_id, view in partition.shard_views(topology).items()
@@ -176,28 +164,25 @@ class ShardCoordinator:
                       if controller.topology is topology), None)
         if inter is None:
             inter = ClickINC(topology, memo=memo, **controller_kwargs)
-        self._assemble(topology, partition, controllers, inter, memo_path)
+        self._assemble(topology, partition, controllers, inter)
 
     @classmethod
     def serving(cls, controller: ClickINC) -> "ShardCoordinator":
         """A one-shard coordinator whose only shard — and full-fabric
         controller — is the existing *controller*, so the programs it
-        already deployed are the coordinator's.  Persisting the memo stays
-        the controller's business (its own ``memo_path``)."""
+        already deployed are the coordinator's."""
         partition = whole_fabric_partition(controller.topology)
         (region,) = partition.regions
         coordinator = cls.__new__(cls)
         coordinator._assemble(controller.topology, partition,
-                              {region: controller}, controller, None)
+                              {region: controller}, controller)
         return coordinator
 
     def _assemble(self, topology: NetworkTopology, partition: PartitionMap,
-                  controllers: Dict[str, ClickINC], inter: ClickINC,
-                  memo_path: Optional[str]) -> None:
+                  controllers: Dict[str, ClickINC], inter: ClickINC) -> None:
         self.topology = topology
         self.partition = partition
         self.memo = inter.memo
-        self.memo_path = memo_path
         self.shards: Dict[str, ControllerShard] = {
             shard_id: ControllerShard(shard_id, controller)
             for shard_id, controller in controllers.items()
@@ -222,9 +207,6 @@ class ShardCoordinator:
             ("phase",))
         #: names claimed by submissions that have not committed yet
         self._pending: Set[str] = set()
-        #: while a device event runs: every program's owner before it, for
-        #: the moments a migration has a program between registry records
-        self._moving: Dict[str, str] = {}
         self._registry_lock = threading.Lock()
         #: serialises every mutation of the coordinator's own full-fabric
         #: controller (two cross-shard commits touching *disjoint* shard
@@ -280,18 +262,14 @@ class ShardCoordinator:
         Read from the controllers' ``deployed`` registries — the shards'
         first, then :attr:`inter`'s as cross-shard — so there is no second
         copy of ownership to keep in agreement.  Only a name no registry
-        shows falls back to the device event moving it and to the pending
-        claims.
+        shows falls back to the pending claims.
         """
         for shard_id, shard in self.shards.items():
             if name in shard.controller.deployed:
                 return shard_id
         if name in self.inter.deployed:
             return CROSS_SHARD
-        owner = self._moving.get(name)
-        if owner is None and name in self._pending:
-            return PENDING
-        return owner
+        return PENDING if name in self._pending else None
 
     def controller_for(self, name: str) -> ClickINC:
         """The controller actually hosting a deployed program."""
@@ -301,8 +279,7 @@ class ShardCoordinator:
         """``(owner, hosting controller, shard ids guarding it)``.
 
         A shard-owned program is guarded by its shard's lock; a cross-shard
-        one by the locks of every shard seeing one of its devices (all of
-        them while a device event has it between records).
+        one by the locks of every shard seeing one of its devices.
         """
         owner = self.owner_of(name)
         if owner is None or owner == PENDING:
@@ -310,7 +287,7 @@ class ShardCoordinator:
         if owner != CROSS_SHARD:
             return owner, self.shards[owner].controller, (owner,)
         deployed = self.inter.deployed.get(name)
-        if deployed is None:                # between records in an event
+        if deployed is None:    # removed since owner_of: the re-read settles
             return owner, self.inter, tuple(sorted(self.shards))
         return owner, self.inter, tuple(sorted({
             shard_id for device in deployed.devices()
@@ -728,28 +705,20 @@ class ShardCoordinator:
         migrate = (RuntimeManager.fail_device if state_lost
                    else RuntimeManager.drain_device)
         with self._inter_lock, self._locks(self.shards):
-            # a migration takes a program out of its controller's registry
-            # before it registers the replacement: meanwhile the program
-            # reads as owned where it was
-            self._moving = {program: self.owner_of(program)
-                            for program in self.deployed_programs()}
-            try:
-                seen_by = {shard_id: self.shards[shard_id].controller
-                           for shard_id in seeing}
-                for shard_id, controller in seen_by.items():
-                    event.shard_reports[shard_id] = migrate(
-                        controller.runtime(), name)
-                if self.inter not in seen_by.values():
-                    event.cross_report = migrate(self.inter.runtime(), name)
-                for shard_id in seeing:
-                    report = event.shard_reports[shard_id]
-                    if (report.rolled_back and report.affected
-                            and seen_by[shard_id] is not self.inter):
-                        event.escalated.extend(
-                            self._escalate(shard_id, report, name, state_lost)
-                        )
-            finally:
-                self._moving = {}
+            seen_by = {shard_id: self.shards[shard_id].controller
+                       for shard_id in seeing}
+            for shard_id, controller in seen_by.items():
+                event.shard_reports[shard_id] = migrate(
+                    controller.runtime(), name)
+            if self.inter not in seen_by.values():
+                event.cross_report = migrate(self.inter.runtime(), name)
+            for shard_id in seeing:
+                report = event.shard_reports[shard_id]
+                if (report.rolled_back and report.affected
+                        and seen_by[shard_id] is not self.inter):
+                    event.escalated.extend(
+                        self._escalate(shard_id, report, name, state_lost)
+                    )
         migrated = event.migrated()
         self.stats.increment("migrations", len(migrated))
         for shard_id in seeing:
@@ -798,9 +767,8 @@ class ShardCoordinator:
         return self.controller_for(name).run_traffic(packets, **kwargs)
 
     def deployed_programs(self) -> List[str]:
-        """Every program the controllers' registries hold (plus, during a
-        device event, those it has between records)."""
-        return sorted(set(self._moving).union(
+        """Every program the controllers' registries hold."""
+        return sorted(set().union(
             *(controller.deployed
               for controller in self._controllers(self.shards))))
 
@@ -823,18 +791,9 @@ class ShardCoordinator:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Close every shard's controller and the coordinator's own (each
-        once).
-
-        With ``memo_path`` set the shared memo is persisted here
-        (best-effort, like the controller's own save path).
-        """
+        once)."""
         for controller in self._controllers(self.shards):
             controller.close()
-        if self.memo_path is not None:
-            try:
-                self.memo.save(self.memo_path, self.topology)
-            except Exception:
-                pass
 
     def __enter__(self) -> "ShardCoordinator":
         return self

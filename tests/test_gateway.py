@@ -25,6 +25,7 @@ from repro.gateway import (
     WeightedFairScheduler,
     WireError,
 )
+from repro.gateway import server as server_module
 from repro.gateway.scheduler import AdmissionTicket
 from repro.topology import build_fattree
 
@@ -116,6 +117,17 @@ class TestWireSchema:
         status, _, payload = self._handle(
             submit_body("p", source_groups=["nowhere"]))
         assert status == 400
+
+    def test_deeply_nested_source_fails_at_the_frontend(self):
+        body = json.loads(submit_body("p"))
+        del body["app"]
+        body["source"] = "x = " + "-" * 5000 + "1"
+        status, _, payload = self._handle(json.dumps(body).encode())
+        assert status == 200
+        assert payload["succeeded"] is False
+        assert payload["failed_stage"] == "frontend"
+        assert "nests too deeply" in payload["error"]
+        assert "recursion" not in payload["error"]
 
 
 # --------------------------------------------------------------------- #
@@ -714,3 +726,59 @@ class TestHTTPServer:
         assert bad_payload["error"] == "request_header_fields_too_large"
         assert b"connection: close" in bad_head
         assert good[0] == b"200" and good[2] == {"programs": []}
+
+    @staticmethod
+    async def with_server(exchange):
+        """Run ``exchange(port)`` against a fresh gateway server."""
+        service, gateway = await make_gateway()
+        try:
+            async with GatewayHTTPServer(gateway, port=0) as http:
+                return await exchange(http.port)
+        finally:
+            await close_gateway(service, gateway)
+
+    @pytest.mark.parametrize("partial", [
+        "GET /v1/prog",
+        "GET /v1/programs HTTP/1.1\r\nAuthorization: Bearer k-acme\r\n",
+        "POST /v1/programs HTTP/1.1\r\nAuthorization: Bearer k-acme\r\n"
+        "Content-Length: 10\r\n\r\n{\"na",
+    ], ids=["request-line", "headers", "body"])
+    def test_stalled_request_gets_408_then_eof(self, monkeypatch, partial):
+        """A client that stops mid-request is answered 408 once the bound
+        from the request's first byte passes, and the connection closes."""
+        monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT_S", 0.2)
+
+        async def exchange(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(partial.encode())
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=5)  # to EOF
+            writer.close()
+            return raw
+
+        raw = run(self.with_server(exchange))
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"408"
+        assert b"connection: close" in head.lower()
+        assert json.loads(body)["error"] == "request_timeout"
+
+    def test_idle_keep_alive_connection_is_not_timed_out(self, monkeypatch):
+        """The bound starts at a request's first byte: a connection idle for
+        longer than it between requests is still served."""
+        monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT_S", 0.2)
+
+        async def exchange(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            await asyncio.sleep(0.3)
+            writer.write(b"GET /v1/programs HTTP/1.1\r\n"
+                         b"Authorization: Bearer k-acme\r\n"
+                         b"Connection: close\r\n\r\n")
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            return raw
+
+        raw = run(self.with_server(exchange))
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"200"
+        assert json.loads(body) == {"programs": []}

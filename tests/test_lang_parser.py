@@ -142,6 +142,15 @@ class TestRejections:
         with pytest.raises(LanguageError):
             parse_program("for i in range(3):\n    x = i\nelse:\n    y = 1")
 
+    @pytest.mark.parametrize("depth", [1000, 5000, 50000])
+    def test_deep_nesting_is_a_language_error(self, depth):
+        """Past the converter's recursion limit (1 000), CPython's parser
+        stack (5 000) and its memory guard (50 000), a deep expression is
+        refused as a LanguageError, never a builtin one."""
+        with pytest.raises(LanguageError, match="nests too deeply") as info:
+            parse_program("x = " + "-" * depth + "1")
+        assert isinstance(info.value.__cause__, (RecursionError, MemoryError))
+
 
 class TestExpressions:
     def test_binary_operations(self):

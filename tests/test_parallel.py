@@ -47,7 +47,7 @@ def colliding_requests():
 
 
 # --------------------------------------------------------------------- #
-# picklability (persisted memo files are pickles; these stay picklable too)
+# picklability (programs, plans and requests are plain data)
 # --------------------------------------------------------------------- #
 class TestPickling:
     def test_ir_program_round_trip(self, kvs_program):

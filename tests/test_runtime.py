@@ -267,18 +267,18 @@ class TestDeviceFailureMigration:
         before = {name: plan_signature(controller, name)
                   for name in controller.deployed_programs()}
         # make the second removal blow up mid-phase-1
-        original_remove = controller.remove
+        original_remove = controller.pipeline.remove
 
-        def flaky_remove(name, lazy=True):
+        def flaky_remove(name, deployed, lazy=True):
             if name == "kvs0b":
                 raise RuntimeError("synthetic removal failure")
-            return original_remove(name, lazy=lazy)
+            return original_remove(name, deployed, lazy=lazy)
 
-        controller.remove = flaky_remove
+        controller.pipeline.remove = flaky_remove
         try:
             report = manager.migrate_device("Agg0_0", trigger="manual")
         finally:
-            controller.remove = original_remove
+            controller.pipeline.remove = original_remove
         assert report.rolled_back
         assert "removal failed" in report.error
         # both tenants are back in the pre-migration committed state

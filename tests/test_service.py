@@ -9,13 +9,13 @@ equivalent serial schedule.
 from __future__ import annotations
 
 import asyncio
-import os
 
 import pytest
 
 from repro.core import ClickINC, DeployRequest, INCService
 from repro.exceptions import DeploymentError
 from repro.lang.profile import default_profile
+from repro.sharding import ShardCoordinator
 from repro.topology import build_fattree
 
 
@@ -283,18 +283,27 @@ class TestLifecycle:
 
         run(drive())
 
-    def test_owned_controller_is_closed_on_close(self, tmp_path):
-        """A service that built its controller closes it (persisting the
-        memo); one handed a controller leaves closing to its owner."""
-        owned, borrowed = (str(tmp_path / name) for name in ("o.bin", "b.bin"))
+    def test_owned_controller_is_closed_on_close(self, monkeypatch):
+        """A service that built its coordinator closes it (and with it its
+        controllers); one handed a controller leaves closing to its owner."""
+        closed = []
+        for cls in (ShardCoordinator, ClickINC):
+            def counting_close(self, _close=cls.close):
+                closed.append(self)
+                _close(self)
+            monkeypatch.setattr(cls, "close", counting_close)
 
         async def drive():
-            async with INCService(build_fattree(k=4), memo_path=owned) as svc:
+            async with INCService(build_fattree(k=4)) as svc:
                 await svc.submit(tenant_request(0, "own"))
-            controller = ClickINC(build_fattree(k=4), memo_path=borrowed)
+            owned = svc
+            controller = ClickINC(build_fattree(k=4))
             async with INCService(controller) as svc:
                 await svc.submit(tenant_request(0, "lent"))
+            return owned, svc
 
-        run(drive())
-        assert os.path.exists(owned)
-        assert not os.path.exists(borrowed)
+        owned, borrowed = run(drive())
+        assert owned.coordinator in closed
+        assert owned.controller in closed
+        assert borrowed.coordinator not in closed
+        assert borrowed.controller not in closed

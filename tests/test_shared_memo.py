@@ -1,11 +1,9 @@
-"""Tests for the placement memo as a shared, persistable store.
+"""Tests for the placement memo as a shared, in-process store.
 
 Covers the :class:`~repro.placement.memo.PlacementMemo` store semantics
-(pickle-stable sentinels, counted lookups, per-key derivation guards), its
-acceptance properties — a warm memo must return plans byte-identical to a
-cold one, persistence must survive a simulated controller restart, and a
-corrupted/stale memo file must degrade to a cold solve — plus the
-stale-table guard (:class:`~repro.exceptions.StaleMemoError`), the memo
+(distinct sentinels, counted lookups, per-key derivation guards), its
+acceptance property — a warm memo must return plans byte-identical to a
+cold one — plus the stale-table guard (:class:`~repro.exceptions.StaleMemoError`), the memo
 counters surfaced through the service/coordinator summaries, and the
 ``ExhaustivePlacer``'s reuse of the vectorised interval scorer.
 """
@@ -13,8 +11,6 @@ counters surfaced through the service/coordinator summaries, and the
 from __future__ import annotations
 
 import asyncio
-import os
-import pickle
 import sys
 import threading
 
@@ -22,7 +18,7 @@ import pytest
 from oracles.dp_reference import ReferencePlacer
 from test_placement_scale import plan_key
 
-from repro.core import ClickINC, DeployRequest, INCService
+from repro.core import DeployRequest, INCService
 from repro.core.cache import ArtifactCache
 from repro.exceptions import PlacementError, StaleMemoError
 from repro.frontend import compile_template
@@ -34,7 +30,7 @@ from repro.placement import (
     build_block_dag,
 )
 from repro.placement.intra import PackingTable
-from repro.placement.memo import INFEASIBLE, MEMO_FILE_FORMAT, MISS
+from repro.placement.memo import INFEASIBLE, MISS
 from repro.placement.objective import ObjectiveWeights, PlacementObjective
 from repro.placement.scoring import IntervalScorer
 from repro.sharding import ShardCoordinator
@@ -74,18 +70,9 @@ def plan_key(plan):
 
 
 # --------------------------------------------------------------------- #
-# sentinels (cross a restart inside persisted memo files)
+# sentinels
 # --------------------------------------------------------------------- #
 class TestSentinels:
-    def test_pickle_preserves_identity(self):
-        assert pickle.loads(pickle.dumps(MISS)) is MISS
-        assert pickle.loads(pickle.dumps(INFEASIBLE)) is INFEASIBLE
-
-    def test_identity_survives_nesting(self):
-        payload = {"entries": [(("k",), INFEASIBLE, ("d",))]}
-        clone = pickle.loads(pickle.dumps(payload))
-        assert clone["entries"][0][1] is INFEASIBLE
-
     def test_sentinels_are_distinct(self):
         assert MISS is not INFEASIBLE
 
@@ -101,7 +88,7 @@ class TestSharedMemoStore:
 
     def test_clear_empties_store(self):
         memo = PlacementMemo()
-        memo.store_interval(("iv",), 1.0, ("sw0",))
+        memo.store_interval(("iv",), 1.0)
         dropped = memo.clear()
         assert dropped == 1
         assert len(memo) == 0
@@ -217,153 +204,6 @@ class TestSingleFlight:
 
 
 # --------------------------------------------------------------------- #
-# persistence
-# --------------------------------------------------------------------- #
-class TestPersistence:
-    def test_file_layout_is_format_one(self, tmp_path):
-        """The persisted layout is a contract with files already on disk."""
-        path = str(tmp_path / "memo.bin")
-        memo = PlacementMemo()
-        placer = DPPlacer(build_fattree(k=4), memo=memo)
-        placer.place(placement_request(0, "kvs_layout"))
-        written = memo.save(path, placer.topology)
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        assert set(payload) == {"format", "topology", "fingerprints",
-                                "entries"}
-        assert payload["format"] == MEMO_FILE_FORMAT == 1
-        assert payload["fingerprints"] == placer.topology.device_fingerprints()
-        assert len(payload["entries"]) == written == len(memo)
-        for store, key, value, names in payload["entries"]:
-            assert store in ("device", "interval", "table")
-            assert isinstance(key, tuple) and isinstance(names, tuple)
-
-        fresh = PlacementMemo()
-        assert fresh.restore(path, build_fattree(k=4)) == written
-        assert fresh.sizes() == memo.sizes()
-
-    def test_truncated_file_cold_solves(self, tmp_path):
-        path = str(tmp_path / "memo.bin")
-        memo = PlacementMemo()
-        placer = DPPlacer(build_fattree(k=4), memo=memo)
-        placer.place(placement_request(0, "kvs_trunc"))
-        memo.save(path, placer.topology)
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(blob[: len(blob) // 2])
-
-        fresh = PlacementMemo()
-        assert fresh.restore(path, build_fattree(k=4)) == 0
-        assert fresh.counters.restore_rejected == 1
-        assert len(fresh) == 0
-
-    def test_round_trip_across_restart(self, tmp_path):
-        path = str(tmp_path / "memo.bin")
-        request = placement_request(0, "kvs_persist")
-
-        memo = PlacementMemo()
-        placer = DPPlacer(build_fattree(k=4), memo=memo)
-        reference = plan_key(placer.place(request))
-        persisted = memo.save(path, placer.topology)
-        assert persisted == memo.counters.persisted_entries > 0
-
-        # simulated restart: fresh topology object, fresh memo, same file
-        topo = build_fattree(k=4)
-        restored_memo = PlacementMemo()
-        restored = restored_memo.restore(path, topo)
-        assert restored == persisted
-        assert restored_memo.counters.restored_entries == restored
-
-        warm = DPPlacer(topo, memo=restored_memo)
-        plan = warm.place(request)
-        assert plan_key(plan) == reference
-        # every sub-tree table came from the restored file
-        assert warm.profile.counters.summary()["subtree_solves"] == 0
-
-    def test_controller_restart_via_memo_path(self, tmp_path):
-        path = str(tmp_path / "memo.bin")
-        topo = build_fattree(k=4)
-
-        first = ClickINC(topo, generate_code=False, memo_path=path)
-        try:
-            report = first.deploy_many([tenant_request(0, "mp0")])[0]
-            assert report.succeeded
-        finally:
-            first.close()   # best-effort save on close
-        assert os.path.exists(path)
-
-        # the restarted controller sees the same (post-commit) topology, so
-        # the save-time fingerprints match and every entry is admitted
-        second = ClickINC(topo, generate_code=False, memo_path=path)
-        try:
-            assert second.memo.counters.restored_entries > 0
-            follow_up = second.deploy_many([tenant_request(1, "mp1")])[0]
-            assert follow_up.succeeded
-        finally:
-            second.close()
-
-    def test_corrupted_file_cold_solves(self, tmp_path):
-        path = str(tmp_path / "memo.bin")
-        with open(path, "wb") as handle:
-            handle.write(b"not a memo file")
-
-        topo = build_fattree(k=4)
-        memo = PlacementMemo()
-        assert memo.restore(path, topo) == 0
-        assert memo.counters.restore_rejected == 1
-        assert memo.counters.restored_entries == 0
-        # the controller path takes the same fallback without raising
-        controller = ClickINC(topo, generate_code=False, memo_path=path)
-        try:
-            assert controller.memo.counters.restore_rejected == 1
-            report = controller.deploy_many([tenant_request(0, "cor")])[0]
-            assert report.succeeded
-        finally:
-            controller.close()
-
-    def test_wrong_format_version_rejected(self, tmp_path):
-        path = str(tmp_path / "memo.bin")
-        with open(path, "wb") as handle:
-            pickle.dump({"format": -1, "topology": "x", "fingerprints": {},
-                         "entries": []}, handle)
-        memo = PlacementMemo()
-        assert memo.restore(path, build_fattree(k=4)) == 0
-        assert memo.counters.restore_rejected == 1
-
-    def test_structural_mismatch_rejected(self, tmp_path):
-        path = str(tmp_path / "memo.bin")
-        memo = PlacementMemo()
-        placer = DPPlacer(build_fattree(k=4), memo=memo)
-        placer.place(placement_request(0, "kvs_struct"))
-        assert memo.save(path, placer.topology) > 0
-
-        other = PlacementMemo()
-        assert other.restore(path, build_fattree(k=8)) == 0
-        assert other.counters.restore_rejected == 1
-
-    def test_allocation_drift_drops_only_stale_entries(self, tmp_path):
-        path = str(tmp_path / "memo.bin")
-        memo = PlacementMemo()
-        placer = DPPlacer(build_fattree(k=4), memo=memo)
-        placer.place(placement_request(0, "kvs_drift"))
-        persisted = memo.save(path, placer.topology)
-
-        # the restarted fabric drifted on a pod-0 device the search consulted
-        topo = build_fattree(k=4)
-        topo.devices["ToR0_0"].allocate_stage(0, {"instructions": 4.0})
-
-        restored_memo = PlacementMemo()
-        restored = restored_memo.restore(path, topo)
-        assert 0 < restored < persisted
-        # the admitted remainder still serves a cold-start placement
-        plan = DPPlacer(topo, memo=restored_memo).place(
-            placement_request(0, "kvs_drift")
-        )
-        assert plan.is_complete()
-
-
-# --------------------------------------------------------------------- #
 # stale-table guard
 # --------------------------------------------------------------------- #
 class TestStaleGuard:
@@ -375,10 +215,9 @@ class TestStaleGuard:
 
         # rewrite every memoised table's consultation stamps to a state the
         # live topology never had — a memo-served table must now be refused
-        for key, (value, names) in list(memo._stores["table"].items()):
-            ids, table, stamps = value
+        for key, (ids, table, stamps) in list(memo._stores["table"].items()):
             poisoned = tuple((name, "poisoned") for name, _ in stamps)
-            memo.store_table(key, (ids, table, poisoned), names)
+            memo.store_table(key, (ids, table, poisoned))
 
         with pytest.raises(StaleMemoError):
             placer.place(request)
@@ -459,9 +298,7 @@ class TestSummaries:
 
         summary = asyncio.run(drive())
         memo = summary["memo"]
-        for field in ("hits", "shared_hits", "misses", "restored_entries",
-                      "persisted_entries", "restore_rejected",
-                      "stale_rejections"):
+        for field in ("hits", "shared_hits", "misses", "stale_rejections"):
             assert field in memo
         assert not [key for key in memo
                     if key.startswith("delta_") or key in (
