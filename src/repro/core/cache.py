@@ -55,9 +55,15 @@ from repro.topology.network import NetworkTopology
 _NAME_ALIAS = "@program"
 
 
+#: one encoder for every key (``json.dumps`` with options builds one per
+#: call); encoding keeps no state on it, so threads may share it
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              default=str)
+
+
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON rendering used for all cache keys."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    return _CANONICAL.encode(payload)
 
 
 def content_key(namespace: str, *parts: Any) -> str:

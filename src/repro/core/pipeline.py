@@ -36,6 +36,7 @@ they were before the deployment started.
 
 from __future__ import annotations
 
+import hashlib
 import time
 import weakref
 from contextlib import nullcontext
@@ -58,7 +59,7 @@ from repro.obs import Observability
 from repro.obs.trace import TraceContext
 from repro.placement.blocks import BlockDAG
 from repro.placement.dp import DPPlacer, PlacementRequest
-from repro.placement.plan import PlacementPlan
+from repro.placement.plan import BlockAssignment, PlacementPlan
 from repro.synthesis.incremental import IncrementalSynthesizer, SynthesisDelta
 from repro.topology.network import NetworkTopology
 
@@ -292,8 +293,8 @@ def rebrand_plan(plan: PlacementPlan, program: IRProgram) -> PlacementPlan:
         program_name=program.name,
         block_dag=new_dag,
         assignments=[
-            replace(a, device_names=list(a.device_names),
-                    stage_assignments=dict(a.stage_assignments))
+            BlockAssignment(a.block_id, a.ec_id, list(a.device_names),
+                            a.step, dict(a.stage_assignments), a.replicated)
             for a in plan.assignments
         ],
         gain=plan.gain,
@@ -303,9 +304,7 @@ def rebrand_plan(plan: PlacementPlan, program: IRProgram) -> PlacementPlan:
         transfer_bits=plan.transfer_bits,
         metadata=dict(plan.metadata),
         program_fingerprint=plan.program_fingerprint,
-        device_fingerprints=dict(plan.device_fingerprints),
-        epoch=plan.epoch,
-        shard_epochs=dict(plan.shard_epochs),
+        device_states=dict(plan.device_states),
     )
 
 
@@ -444,11 +443,11 @@ class CompilationPipeline:
 
         The key covers the name-normalised program content, every placement
         parameter, the structural signature of the request's reduced tree
-        and the live allocation fingerprints of exactly the devices a search
-        over that tree consults (:meth:`DPPlacer.routed_tree`, memoised per
-        forwarding epoch).  The search reads nothing else, so a hit is the
-        plan it would make; a status or link flip moves the tree or a
-        consulted fingerprint, and with it the key.
+        and the live allocation-state digests of exactly the devices a
+        search over that tree consults (:meth:`DPPlacer.routed_tree`,
+        memoised per forwarding epoch).  The search reads nothing else, so a
+        hit is the plan it would make; a status or link flip moves the tree
+        or a consulted state, and with it the key.
         """
         routed = self.placer.routed_tree(placement_request)
         return self.cache.make_key(
@@ -462,7 +461,7 @@ class CompilationPipeline:
             placement_request.adaptive_weights,
             placement_request.prune,
             routed.signature,
-            routed.fingerprints(),
+            [state.digest for state in routed.states().values()],
         )
 
     # ------------------------------------------------------------------ #
@@ -571,11 +570,14 @@ class CompilationPipeline:
                     if plan.program_fingerprint is not None:
                         # the snippet is a function of the program content
                         # and name, the device and the blocks it hosts
-                        # (their instruction uids pin the block partition)
-                        key = self.cache.make_key(
-                            "codegen", device.dev_type, device_name,
-                            plan.program_name, plan.program_fingerprint,
-                            blocks[device_name])
+                        # (their instruction uids pin the block partition).
+                        # Every part is a str or int, so their repr is as
+                        # canonical as JSON and far cheaper, once per
+                        # device of every commit
+                        key = "codegen:" + hashlib.sha256(repr((
+                            device.dev_type, device_name, plan.program_name,
+                            plan.program_fingerprint, blocks[device_name],
+                        )).encode("utf-8")).hexdigest()
                     device_sources[device_name] = generate_for_device(
                         device, snippet, cache=self.cache, key=key
                     )
@@ -627,11 +629,12 @@ class CompilationPipeline:
         self.placer.memo.counters.increment("hits" if hit else "misses")
         if hit:
             plan = rebrand_plan(cached, placement_request.program)
-            # the key embeds the live fingerprints of every consulted
+            # the key embeds the live state digests of every consulted
             # device, so a hit proves they are content-identical to
-            # placement time; re-stamp the epoch so validation fast-paths
-            # on the live value
-            plan.epoch = self.topology.allocation_epoch()
+            # placement time; the plan records the live states
+            devices = self.topology.devices
+            plan.device_states = {name: devices[name].state
+                                  for name in plan.device_states}
             self._memo_hit_hist.observe(time.perf_counter() - lookup_start)
             return plan, True
         plan = self.placer.place(placement_request)
@@ -670,9 +673,9 @@ class CompilationPipeline:
         mid-removal re-installs the already-released layers before
         re-raising, so no resources are stranded without a record.  No
         cache is touched: plan-cache and memo keys embed the allocation
-        fingerprints of the devices they consulted, the release just
-        restored them, and the entries stamped against the restored state
-        are the next ones asked for.
+        states of the devices they consulted, the release just restored
+        them, and the entries stamped against the restored state are the
+        next ones asked for.
         """
         delta = self.synthesizer.remove_program(name, lazy=lazy)
         try:

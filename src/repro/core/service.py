@@ -100,11 +100,9 @@ class INCService:
         its fabric (shared pipeline, cache and deployed programs).  A
         coordinator or controller handed in is not closed by the service.
     max_wave:
-        Upper bound on submissions batched into one compile wave.
-    max_pending:
-        Capacity of each admission lane; beyond it, ``submit``/``remove``
-        apply backpressure (the awaiting caller blocks until the lane
-        drains).  ``0`` means unbounded.
+        Upper bound on submissions batched into one compile wave.  The
+        per-shard admission lanes are unbounded: on the wire, the gateway's
+        scheduler (``queue_capacity``) bounds what is admitted.
     sharded, partition:
         The partition a topology is served under: ``partition`` when given,
         else one shard per pod when ``sharded``, else the whole fabric as
@@ -112,7 +110,7 @@ class INCService:
     """
 
     def __init__(self, controller_or_topology, *,
-                 max_wave: int = 8, max_pending: int = 0,
+                 max_wave: int = 8,
                  sharded: bool = False, partition=None,
                  obs: Optional[Observability] = None,
                  **controller_kwargs) -> None:
@@ -148,7 +146,6 @@ class INCService:
         #: controller when the partition has one region)
         self.controller = self.coordinator.inter
         self.max_wave = max(1, int(max_wave))
-        self.max_pending = max(0, int(max_pending))
         # the coordinator's counter bag, already on the metrics registry:
         # cross-shard commits / aborted prepares / per-shard breakdowns show
         # up in the service-level summary without any double counting
@@ -190,9 +187,7 @@ class INCService:
             return
         loop = asyncio.get_running_loop()
         for shard_id in sorted(self.coordinator.shards):
-            queue: "asyncio.Queue[_Admission]" = asyncio.Queue(
-                maxsize=self.max_pending
-            )
+            queue: "asyncio.Queue[_Admission]" = asyncio.Queue()
             self._lanes[shard_id] = queue
             self._lane_tasks.append(loop.create_task(
                 self._dispatch_loop(queue, shard_id)

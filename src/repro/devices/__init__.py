@@ -15,9 +15,9 @@ can be described with plain strings.
 """
 
 from repro.devices.base import (
+    AllocState,
     Architecture,
     Device,
-    DeviceResources,
     PipelineDevice,
     RTCDevice,
     StageResources,
@@ -29,9 +29,9 @@ from repro.devices.fpga import XilinxFPGADevice
 from repro.devices.registry import DEVICE_FACTORIES, make_device
 
 __all__ = [
+    "AllocState",
     "Architecture",
     "Device",
-    "DeviceResources",
     "PipelineDevice",
     "RTCDevice",
     "StageResources",

@@ -4,7 +4,9 @@ The placement algorithms treat a device as (i) a capability-class filter and
 (ii) a vector of resource capacities, organised either per pipeline stage
 (pipeline devices) or as a single pool (run-to-completion devices).  This
 module defines that abstraction plus the bookkeeping for allocating and
-releasing resources as programs are deployed and removed.
+releasing resources as programs are deployed and removed: a device's
+allocation is an immutable, interned :class:`AllocState` that every change
+replaces, so readers hold a consistent value instead of live counters.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ResourceExhaustedError
 from repro.ir.instructions import (
@@ -48,7 +52,8 @@ RESOURCE_KEYS = (
 
 @dataclass
 class StageResources:
-    """Resource capacities of a single pipeline stage (or RTC core pool)."""
+    """Resource capacities and usage of one pipeline stage (or RTC core
+    pool): a device model's constructor input and ``Device.stages``' view."""
 
     capacities: Dict[str, float] = field(default_factory=dict)
     used: Dict[str, float] = field(default_factory=dict)
@@ -60,28 +65,6 @@ class StageResources:
     def available(self, key: str) -> float:
         return self.capacities.get(key, 0.0) - self.used.get(key, 0.0)
 
-    def can_fit(self, demand: Dict[str, float]) -> bool:
-        return all(
-            self.available(key) >= amount
-            for key, amount in demand.items()
-            if amount > 0
-        )
-
-    def allocate(self, demand: Dict[str, float]) -> None:
-        if not self.can_fit(demand):
-            raise ResourceExhaustedError(
-                f"stage cannot fit demand {demand}; available="
-                f"{ {k: self.available(k) for k in demand} }"
-            )
-        for key, amount in demand.items():
-            if amount > 0:
-                self.used[key] = self.used.get(key, 0.0) + amount
-
-    def release(self, demand: Dict[str, float]) -> None:
-        for key, amount in demand.items():
-            if amount > 0:
-                self.used[key] = max(0.0, self.used.get(key, 0.0) - amount)
-
     def utilisation(self) -> float:
         ratios = [
             self.used.get(key, 0.0) / cap
@@ -90,18 +73,160 @@ class StageResources:
         ]
         return max(ratios) if ratios else 0.0
 
-    def copy(self) -> "StageResources":
-        return StageResources(dict(self.capacities), dict(self.used))
+
+#: ``(stage index, {resource key: amount})`` pairs, applied in order
+StageDemands = Iterable[Tuple[int, Dict[str, float]]]
+
+_interned: "weakref.WeakValueDictionary[tuple, AllocState]" = (
+    weakref.WeakValueDictionary())
+_intern_lock = threading.Lock()
 
 
-@dataclass
-class DeviceResources:
-    """All resources of a device: one :class:`StageResources` per stage."""
+class _Capacities(tuple):
+    """A model's per-stage ``(key, capacity)`` pairs, hashed once: every
+    allocation change interns a state keyed on them."""
 
-    stages: List[StageResources] = field(default_factory=list)
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
 
-    def copy(self) -> "DeviceResources":
-        return DeviceResources([stage.copy() for stage in self.stages])
+    def __reduce__(self):
+        # the cached hash is per process (string hashing is salted)
+        return _Capacities, (tuple(self),)
+
+    def slots(self, index: int) -> Dict[str, int]:
+        """Position of each resource key in stage *index*'s pairs."""
+        try:
+            return self._slots[index]
+        except AttributeError:
+            self._slots = [{key: slot for slot, (key, _) in enumerate(stage)}
+                           for stage in self]
+            return self._slots[index]
+
+
+class AllocState:
+    """One device's allocation state, as an immutable interned value.
+
+    ``capacities`` holds per stage the model's ``(key, capacity)`` pairs
+    and ``usage`` the amount used of each, in the same order.  Every demand
+    is a multiple of 1/8192 KB or a count, so the floats add and subtract
+    exactly.  ``occupancy`` is the name-blind multiset of the deployed
+    programs' block lists.  Equal content is one object (held in a weak
+    table), so "has the device changed since?" is ``is``, and the
+    :attr:`digest` and :meth:`stage_availability` are derived once per
+    state however many devices, searches and plans share it.
+    """
+
+    __slots__ = ("capacities", "usage", "occupancy", "status",
+                 "topology_version", "_digest", "_availability", "_stages",
+                 "__weakref__")
+
+    def __new__(cls, capacities: tuple, usage: tuple, occupancy: tuple = (),
+                status: str = "up", topology_version: int = 0) -> "AllocState":
+        content = (capacities, usage, occupancy, status, topology_version)
+        with _intern_lock:
+            state = _interned.get(content)
+            if state is None:
+                state = super().__new__(cls)
+                for name, value in zip(cls.__slots__, content + (None,) * 3):
+                    object.__setattr__(state, name, value)
+                _interned[content] = state
+        return state
+
+    def __reduce__(self):
+        # unpickled, a state is this process's interned one
+        return AllocState, (self.capacities, self.usage, self.occupancy,
+                            self.status, self.topology_version)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("AllocState is immutable")
+
+    def replace(self, usage: Optional[tuple] = None,
+                occupancy: Optional[tuple] = None, status: Optional[str] = None,
+                topology_version: Optional[int] = None) -> "AllocState":
+        return AllocState(
+            self.capacities, self.usage if usage is None else usage,
+            self.occupancy if occupancy is None else occupancy,
+            status or self.status,
+            self.topology_version if topology_version is None
+            else topology_version)
+
+    def charge(self, demands: StageDemands, release: bool = False) -> tuple:
+        """The usage after allocating (or releasing) *demands*.
+
+        An allocation that does not fit raises
+        :class:`~repro.exceptions.ResourceExhaustedError`; a release never
+        takes a usage below zero.  Untouched stages keep their tuples.
+        """
+        usage = list(self.usage)
+        for index, demand in demands:
+            capacities = self.capacities[index]
+            slots = self.capacities.slots(index)
+            used = list(usage[index])
+            for key, amount in demand.items():
+                if amount <= 0:
+                    continue
+                slot = slots.get(key)
+                if release:
+                    if slot is not None:
+                        used[slot] = max(0.0, used[slot] - amount)
+                elif slot is None or capacities[slot][1] - used[slot] < amount:
+                    free = {k: capacities[slots[k]][1] - usage[index][slots[k]]
+                            for k in demand if k in slots}
+                    raise ResourceExhaustedError(
+                        f"stage cannot fit demand {demand}; available={free}")
+                else:
+                    used[slot] += amount
+            usage[index] = tuple(used)
+        return tuple(usage)
+
+    @property
+    def digest(self) -> str:
+        """Name-blind hash of everything a placement search reads from the
+        device: usage, occupancy, status and topology version."""
+        if self._digest is None:
+            payload = [self.occupancy,
+                       [sorted(zip((key for key, _ in capacities), used))
+                        for capacities, used in zip(self.capacities,
+                                                    self.usage)],
+                       self.status, self.topology_version]
+            rendered = json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":"), default=str)
+            object.__setattr__(self, "_digest", hashlib.sha256(
+                rendered.encode("utf-8")).hexdigest())
+        return self._digest
+
+    def stage_availability(self) -> List[Dict[str, float]]:
+        """``capacity - used`` per stage, keyed in capacity-key order: the
+        read-only view Algorithm 2 packs against (do not mutate it)."""
+        if self._availability is None:
+            object.__setattr__(self, "_availability", [
+                {key: capacity - used for (key, capacity), used
+                 in zip(capacities, usage)}
+                for capacities, usage in zip(self.capacities, self.usage)])
+        return self._availability
+
+    def remaining_ratio(self) -> float:
+        """Fraction of total resources still free (used by adaptive weights)."""
+        ratios = [max(0.0, available[key]) / capacity
+                  for capacities, available in zip(self.capacities,
+                                                   self.stage_availability())
+                  for key, capacity in capacities if capacity > 0]
+        return sum(ratios) / len(ratios) if ratios else 1.0
+
+    @property
+    def stages(self) -> Tuple[StageResources, ...]:
+        """Per-stage :class:`StageResources` copies of this state (a read
+        view: mutating one changes no device)."""
+        if self._stages is None:
+            object.__setattr__(self, "_stages", tuple(
+                StageResources(dict(capacities),
+                               dict(zip((key for key, _ in capacities), used)))
+                for capacities, used in zip(self.capacities, self.usage)))
+        return self._stages
 
 
 class Device:
@@ -142,39 +267,46 @@ class Device:
         self.supported_classes: FrozenSet[InstrClass] = frozenset(supported_classes) | {
             InstrClass.META
         }
-        self.stages: List[StageResources] = list(stages)
         self.bandwidth_gbps = bandwidth_gbps
         self.processing_latency_ns = processing_latency_ns
+        #: program name -> its block ids here; written only where
+        #: :attr:`state` is replaced, so its occupancy stays in step
         self.deployed_programs: Dict[str, List[int]] = {}
-        #: Operational status: ``"up"`` (serving), ``"drain"`` (administratively
-        #: excluded from forwarding and placement, state still readable) or
-        #: ``"down"`` (failed; forwarding, placement and state all lost).
-        self.status: str = "up"
-        #: Counter bumped by the topology when the device's *surroundings*
-        #: change (an adjacent link fails, flaps or is removed).  It is part
-        #: of the allocation fingerprint, so plans placed before the change
-        #: stop validating even though the device's own allocations are
-        #: untouched.
-        self.topology_version: int = 0
-        #: Monotonic counter bumped on every allocation change.  The topology
-        #: sums these into its allocation epoch, so "did anything change?"
-        #: is an integer comparison rather than a full re-hash.
-        self.alloc_version: int = 0
+        #: usage, occupancy, status (``"up"``; ``"drain"``: no forwarding or
+        #: placement, state readable; ``"down"``: all lost) and topology
+        #: version (bumped by an adjacent link change); every change
+        #: replaces it
+        self.state = AllocState(
+            _Capacities(tuple(stage.capacities.items()) for stage in stages),
+            tuple(tuple(float(stage.used.get(key, 0.0))
+                        for key in stage.capacities) for stage in stages),
+        )
         #: Monotonic counter bumped only when *routing* can change: a status
         #: flip or an adjacent link change.  Allocations leave it alone, so
         #: the topology's forwarding-graph and path caches (keyed on the sum
         #: of these) survive commits and releases.  It lives on the device so
         #: a flip made through any shard view is seen by every other one.
         self.forwarding_version: int = 0
-        self._fingerprint_cache: tuple = (-1, "")
-        self._availability_cache: tuple = (-1, [])
+
+    @property
+    def stages(self) -> Tuple[StageResources, ...]:
+        """Read view of the current state's stages."""
+        return self.state.stages
+
+    @property
+    def status(self) -> str:
+        return self.state.status
+
+    @property
+    def topology_version(self) -> int:
+        return self.state.topology_version
 
     # ------------------------------------------------------------------ #
     # capability checks
     # ------------------------------------------------------------------ #
     @property
     def num_stages(self) -> int:
-        return len(self.stages)
+        return len(self.state.capacities)
 
     def supports_class(self, cls: InstrClass) -> bool:
         return cls in self.supported_classes
@@ -249,84 +381,50 @@ class Device:
             for key, value in self.instruction_demand(instr).items():
                 total[key] = total.get(key, 0.0) + value
         available: Dict[str, float] = {}
-        for stage in self.stages:
+        for free in self.state.stage_availability():
             for key in total:
-                available[key] = available.get(key, 0.0) + stage.available(key)
+                available[key] = available.get(key, 0.0) + free.get(key, 0.0)
         return all(available.get(key, 0.0) >= value for key, value in total.items())
 
     def remaining_ratio(self) -> float:
         """Fraction of total resources still free (used by adaptive weights)."""
-        total = 0.0
-        free = 0.0
-        for stage in self.stages:
-            for key, cap in stage.capacities.items():
-                if cap <= 0:
-                    continue
-                total += 1.0
-                free += max(0.0, stage.available(key)) / cap
-        return free / total if total else 1.0
+        return self.state.remaining_ratio()
 
     def utilisation(self) -> float:
         return 1.0 - self.remaining_ratio()
 
+    def commit(self, demands: StageDemands, program: Optional[str] = None,
+               blocks: Sequence[int] = ()) -> None:
+        """Allocate *demands*, recording *blocks* under *program*: one new
+        state.  A demand that does not fit raises and changes nothing."""
+        usage = self.state.charge(demands)
+        if program is not None:
+            self.deployed_programs.setdefault(program, []).extend(blocks)
+        self.state = self.state.replace(usage, self._occupancy())
+
+    def release(self, demands: StageDemands,
+                program: Optional[str] = None) -> None:
+        """Release *demands* and forget *program*: one new state."""
+        usage = self.state.charge(demands, release=True)
+        if program is not None:
+            self.deployed_programs.pop(program, None)
+        self.state = self.state.replace(usage, self._occupancy())
+
     def allocate_stage(self, stage_index: int, demand: Dict[str, float]) -> None:
-        self.stages[stage_index].allocate(demand)
-        self.alloc_version += 1
+        self.commit([(stage_index, demand)])
 
     def release_stage(self, stage_index: int, demand: Dict[str, float]) -> None:
-        self.stages[stage_index].release(demand)
-        self.alloc_version += 1
+        self.release([(stage_index, demand)])
 
-    def stage_availability(self) -> List[Dict[str, float]]:
-        """``capacity - used`` per stage, keyed in capacity-key order.
-
-        The read-only view Algorithm 2 packs against.  Memoised per
-        :attr:`alloc_version` like :meth:`allocation_fingerprint`, so the
-        dozens of packing runs of one commit-free search share one snapshot
-        per device; callers must not mutate it.
-        """
-        version = self.alloc_version
-        cached_version, cached = self._availability_cache
-        if cached_version == version:
-            return cached
-        snapshot = [
-            {key: capacity - stage.used.get(key, 0.0)
-             for key, capacity in stage.capacities.items()}
-            for stage in self.stages
-        ]
-        self._availability_cache = (version, snapshot)
-        return snapshot
+    def _occupancy(self) -> tuple:
+        # name-blind: equivalent programs under other tenant names reach the
+        # same state, so written-back plans hit again after a re-submit
+        return tuple(sorted(tuple(sorted(blocks))
+                            for blocks in self.deployed_programs.values()))
 
     def allocation_fingerprint(self) -> str:
-        """Stable hash of this device's current resource allocations.
-
-        The fingerprint covers everything a placement search reads from the
-        device — per-stage usage and the set of deployed programs — so it
-        changes exactly when a commit or release could alter a placement
-        decision.  Speculative plans record it per consulted device and the
-        commit step revalidates it (optimistic concurrency control).  The
-        hash is memoised per :attr:`alloc_version`, so repeated fingerprint
-        sweeps between commits cost one integer comparison per device.
-        """
-        version, cached = self._fingerprint_cache
-        if version == self.alloc_version:
-            return cached
-        # the placement search is name-blind — it reads resource availability
-        # and occupancy structure, never tenant names — so the fingerprint
-        # normalises names away: a state reached by *equivalent* programs
-        # under different tenant names hashes identically, which is what lets
-        # written-back plans hit again after a remove/re-submit cycle
-        payload = [
-            sorted(sorted(blocks) for blocks in self.deployed_programs.values()),
-            [sorted(stage.used.items()) for stage in self.stages],
-            self.status,
-            self.topology_version,
-        ]
-        rendered = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                              default=str)
-        fingerprint = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
-        self._fingerprint_cache = (self.alloc_version, fingerprint)
-        return fingerprint
+        """The current state's :attr:`AllocState.digest`."""
+        return self.state.digest
 
     # ------------------------------------------------------------------ #
     # operational status
@@ -338,40 +436,30 @@ class Device:
     def set_status(self, status: str) -> bool:
         """Change the operational status; returns True if it changed.
 
-        A status flip bumps :attr:`alloc_version` (it is part of the
-        fingerprint payload), so plans placed against the old status stop
-        validating and cached placements keyed on the old topology
-        fingerprint can no longer hit.
+        The status is part of the state, so plans placed against the old
+        status stop validating and cache keys built from the old state can
+        no longer hit.
         """
         if status not in ("up", "drain", "down"):
             raise ValueError(f"unknown device status {status!r}")
         if status == self.status:
             return False
-        self.status = status
-        self.alloc_version += 1
+        self.state = self.state.replace(status=status)
         self.forwarding_version += 1
         return True
 
     def bump_topology_version(self) -> None:
         """Record an adjacent structural change (link failure/removal)."""
-        self.topology_version += 1
-        self.alloc_version += 1
+        self.state = self.state.replace(
+            topology_version=self.topology_version + 1)
         self.forwarding_version += 1
-
-    def snapshot(self) -> List[StageResources]:
-        """Copy of per-stage resource usage, for rollback during search."""
-        return [stage.copy() for stage in self.stages]
-
-    def restore(self, snapshot: List[StageResources]) -> None:
-        self.stages = [stage.copy() for stage in snapshot]
-        self.alloc_version += 1
 
     def reset(self) -> None:
         """Release every allocation on this device."""
-        for stage in self.stages:
-            stage.used = {key: 0.0 for key in stage.capacities}
         self.deployed_programs.clear()
-        self.alloc_version += 1
+        self.state = self.state.replace(
+            usage=tuple((0.0,) * len(stage) for stage in self.state.usage),
+            occupancy=())
 
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:  # pragma: no cover

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.exceptions import LanguageError
 from repro.frontend.expansion import expand_templates, unroll_loops
 from repro.frontend.folding import ConstantEnv
 from repro.frontend.lowering import Lowerer
@@ -46,11 +47,16 @@ class FrontendCompiler:
         for field_name, width in (header_fields or {}).items():
             program.declare_header_field(HeaderField(name=field_name, width=width))
 
-        statements = expand_templates(module.body, env, program_name)
-        statements = unroll_loops(statements, env)
-
-        lowerer = Lowerer(program, env)
-        lowerer.lower_statements(statements)
+        try:
+            statements = expand_templates(module.body, env, program_name)
+            statements = unroll_loops(statements, env)
+            Lowerer(program, env).lower_statements(statements)
+        except RecursionError as exc:
+            # the passes recurse over the tree, so a nesting the parser
+            # just accepted can still exhaust the stack here
+            raise LanguageError(
+                f"{program_name}: the program nests too deeply to compile"
+            ) from exc
 
         if self.verify:
             verify_program(program)

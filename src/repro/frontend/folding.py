@@ -10,7 +10,8 @@ compile-time constant.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import builtins
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import UnrollError
 from repro.lang import ast_nodes as cn
@@ -66,60 +67,70 @@ _CMP_EVAL = {
 }
 
 
-def try_eval(expr: cn.Expr, env: ConstantEnv) -> Optional[object]:
+#: ``id(node) -> (node, value)``: the values of the nodes one
+#: :func:`try_eval` memo has evaluated (the node is kept so its id is not
+#: reused while the memo lives)
+FoldMemo = Dict[int, Tuple[cn.Expr, Optional[object]]]
+
+
+def try_eval(expr: cn.Expr, env: ConstantEnv,
+             memo: Optional[FoldMemo] = None) -> Optional[object]:
     """Evaluate *expr* to a Python value if it is a compile-time constant.
 
     Returns ``None`` when the expression depends on runtime data (packet
     header fields, table lookups, ...).  Note the value ``None`` itself is a
     valid constant (``vals != None``); callers that need to distinguish should
-    use :func:`is_constant`.
+    use :func:`is_constant`.  With *memo* — valid for one unchanging *env* —
+    every node is evaluated once however often it or an enclosing
+    expression is asked about, so folding a tree costs linear time.
     """
+    if memo is not None:
+        hit = memo.get(id(expr))
+        if hit is not None and hit[0] is expr:
+            return hit[1]
+    value: Optional[object] = None
     if isinstance(expr, cn.Constant):
-        return expr.value
-    if isinstance(expr, cn.Name):
-        return env.get(expr.ident) if expr.ident in env else None
-    if isinstance(expr, cn.BinOp):
-        left = try_eval(expr.left, env)
-        right = try_eval(expr.right, env)
-        if left is None or right is None:
-            return None
-        try:
-            return _BIN_EVAL[expr.op](left, right)
-        except (ZeroDivisionError, TypeError, KeyError):
-            return None
-    if isinstance(expr, cn.UnaryOp):
-        value = try_eval(expr.operand, env)
-        if value is None:
-            return None
-        if expr.op == "-":
-            return -value
-        if expr.op == "~":
-            return ~value
-        if expr.op == "not":
-            return not value
-        return value
-    if isinstance(expr, cn.Compare):
-        left = try_eval(expr.left, env)
-        right = try_eval(expr.right, env)
-        if left is None or right is None:
-            return None
-        func = _CMP_EVAL.get(expr.op)
-        return func(left, right) if func else None
-    if isinstance(expr, cn.Call):
-        args = [try_eval(a, env) for a in expr.args]
-        if any(a is None for a in args):
-            return None
-        if expr.func == "len" and len(args) == 1 and hasattr(args[0], "__len__"):
-            return len(args[0])
-        if expr.func in ("min", "max", "sum", "abs", "pow", "round") and args:
+        value = expr.value
+    elif isinstance(expr, cn.Name):
+        value = env.get(expr.ident) if expr.ident in env else None
+    elif isinstance(expr, cn.BinOp):
+        left = try_eval(expr.left, env, memo)
+        right = try_eval(expr.right, env, memo)
+        if left is not None and right is not None:
             try:
-                return getattr(__builtins__, expr.func)(*args)  # type: ignore[arg-type]
-            except (AttributeError, TypeError):
-                import builtins
-
-                return getattr(builtins, expr.func)(*args)
-        return None
-    return None
+                value = _BIN_EVAL[expr.op](left, right)
+            except (ZeroDivisionError, TypeError, KeyError):
+                value = None
+    elif isinstance(expr, cn.UnaryOp):
+        operand = try_eval(expr.operand, env, memo)
+        if operand is None:
+            value = None
+        elif expr.op == "-":
+            value = -operand
+        elif expr.op == "~":
+            value = ~operand
+        elif expr.op == "not":
+            value = not operand
+        else:
+            value = operand
+    elif isinstance(expr, cn.Compare):
+        left = try_eval(expr.left, env, memo)
+        right = try_eval(expr.right, env, memo)
+        func = _CMP_EVAL.get(expr.op)
+        if left is not None and right is not None and func is not None:
+            value = func(left, right)
+    elif isinstance(expr, cn.Call):
+        args = [try_eval(a, env, memo) for a in expr.args]
+        if any(a is None for a in args):
+            value = None
+        elif (expr.func == "len" and len(args) == 1
+                and hasattr(args[0], "__len__")):
+            value = len(args[0])
+        elif expr.func in ("min", "max", "sum", "abs", "pow", "round") and args:
+            value = getattr(builtins, expr.func)(*args)
+    if memo is not None:
+        memo[id(expr)] = (expr, value)
+    return value
 
 
 def is_constant(expr: cn.Expr, env: ConstantEnv) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Union
 
 from repro.exceptions import CompileError
-from repro.frontend.folding import ConstantEnv, try_eval
+from repro.frontend.folding import ConstantEnv, FoldMemo, try_eval
 from repro.ir.instructions import Opcode
 from repro.ir.program import IRProgram
 from repro.lang import ast_nodes as cn
@@ -98,6 +98,12 @@ class Lowerer:
 
     def __init__(self, program: IRProgram, env: ConstantEnv) -> None:
         self.ctx = LoweringContext(program, env)
+        # lowering never rebinds the environment, so one fold memo serves
+        # the whole program: each expression node is folded once
+        self._folds: FoldMemo = {}
+
+    def _fold(self, expr: cn.Expr) -> Optional[object]:
+        return try_eval(expr, self.ctx.env, self._folds)
 
     # ------------------------------------------------------------------ #
     # statements
@@ -138,7 +144,7 @@ class Lowerer:
             if isinstance(value, str) and value in self.ctx.env:
                 kwargs[key] = self.ctx.env.get(value)
             elif isinstance(value, cn.Expr.__args__ if hasattr(cn.Expr, "__args__") else tuple()):
-                folded = try_eval(value, self.ctx.env)
+                folded = self._fold(value)
                 if folded is not None:
                     kwargs[key] = folded
         spec = make_object(stmt.kind, stmt.name, **_plain_kwargs(kwargs))
@@ -230,7 +236,7 @@ class Lowerer:
     # expressions
     # ------------------------------------------------------------------ #
     def lower_expr(self, expr: cn.Expr, guard: Optional[str]) -> Operand:
-        folded = try_eval(expr, self.ctx.env)
+        folded = self._fold(expr)
         if folded is not None and isinstance(folded, (int, float, bool)):
             return int(folded) if isinstance(folded, bool) else folded
         if isinstance(expr, cn.Constant):
@@ -286,14 +292,14 @@ class Lowerer:
 
     def lower_condition(self, expr: cn.Expr, guard: Optional[str]) -> str:
         """Lower a predicate expression into a 1-bit temporary."""
-        folded = try_eval(expr, self.ctx.env)
+        folded = self._fold(expr)
         if isinstance(folded, bool):
             dst = self.ctx.new_temp("const")
             self.ctx.program.emit(Opcode.MOV, dst, int(folded), width=1, guard=guard)
             return dst
         if isinstance(expr, cn.Compare):
             left = self.lower_expr(expr.left, guard)
-            right_value = try_eval(expr.right, self.ctx.env)
+            right_value = self._fold(expr.right)
             if isinstance(expr.right, cn.Constant) and expr.right.value is None:
                 # "x != None" / "x == None" compare against the table-miss
                 # sentinel (-1 in the emulator's lookup convention).
@@ -650,7 +656,7 @@ class Lowerer:
         if isinstance(expr, cn.FieldRef):
             return expr.qualified
         if isinstance(expr, cn.IndexRef) and isinstance(expr.base, cn.FieldRef):
-            index = try_eval(expr.index, self.ctx.env)
+            index = self._fold(expr.index)
             if index is not None:
                 return f"{expr.base.qualified}[{int(index)}]"
         if isinstance(expr, cn.Constant) and isinstance(expr.value, str):
@@ -660,7 +666,7 @@ class Lowerer:
     def _lower_indexed_load(self, expr: cn.IndexRef, guard: Optional[str]) -> Operand:
         # header vector access: hdr.feat[index]
         if isinstance(expr.base, cn.FieldRef):
-            index = try_eval(expr.index, self.ctx.env)
+            index = self._fold(expr.index)
             if index is not None:
                 return f"{expr.base.qualified}[{int(index)}]"
             index_op = self.lower_expr(expr.index, guard)
@@ -680,7 +686,7 @@ class Lowerer:
             return dst
         # list accumulator indexing with a constant index
         if isinstance(expr.base, cn.Name) and expr.base.ident in self.ctx.list_vars:
-            index = try_eval(expr.index, self.ctx.env)
+            index = self._fold(expr.index)
             if index is None:
                 raise CompileError("list accumulators only support constant indices")
             return self.ctx.list_vars[expr.base.ident][int(index)]
@@ -690,7 +696,7 @@ class Lowerer:
                              guard: Optional[str]) -> None:
         value_op = self.lower_expr(value, guard)
         if isinstance(target.base, cn.FieldRef):
-            index = try_eval(target.index, self.ctx.env)
+            index = self._fold(target.index)
             index_op: Operand = (
                 int(index) if index is not None else self.lower_expr(target.index, guard)
             )

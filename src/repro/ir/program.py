@@ -236,13 +236,15 @@ class IRProgram:
         for fld in self._header_fields.values():
             clone.declare_header_field(fld)
         for instr in self._instructions:
-            kept = instr.copy()
-            if kept.owner == old_name:
-                kept.owner = new_name
-            kept.annotations = {
-                new_name if a == old_name else a for a in kept.annotations
-            }
-            clone.append(kept)
+            # built in one step (not copy-then-patch): this runs on every
+            # program-cache hit, once per instruction
+            clone.append(Instruction(
+                instr.opcode, instr.dst, instr.operands, instr.state,
+                instr.guard, instr.guard_negated, instr.width,
+                new_name if instr.owner == old_name else instr.owner,
+                instr.uid,
+                {new_name if a == old_name else a for a in instr.annotations},
+            ))
         return clone
 
     def prefix_mapping(self, prefix: str) -> Dict[str, str]:

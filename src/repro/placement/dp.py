@@ -21,9 +21,9 @@ plan-identical to the seed search, which the differential tests in
 * **incremental DP** — feasibility checks, interval gains and whole
   sub-tree DP tables are memoised across ``place()`` calls in a
   :class:`~repro.placement.memo.PlacementMemo`.  Keys are content-addressed
-  (program fingerprint + device allocation fingerprints), so after a single
-  device's allocation changes only the sub-solutions that consulted that
-  device miss; everything else replays from the memo.
+  (program fingerprint + device allocation-state digests), so after a
+  single device's allocation changes only the sub-solutions that consulted
+  that device miss; everything else replays from the memo.
 * **equivalence-class pruning** — symmetric sub-trees (e.g. the identical
   pods of a fat-tree) share one DP solve: a recursive name-blind
   :func:`~repro.topology.equivalence.subtree_signature` routes isomorphic
@@ -54,8 +54,9 @@ import hashlib
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.devices.base import AllocState
 from repro.exceptions import (
     PlacementConflictError,
     PlacementError,
@@ -145,7 +146,7 @@ class RoutedTree:
     ``ec.members`` plus its ``bypass``, sorted by name (``consulted``) — and
     ``signature`` digests the tree's structure: ids, members, bypasses,
     sides, traffic shares and shape.  Two searches of one program content
-    with equal signatures and equal allocation fingerprints on ``devices``
+    with equal signatures and equal allocation states on ``devices``
     return the same plan.
     """
 
@@ -167,10 +168,10 @@ class RoutedTree:
         self.signature = hashlib.sha256(
             repr(shape).encode("utf-8")).hexdigest()[:32]
 
-    def fingerprints(self) -> List[str]:
-        """Live allocation fingerprints of the consulted devices, in
-        ``consulted`` order."""
-        return [device.allocation_fingerprint() for device in self.devices]
+    def states(self) -> Dict[str, AllocState]:
+        """The live allocation states of the consulted devices, in
+        ``consulted`` order: the snapshot a search reads."""
+        return {device.name: device.state for device in self.devices}
 
 
 @dataclass
@@ -191,11 +192,14 @@ class _IntervalPacker:
     materialisation reuses the assignments the search already derived and
     packs only the intervals the memo answered — and the tally of runs and
     visited rows.  It is referenced by nothing that outlives ``place()``.
+    It packs against the allocation states in *states* (the search's
+    snapshot), or a device's live state when it has none.
     """
 
-    def __init__(self, table: PackingTable,
-                 ordered_blocks: Sequence[Block]) -> None:
+    def __init__(self, table: PackingTable, ordered_blocks: Sequence[Block],
+                 states: Optional[Mapping[str, AllocState]] = None) -> None:
         self.table = table
+        self._states = states or {}
         self.packing_runs = 0
         self.packed_instructions = 0
         self._blocks = ordered_blocks
@@ -217,7 +221,8 @@ class _IntervalPacker:
         key = (device.name, start, end)
         if key not in self._outcomes:
             self._outcomes[key] = self.table.pack(
-                device, self.rows(start, end), tally=self)
+                device, self.rows(start, end), tally=self,
+                state=self._states.get(device.name))
         return self._outcomes[key]
 
 
@@ -230,20 +235,19 @@ class _SearchContext:
     packer and the per-call caches (node content digests, sub-tree
     signatures, hoisted per-node objective weights, gain rows).
 
-    It also records every consulted device's ``alloc_version`` when the
-    search begins.  The search reads the shared ``Device`` objects without
-    a lock (the cross-shard speculative search runs while pod shards
-    commit), so a memo entry is stored only if every device it names is
-    still at that version (:meth:`unchanged`): its key and its value were
-    then both read from one allocation state.  Otherwise the search uses
-    the value and does not store it; its plan is rejected by the commit's
-    epoch check anyway.
+    Everything it reads about the devices comes from ``states``, the
+    consulted devices' allocation states taken when the search begins, never
+    from the live devices: the search runs without a lock (the cross-shard
+    speculative search runs while pod shards commit), and a memo key and
+    its value are then read from one state by construction.  A commit that
+    lands mid-search changes a live state, which the plan's validation at
+    commit time sees.
     """
 
     def __init__(self, placer: "DPPlacer", facts: ProgramFacts,
                  block_dag: BlockDAG, routed: RoutedTree,
-                 objective: PlacementObjective,
-                 request: PlacementRequest) -> None:
+                 objective: PlacementObjective, request: PlacementRequest,
+                 states: Mapping[str, AllocState]) -> None:
         self.topology = placer.topology
         self.memo = placer.memo
         self.counters = placer.profile.counters
@@ -251,9 +255,8 @@ class _SearchContext:
         self.num_blocks = len(facts.order)
         self.objective = objective
         self.request = request
-        self.packer = _IntervalPacker(facts.table, facts.order)
-        self._versions = {device.name: device.alloc_version
-                          for device in routed.devices}
+        self.states = states
+        self.packer = _IntervalPacker(facts.table, facts.order, states)
         self.scorer = IntervalScorer(block_dag, facts.order, objective,
                                      matrices=facts.matrices)
         # The context digest pins everything a sub-solution's value depends
@@ -285,13 +288,6 @@ class _SearchContext:
         # LRU-maintaining memo lookup
         self._local_evals: Dict[Tuple[int, int, int], Optional[float]] = {}
 
-    def unchanged(self, devices: Iterable) -> bool:
-        """Whether none of *devices* changed allocation since the search
-        began — the condition for storing a memo entry that names them."""
-        versions = self._versions
-        return all(device.alloc_version == versions[device.name]
-                   for device in devices)
-
     # -- per-node caches ---------------------------------------------------
     def node_devices(self, node: ReducedNode) -> Tuple[list, list]:
         cached = self._node_devices.get(id(node))
@@ -304,12 +300,12 @@ class _SearchContext:
         return cached
 
     def node_weights(self, node: ReducedNode) -> ObjectiveWeights:
-        # device allocations are frozen during the commit-free search, so
-        # the adaptive weights are a per-node constant and can be hoisted
+        # the search reads one snapshot, so the adaptive weights are a
+        # per-node constant and can be hoisted
         weights = self._node_weights.get(id(node))
         if weights is None:
-            devices, _ = self.node_devices(node)
-            weights = self.objective.current_weights(devices)
+            weights = self.objective.current_weights(
+                self.states[name] for name in node.ec.members)
             self._node_weights[id(node)] = weights
         return weights
 
@@ -317,13 +313,15 @@ class _SearchContext:
         digest = self._node_digests.get(id(node))
         if digest is None:
             digest = hashlib.sha256(
-                repr(node_content_key(node, self.topology)).encode("utf-8")
+                repr(node_content_key(node, self.topology, self.states)
+                     ).encode("utf-8")
             ).hexdigest()[:32]
             self._node_digests[id(node)] = digest
         return digest
 
     def subtree_digest(self, node: ReducedNode) -> str:
-        return subtree_signature(node, self.topology, self._signatures)
+        return subtree_signature(node, self.topology, self._signatures,
+                                 self.states)
 
     def subtree_device_names(self, node: ReducedNode) -> List[str]:
         names: List[str] = []
@@ -336,40 +334,38 @@ class _SearchContext:
         return names
 
     def table_stamps(self, node: ReducedNode) -> Tuple[Tuple[str, str], ...]:
-        """Allocation fingerprints of every device a sub-tree table consults.
+        """State digests of every device a sub-tree table consults.
 
         Stored alongside the table and re-checked by
         :meth:`verify_table_stamps` before a memo hit is trusted — the
         runtime guard behind the memo's content-addressing invariant.
         """
-        return tuple(
-            (name, self.topology.device(name).allocation_fingerprint())
-            for name in self.subtree_device_names(node)
-        )
+        return tuple((name, self.states[name].digest)
+                     for name in self.subtree_device_names(node))
 
     def verify_table_stamps(self, stamps: Sequence[Tuple[str, str]],
                             node: ReducedNode) -> None:
         """Raise :class:`StaleMemoError` if a stamped device drifted.
 
-        The memo's table keys embed every consulted device's allocation
-        fingerprint (via the recursive sub-tree signature), so signature
-        equality implies fingerprint equality position by position: the
+        The memo's table keys embed every consulted device's state digest
+        (via the recursive sub-tree signature), so signature equality
+        implies digest equality position by position: the
         stamps were taken in the DFS pre-order of the sub-tree the table was
         derived on, and an equal signature makes that pre-order correspond
         to *node*'s own (the correspondence :meth:`remap_table` replays the
-        table through).  Each stamp is therefore checked against the local
-        device at its position, whatever that device is called — symmetric
-        reuse legitimately serves pod B a table derived on pod A, where a
-        device named like one of A's may sit at another position.  A stamp
-        that disagrees means the invariant was violated somewhere (a
-        mutation that bypassed the ``alloc_version`` bump, an entry injected
-        under a wrong key) and placing from the table could double-book
-        resources, so the placer refuses instead of silently continuing.
+        table through).  Each stamp is therefore checked against the snapshot
+        state of the local device at its position, whatever that device is
+        called — symmetric reuse legitimately serves pod B a table derived
+        on pod A, where a device named like one of A's may sit at another
+        position.  A stamp that disagrees means the invariant was violated
+        somewhere (an entry injected under a wrong key) and placing from the
+        table could double-book resources, so the placer refuses instead of
+        silently continuing.
         """
         stale = []
         local = self.subtree_device_names(node)
-        for (_stamped, fingerprint), name in zip(stamps, local):
-            if self.topology.device(name).allocation_fingerprint() != fingerprint:
+        for (_stamped, digest), name in zip(stamps, local):
+            if self.states[name].digest != digest:
                 stale.append(name)
         if stale:
             self.memo.counters.increment("stale_rejections", by=len(stale))
@@ -403,14 +399,13 @@ class _SearchContext:
         """Memoised Algorithm 2 feasibility for one device and interval."""
         self.counters.increment("device_checks")
         key = (self.context_digest, start, end, device.dev_type,
-               device.allocation_fingerprint())
+               self.states[device.name].digest)
         cached = self.memo.lookup_device(key)
         if cached is not MISS:
             self.counters.increment("device_memo_hits")
             return bool(cached)
         feasible = self.packer.pack(device, start, end) is not None
-        if self.unchanged((device,)):
-            self.memo.store_device(key, feasible)
+        self.memo.store_device(key, feasible)
         return feasible
 
     def eval_interval(self, node: ReducedNode, start: int,
@@ -448,8 +443,7 @@ class _SearchContext:
                 break
         else:
             gain = self.gain(node, start, end)
-        if self.unchanged(devices + bypass_devices):
-            self.memo.store_interval(key, INFEASIBLE if gain is None else gain)
+        self.memo.store_interval(key, INFEASIBLE if gain is None else gain)
         return gain
 
     # -- sub-tree table reuse ----------------------------------------------
@@ -515,11 +509,12 @@ class DPPlacer:
     def place(self, request: PlacementRequest) -> PlacementPlan:
         """Compute a *speculative* placement plan for *request*.
 
-        The search is commit-free: it reads device allocations but never
-        mutates them, so independent requests can be placed concurrently
-        (controller shards do, from their own threads).  The returned plan records the allocation fingerprints of
-        every device consulted; :meth:`commit` applies the plan's resources
-        and can revalidate those fingerprints first (see :meth:`validate`).
+        The search is commit-free: it reads a snapshot of the consulted
+        devices' allocation states, taken when it starts, and never mutates
+        them, so independent requests can be placed concurrently (controller
+        shards do, from their own threads).  The returned plan records that
+        snapshot; :meth:`commit` applies the plan's resources and can first
+        check that every recorded state is still live (see :meth:`validate`).
 
         Raises :class:`~repro.exceptions.PlacementError` when no feasible
         placement exists on the devices along the requested paths.
@@ -532,7 +527,9 @@ class DPPlacer:
         with timers.stage("reduce_tree"):
             routed = self.routed_tree(request)
         objective = self._make_objective(block_dag, routed.tree, request)
-        ctx = _SearchContext(self, facts, block_dag, routed, objective, request)
+        states = routed.states()
+        ctx = _SearchContext(self, facts, block_dag, routed, objective,
+                             request, states)
 
         try:
             with timers.stage("search"):
@@ -551,7 +548,7 @@ class DPPlacer:
                     elapsed, ctx.packer
                 )
                 plan.program_fingerprint = request.program_fingerprint()
-                self._stamp_fingerprints(plan, routed)
+                plan.device_states = states
         finally:
             counters = self.profile.counters
             counters.increment("packing_runs", by=ctx.packer.packing_runs)
@@ -618,73 +615,43 @@ class DPPlacer:
         self.profile.counters.increment("program_facts_derived")
         return store.offer(key, derive_program_facts(request.program, *key))
 
-    def _stamp_fingerprints(self, plan: PlacementPlan,
-                            routed: RoutedTree) -> None:
-        """Record the allocation state the speculative search was based on."""
-        plan.device_fingerprints = dict(zip(routed.consulted,
-                                            routed.fingerprints()))
-        plan.epoch = self.topology.allocation_epoch()
-
     def validate(self, plan: PlacementPlan,
                  restrict: Optional[Collection[str]] = None) -> List[str]:
-        """Names of consulted devices whose allocations changed since *plan*.
+        """Consulted devices whose allocation state is no longer the one
+        *plan* was searched against (one ``is`` per device).
 
         An empty list means the plan is still exactly the one a sequential
         placement against the live topology would produce, so it can be
-        committed as-is.  An unchanged topology allocation epoch proves no
-        device changed at all, skipping the per-device fingerprint sweep
-        entirely; the fingerprints remain the fallback for plans placed
-        against an older epoch (e.g. a cross-shard plan placed before a
-        commit landed).  Plans without fingerprints (hand-built, or from
-        older cache entries) validate trivially.
-
-        With *restrict*, only the named devices are checked — the shard
-        prepare phase of a cross-shard two-phase commit validates a plan
-        against each touched shard's own device set (this placer's topology
-        being the shard view), ignoring consulted devices that belong to
-        other shards.  Consulted devices unknown to this placer's topology
-        are skipped for the same reason.
+        committed as-is; a plan without recorded states validates
+        trivially.  With *restrict*, only the named devices are checked,
+        and consulted devices unknown to this placer's topology are
+        skipped: a cross-shard prepare validates against each touched
+        shard's own view.
         """
         with self.profile.timers.stage("validate"):
-            return self._validate(plan, restrict)
-
-    def _validate(self, plan: PlacementPlan,
-                  restrict: Optional[Collection[str]] = None) -> List[str]:
-        if restrict is None:
-            if (plan.epoch is not None
-                    and plan.epoch == self.topology.allocation_epoch()):
-                return []
-        if plan.device_fingerprints:
             known = self.topology.devices
-            selected = {
-                name: fingerprint
-                for name, fingerprint in plan.device_fingerprints.items()
-                if name in known and (restrict is None or name in restrict)
-            }
-            live = self.topology.device_fingerprints(selected)
             conflicts = sorted(
-                name for name, fingerprint in selected.items()
-                if live.get(name) != fingerprint
+                name for name, state in plan.device_states.items()
+                if name in known and (restrict is None or name in restrict)
+                and known[name].state is not state
             )
-            if restrict is None and len(selected) < len(plan.device_fingerprints):
+            if restrict is None:
                 # consulted devices this topology has never heard of cannot
                 # be revalidated here — flag them rather than committing a
                 # plan whose world we can only partially see
                 conflicts.extend(sorted(
-                    name for name in plan.device_fingerprints
-                    if name not in known
-                ))
+                    name for name in plan.device_states if name not in known))
             return conflicts
-        return []
 
     def commit(self, plan: PlacementPlan, validate: bool = False) -> None:
         """Allocate the plan's resources on the topology's devices.
 
-        With ``validate=True`` the plan's recorded device fingerprints are
+        With ``validate=True`` the plan's recorded device states are
         checked first and a
         :class:`~repro.exceptions.PlacementConflictError` is raised (before
         any allocation) when another commit has touched a consulted device —
         the caller should re-place sequentially against the live topology.
+        A device gets one new state per assignment it hosts.
         """
         if validate:
             conflicts = self.validate(plan)
@@ -695,25 +662,17 @@ class DPPlacer:
                     conflicts=conflicts,
                 )
         for assignment in plan.assignments:
-            for device_name, stage_assignment in assignment.stage_assignments.items():
-                device = self.topology.device(device_name)
-                for stage, demand in stage_assignment.stage_demands.items():
-                    device.allocate_stage(stage, demand)
-                device.deployed_programs.setdefault(plan.program_name, []).append(
-                    assignment.block_id
-                )
-                # deployed_programs is part of the fingerprint payload
-                device.alloc_version += 1
+            for name, placed in assignment.stage_assignments.items():
+                self.topology.device(name).commit(
+                    placed.stage_demands.items(), plan.program_name,
+                    [assignment.block_id])
 
     def release(self, plan: PlacementPlan) -> None:
         """Release a previously committed plan's resources."""
         for assignment in plan.assignments:
-            for device_name, stage_assignment in assignment.stage_assignments.items():
-                device = self.topology.device(device_name)
-                for stage, demand in stage_assignment.stage_demands.items():
-                    device.release_stage(stage, demand)
-                device.deployed_programs.pop(plan.program_name, None)
-                device.alloc_version += 1
+            for name, placed in assignment.stage_assignments.items():
+                self.topology.device(name).release(
+                    placed.stage_demands.items(), plan.program_name)
 
     # ------------------------------------------------------------------ #
     # DP core
@@ -846,8 +805,8 @@ class DPPlacer:
         """Serve a sub-tree DP table from the memo, or derive and store it.
 
         A hit is trusted only after :meth:`_SearchContext.verify_table_stamps`
-        confirms the stored table's consulted devices still carry the
-        allocation fingerprints recorded at derivation time.  On a miss the
+        confirms the stored table's consulted devices carry, in the search's
+        snapshot, the state digests recorded at derivation time.  On a miss the
         derive runs under the memo's per-key single-flight guard, so
         concurrent users (controller shards on symmetric pods) solve each
         distinct sub-tree once: the second thread blocks, then hits on its
@@ -880,12 +839,8 @@ class DPPlacer:
                          node: ReducedNode, solve) -> Dict[int, _Candidate]:
         ctx.counters.increment("subtree_solves")
         table = solve()
-        names = ctx.subtree_device_names(node)
-        if ctx.unchanged(map(self.topology.device, names)):
-            ctx.memo.store_table(
-                table_key,
-                (subtree_class_ids(node), table, ctx.table_stamps(node)),
-            )
+        ctx.memo.store_table(
+            table_key, (subtree_class_ids(node), table, ctx.table_stamps(node)))
         return table
 
     def _client_dp_table(self, node: ReducedNode,

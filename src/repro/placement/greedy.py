@@ -81,8 +81,8 @@ class GreedySinglePathPlacer:
             1, len(self.topology.paths_between_groups(source_group, destination_group))
         )
         # the greedy search consulted exactly the devices of the chosen path
-        plan.device_fingerprints = self.topology.device_fingerprints(path)
-        plan.epoch = self.topology.allocation_epoch()
+        plan.device_states = {name: self.topology.device(name).state
+                              for name in sorted(path)}
         if not plan.is_complete():
             raise PlacementError(
                 f"greedy single-path placement could not fit {program.name!r} "
@@ -135,8 +135,6 @@ class ReplicateAllPlacer:
             )
         plan.compile_time_s = time.perf_counter() - start_time
         plan.gain = 1.0 - plan.normalized_resource() * 0.25
-        plan.device_fingerprints = self.topology.device_fingerprints(
-            [device.name for device in devices]
-        )
-        plan.epoch = self.topology.allocation_epoch()
+        plan.device_states = {device.name: device.state
+                              for device in sorted(devices, key=lambda d: d.name)}
         return plan

@@ -26,8 +26,8 @@ module is built around **one packing loop fed from a packing table**:
   uid order, and the set of capability classes (one subset test against
   ``device.supported_classes`` replaces a per-instruction loop).
 * what is a fact of the *device* — ``capacity − used`` per stage — comes
-  from :meth:`~repro.devices.base.Device.stage_availability`, a snapshot
-  memoised per ``alloc_version``.
+  from :meth:`~repro.devices.base.AllocState.stage_availability` of the
+  allocation state packed against, computed once per state.
 
 :meth:`PackingTable.pack` is the only first-fit loop in ``src/``; its inner
 loop touches tuples and plain dicts only.  A table is immutable once built:
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.devices.base import Architecture, Device
+from repro.devices.base import AllocState, Architecture, Device
 from repro.ir.instructions import InstrClass, Instruction
 from repro.ir.program import IRProgram
 
@@ -133,8 +133,10 @@ class PackingTable:
 
     # ------------------------------------------------------------------ #
     def pack(self, device: Device, rows: PackingRows, start_stage: int = 0,
-             tally=None) -> Optional[StageAssignment]:
-        """Pack *rows* onto *device*; ``None`` when they cannot be placed.
+             tally=None, state: Optional[AllocState] = None
+             ) -> Optional[StageAssignment]:
+        """Pack *rows* onto *device* in allocation *state* (default: its
+        current one); ``None`` when they cannot be placed.
 
         Read-only on the device (the demands in the returned assignment let
         the caller commit later) and on the table.  *tally* — any object
@@ -142,23 +144,25 @@ class PackingTable:
         owned by the caller's search — gets one run and the rows this run
         visited, feasible or not, added to it.
         """
-        assignment, visited = self._first_fit(device, rows, start_stage)
+        assignment, visited = self._first_fit(device, rows, start_stage,
+                                              state or device.state)
         if tally is not None:
             tally.packing_runs += 1
             tally.packed_instructions += visited
         return assignment
 
-    def _first_fit(self, device: Device, rows: PackingRows, start_stage: int
+    def _first_fit(self, device: Device, rows: PackingRows, start_stage: int,
+                   state: AllocState
                    ) -> Tuple[Optional[StageAssignment], int]:
         """The assignment (or ``None``) and how many rows were visited."""
         if not rows.ordered:
             return StageAssignment(device.name, {}, {}, 0, 0), 0
         if not rows.classes <= device.supported_classes:
             return None, 0
+        available = state.stage_availability()
         if device.architecture is Architecture.RTC:
-            return self._spread_rtc(device, rows), len(rows.ordered)
+            return self._spread_rtc(device, rows, available), len(rows.ordered)
 
-        available = device.stage_availability()
         num_stages = len(available)
         trial: List[Dict[str, float]] = [{} for _ in range(num_stages)]
         # producer stage per variable, to respect dependencies inside the set
@@ -229,8 +233,9 @@ class PackingTable:
             instruction_count=len(rows.ordered),
         ), visited
 
-    def _spread_rtc(self, device: Device,
-                    rows: PackingRows) -> Optional[StageAssignment]:
+    def _spread_rtc(self, device: Device, rows: PackingRows,
+                    available: List[Dict[str, float]]
+                    ) -> Optional[StageAssignment]:
         """RTC devices only need aggregate resource checks (paper Eq. 7)."""
         total = dict.fromkeys(self.demand_keys, 0.0)
         states = set()
@@ -245,7 +250,7 @@ class PackingTable:
 
         # greedily spread over islands (pseudo-stages), filling each in turn
         stage_demands: Dict[int, Dict[str, float]] = {}
-        for index, free in enumerate(device.stage_availability()):
+        for index, free in enumerate(available):
             if all(amount <= 0 for amount in total.values()):
                 break
             take: Dict[str, float] = {}
@@ -294,11 +299,9 @@ class IntraDeviceAllocator:
         table = PackingTable(program, instructions)
         assignment = table.pack(self.device, table.select(), start_stage)
         if assignment is not None and commit:
-            for stage, demand in assignment.stage_demands.items():
-                self.device.allocate_stage(stage, demand)
+            self.device.commit(assignment.stage_demands.items())
         return assignment
 
     def release(self, assignment: StageAssignment) -> None:
         """Release a previously committed assignment."""
-        for stage, demand in assignment.stage_demands.items():
-            self.device.release_stage(stage, demand)
+        self.device.release(assignment.stage_demands.items())

@@ -6,7 +6,7 @@ kinds of sub-solutions, each cached here across ``place()`` calls:
 * **device feasibility** — can this device (plus bypass fallbacks) host this
   block interval?  One Algorithm 2 packing run per *distinct* key; symmetric
   devices share the answer because the key is the device's *content*
-  (type + allocation fingerprint), not its name.
+  (type + allocation-state digest), not its name.
 * **interval gains** — the Eq. 1 gain of hosting an interval on a reduced
   node, keyed on the node's content signature.
 * **sub-tree tables** — whole ``_client_dp`` / ``_server_dp`` DP tables,
@@ -14,20 +14,18 @@ kinds of sub-solutions, each cached here across ``place()`` calls:
   every isomorphic sibling reuses the table via ec-id correspondence.
 
 Every key embeds a *context digest* (normalised program fingerprint, block
-parameters, objective normalisation constants) and the allocation
-fingerprints of every device the sub-solution consulted
-(:meth:`~repro.devices.base.Device.allocation_fingerprint`).  Keys are
-therefore **content-addressed**: any allocation change on a consulted device
-changes its fingerprint and routes the lookup to a fresh key, so a
-superseded entry can never be returned — and when a removal restores the
-allocation, the fingerprint and therefore the key come back and the entry
-hits again.  That is why nothing prunes by device: the entry a commit or a
-release would drop is the next one asked for.  The memo is bounded by
-``max_entries`` in total and LRU is its only eviction.  The other half of
-the invariant is on the storing side: a search stores an entry only if no
-device it names changed allocation while the search ran, so a commit that
-lands mid-search cannot file a value derived from one state under the key
-of another.
+parameters, objective normalisation constants) and the allocation-state
+digests of every device the sub-solution consulted
+(:attr:`~repro.devices.base.AllocState.digest`).  Keys are therefore
+**content-addressed**: any allocation change on a consulted device gives it
+a new state and routes the lookup to a fresh key, so a superseded entry can
+never be returned — and when a removal restores the allocation, the state
+and therefore the key come back and the entry hits again.  That is why
+nothing prunes by device: the entry a commit or a release would drop is the
+next one asked for.  The memo is bounded by ``max_entries`` in total and LRU
+is its only eviction.  A search reads one snapshot of the device states, so
+the key and the value of every entry it stores come from one state, even
+when a commit lands mid-search.
 
 The store is locked (controller shards run in threads over one memo) and
 counts its lookups; per-key single-flight guards keep concurrent users from
@@ -139,7 +137,7 @@ class PlacementMemo:
 
     One memo handed to every controller shard is what lets shard A's pod
     sub-tree table warm shard B (all keys are name-blind and
-    fingerprint-addressed, so reuse across shard views is sound by
+    content-addressed, so reuse across shard views is sound by
     construction).  Every public operation is thread-safe — controller
     shards run in threads and share one ``Device`` world, hence potentially
     one memo — and lookups are counted (:attr:`counters`).  Next to the

@@ -17,9 +17,9 @@ fills up resource conservation dominates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
-from repro.devices.base import Device
+from repro.devices.base import AllocState, Device
 
 
 @dataclass
@@ -74,7 +74,9 @@ class PlacementObjective:
         self.base_weights = weights or ObjectiveWeights.fixed()
         self.adaptive = adaptive
 
-    def current_weights(self, devices: Iterable[Device]) -> ObjectiveWeights:
+    def current_weights(self, devices: Iterable[Union[Device, AllocState]]
+                        ) -> ObjectiveWeights:
+        """The weights for *devices* (or their allocation states)."""
         if not self.adaptive:
             return self.base_weights
         devices = list(devices)

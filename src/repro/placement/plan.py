@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.devices.base import AllocState
 from repro.exceptions import PlacementError
 from repro.ir.program import IRProgram
 from repro.placement.blocks import BlockDAG
@@ -51,21 +52,17 @@ class PlacementPlan:
     #: Name-normalised content fingerprint of the placed program, computed
     #: once per request by the search; the code generator keys on it.
     program_fingerprint: Optional[str] = None
-    #: Allocation fingerprints of every device the placement search consulted
-    #: (not just the devices the plan uses).  If these all still match at
-    #: commit time the plan is provably the one a sequential placement under
-    #: the live topology would produce; any mismatch is a conflict.
-    device_fingerprints: Dict[str, str] = field(default_factory=dict)
-    #: Topology allocation epoch the plan was placed against.  An unchanged
-    #: epoch at commit time short-circuits validation (nothing can have
-    #: changed); a changed epoch falls back to the fingerprint comparison.
-    epoch: Optional[int] = None
-    #: Per-shard allocation epochs for cross-shard plans: ``shard id ->
-    #: shard-view epoch`` at speculative-placement time.  A shard whose
-    #: view epoch is unchanged at prepare time can vote to commit with one
-    #: integer comparison; a changed epoch falls back to the fingerprint
-    #: sweep restricted to that shard's devices.
-    shard_epochs: Dict[str, int] = field(default_factory=dict)
+    #: The allocation state of every device the placement search consulted
+    #: (not just the devices the plan uses), as the search read it.  If
+    #: every one is still the live state at commit time the plan is
+    #: provably the one a sequential placement under the live topology
+    #: would produce; any other state is a conflict.
+    device_states: Dict[str, AllocState] = field(default_factory=dict)
+
+    @property
+    def device_fingerprints(self) -> Dict[str, str]:
+        """The digests of :attr:`device_states`."""
+        return {name: state.digest for name, state in self.device_states.items()}
 
     # ------------------------------------------------------------------ #
     # queries

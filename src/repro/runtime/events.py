@@ -3,8 +3,6 @@
 A :class:`TopologyEvent` is one observed change of the network underneath
 the running deployments: a device failing, draining or recovering, a link
 flapping or being removed, or a device running hot under emulated traffic.
-Events carry the allocation epoch at which they were observed, so consumers
-can order them against placement commits.
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ class TopologyEvent:
     link:
         The ``(a, b)`` endpoint pair for link events, lexicographically
         ordered; ``None`` for device events.
-    epoch:
-        The topology allocation epoch when the event was observed.
     detail:
         Free-form diagnostics (e.g. overload counters).
     """
@@ -58,7 +54,6 @@ class TopologyEvent:
     kind: str
     device: str
     link: Optional[Tuple[str, str]] = None
-    epoch: int = 0
     detail: Dict[str, object] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -77,4 +72,4 @@ class TopologyEvent:
         return self.kind in MIGRATION_KINDS
 
     def __repr__(self) -> str:
-        return f"TopologyEvent({self.kind}, {self.subject}, epoch={self.epoch})"
+        return f"TopologyEvent({self.kind}, {self.subject})"

@@ -94,7 +94,6 @@ class HealthMonitor:
             self._obs.events.emit(
                 "topology_event", kind=event.kind, device=event.device,
                 link=list(event.link) if event.link else None,
-                epoch=event.epoch,
             )
         for callback in list(self._subscribers):
             callback(event)
@@ -126,7 +125,6 @@ class HealthMonitor:
 
     def poll(self) -> List[TopologyEvent]:
         """Diff the live topology against the last snapshot; emit changes."""
-        epoch = self.topology.allocation_epoch()
         emitted: List[TopologyEvent] = []
         for name, device in self.topology.devices.items():
             previous = self._device_status.get(name, "up")
@@ -134,7 +132,6 @@ class HealthMonitor:
                 emitted.append(self.emit(TopologyEvent(
                     kind=_STATUS_EVENT[device.status],
                     device=name,
-                    epoch=epoch,
                     detail={"previous": previous},
                 )))
         live_links = self._current_links()
@@ -145,7 +142,6 @@ class HealthMonitor:
                     kind=LINK_DOWN if status == "down" else LINK_UP,
                     device=key[0],
                     link=key,
-                    epoch=epoch,
                     detail={"previous": previous},
                 )))
         for key in self._link_status:
@@ -154,7 +150,6 @@ class HealthMonitor:
                     kind=LINK_REMOVED,
                     device=key[0],
                     link=key,
-                    epoch=epoch,
                 )))
         self.refresh()
         return emitted
@@ -170,7 +165,6 @@ class HealthMonitor:
         """Flag devices that carried an outsized share of a run's packets."""
         if metrics.packets_sent <= 0:
             return []
-        epoch = self.topology.allocation_epoch()
         emitted: List[TopologyEvent] = []
         for name, packets in metrics.per_device_packets.items():
             if packets < self.overload_min_packets:
@@ -180,7 +174,6 @@ class HealthMonitor:
                 emitted.append(self.emit(TopologyEvent(
                     kind=DEVICE_OVERLOAD,
                     device=name,
-                    epoch=epoch,
                     detail={
                         "packets": packets,
                         "share": round(share, 4),

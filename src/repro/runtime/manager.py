@@ -5,8 +5,8 @@ sits on top of a :class:`~repro.core.controller.ClickINC` controller and
 makes committed deployments survive change:
 
 * **failures and drains** — :meth:`fail_device` / :meth:`drain_device` flip
-  the device's status (bumping the allocation epoch, so stale speculative
-  plans and cache entries stop validating) and live-migrate exactly the
+  the device's status (giving it a new allocation state, so stale
+  speculative plans and cache entries stop validating) and live-migrate exactly the
   programs whose committed plans occupy the device, found through a
   per-device owner index.  Untouched tenants keep their plans, allocations
   and emulator installs byte-for-byte.
@@ -173,10 +173,7 @@ class RuntimeManager:
         """
         self.controller.topology.set_device_status(name, "down")
         self.monitor.refresh()
-        self._emit_explicit(TopologyEvent(
-            kind=DEVICE_DOWN, device=name,
-            epoch=self.controller.topology.allocation_epoch(),
-        ))
+        self._emit_explicit(TopologyEvent(kind=DEVICE_DOWN, device=name))
         return self.migrate_device(name, trigger=DEVICE_DOWN, state_lost=True)
 
     def drain_device(self, name: str) -> MigrationReport:
@@ -187,10 +184,7 @@ class RuntimeManager:
         """
         self.controller.topology.set_device_status(name, "drain")
         self.monitor.refresh()
-        self._emit_explicit(TopologyEvent(
-            kind=DEVICE_DRAIN, device=name,
-            epoch=self.controller.topology.allocation_epoch(),
-        ))
+        self._emit_explicit(TopologyEvent(kind=DEVICE_DRAIN, device=name))
         return self.migrate_device(name, trigger=DEVICE_DRAIN,
                                    state_lost=False)
 
@@ -204,10 +198,7 @@ class RuntimeManager:
         changed = self.controller.topology.set_device_status(name, "up")
         self.monitor.refresh()
         if changed:
-            self._emit_explicit(TopologyEvent(
-                kind=DEVICE_UP, device=name,
-                epoch=self.controller.topology.allocation_epoch(),
-            ))
+            self._emit_explicit(TopologyEvent(kind=DEVICE_UP, device=name))
         return changed
 
     def fail_link(self, a: str, b: str) -> MigrationReport:
@@ -215,10 +206,8 @@ class RuntimeManager:
         self.controller.topology.set_link_status(a, b, "down")
         self.monitor.refresh()
         pair = (a, b) if a <= b else (b, a)
-        self._emit_explicit(TopologyEvent(
-            kind=LINK_DOWN, device=pair[0], link=pair,
-            epoch=self.controller.topology.allocation_epoch(),
-        ))
+        self._emit_explicit(TopologyEvent(kind=LINK_DOWN, device=pair[0],
+                                          link=pair))
         return self._migrate(
             owners=self.owners_on_link(a, b),
             trigger="link-down",

@@ -10,13 +10,12 @@ thing serial-equivalent with a deliberately small commit protocol:
   place and commit entirely inside their shard, holding only that shard's
   commit lock — shards proceed in parallel with no global lock.
 * **Cross-shard programs** go through a **two-phase commit**: the
-  speculative phase compiles and places commit-free against an
-  epoch-tagged snapshot of every touched shard's allocation state (no
-  locks held); the prepare phase then takes exactly the touched shards'
-  locks in deterministic order and asks each shard to validate the plan
-  against its own devices — an unchanged ``(shard, epoch)`` stamp is a
-  one-integer yes vote, a drifted shard triggers the fingerprint sweep
-  restricted to its view.  Any conflict **aborts** the speculative plan —
+  speculative phase compiles and places commit-free against a snapshot
+  of the consulted devices' allocation states (no locks held); the
+  prepare phase then takes exactly the touched shards' locks in
+  deterministic order and asks each shard whether the states the plan
+  recorded for its devices are still the live ones, and whether routing
+  has moved.  Any conflict **aborts** the speculative plan —
   nothing was committed, so the abort leaves no residue by construction —
   and the commit wave falls back to a serial re-place under the held
   locks, which is exactly what the equivalent serial schedule would have
@@ -26,7 +25,7 @@ thing serial-equivalent with a deliberately small commit protocol:
   new commit code.
 * **Runtime events** route to the shards that can see the subject device
   (one shard for region-local devices, every shard for border devices);
-  untouched shards see no migration work, no epoch bumps and no cache
+  untouched shards see no migration work, no state changes and no cache
   invalidation.  A migration the owning shard cannot re-place inside its
   own view **escalates to the coordinator**, which retries on the full
   fabric — the program becomes coordinator-owned (cross-shard) if that
@@ -489,20 +488,15 @@ class ShardCoordinator:
 
         # phase 1 (no locks): the pure phase, then a commit-free placement
         # — served by the inter pipeline's plan cache when it can be —
-        # against an epoch-tagged snapshot of every touched shard's
-        # allocations.  The epoch snapshot is
-        # taken BEFORE the search: the search reads the live shared
-        # topology lock-free, so only an epoch unchanged across the whole
-        # search window proves no touched shard committed mid-search
-        # (post-search fingerprints alone could match live values the
-        # search never saw).  Any mid-search commit moves an epoch and
-        # turns into a prepare abort + serial re-place.  The one placement
-        # request travels on to the commit wave.
+        # against a snapshot of the consulted devices' allocation states,
+        # which the plan records.  The routing it was reduced under is read
+        # first: a status flip that re-routes must abort even where no
+        # consulted device changed.  The one placement request travels on
+        # to the commit wave.
         spec_start = time.perf_counter()
+        routing = pipeline.topology.forwarding_epoch()
         result = pipeline.compile_batch([request])[0]
         if result.program is not None:
-            shard_epochs = {shard_id: self.shards[shard_id].allocation_epoch()
-                            for shard_id in touched}
             result.placement = pipeline.placement_request(result.program,
                                                           request)
             try:
@@ -513,7 +507,6 @@ class ShardCoordinator:
                 # locks, and reports the failure if that fails too
                 pass
             else:
-                plan.shard_epochs = shard_epochs
                 result.plan = plan
         spec_s = time.perf_counter() - spec_start
         self._2pc_hist.labels("speculative").observe(spec_s)
@@ -542,7 +535,7 @@ class ShardCoordinator:
         with self._inter_lock, self._locks(touched):
             if result.plan is not None:
                 prepare_start = time.perf_counter()
-                conflicts = self._prepare(result.plan, touched)
+                conflicts = self._prepare(result.plan, touched, routing)
                 prepare_s = time.perf_counter() - prepare_start
                 self._2pc_hist.labels("prepare").observe(prepare_s)
                 tracer.emit(ctx, "2pc.prepare", prepare_s,
@@ -595,34 +588,31 @@ class ShardCoordinator:
                     self.shards[shard_id].stats.increment("cross_shard_commits")
         return report
 
-    def _prepare(self, plan, touched: Sequence[str]) -> Dict[str, List[str]]:
+    def _prepare(self, plan, touched: Sequence[str],
+                 routing: tuple) -> Dict[str, List[str]]:
         """Ask every touched shard to vote on *plan*: commit or abort.
 
-        The vote is one integer comparison per shard: the shard view's
-        live allocation epoch against the plan's ``(shard, epoch)`` stamp,
-        which was taken **before** the speculative search started.  Equal
-        epochs prove nothing in the shard changed across the whole search
-        window, so the plan is exactly what a serial placement under the
-        held locks would produce.  Any drift is an abort — the epoch may
-        have moved for a device the plan never consulted, but the search
-        read live shared state, so a mid-search commit could have fed it a
-        mix of pre- and post-commit views that post-hoc fingerprints
-        cannot distinguish; aborting is the cheap, checkable answer (the
-        commit wave just re-places under the locks).  The fingerprint
-        sweep restricted to the shard's devices
-        (:meth:`DPPlacer.validate`) only *names* the drifted devices for
-        the abort record.  Returns ``shard id -> drifted devices`` — empty
-        means every shard voted to commit.
+        A shard votes to commit when every device of its view the search
+        consulted still holds the state the plan recorded
+        (:meth:`DPPlacer.validate`, one ``is`` per device).  Under the held
+        locks that proves the plan is what a serial placement would make
+        now, even if the lock-free snapshot mixed states from before and
+        after a commit (a mixed state is not the live one).  A moved fabric
+        forwarding epoch (*routing*, read before the search) aborts every
+        shard: a status flip may route through devices the search never
+        consulted.  Returns ``shard id -> drifted devices``; empty means
+        every shard voted to commit.
         """
+        if self.inter.pipeline.topology.forwarding_epoch() != routing:
+            return {shard_id: ["<routing>"] for shard_id in sorted(touched)}
         conflicts: Dict[str, List[str]] = {}
         for shard_id in sorted(touched):
             shard = self.shards[shard_id]
-            if plan.shard_epochs.get(shard_id) == shard.allocation_epoch():
-                continue
             changed = shard.controller.placer.validate(
                 plan, restrict=set(shard.view.devices)
             )
-            conflicts[shard_id] = changed or ["<epoch>"]
+            if changed:
+                conflicts[shard_id] = changed
         return conflicts
 
     # ------------------------------------------------------------------ #
@@ -656,7 +646,7 @@ class ShardCoordinator:
         Each shard seeing the device migrates its own programs inside its
         view; coordinator-owned (cross-shard) programs migrate through the
         full-fabric controller; shards that cannot see the device do no
-        work at all — no migrations, no epoch bumps, no cache
+        work at all — no migrations, no state changes, no cache
         invalidation.  A shard migration that rolls back (no capacity left
         inside the view) escalates to the coordinator, which re-homes the
         affected programs on the full fabric.
@@ -699,7 +689,7 @@ class ShardCoordinator:
         # devices of shards that never see the failed one — committing
         # there without their lock would race their intra-shard waves.
         # Untouched shards are only paused, never worked: no migrations,
-        # no epoch bumps, no cache invalidation.
+        # no state changes, no cache invalidation.
         # The whole-fabric shard of a one-region partition is ``inter``
         # itself: it migrates once, and has nothing larger to escalate to.
         migrate = (RuntimeManager.fail_device if state_lost

@@ -7,9 +7,8 @@ topology (:meth:`~repro.topology.network.NetworkTopology.subview`), or to
 the fabric itself when the partition has one region and no border.
 Because a view shares ``Device``/``Link`` objects with the parent fabric,
 resource accounting is globally consistent with zero coordination; because
-the view's allocation epoch covers only the shard's own (plus border)
-devices, commits in *other* shards never invalidate this shard's plan cache
-or speculative placements.
+the shard's plan cache and speculative placements read only its own (plus
+border) devices' states, commits in *other* shards never invalidate them.
 
 Every mutation of shared state goes through :attr:`lock` — the shard's
 commit lock.  Intra-shard work only ever takes its own lock, so shards
@@ -59,13 +58,8 @@ class ControllerShard:
     def sees_device(self, name: str) -> bool:
         return name in self.view.devices
 
-    def allocation_epoch(self) -> int:
-        """The shard-scoped allocation epoch (view devices only)."""
-        return self.view.allocation_epoch()
-
     def summary(self) -> Dict[str, object]:
         summary: Dict[str, object] = dict(self.stats.summary())
         summary["programs"] = len(self.controller.deployed)
         summary["devices"] = len(self.view.devices)
-        summary["epoch"] = self.view.allocation_epoch()
         return summary

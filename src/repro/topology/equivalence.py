@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
-from repro.devices.base import Device
+from repro.devices.base import AllocState, Device
 from repro.exceptions import TopologyError
 from repro.topology.network import NetworkTopology
 
@@ -193,35 +194,38 @@ class ReducedTree:
         return len(names)
 
 
-def node_content_key(node: ReducedNode, topo: NetworkTopology) -> Tuple:
+def node_content_key(node: ReducedNode, topo: NetworkTopology,
+                     states: Optional[Mapping[str, AllocState]] = None
+                     ) -> Tuple:
     """Name-blind content of one reduced node (ignoring its children).
 
     Two nodes with equal content keys host any block interval with the same
     feasibility and the same Eq. 1 gain: the key pins the traffic share, the
     replica count, and — through each member's and bypass's device type and
-    allocation fingerprint — the capacities, current allocations and status
-    of every device the interval evaluation consults.  Device *names* are
-    deliberately excluded so symmetric devices in different pods compare
-    equal (``Device.allocation_fingerprint`` is itself name-blind).
+    allocation-state digest — the capacities, current allocations and
+    status of every device the interval evaluation consults.  The states
+    are read from *states* (a search's snapshot) when given, else live.
+    Device *names* are deliberately excluded so symmetric devices in
+    different pods compare equal (the digest is itself name-blind).
     """
+    def content(name: str) -> Tuple[str, str]:
+        state = states[name] if states is not None else topo.device(name).state
+        return topo.device(name).dev_type, state.digest
+
     return (
         node.side,
         repr(float(node.traffic_share)),
         node.ec.layer,
         node.ec.dev_type,
-        tuple(
-            (topo.device(m).dev_type, topo.device(m).allocation_fingerprint())
-            for m in node.ec.members
-        ),
-        tuple(
-            (topo.device(b).dev_type, topo.device(b).allocation_fingerprint())
-            for b in node.bypass
-        ),
+        tuple(content(m) for m in node.ec.members),
+        tuple(content(b) for b in node.bypass),
     )
 
 
 def subtree_signature(node: ReducedNode, topo: NetworkTopology,
-                      _cache: Optional[Dict[int, str]] = None) -> str:
+                      _cache: Optional[Dict[int, str]] = None,
+                      states: Optional[Mapping[str, AllocState]] = None
+                      ) -> str:
     """Recursive content digest of the sub-tree rooted at *node*.
 
     Two sub-trees with equal signatures are isomorphic by construction:
@@ -230,7 +234,7 @@ def subtree_signature(node: ReducedNode, topo: NetworkTopology,
     one symmetric pod and replay the resulting table on every sibling with
     the same signature (see :func:`subtree_correspondence`).  Like the
     node keys, signatures are name-blind and change whenever any member's
-    allocation fingerprint changes, so memoised tables are content-addressed.
+    allocation state changes, so memoised tables are content-addressed.
     """
     cache = _cache if _cache is not None else {}
     node_key = id(node)
@@ -238,10 +242,11 @@ def subtree_signature(node: ReducedNode, topo: NetworkTopology,
     if cached is not None:
         return cached
     hasher = hashlib.sha256()
-    hasher.update(repr(node_content_key(node, topo)).encode("utf-8"))
+    hasher.update(repr(node_content_key(node, topo, states)).encode("utf-8"))
     for child in node.children:
         hasher.update(b"|")
-        hasher.update(subtree_signature(child, topo, cache).encode("ascii"))
+        hasher.update(
+            subtree_signature(child, topo, cache, states).encode("ascii"))
     digest = hasher.hexdigest()
     cache[node_key] = digest
     return digest

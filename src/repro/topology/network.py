@@ -68,7 +68,6 @@ class NetworkTopology:
         self.pods: Dict[str, int] = {}
         self.host_groups: Dict[str, HostGroup] = {}
         self.bypass: Dict[str, str] = {}   # switch name -> attached accelerator name
-        self._fingerprint_cache: tuple = (-1, "")
         # the forwarding graph and the (src_group, dst_group, max_paths) ->
         # path list memo, both valid for one forwarding epoch; routing
         # consults the latter once per emulated packet
@@ -155,11 +154,10 @@ class NetworkTopology:
         """Mark a device ``"up"``, ``"drain"`` or ``"down"``.
 
         Non-up devices are excluded from forwarding paths and from placement
-        candidates.  A status flip bumps the device's allocation version —
-        and therefore :meth:`allocation_epoch` and every fingerprint that
-        covers the device — so speculative plans placed before the change
-        fail validation and stale plan-cache entries stop hitting.  Returns
-        True when the status actually changed.
+        candidates.  The status is part of the device's allocation state, so
+        speculative plans placed before the change fail validation and
+        stale plan-cache entries stop hitting.  Returns True when the status
+        actually changed.
         """
         return self.device(name).set_status(status)
 
@@ -167,8 +165,8 @@ class NetworkTopology:
         """Mark the link between *a* and *b* ``"up"`` or ``"down"``.
 
         A link flip bumps both endpoints' topology versions (part of their
-        allocation fingerprints), so placements computed when the link was
-        in the old state no longer validate.  Returns True when the status
+        allocation states), so placements computed when the link was in the
+        old state no longer validate.  Returns True when the status
         actually changed.
         """
         if status not in ("up", "down"):
@@ -185,9 +183,8 @@ class NetworkTopology:
         """Permanently remove the link between *a* and *b*.
 
         Both endpoints' topology versions are bumped (the removal changes
-        what placement and routing can rely on), so the allocation epoch
-        advances and fingerprint caches are invalidated.  Returns the
-        removed :class:`Link`.
+        what placement and routing can rely on), so both get a new
+        allocation state.  Returns the removed :class:`Link`.
 
         Status flips stay consistent across shard views automatically (the
         :class:`Link` object is shared), but each view owns its *graph*
@@ -333,55 +330,25 @@ class NetworkTopology:
         return min(capacities)
 
     # ------------------------------------------------------------------ #
-    # allocation fingerprints (optimistic concurrency for placement)
+    # allocation fingerprints
     # ------------------------------------------------------------------ #
     def device_fingerprints(self, names: Optional[Iterable[str]] = None
                             ) -> Dict[str, str]:
-        """Per-device allocation fingerprints (all devices by default).
-
-        A speculative placement plan records the fingerprints of every device
-        it consulted; the commit step compares them against the live values
-        to detect conflicting allocations made in between.
-        """
+        """Per-device allocation-state digests (all devices by default)."""
         selected = sorted(names) if names is not None else sorted(self.devices)
-        return {name: self.device(name).allocation_fingerprint()
-                for name in selected}
-
-    def allocation_epoch(self) -> int:
-        """Monotonic counter covering every device's allocation changes.
-
-        The epoch is the sum of the per-device allocation versions, so *any*
-        commit, release or reset advances it and two equal epochs imply no
-        device changed in between (within one process).  Speculative plans
-        are stamped with the epoch they were placed against: an unchanged
-        epoch lets the commit phase validate them with a single integer
-        comparison instead of a full fingerprint sweep.
-        """
-        return sum(device.alloc_version for device in self.devices.values())
+        return {name: self.device(name).state.digest for name in selected}
 
     def allocation_fingerprint(self, names: Optional[Iterable[str]] = None
                                ) -> str:
         """Hash of the current allocations of *names* (default: all devices).
 
         Committing a plan changes it; releasing the same plan restores it, so
-        it addresses the mutable part of the world placement depends on.  The
-        full-topology hash is memoised per :meth:`allocation_epoch`, so
-        placement-cache key construction between commits does not re-hash
-        every device.
+        "the fabric is back where it started" is one comparison.
         """
-        live_epoch = None
-        if names is None:
-            live_epoch = self.allocation_epoch()
-            cached_epoch, cached = self._fingerprint_cache
-            if cached_epoch == live_epoch:
-                return cached
         payload = "|".join(
             f"{name}:{fp}" for name, fp in self.device_fingerprints(names).items()
         )
-        fingerprint = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        if names is None:
-            self._fingerprint_cache = (live_epoch, fingerprint)
-        return fingerprint
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------ #
     # shard-local views (controller sharding)
@@ -392,15 +359,14 @@ class NetworkTopology:
         """A shard-local view over a subset of this topology's devices.
 
         The view is a real :class:`NetworkTopology` — path enumeration,
-        placement, fingerprints and epochs all work on it — but it *shares*
-        the underlying :class:`Device` and :class:`Link` objects with the
-        parent (and with sibling views that include the same border
-        devices).  Allocations, status flips and version bumps are therefore
-        globally consistent: a commit on a shared core device advances the
-        allocation epoch of every view containing it, while commits on
-        devices outside the view leave its epoch — and every fingerprint
-        derived from it — untouched.  That scoping is what lets one
-        controller shard per view run without a global lock.
+        placement and fingerprints all work on it — but it *shares* the
+        underlying :class:`Device` and :class:`Link` objects with the parent
+        (and with sibling views that include the same border devices).
+        Allocations, status flips and version bumps are therefore globally
+        consistent: a commit on a shared core device is seen by every view
+        containing it, while commits on devices outside the view change
+        nothing it reads.  That scoping is what lets one controller shard
+        per view run without a global lock.
 
         *host_groups* defaults to every group whose ToR is in the view.
         """

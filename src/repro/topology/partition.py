@@ -11,8 +11,8 @@ paths reachable from every shard.
 
 Views share ``Device``/``Link`` objects with the parent topology, so
 allocation accounting stays globally consistent without any cross-shard
-synchronisation: a border commit advances every sharing view's epoch, a
-region-local commit advances only its own.
+synchronisation: a border commit is seen by every sharing view, a
+region-local commit only by its own.
 
 :func:`partition_by_pod` derives the canonical partition from the pod
 labels every builder in :mod:`repro.topology` assigns (``pod >= 0`` →

@@ -8,7 +8,7 @@ derives the program facts from scratch, evaluates each interval with one
 :class:`~repro.placement.intra.IntraDeviceAllocator` per device plus an
 edge walk over the block graph for its cut bits, and neither reads nor
 feeds a :class:`~repro.placement.memo.PlacementMemo`.  Plan construction —
-the reduced tree, the objective, materialisation, fingerprint stamps,
+the reduced tree, the objective, materialisation, the state stamps,
 commit/release — is :class:`~repro.placement.dp.DPPlacer`'s, because both
 searches share it.  Nothing in ``src/`` imports this module.
 """
@@ -83,7 +83,7 @@ class ReferencePlacer(DPPlacer):
                     elapsed, packer
                 )
                 plan.program_fingerprint = request.program_fingerprint()
-                self._stamp_fingerprints(plan, routed)
+                plan.device_states = routed.states()
         finally:
             counters = self.profile.counters
             counters.increment("packing_runs", by=packer.packing_runs)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.devices import (
     Architecture,
+    Device,
     NetronomeNFPDevice,
     Tofino2Device,
     TofinoDevice,
@@ -17,30 +18,38 @@ from repro.ir.instructions import Instruction, InstrClass, Opcode, StateDecl, St
 from repro.ir.program import IRProgram
 
 
+def one_stage_device(**capacities) -> Device:
+    return Device("d", "test", Architecture.PIPELINE, (),
+                  [StageResources(dict(capacities))])
+
+
 class TestStageResources:
     def test_allocate_and_release(self):
-        stage = StageResources({"alu": 4.0, "salu": 2.0})
-        assert stage.can_fit({"alu": 3.0})
-        stage.allocate({"alu": 3.0})
-        assert stage.available("alu") == 1.0
-        stage.release({"alu": 3.0})
-        assert stage.available("alu") == 4.0
+        device = one_stage_device(alu=4.0, salu=2.0)
+        device.allocate_stage(0, {"alu": 3.0})
+        assert device.stages[0].available("alu") == 1.0
+        device.release_stage(0, {"alu": 3.0})
+        assert device.stages[0].available("alu") == 4.0
 
     def test_over_allocation_raises(self):
-        stage = StageResources({"alu": 1.0})
+        device = one_stage_device(alu=1.0)
+        state = device.state
         with pytest.raises(ResourceExhaustedError):
-            stage.allocate({"alu": 2.0})
+            device.allocate_stage(0, {"alu": 2.0})
+        assert device.state is state
 
     def test_utilisation(self):
-        stage = StageResources({"alu": 4.0, "hash": 2.0})
-        stage.allocate({"alu": 2.0})
-        assert stage.utilisation() == pytest.approx(0.5)
+        device = one_stage_device(alu=4.0, hash=2.0)
+        device.allocate_stage(0, {"alu": 2.0})
+        assert device.stages[0].utilisation() == pytest.approx(0.5)
 
     def test_copy_is_independent(self):
-        stage = StageResources({"alu": 4.0})
-        clone = stage.copy()
-        clone.allocate({"alu": 1.0})
-        assert stage.available("alu") == 4.0
+        # a stage view is a copy of one state: later changes do not reach it
+        device = one_stage_device(alu=4.0)
+        view = device.stages[0]
+        device.allocate_stage(0, {"alu": 1.0})
+        assert view.available("alu") == 4.0
+        assert device.stages[0].available("alu") == 3.0
 
 
 class TestCapabilities:
@@ -134,10 +143,14 @@ class TestResourceAccounting:
         assert device.remaining_ratio() == pytest.approx(1.0)
 
     def test_snapshot_restore(self):
+        # the state is the snapshot: releasing what was allocated gives the
+        # device back the very value it had
         device = TofinoDevice("t")
-        snap = device.snapshot()
+        snap = device.state
         device.allocate_stage(0, {"alu": 5.0})
-        device.restore(snap)
+        assert device.state is not snap
+        device.release_stage(0, {"alu": 5.0})
+        assert device.state is snap
         assert device.stages[0].available("alu") == device.stages[0].capacities["alu"]
 
     def test_reset_clears_everything(self):
@@ -177,5 +190,5 @@ class TestRegistry:
 
     def test_uniform_stages_helper(self):
         stages = uniform_stages(3, {"alu": 2.0})
-        stages[0].allocate({"alu": 1.0})
+        stages[0].used["alu"] = 1.0        # the stages share no dicts
         assert stages[1].available("alu") == 2.0

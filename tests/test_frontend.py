@@ -1,12 +1,22 @@
 """Unit tests for the frontend compiler passes (folding, unrolling, lowering)."""
 
+import sys
+
 import pytest
 
-from repro.exceptions import CompileError, UnrollError
+from repro.exceptions import CompileError, LanguageError, UnrollError
 from repro.frontend import FrontendCompiler, compile_source
 from repro.frontend.folding import ConstantEnv, is_constant, try_eval, unroll_range
 from repro.ir.instructions import Opcode
 from repro.lang import ast_nodes as cn
+
+
+def deep_module(depth: int) -> cn.Module:
+    """``x = --…-hdr.a`` with *depth* negations, as a parsed tree."""
+    expr = cn.FieldRef("hdr", "a")
+    for _ in range(depth):
+        expr = cn.UnaryOp("-", expr)
+    return cn.Module(name="deep", body=[cn.Assign(cn.Name("x"), expr, 1)])
 
 
 class TestConstantFolding:
@@ -49,6 +59,31 @@ class TestConstantFolding:
         loop = cn.ForLoop(var="i", stop=cn.Constant(3), step=cn.Constant(0))
         with pytest.raises(UnrollError):
             unroll_range(loop, ConstantEnv())
+
+    def test_lowering_folds_each_node_once(self):
+        """Lowering asks for the constant value of every node and of every
+        sub-tree below it; with the fold memo a flat chain costs a number
+        of ``try_eval`` calls linear in its length (it was quadratic).
+        Calls are counted by a profile hook, which adds no stack frames to
+        the deep recursion."""
+        code = try_eval.__code__
+        counts = []
+        for terms in (300, 600):
+            calls = []
+
+            def hook(frame, event, _arg):
+                if event == "call" and frame.f_code is code:
+                    calls.append(1)
+
+            sys.setprofile(hook)
+            try:
+                compile_source("x = " + "+".join(["hdr.a"] * terms),
+                               header_fields={"a": 32})
+            finally:
+                sys.setprofile(None)
+            counts.append(len(calls))
+        assert counts[1] <= 2.1 * counts[0]
+        assert counts[1] <= 4 * 2 * 600     # a few per node of the chain
 
 
 class TestLowering:
@@ -217,3 +252,32 @@ class TestCompilerInterface:
         compiler = FrontendCompiler(verify=False)
         program = compiler.compile_source("x = 1", name="nv")
         assert len(program) == 1
+
+    def test_nesting_too_deep_to_lower_is_a_language_error(self):
+        """990 nested negations: the recursive lowering passes exhaust the
+        stack, which is reported as a LanguageError like the parser's.  The
+        tree is built directly, so the depth at which the parser itself
+        gives out (which depends on the caller's stack) does not matter."""
+        with pytest.raises(LanguageError,
+                           match="nests too deeply to compile") as info:
+            FrontendCompiler().compile_module(deep_module(990),
+                                              header_fields={"a": 32})
+        assert isinstance(info.value.__cause__, RecursionError)
+
+    def test_nesting_too_deep_to_lower_fails_the_frontend_stage(
+            self, monkeypatch, paper_topology):
+        from repro.core import ClickINC, DeployRequest
+        from repro.frontend import compiler
+
+        # the source's own tree, built past the parser's reach
+        monkeypatch.setattr(compiler, "parse_program",
+                            lambda *_a, **_k: deep_module(990))
+        controller = ClickINC(paper_topology, generate_code=False)
+        report = controller.deploy_many([DeployRequest(
+            source_groups=["pod0(a)"], destination_group="pod0(b)",
+            name="deep", source="x = " + "-" * 990 + "hdr.a",
+            header_fields={"a": 32})])[0]
+        assert not report.succeeded
+        assert report.failed_stage == "frontend"
+        assert isinstance(report.exception, LanguageError)
+        assert "nests too deeply" in report.error

@@ -141,7 +141,7 @@ class TestSpeculativePlacement:
         topology = build_fattree(k=4)
         placer = DPPlacer(topology)
         plan = self._place(placer, topology, "legacy")
-        plan.device_fingerprints = {}
+        plan.device_states = {}
         assert placer.validate(plan) == []
         placer.commit(plan, validate=True)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from invariants import assert_resources_conserved
 
 from repro.core import ClickINC, DeployRequest, INCService
 from repro.emulator.metrics import RunMetrics
@@ -39,11 +40,7 @@ def deploy_kvs(controller, pod: int, name: str):
 
 def plan_signature(controller, name):
     deployed = controller.deployed[name]
-    return (
-        deployed.devices(),
-        dict(deployed.plan.device_fingerprints),
-        deployed.plan.epoch,
-    )
+    return deployed.devices(), dict(deployed.plan.device_states)
 
 
 @pytest.fixture()
@@ -145,6 +142,7 @@ class TestDeviceFailureMigration:
         assert untouched_after == untouched_before
         for name in hosted:
             assert victim not in controller.deployed[name].devices()
+        assert_resources_conserved(controller)
 
     def test_traffic_succeeds_end_to_end_after_recovery(self, controller):
         deploy_kvs(controller, 0, "kvs0")
@@ -174,6 +172,7 @@ class TestDeviceFailureMigration:
         assert "kvs" in controller.synthesizer.plans
         assert "kvs" in controller.emulator.deployments
         assert manager.stats.rollbacks == 1
+        assert_resources_conserved(controller)
 
     def test_drain_carries_state_to_new_devices(self, controller):
         deployed = deploy_kvs(controller, 0, "kvs0")
@@ -285,6 +284,7 @@ class TestDeviceFailureMigration:
         assert {name: plan_signature(controller, name)
                 for name in controller.deployed_programs()} == before
         assert set(controller.emulator.deployments) == {"kvs0", "kvs0b"}
+        assert_resources_conserved(controller)
 
     def test_fail_link_emits_event(self, controller):
         deploy_kvs(controller, 0, "kvs0")

@@ -15,6 +15,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from invariants import assert_resources_conserved
 
 from repro.core import ClickINC, DeployRequest, INCService
 from repro.core.stats import ShardCounters
@@ -246,7 +247,10 @@ class TestCrossShardCommit:
             report = coord.deploy(tenant(0, 2, "x"))
             assert report.succeeded
             plan = coord.inter.deployed["kvs_x"].plan
-            assert sorted(plan.shard_epochs) == ["pod0", "pod2"]
+            # the plan records the states of devices in exactly the two
+            # touched pods (plus the shared border)
+            pods = {coord.topology.pods[name] for name in plan.device_states}
+            assert pods - {-1} == {0, 2}
             assert coord.stats.cross_shard_commits == 1
             assert coord.stats.aborted_prepares == 0
             assert coord.shards["pod0"].stats.cross_shard_commits == 1
@@ -275,6 +279,7 @@ class TestCrossShardCommit:
         assert serial.deploy(tenant(0, 0, "racer")).succeeded
         assert serial.deploy(tenant(0, 2, "x")).succeeded
         assert coordinator_devices(coord) == coordinator_devices(serial)
+        assert_resources_conserved(coord)
         serial.close()
         coord.close()
 
@@ -316,6 +321,7 @@ class TestCrossShardCommit:
         assert plan_cache_keys(coord.inter) == snapshot["inter_plan_keys"]
         assert coord.deployed_programs() == snapshot["programs"]
         assert "kvs_x" not in coord.inter.deployed
+        assert_resources_conserved(coord)
         coord.close()
 
 
@@ -352,6 +358,7 @@ class TestSerialEquivalence:
                 run_report.deployed.devices()
             )
         assert concurrent_devices == serial_devices
+        assert_resources_conserved(coord)
         serial.close()
         coord.close()
 
@@ -370,6 +377,7 @@ class TestSerialEquivalence:
                 run_report.deployed.devices()
             )
         assert coordinator_devices(parallel) == serial_devices
+        assert_resources_conserved(parallel)
         parallel.close()
         sequential.close()
 
@@ -383,7 +391,7 @@ class TestEventRouting:
         assert coord.deploy(tenant(0, 0, "a")).succeeded
         assert coord.deploy(tenant(1, 1, "b")).succeeded
         pod1 = coord.shards["pod1"]
-        epoch_b = pod1.allocation_epoch()
+        states_b = {n: d.state for n, d in pod1.view.devices.items()}
         plan_keys_b = plan_cache_keys(pod1.controller)
         # b is the body's second sight (the shards share one memo), so
         # pod1 stored its plan: the snapshot below is not vacuous
@@ -399,8 +407,9 @@ class TestEventRouting:
         assert event.migrated() == ["kvs_a"]
         assert sorted(event.shard_reports) == ["pod0"]   # pod1 never touched
 
-        # shard B: no migration work, no epoch bump, no cache invalidation
-        assert pod1.allocation_epoch() == epoch_b
+        # shard B: no migration work, no state change, no cache invalidation
+        assert [n for n, d in pod1.view.devices.items()
+                if d.state is not states_b[n]] == []
         assert plan_cache_keys(pod1.controller) == plan_keys_b
         assert pod1.controller.deployed["kvs_b"].devices() == devices_b
         assert {n: pod1.view.device(n).allocation_fingerprint()
@@ -466,6 +475,7 @@ class TestEscalation:
         new_devices = coord.inter.deployed["kvs_m"].devices()
         assert "SW2" in new_devices and "SW1" not in new_devices
         assert "kvs_m" not in coord.shards["left"].controller.deployed
+        assert_resources_conserved(coord)
         coord.close()
 
     @pytest.mark.parametrize("verb", ["remove", "update"])

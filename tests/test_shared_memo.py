@@ -20,7 +20,7 @@ from test_placement_scale import plan_key
 
 from repro.core import DeployRequest, INCService
 from repro.core.cache import ArtifactCache
-from repro.exceptions import PlacementError, StaleMemoError
+from repro.exceptions import StaleMemoError
 from repro.frontend import compile_template
 from repro.lang.profile import default_profile
 from repro.placement import (
@@ -269,10 +269,7 @@ class TestMidSearchCommit:
         packs.clear()
         memo = PlacementMemo()
         placer = DPPlacer(paper_topology, memo=memo)
-        try:
-            placer.place(request)
-        except PlacementError:
-            pass    # the raced search may find no room; that is fine
+        raced = placer.place(request)   # searches its starting snapshot
         monkeypatch.undo()
         assert filled
         # the commit is released: the fabric is back in its pre-race state
@@ -280,6 +277,7 @@ class TestMidSearchCommit:
             device.release_stage(index, demand)
 
         expected = plan_key(ReferencePlacer(paper_topology).place(request))
+        assert plan_key(raced) == expected
         for _ in range(3):
             assert plan_key(placer.place(request)) == expected
         assert memo.counters.stale_rejections == 0

@@ -65,12 +65,11 @@ class TestNetworkTopology:
 
     def test_allocation_epoch_advances_on_any_change(self):
         topo = build_chain(2)
-        epoch = topo.allocation_epoch()
+        before = topo.device("SW0").state
         topo.device("SW0").allocate_stage(0, {"alu": 5.0})
-        after_alloc = topo.allocation_epoch()
-        assert after_alloc > epoch
+        assert topo.device("SW0").state is not before
         topo.device("SW0").release_stage(0, {"alu": 5.0})
-        assert topo.allocation_epoch() > after_alloc  # monotonic, not content
+        assert topo.device("SW0").state is before  # a value: content, not history
 
     def test_allocation_fingerprint_memo_tracks_mutations(self):
         topo = build_chain(2)
@@ -97,11 +96,16 @@ class TestSubview:
     def test_subview_epoch_scoped_to_view_devices(self):
         topo = build_fattree(k=4)
         view = topo.subview("pod0", ["ToR0_0", "ToR0_1", "Agg0_0", "Agg0_1"])
-        epoch = view.allocation_epoch()
-        topo.device("ToR1_0").alloc_version += 1      # outside the view
-        assert view.allocation_epoch() == epoch
-        topo.device("Agg0_0").alloc_version += 1      # inside the view
-        assert view.allocation_epoch() == epoch + 1
+        states = {name: device.state for name, device in view.devices.items()}
+
+        def changed():
+            return [name for name, device in view.devices.items()
+                    if device.state is not states[name]]
+
+        topo.device("ToR1_0").allocate_stage(0, {"alu": 1.0})  # outside the view
+        assert changed() == []
+        topo.device("Agg0_0").allocate_stage(0, {"alu": 1.0})  # inside the view
+        assert changed() == ["Agg0_0"]
 
     def test_remove_link_propagates_across_view_family(self):
         topo = build_fattree(k=4)
@@ -314,17 +318,17 @@ class TestReducedTree:
 class TestOperationalStatus:
     def test_device_status_bumps_epoch_and_fingerprint(self):
         topo = build_fattree(k=4)
-        epoch = topo.allocation_epoch()
+        state = topo.device("Agg0_0").state
         fingerprint = topo.allocation_fingerprint()
         device_fp = topo.device("Agg0_0").allocation_fingerprint()
         assert topo.set_device_status("Agg0_0", "down") is True
-        assert topo.allocation_epoch() > epoch
+        assert topo.device("Agg0_0").state is not state
         assert topo.allocation_fingerprint() != fingerprint
         assert topo.device("Agg0_0").allocation_fingerprint() != device_fp
         # idempotent: setting the same status again changes nothing
-        epoch = topo.allocation_epoch()
+        state = topo.device("Agg0_0").state
         assert topo.set_device_status("Agg0_0", "down") is False
-        assert topo.allocation_epoch() == epoch
+        assert topo.device("Agg0_0").state is state
 
     def test_unknown_status_rejected(self):
         topo = build_fattree(k=4)
@@ -349,11 +353,13 @@ class TestOperationalStatus:
 
     def test_link_status_bumps_both_endpoints(self):
         topo = build_fattree(k=4)
-        epoch = topo.allocation_epoch()
+        state_a = topo.device("ToR0_0").state
+        state_b = topo.device("Agg0_0").state
         fp_a = topo.device("ToR0_0").allocation_fingerprint()
         fp_b = topo.device("Agg0_0").allocation_fingerprint()
         assert topo.set_link_status("ToR0_0", "Agg0_0", "down") is True
-        assert topo.allocation_epoch() > epoch
+        assert topo.device("ToR0_0").state is not state_a
+        assert topo.device("Agg0_0").state is not state_b
         assert topo.device("ToR0_0").allocation_fingerprint() != fp_a
         assert topo.device("Agg0_0").allocation_fingerprint() != fp_b
         paths = topo.paths_between_groups("pod0(a)", "pod0(b)")
@@ -362,9 +368,11 @@ class TestOperationalStatus:
 
     def test_remove_link_bumps_epoch_and_reroutes(self):
         topo = build_fattree(k=4)
-        epoch = topo.allocation_epoch()
-        topo.remove_link("ToR0_0", "Agg0_0")
-        assert topo.allocation_epoch() > epoch
+        ends = ("ToR0_0", "Agg0_0")
+        states = [topo.device(name).state for name in ends]
+        topo.remove_link(*ends)
+        assert all(topo.device(name).state is not state
+                   for name, state in zip(ends, states))
         with pytest.raises(TopologyError):
             topo.link("ToR0_0", "Agg0_0")
         paths = topo.paths_between_groups("pod0(a)", "pod0(b)")
@@ -429,10 +437,10 @@ class TestForwardingCache:
         assert built == [topo.name, "pod0"]
         epochs = topo.forwarding_epoch(), view.forwarding_epoch()
         for cycle in range(20):
-            allocation_epoch = topo.allocation_epoch()
+            allocation = topo.allocation_fingerprint()
             inc.deploy_profile(default_profile("KVS", user=f"c{cycle}"),
                                ["pod0(a)"], "pod0(b)", name=f"kvs_c{cycle}")
-            assert topo.allocation_epoch() > allocation_epoch
+            assert topo.allocation_fingerprint() != allocation
             self.route(topo, view)
             inc.remove(f"kvs_c{cycle}")
             self.route(topo, view)
