@@ -55,15 +55,27 @@ from repro.topology.network import NetworkTopology
 _NAME_ALIAS = "@program"
 
 
-#: one encoder for every key (``json.dumps`` with options builds one per
-#: call); encoding keeps no state on it, so threads may share it
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                               default=str)
 
+#: the C encoder behind ``_CANONICAL``, built once: ``JSONEncoder.encode``
+#: builds one per call, a fixed cost as large as encoding a short key.  It
+#: skips the circular-reference check, which key parts never need, and
+#: keeps no state between calls, so threads may share it.  ``None`` where
+#: the interpreter has no C accelerator.
+_C_ENCODE = None if json.encoder.c_make_encoder is None else (
+    json.encoder.c_make_encoder(
+        None, str, json.encoder.encode_basestring_ascii, None, ":", ",",
+        True, False, True))
+
 
 def canonical_json(payload: Any) -> str:
-    """Deterministic JSON rendering used for all cache keys."""
-    return _CANONICAL.encode(payload)
+    """Deterministic JSON rendering used for all cache keys: exactly
+    ``json.dumps(payload, sort_keys=True, separators=(",", ":"),
+    default=str)``."""
+    if _C_ENCODE is None:
+        return _CANONICAL.encode(payload)
+    return "".join(_C_ENCODE(payload, 0))
 
 
 def content_key(namespace: str, *parts: Any) -> str:
@@ -227,6 +239,13 @@ class ArtifactCache:
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._entries
+
+    def hits(self, namespace: str) -> int:
+        """Hits so far in *namespace*: one counter, not a :meth:`stats`
+        snapshot of every namespace."""
+        with self._lock:
+            stats = self._stats.get(namespace)
+            return 0 if stats is None else stats.hits
 
     def stats(self) -> Dict[str, CacheStats]:
         """Per-namespace hit/miss counters (copies, safe to keep)."""

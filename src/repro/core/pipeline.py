@@ -36,7 +36,6 @@ they were before the deployment started.
 
 from __future__ import annotations
 
-import hashlib
 import time
 import weakref
 from contextlib import nullcontext
@@ -44,7 +43,8 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backend.codegen import generate_for_device
-from repro.core.cache import ArtifactCache, CacheStats
+from repro.core.cache import ArtifactCache
+from repro.devices import AllocState
 from repro.emulator.network import NetworkEmulator
 from repro.exceptions import DeploymentError
 from repro.frontend.compiler import (
@@ -58,7 +58,7 @@ from repro.lang.profile import Profile
 from repro.obs import Observability
 from repro.obs.trace import TraceContext
 from repro.placement.blocks import BlockDAG
-from repro.placement.dp import DPPlacer, PlacementRequest
+from repro.placement.dp import DPPlacer, PlacementRequest, RoutedTree
 from repro.placement.plan import BlockAssignment, PlacementPlan
 from repro.synthesis.incremental import IncrementalSynthesizer, SynthesisDelta
 from repro.topology.network import NetworkTopology
@@ -438,18 +438,25 @@ class CompilationPipeline:
             adaptive_weights=self.adaptive_weights,
         )
 
-    def plan_cache_key(self, placement_request: PlacementRequest) -> str:
+    def plan_cache_key(self, placement_request: PlacementRequest,
+                       routed: Optional[RoutedTree] = None,
+                       states: Optional[Dict[str, AllocState]] = None) -> str:
         """Content address of a placement under the live topology state.
 
         The key covers the name-normalised program content, every placement
         parameter, the structural signature of the request's reduced tree
-        and the live allocation-state digests of exactly the devices a
-        search over that tree consults (:meth:`DPPlacer.routed_tree`,
-        memoised per forwarding epoch).  The search reads nothing else, so a
-        hit is the plan it would make; a status or link flip moves the tree
-        or a consulted state, and with it the key.
+        and the allocation-state digests of exactly the devices a search
+        over that tree consults (:meth:`DPPlacer.routed_tree`, memoised per
+        forwarding epoch).  The search reads nothing else, so a hit is the
+        plan it would make; a status or link flip moves the tree or a
+        consulted state, and with it the key.  *routed* and *states* default
+        to the live tree and ``routed.states()``; a caller that must know
+        which states the key describes takes that snapshot and passes both.
         """
-        routed = self.placer.routed_tree(placement_request)
+        if routed is None:
+            routed = self.placer.routed_tree(placement_request)
+        if states is None:
+            states = routed.states()
         return self.cache.make_key(
             "plan",
             placement_request.program_fingerprint(),
@@ -461,7 +468,7 @@ class CompilationPipeline:
             placement_request.adaptive_weights,
             placement_request.prune,
             routed.signature,
-            [state.digest for state in routed.states().values()],
+            [state.digest for state in states.values()],
         )
 
     # ------------------------------------------------------------------ #
@@ -561,7 +568,7 @@ class CompilationPipeline:
             stage = "codegen"
             start = time.perf_counter()
             device_sources: Dict[str, str] = {}
-            hits_before = self.cache.stats().get("codegen", CacheStats()).hits
+            hits_before = self.cache.hits("codegen")
             if self.generate_code:
                 blocks = plan.device_blocks()
                 for device_name, snippet in snippets.items():
@@ -570,18 +577,15 @@ class CompilationPipeline:
                     if plan.program_fingerprint is not None:
                         # the snippet is a function of the program content
                         # and name, the device and the blocks it hosts
-                        # (their instruction uids pin the block partition).
-                        # Every part is a str or int, so their repr is as
-                        # canonical as JSON and far cheaper, once per
-                        # device of every commit
-                        key = "codegen:" + hashlib.sha256(repr((
-                            device.dev_type, device_name, plan.program_name,
-                            plan.program_fingerprint, blocks[device_name],
-                        )).encode("utf-8")).hexdigest()
+                        # (their instruction uids pin the block partition)
+                        key = self.cache.make_key(
+                            "codegen", device.dev_type, device_name,
+                            plan.program_name, plan.program_fingerprint,
+                            blocks[device_name])
                     device_sources[device_name] = generate_for_device(
                         device, snippet, cache=self.cache, key=key
                     )
-            hits_after = self.cache.stats().get("codegen", CacheStats()).hits
+            hits_after = self.cache.hits("codegen")
             all_hit = bool(device_sources) and (
                 hits_after - hits_before == len(device_sources)
             )
@@ -621,7 +625,9 @@ class CompilationPipeline:
         speculative phase) passes ``store=False``: allocations may move under
         its search, so only the commit phase's write-back may store.
         """
-        key = self.plan_cache_key(placement_request)
+        routed = self.placer.routed_tree(placement_request)
+        states = routed.states()
+        key = self.plan_cache_key(placement_request, routed, states)
         lookup_start = time.perf_counter()
         hit, cached = self.cache.lookup(key)
         # a plan entry is the root entry of the placement memo — a hit
@@ -629,12 +635,12 @@ class CompilationPipeline:
         self.placer.memo.counters.increment("hits" if hit else "misses")
         if hit:
             plan = rebrand_plan(cached, placement_request.program)
-            # the key embeds the live state digests of every consulted
-            # device, so a hit proves they are content-identical to
-            # placement time; the plan records the live states
-            devices = self.topology.devices
-            plan.device_states = {name: devices[name].state
-                                  for name in plan.device_states}
+            # the key embeds the digests of the states in *states*, so a
+            # hit proves those are content-identical to placement time: the
+            # plan records exactly them.  A commit that landed since (the
+            # cross-shard speculative phase holds no lock) replaced a live
+            # state, so validation sees the drift
+            plan.device_states = dict(states)
             self._memo_hit_hist.observe(time.perf_counter() - lookup_start)
             return plan, True
         plan = self.placer.place(placement_request)

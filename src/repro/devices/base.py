@@ -82,31 +82,6 @@ _interned: "weakref.WeakValueDictionary[tuple, AllocState]" = (
 _intern_lock = threading.Lock()
 
 
-class _Capacities(tuple):
-    """A model's per-stage ``(key, capacity)`` pairs, hashed once: every
-    allocation change interns a state keyed on them."""
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = tuple.__hash__(self)
-            return self._hash
-
-    def __reduce__(self):
-        # the cached hash is per process (string hashing is salted)
-        return _Capacities, (tuple(self),)
-
-    def slots(self, index: int) -> Dict[str, int]:
-        """Position of each resource key in stage *index*'s pairs."""
-        try:
-            return self._slots[index]
-        except AttributeError:
-            self._slots = [{key: slot for slot, (key, _) in enumerate(stage)}
-                           for stage in self]
-            return self._slots[index]
-
-
 class AllocState:
     """One device's allocation state, as an immutable interned value.
 
@@ -121,7 +96,7 @@ class AllocState:
     """
 
     __slots__ = ("capacities", "usage", "occupancy", "status",
-                 "topology_version", "_digest", "_availability", "_stages",
+                 "topology_version", "_digest", "_availability",
                  "__weakref__")
 
     def __new__(cls, capacities: tuple, usage: tuple, occupancy: tuple = (),
@@ -131,7 +106,7 @@ class AllocState:
             state = _interned.get(content)
             if state is None:
                 state = super().__new__(cls)
-                for name, value in zip(cls.__slots__, content + (None,) * 3):
+                for name, value in zip(cls.__slots__, content + (None,) * 2):
                     object.__setattr__(state, name, value)
                 _interned[content] = state
         return state
@@ -164,7 +139,7 @@ class AllocState:
         usage = list(self.usage)
         for index, demand in demands:
             capacities = self.capacities[index]
-            slots = self.capacities.slots(index)
+            slots = {key: slot for slot, (key, _) in enumerate(capacities)}
             used = list(usage[index])
             for key, amount in demand.items():
                 if amount <= 0:
@@ -217,17 +192,6 @@ class AllocState:
                   for key, capacity in capacities if capacity > 0]
         return sum(ratios) / len(ratios) if ratios else 1.0
 
-    @property
-    def stages(self) -> Tuple[StageResources, ...]:
-        """Per-stage :class:`StageResources` copies of this state (a read
-        view: mutating one changes no device)."""
-        if self._stages is None:
-            object.__setattr__(self, "_stages", tuple(
-                StageResources(dict(capacities),
-                               dict(zip((key for key, _ in capacities), used)))
-                for capacities, used in zip(self.capacities, self.usage)))
-        return self._stages
-
 
 class Device:
     """A programmable network device.
@@ -277,7 +241,7 @@ class Device:
         #: version (bumped by an adjacent link change); every change
         #: replaces it
         self.state = AllocState(
-            _Capacities(tuple(stage.capacities.items()) for stage in stages),
+            tuple(tuple(stage.capacities.items()) for stage in stages),
             tuple(tuple(float(stage.used.get(key, 0.0))
                         for key in stage.capacities) for stage in stages),
         )
@@ -290,8 +254,13 @@ class Device:
 
     @property
     def stages(self) -> Tuple[StageResources, ...]:
-        """Read view of the current state's stages."""
-        return self.state.stages
+        """Per-stage :class:`StageResources` built from the current state:
+        fresh copies on every call, so mutating one changes no device."""
+        state = self.state
+        return tuple(
+            StageResources(dict(capacities),
+                           dict(zip((key for key, _ in capacities), used)))
+            for capacities, used in zip(state.capacities, state.usage))
 
     @property
     def status(self) -> str:

@@ -651,7 +651,7 @@ class DPPlacer:
         :class:`~repro.exceptions.PlacementConflictError` is raised (before
         any allocation) when another commit has touched a consulted device —
         the caller should re-place sequentially against the live topology.
-        A device gets one new state per assignment it hosts.
+        Each device gets one new state, however many assignments it hosts.
         """
         if validate:
             conflicts = self.validate(plan)
@@ -661,18 +661,14 @@ class DPPlacer:
                     f"devices {conflicts}; re-place against the live topology",
                     conflicts=conflicts,
                 )
-        for assignment in plan.assignments:
-            for name, placed in assignment.stage_assignments.items():
-                self.topology.device(name).commit(
-                    placed.stage_demands.items(), plan.program_name,
-                    [assignment.block_id])
+        for name, (demands, blocks) in _device_demands(plan).items():
+            self.topology.device(name).commit(demands, plan.program_name,
+                                              blocks)
 
     def release(self, plan: PlacementPlan) -> None:
         """Release a previously committed plan's resources."""
-        for assignment in plan.assignments:
-            for name, placed in assignment.stage_assignments.items():
-                self.topology.device(name).release(
-                    placed.stage_demands.items(), plan.program_name)
+        for name, (demands, _) in _device_demands(plan).items():
+            self.topology.device(name).release(demands, plan.program_name)
 
     # ------------------------------------------------------------------ #
     # DP core
@@ -994,6 +990,19 @@ class DPPlacer:
         )
         plan.metadata["tree_nodes"] = [n.name for n in tree.all_nodes()]
         return plan
+
+
+def _device_demands(plan: PlacementPlan
+                    ) -> Dict[str, Tuple[list, List[int]]]:
+    """Device -> (its stage demands, the block ids it hosts), in assignment
+    order: what one commit or release applies to each device."""
+    per_device: Dict[str, Tuple[list, List[int]]] = {}
+    for assignment in plan.assignments:
+        for name, placed in assignment.stage_assignments.items():
+            demands, blocks = per_device.setdefault(name, ([], []))
+            demands.extend(placed.stage_demands.items())
+            blocks.append(assignment.block_id)
+    return per_device
 
 
 def _product_limited(tables: List[List[Tuple[int, _Candidate]]],

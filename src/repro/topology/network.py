@@ -72,6 +72,9 @@ class NetworkTopology:
         # path list memo, both valid for one forwarding epoch; routing
         # consults the latter once per emulated packet
         self._forwarding_cache: tuple = (None, None, {})
+        # bumped by add_device / add_link, the structural changes no
+        # device's forwarding version records
+        self._structure_version = 0
         # shard-view bookkeeping: views share Device/Link objects with the
         # root topology, but each instance owns its graph structure, so
         # structural removals must propagate (see remove_link / subview)
@@ -88,6 +91,7 @@ class NetworkTopology:
         self.layers[device.name] = layer
         self.pods[device.name] = pod
         self.graph.add_node(device.name, device=device, layer=layer, pod=pod)
+        self._structure_version += 1
         return device
 
     def add_link(self, a: str, b: str, capacity_gbps: float = 100.0,
@@ -97,6 +101,7 @@ class NetworkTopology:
                 raise TopologyError(f"link endpoint {node!r} is not a device")
         link = Link(a=a, b=b, capacity_gbps=capacity_gbps, latency_ns=latency_ns)
         self.graph.add_edge(a, b, link=link)
+        self._structure_version += 1
         return link
 
     def attach_bypass(self, switch: str, accelerator: Device) -> None:
@@ -274,13 +279,13 @@ class NetworkTopology:
 
         The sum of the per-device forwarding versions covers device status
         flips, link flips and link removals (made through this topology or
-        any view sharing its devices); the node/edge counts cover the
-        construction-time ``add_device``/``add_link`` and the structural
-        half of ``remove_link``.
+        any view sharing its devices: a removal bumps both endpoints); a
+        structure counter covers ``add_device`` and ``add_link``.  Both are
+        read in O(devices), without walking the graph.
         """
         return (
             sum(device.forwarding_version for device in self.devices.values()),
-            self.graph.number_of_nodes(), self.graph.number_of_edges(),
+            self._structure_version,
         )
 
     def _forwarding(self) -> tuple:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.core import cache as cache_module
 from repro.core.cache import (
     ArtifactCache,
     canonical_json,
@@ -139,6 +142,17 @@ class TestFingerprints:
 
     def test_canonical_json_is_order_insensitive(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
+
+    @pytest.mark.parametrize("c_encoder", (True, False))
+    def test_canonical_json_is_the_sorted_compact_dumps(self, monkeypatch,
+                                                         c_encoder):
+        if not c_encoder:
+            monkeypatch.setattr(cache_module, "_C_ENCODE", None)
+        payload = [{"b": 1.5, "a": [1, None, True], "c": "é"}, "x", 0.1,
+                   float("inf"), ("t", 2), {"k": {"z": 0, "y": object}}]
+        assert canonical_json(payload) == json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), default=str)
+        assert canonical_json("s") == '"s"'
 
 
 class TestCompileKeys:

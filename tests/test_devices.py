@@ -51,6 +51,19 @@ class TestStageResources:
         assert view.available("alu") == 4.0
         assert device.stages[0].available("alu") == 3.0
 
+    def test_writing_a_view_reaches_no_device(self):
+        # two devices in one interned state: a write through one's view
+        # shows in neither device's stages nor in the state
+        a, b = TofinoDevice("a"), TofinoDevice("b")
+        assert a.state is b.state
+        state = a.state
+        a.stages[0].used["alu"] = 1.0
+        a.stages[0].capacities["alu"] = 0.0
+        for device in (a, b):
+            assert device.stages[0].used["alu"] == 0.0
+            assert device.stages[0].available("alu") > 0.0
+        assert a.state is state is b.state
+
 
 class TestCapabilities:
     def test_tofino_cannot_do_float_or_crypto(self):

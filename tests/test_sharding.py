@@ -283,6 +283,43 @@ class TestCrossShardCommit:
         serial.close()
         coord.close()
 
+    def test_commit_racing_a_plan_cache_hit_aborts_the_prepare(self):
+        """A pod commit landing between the speculative phase's plan-key
+        build and its cache lookup: the hit records the states the key was
+        built from, so the prepare sees the drift, aborts and re-places."""
+        coord = ShardCoordinator(build_fattree(k=4))
+        # two sights of the body: the second commit's write-back stores
+        # the plan, so the third cross submit hits
+        for user in ("x1", "x2"):
+            assert coord.deploy(tenant(0, 2, user)).succeeded
+            coord.remove(f"kvs_{user}")
+        cache = coord.inter.pipeline.cache
+        lookup = cache.lookup
+        hits = []
+
+        def racing_lookup(key):
+            if not key.startswith("plan:"):
+                return lookup(key)
+            cache.lookup = lookup               # fire once
+            assert coord.deploy(tenant(0, 0, "racer")).succeeded
+            hit, plan = lookup(key)
+            hits.append(hit)
+            return hit, plan
+
+        cache.lookup = racing_lookup
+        assert coord.deploy(tenant(0, 2, "x")).succeeded
+        assert hits == [True]
+        assert coord.stats.aborted_prepares == 1
+        assert coord.shards["pod0"].stats.aborted_prepares == 1
+
+        serial = ShardCoordinator(build_fattree(k=4))
+        assert serial.deploy(tenant(0, 0, "racer")).succeeded
+        assert serial.deploy(tenant(0, 2, "x")).succeeded
+        assert coordinator_devices(coord) == coordinator_devices(serial)
+        assert_resources_conserved(coord)
+        serial.close()
+        coord.close()
+
     def test_aborted_prepare_leaves_no_residue(self):
         """Abort + infeasible re-place: every shard's allocation state and
         plan cache stay byte-identical to the pre-attempt snapshot."""

@@ -466,6 +466,21 @@ class TestForwardingCache:
             self.route(topo, view)                # the rebuilt graph is kept
             assert sorted(built) == sorted([topo.name, "pod0"])
 
+    def test_adding_a_device_or_link_invalidates(self, built):
+        from repro.devices.registry import make_device
+
+        topo, _ = self.fabric()
+        for add in (lambda: topo.add_device(make_device("tofino", "Extra"),
+                                            layer="agg", pod=0),
+                    lambda: topo.add_link("ToR0_0", "Extra")):
+            self.route(topo)
+            del built[:]
+            epoch = topo.forwarding_epoch()
+            add()
+            assert topo.forwarding_epoch() != epoch
+            self.route(topo)
+            assert built == [topo.name]
+
     def test_no_op_flips_invalidate_nothing(self, built):
         topo, view = self.fabric()
         self.route(topo, view)
