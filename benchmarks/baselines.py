@@ -1,11 +1,15 @@
-"""Exhaustive (SMT-style) placement baseline.
+"""Comparison baselines of the placement search (paper Table 4, Fig. 14).
 
-The paper compares ClickINC's DP against Z3-based placement (as used by
+They are not part of the ClickINC workflow, so they live beside the
+benchmarks and tests that compare against them.
+
+:class:`ExhaustivePlacer` is the exhaustive (SMT-style) baseline: the
+paper compares ClickINC's DP against Z3-based placement (as used by
 Lyra).  Z3 is unavailable offline, so this module provides an exhaustive
 branch-and-bound search over the same constraint set: it enumerates every
 monotone assignment of placement units (blocks or raw instructions) to the
 devices of a chain, checks the per-device feasibility with the same
-intra-device allocator, and keeps the assignment with the best Eq. 1 gain
+intra-device packing (through :class:`IntraDeviceAllocator`), and keeps the assignment with the best Eq. 1 gain
 (or the first feasible one, when ``optimize=False``, matching the paper's
 observation that a satisfiability-only search is ~2x faster but produces
 worse partitions).
@@ -23,12 +27,45 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.devices.base import Device
 from repro.exceptions import PlacementError
+from repro.ir.instructions import Instruction
 from repro.ir.program import IRProgram
 from repro.placement.blocks import Block, BlockDAG, build_block_dag
-from repro.placement.intra import IntraDeviceAllocator, StageAssignment
+from repro.placement.intra import PackingTable, StageAssignment
 from repro.placement.objective import ObjectiveWeights, PlacementObjective
 from repro.placement.plan import BlockAssignment, PlacementPlan
 from repro.placement.scoring import IntervalScorer
+
+
+class IntraDeviceAllocator:
+    """Algorithm 2 for callers that hold a bare instruction list."""
+
+    def __init__(self, device: Device) -> None:
+        self.device = device
+
+    def allocate(
+        self,
+        program: IRProgram,
+        instructions: Sequence[Instruction],
+        commit: bool = False,
+        start_stage: int = 0,
+    ) -> Optional[StageAssignment]:
+        """Try to place *instructions* on the device.
+
+        Returns ``None`` when the placement is infeasible (unsupported
+        capability class or insufficient resources).  With ``commit=True``
+        the chosen resources are actually allocated on the device; otherwise
+        the device state is left untouched (the demands in the returned
+        assignment let the caller commit later).
+        """
+        table = PackingTable(program, instructions)
+        assignment = table.pack(self.device, table.select(), start_stage)
+        if assignment is not None and commit:
+            self.device.commit(assignment.stage_demands.items())
+        return assignment
+
+    def release(self, assignment: StageAssignment) -> None:
+        """Release a previously committed assignment."""
+        self.device.release(assignment.stage_demands.items())
 
 
 @dataclass

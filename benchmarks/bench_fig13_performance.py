@@ -106,6 +106,18 @@ def _header_fields(vec_dim: int) -> dict:
     return {"op": 8, "seq": 32, "bitmap": WORKERS, "data": 32 * vec_dim, "overflow": 1}
 
 
+def _useful_traffic_fraction(metrics) -> float:
+    """Fraction of offered bytes still carried as useful application data.
+
+    Both packets delivered to the servers and results reflected back to
+    the clients (e.g. aggregated gradients, cache replies) count as useful
+    output; everything else was absorbed in the network.
+    """
+    if metrics.bytes_sent == 0:
+        return 1.0
+    return (metrics.bytes_delivered + metrics.bytes_reflected) / metrics.bytes_sent
+
+
 def _run_config(num_switches: int, with_nic: bool, deploy_agg: bool,
                 deploy_sparse: bool, vec_dim: int):
     topo = _topology(num_switches, with_nic)
@@ -132,7 +144,7 @@ def _run_config(num_switches: int, with_nic: bool, deploy_agg: bool,
     metrics = inc.run_traffic(workload.packets(ROUNDS))
     # traffic that still needs end-host bandwidth: packets delivered to the
     # parameter server plus the aggregated results returned to the workers
-    reduction = 1.0 - metrics.useful_traffic_fraction()
+    reduction = 1.0 - _useful_traffic_fraction(metrics)
     goodput = LINK_GBPS / max(0.05, 1.0 - min(0.95, reduction))
     return {
         "goodput": goodput,

@@ -32,10 +32,11 @@ import statistics
 import time
 
 
+from benchmarks.baselines import ExhaustivePlacer
 from benchmarks.conftest import print_table
 from repro.frontend import compile_template
 from repro.lang.profile import default_profile
-from repro.placement import DPPlacer, ExhaustivePlacer, PlacementRequest
+from repro.placement import DPPlacer, PlacementRequest
 from repro.topology.fattree import (
     build_chain,
     build_fattree,
@@ -112,7 +113,8 @@ def _plan_identity_key(plan):
         plan.gain,
         tuple((a.block_id, a.ec_id, tuple(a.device_names), a.step)
               for a in plan.assignments),
-        tuple(sorted(plan.device_fingerprints.items())),
+        tuple(sorted((name, state.digest)
+                     for name, state in plan.device_states.items())),
     )
 
 
@@ -129,7 +131,7 @@ def run_scaling(reduced: bool = False) -> dict:
         device = topo.devices[name]
         for stage in rng.sample(range(device.num_stages),
                                 k=min(3, device.num_stages)):
-            device.allocate_stage(stage, {"instructions": float(rng.randint(1, 6))})
+            device.commit([(stage, {"instructions": float(rng.randint(1, 6))})])
 
     num_sources = 4 if reduced else 8
     sources = [f"pod{p}(a)" for p in range(num_sources)]
@@ -153,7 +155,7 @@ def run_scaling(reduced: bool = False) -> dict:
     warmup_s = time.perf_counter() - start
 
     # a single-device allocation delta invalidates exactly one fingerprint
-    topo.device("ToR0_0").allocate_stage(0, {"instructions": 1.0})
+    topo.device("ToR0_0").commit([(0, {"instructions": 1.0})])
     # pre-warm the topology's per-epoch forwarding-path memo so both the
     # warm and the cold measurement below pay placement cost only
     topo.paths_for_traffic(sources, destination)

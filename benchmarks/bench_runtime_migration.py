@@ -46,7 +46,8 @@ def _plan_signature(controller: ClickINC, name: str):
     deployed = controller.deployed[name]
     return (
         tuple(deployed.devices()),
-        tuple(sorted(deployed.plan.device_fingerprints.items())),
+        tuple(sorted((name, state.digest)
+                     for name, state in deployed.plan.device_states.items())),
     )
 
 

@@ -50,7 +50,7 @@ def _drifted_fattree():
         device = topo.devices[name]
         for stage in rng.sample(range(device.num_stages),
                                 k=min(3, device.num_stages)):
-            device.allocate_stage(stage, {"instructions": float(rng.randint(1, 6))})
+            device.commit([(stage, {"instructions": float(rng.randint(1, 6))})])
     return topo
 
 
@@ -97,7 +97,8 @@ def _plan_identity_key(plan):
         plan.gain,
         tuple((a.block_id, a.ec_id, tuple(a.device_names), a.step)
               for a in plan.assignments),
-        tuple(sorted(plan.device_fingerprints.items())),
+        tuple(sorted((name, state.digest)
+                     for name, state in plan.device_states.items())),
     )
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import time
 
 
+from benchmarks.baselines import ExhaustivePlacer
 from benchmarks.conftest import print_table
 from repro.frontend import compile_template
 from repro.lang.profile import default_profile
-from repro.placement import DPPlacer, ExhaustivePlacer, PlacementRequest
+from repro.placement import DPPlacer, PlacementRequest
 from repro.topology.fattree import build_chain
 
 

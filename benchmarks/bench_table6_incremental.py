@@ -67,9 +67,9 @@ def test_table6_incremental_vs_monolithic(benchmark):
         rows.append([
             step_id,
             delta_id.num_affected_devices, delta_id.num_affected_programs,
-            delta_id.num_affected_pods,
+            len(delta_id.affected_pods),
             delta_md.num_affected_devices, delta_md.num_affected_programs,
-            delta_md.num_affected_pods,
+            len(delta_md.affected_pods),
         ])
     print_table(
         "Table 6: incremental (ID) vs monolithic (MD) deployment impact",

@@ -1,9 +1,8 @@
 """End-to-end INC applications built on the ClickINC public API.
 
-Each application bundles: the profile it submits to the controller, the
-workload generator for its traffic, and host-side verification logic (what a
-server / parameter server would compute without INC), so examples, tests and
-benchmarks can measure correctness and benefit.
+Each application bundles the profile it submits to the controller and the
+workload generator for its traffic, so examples, tests and benchmarks can
+measure correctness and benefit.
 """
 
 from repro.apps.kvs import KVSApplication

@@ -10,7 +10,7 @@ that were evicted).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional
 
 from repro.emulator.traffic import DQAccWorkload
 from repro.lang.profile import PacketFormat, Profile, TrafficSpec
@@ -43,18 +43,3 @@ class DQAccApplication:
             duplicate_ratio=duplicate_ratio,
             owner=self.name,
         )
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def reference_distinct(values: Sequence[int]) -> Set[int]:
-        """The exact DISTINCT set a database would compute."""
-        return set(int(v) for v in values)
-
-    @staticmethod
-    def duplicates_filtered(sent: int, delivered: int, distinct: int) -> float:
-        """Fraction of duplicate packets removed by the in-network filter."""
-        duplicates = sent - distinct
-        if duplicates <= 0:
-            return 0.0
-        removed = sent - delivered
-        return max(0.0, min(1.0, removed / duplicates))

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.ir.program import IRProgram
-from repro.topology.network import NetworkTopology
 
 #: Placeholder substituted for the program's own name when fingerprinting
 #: with ``normalize_name=True`` (so identical programs deployed under
@@ -126,16 +125,6 @@ def fingerprint_ir(program: IRProgram, normalize_name: bool = False) -> str:
         ],
     }
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-def topology_resource_fingerprint(topology: NetworkTopology) -> str:
-    """Hash of every device's current resource allocations.
-
-    Committing a plan changes it and releasing the same plan restores it, so
-    "the fabric is back where it started" (after a removal, a rollback or a
-    failed deploy) is one comparison.
-    """
-    return topology.allocation_fingerprint()
 
 
 @dataclass

@@ -228,19 +228,6 @@ class ClickINC:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    def as_service(self, max_wave: int = 8):
-        """An asyncio :class:`~repro.core.service.INCService` over this
-        controller.
-
-        The service runs a one-shard
-        :class:`~repro.sharding.coordinator.ShardCoordinator` whose only
-        shard is this controller (same pipeline, cache and emulator); the
-        programs deployed so far seed its name registry.  Closing the
-        service leaves the controller open."""
-        from repro.core.service import INCService
-
-        return INCService(self, max_wave=max_wave)
-
     def runtime(self, auto_migrate: Optional[bool] = None):
         """The :class:`~repro.runtime.manager.RuntimeManager` over this
         controller (created on first use, then shared).
@@ -285,10 +272,6 @@ class ClickINC:
 
     def network_utilisation(self) -> float:
         return self.topology.total_utilisation()
-
-    def cache_summary(self) -> Dict[str, object]:
-        """Hit/miss statistics of the shared artifact cache."""
-        return self.cache.summary()
 
     def generated_code(self, name: str, device_name: str) -> str:
         deployed = self.deployed.get(name)

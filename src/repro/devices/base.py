@@ -26,7 +26,6 @@ from repro.ir.instructions import (
     StateDecl,
     resource_footprint,
 )
-from repro.ir.program import IRProgram
 
 
 class Architecture(str, enum.Enum):
@@ -277,18 +276,6 @@ class Device:
     def num_stages(self) -> int:
         return len(self.state.capacities)
 
-    def supports_class(self, cls: InstrClass) -> bool:
-        return cls in self.supported_classes
-
-    def supports_instruction(self, instr: Instruction) -> bool:
-        return self.supports_class(instr.instr_class)
-
-    def supports_program(self, program: IRProgram) -> bool:
-        return all(self.supports_instruction(instr) for instr in program)
-
-    def unsupported_classes(self, classes: Iterable[InstrClass]) -> FrozenSet[InstrClass]:
-        return frozenset(classes) - self.supported_classes
-
     # ------------------------------------------------------------------ #
     # resource accounting
     # ------------------------------------------------------------------ #
@@ -333,28 +320,6 @@ class Device:
             tcam_bits += tcam
         return {"sram_kb": sram_bits / 8192.0, "tcam_kb": tcam_bits / 8192.0}
 
-    @staticmethod
-    def state_demand(program: IRProgram, state_names: Iterable[str]) -> Dict[str, float]:
-        """Memory demand of the persistent states named in *state_names*."""
-        return Device.memory_demand(
-            Device.state_bits(program.get_state(name)) for name in state_names
-        )
-
-    def can_fit_instructions(self, instructions: Sequence[Instruction]) -> bool:
-        """Quick feasibility check: capability classes + aggregate resources."""
-        for instr in instructions:
-            if not self.supports_instruction(instr):
-                return False
-        total: Dict[str, float] = {}
-        for instr in instructions:
-            for key, value in self.instruction_demand(instr).items():
-                total[key] = total.get(key, 0.0) + value
-        available: Dict[str, float] = {}
-        for free in self.state.stage_availability():
-            for key in total:
-                available[key] = available.get(key, 0.0) + free.get(key, 0.0)
-        return all(available.get(key, 0.0) >= value for key, value in total.items())
-
     def remaining_ratio(self) -> float:
         """Fraction of total resources still free (used by adaptive weights)."""
         return self.state.remaining_ratio()
@@ -379,21 +344,11 @@ class Device:
             self.deployed_programs.pop(program, None)
         self.state = self.state.replace(usage, self._occupancy())
 
-    def allocate_stage(self, stage_index: int, demand: Dict[str, float]) -> None:
-        self.commit([(stage_index, demand)])
-
-    def release_stage(self, stage_index: int, demand: Dict[str, float]) -> None:
-        self.release([(stage_index, demand)])
-
     def _occupancy(self) -> tuple:
         # name-blind: equivalent programs under other tenant names reach the
         # same state, so written-back plans hit again after a re-submit
         return tuple(sorted(tuple(sorted(blocks))
                             for blocks in self.deployed_programs.values()))
-
-    def allocation_fingerprint(self) -> str:
-        """The current state's :attr:`AllocState.digest`."""
-        return self.state.digest
 
     # ------------------------------------------------------------------ #
     # operational status

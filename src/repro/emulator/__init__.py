@@ -15,7 +15,6 @@ from repro.emulator.traffic import (
     KVSWorkload,
     MLAggWorkload,
     DQAccWorkload,
-    zipf_keys,
 )
 from repro.emulator.engine import BatchRunner, TrafficEngine
 from repro.emulator.kernels import (
@@ -36,7 +35,6 @@ __all__ = [
     "KVSWorkload",
     "MLAggWorkload",
     "DQAccWorkload",
-    "zipf_keys",
     "BatchRunner",
     "TrafficEngine",
     "DEFAULT_KERNEL_CACHE",

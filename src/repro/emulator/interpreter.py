@@ -101,9 +101,6 @@ class StateStore:
     def table_insert(self, name: str, key: int, value: int) -> None:
         self.tables.setdefault(name, {})[int(key)] = int(value)
 
-    def table_size(self, name: str) -> int:
-        return len(self.tables.get(name, {}))
-
 
 def crc_hash(value: int, modulus: int = 1 << 16, salt: int = 0) -> int:
     """Deterministic CRC32-based hash used for sketch / aggregator indexing."""

@@ -52,17 +52,6 @@ class RunMetrics:
             return 0.0
         return 1.0 - self.bytes_delivered / self.bytes_sent
 
-    def useful_traffic_fraction(self) -> float:
-        """Fraction of offered bytes still carried as useful application data.
-
-        Both packets delivered to the servers and results reflected back to
-        the clients (e.g. aggregated gradients, cache replies) count as useful
-        output; everything else was absorbed in the network.
-        """
-        if self.bytes_sent == 0:
-            return 1.0
-        return (self.bytes_delivered + self.bytes_reflected) / self.bytes_sent
-
     def summary(self) -> Dict[str, float]:
         return {
             "packets_sent": self.packets_sent,

@@ -66,10 +66,6 @@ class NetworkEmulator:
         if callback not in self.observers:
             self.observers.append(callback)
 
-    def remove_observer(self, callback) -> None:
-        if callback in self.observers:
-            self.observers.remove(callback)
-
     # ------------------------------------------------------------------ #
     # deployment
     # ------------------------------------------------------------------ #

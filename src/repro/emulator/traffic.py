@@ -40,23 +40,6 @@ def _substream(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(purpose)])
 
 
-def zipf_keys(num_keys: int, count: int, skew: float = 1.2,
-              seed: int = 7) -> List[int]:
-    """Draw *count* keys from a Zipf-like distribution over ``num_keys`` keys.
-
-    A truncated Zipf is used (probabilities computed explicitly) so the key
-    space is bounded, matching skewed KVS workloads such as those NetCache
-    targets.  The draw is an inverse-CDF lookup of uniform variates, which
-    consumes exactly one variate per key — the property the resumable
-    workload streams rely on.
-    """
-    rng = np.random.default_rng(seed)
-    cumulative = _zipf_cumulative(num_keys, skew)
-    uniform = rng.random(count)
-    keys = np.searchsorted(cumulative, uniform, side="right")
-    return [int(k) for k in np.minimum(keys, num_keys - 1)]
-
-
 @dataclass
 class KVSWorkload:
     """Skewed read-mostly key-value query stream."""
@@ -170,14 +153,6 @@ class MLAggWorkload:
             all_packets.extend(self.round_packets(seq))
         self._next_seq += rounds
         return all_packets
-
-    def expected_sum(self, seq: int) -> List[int]:
-        """Ground-truth aggregated gradient for verification in tests."""
-        total = [0] * self.vector_dim
-        for packet in self.round_packets(seq):
-            for i, v in enumerate(packet.fields["data"]):
-                total[i] += v
-        return total
 
 
 @dataclass

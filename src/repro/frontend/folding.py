@@ -79,8 +79,7 @@ def try_eval(expr: cn.Expr, env: ConstantEnv,
 
     Returns ``None`` when the expression depends on runtime data (packet
     header fields, table lookups, ...).  Note the value ``None`` itself is a
-    valid constant (``vals != None``); callers that need to distinguish should
-    use :func:`is_constant`.  With *memo* — valid for one unchanging *env* —
+    valid constant (``vals != None``).  With *memo* — valid for one unchanging *env* —
     every node is evaluated once however often it or an enclosing
     expression is asked about, so folding a tree costs linear time.
     """
@@ -131,21 +130,6 @@ def try_eval(expr: cn.Expr, env: ConstantEnv,
     if memo is not None:
         memo[id(expr)] = (expr, value)
     return value
-
-
-def is_constant(expr: cn.Expr, env: ConstantEnv) -> bool:
-    """True if *expr* can be fully evaluated at compile time."""
-    if isinstance(expr, cn.Constant):
-        return True
-    if isinstance(expr, cn.Name):
-        return expr.ident in env
-    if isinstance(expr, (cn.BinOp, cn.Compare)):
-        return is_constant(expr.left, env) and is_constant(expr.right, env)
-    if isinstance(expr, cn.UnaryOp):
-        return is_constant(expr.operand, env)
-    if isinstance(expr, cn.Call):
-        return all(is_constant(a, env) for a in expr.args)
-    return False
 
 
 def eval_required_int(expr: cn.Expr, env: ConstantEnv, what: str) -> int:

@@ -45,7 +45,9 @@ import json
 import time
 from typing import Dict, Optional, Tuple
 
+from repro.core.pipeline import PipelineReport, complete_report
 from repro.core.service import INCService
+from repro.exceptions import ClickINCError, DeploymentError
 from repro.gateway.auth import Tenant, TenantRegistry
 from repro.obs import Observability
 from repro.obs.metrics import Sample
@@ -116,7 +118,7 @@ class Gateway:
                  obs: Optional[Observability] = None) -> None:
         self.service = service
         self.registry = registry
-        self.ledger = QuotaLedger()
+        self.ledger = QuotaLedger(self._devices_of)
         self.obs = obs if obs is not None \
             else getattr(service, "obs", None) or Observability.default()
         self.scheduler = WeightedFairScheduler(
@@ -205,6 +207,17 @@ class Gateway:
     def _wire_name(internal_name: str) -> str:
         return internal_name.split(".", 1)[1]
 
+    def _devices_of(self, tenant: Tenant, wire_name: str) -> int:
+        """Devices a committed program occupies now, read from the registry
+        of the controller hosting it (0 once it is gone)."""
+        name = self._internal_name(tenant, wire_name)
+        try:
+            controller = self.service.coordinator.controller_for(name)
+        except DeploymentError:
+            return 0
+        deployed = controller.deployed.get(name)
+        return len(deployed.devices()) if deployed is not None else 0
+
     async def _submit(self, headers: Dict[str, str], payload) -> Response:
         tenant = self.registry.authenticate(headers)
         if not isinstance(payload, dict):
@@ -279,8 +292,7 @@ class Gateway:
                                            deadline=ticket.deadline)
         wire_name = self._wire_name(ticket.request.resolved_name())
         if report.succeeded:
-            self.ledger.commit(tenant, wire_name,
-                               len(report.deployed.devices()))
+            self.ledger.commit(tenant, wire_name)
             tenant.counters.increment("committed")
             return 200, {}, report_payload(report, wire_name)
         self.ledger.release_reservation(tenant)
@@ -316,7 +328,14 @@ class Gateway:
         tenant = self.registry.authenticate(headers)
         internal = self._owned_internal(tenant, parse_wire_name(wire_name))
         kwargs = parse_update_payload(payload or {}, tenant.tenant_id)
-        report = await self.service.update(internal, **kwargs)
+        started = time.perf_counter()
+        try:
+            report = await self.service.update(internal, **kwargs)
+        except ClickINCError as exc:
+            # the swap kept the old version: the request was served and the
+            # update failed, reported in the shape of a failed submit
+            report = complete_report(PipelineReport(program_name=internal),
+                                     started, exception=exc)
         return 200, {}, report_payload(report, wire_name)
 
     # ------------------------------------------------------------------ #

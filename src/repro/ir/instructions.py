@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.exceptions import IRError
 
@@ -340,11 +340,6 @@ class Instruction:
         """True if the instruction touches persistent (inter-packet) state."""
         return self.opcode in STATEFUL_OPCODES
 
-    @property
-    def is_packet_flow(self) -> bool:
-        """True for drop/forward/mirror/... packet-flow primitives."""
-        return self.opcode in PACKET_FLOW_OPCODES
-
     # -- dataflow helpers ----------------------------------------------------
     def reads(self) -> Tuple[str, ...]:
         """Variable names read by this instruction (operands + guard)."""
@@ -356,13 +351,6 @@ class Instruction:
     def writes(self) -> Tuple[str, ...]:
         """Variable names written by this instruction."""
         return (self.dst,) if self.dst is not None else ()
-
-    def with_owner(self, owner: str) -> "Instruction":
-        """Return a shallow copy annotated with *owner*."""
-        clone = self.copy()
-        clone.owner = owner
-        clone.annotations = set(self.annotations) | {owner}
-        return clone
 
     def copy(self) -> "Instruction":
         """Return an independent copy of this instruction."""
@@ -407,22 +395,6 @@ class Instruction:
         if self.operands:
             parts.append(", ".join(str(op) for op in self.operands))
         return " ".join(parts)
-
-
-def iter_reads(instructions: Iterable[Instruction]) -> set:
-    """Union of all variable names read by *instructions*."""
-    names: set = set()
-    for instr in instructions:
-        names.update(instr.reads())
-    return names
-
-
-def iter_writes(instructions: Iterable[Instruction]) -> set:
-    """Union of all variable names written by *instructions*."""
-    names: set = set()
-    for instr in instructions:
-        names.update(instr.writes())
-    return names
 
 
 def resource_footprint(instr: Instruction) -> dict:

@@ -13,13 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import IRError
-from repro.ir.instructions import (
-    InstrClass,
-    Instruction,
-    Opcode,
-    StateDecl,
-    resource_footprint,
-)
+from repro.ir.instructions import Instruction, Opcode, StateDecl
 
 
 @dataclass
@@ -168,37 +162,10 @@ class IRProgram:
     # ------------------------------------------------------------------ #
     # analysis helpers
     # ------------------------------------------------------------------ #
-    def instruction_classes(self) -> Dict[InstrClass, int]:
-        """Histogram of capability classes used by this program."""
-        histogram: Dict[InstrClass, int] = {}
-        for instr in self._instructions:
-            cls = instr.instr_class
-            histogram[cls] = histogram.get(cls, 0) + 1
-        return histogram
-
-    def used_classes(self) -> frozenset:
-        return frozenset(instr.instr_class for instr in self._instructions)
-
-    def stateful_variables(self) -> frozenset:
-        """Names of persistent states actually referenced by instructions."""
-        return frozenset(
-            instr.state for instr in self._instructions if instr.state is not None
-        )
-
     def temporary_variables(self) -> frozenset:
         """Packet-lifetime variables (everything written that is not state)."""
         written = {instr.dst for instr in self._instructions if instr.dst}
         return frozenset(name for name in written if name not in self._states)
-
-    def resource_summary(self) -> Dict[str, int]:
-        """Aggregate per-resource demand over all instructions plus state memory."""
-        totals: Dict[str, int] = {}
-        for instr in self._instructions:
-            for key, value in resource_footprint(instr).items():
-                totals[key] = totals.get(key, 0) + value
-        state_bits = sum(state.total_bits for state in self._states.values())
-        totals["state_bits"] = totals.get("state_bits", 0) + state_bits
-        return totals
 
     def loc(self) -> int:
         """Lines of IR code — the instruction count (used in LoC benchmarks)."""
@@ -270,32 +237,6 @@ class IRProgram:
             clone.declare_header_field(fld)
         for instr in self._instructions:
             clone.append(instr.rename_vars(mapping))
-        return clone
-
-    def without_owner(self, owner: str) -> "IRProgram":
-        """Return a copy with *owner*'s annotation stripped.
-
-        Instructions left with no annotation are removed — this implements the
-        incremental program-removal rule of paper §6.
-        """
-        clone = IRProgram(self.name)
-        for state in self._states.values():
-            if state.owner != owner:
-                clone.declare_state(state)
-        for fld in self._header_fields.values():
-            clone.declare_header_field(fld)
-        for instr in self._instructions:
-            remaining = set(instr.annotations) - {owner}
-            if not remaining:
-                continue
-            kept = instr.copy()
-            kept.annotations = remaining
-            if kept.owner == owner:
-                kept.owner = sorted(remaining)[0]
-            if kept.state is not None and kept.state not in clone.states:
-                # the state belonged to the removed owner; drop the instruction
-                continue
-            clone.append(kept)
         return clone
 
     def pretty(self) -> str:

@@ -12,7 +12,7 @@ checking, lowering to IR) lives in :mod:`repro.frontend`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Union
+from typing import List, Union
 
 from repro.lang.objects import ObjectKind
 
@@ -237,41 +237,3 @@ class Module:
         ]
         return len(lines)
 
-
-def walk_statements(statements: Sequence[Statement]):
-    """Yield every statement in *statements*, recursing into bodies."""
-    for stmt in statements:
-        yield stmt
-        if isinstance(stmt, IfElse):
-            yield from walk_statements(stmt.body)
-            yield from walk_statements(stmt.orelse)
-        elif isinstance(stmt, ForLoop):
-            yield from walk_statements(stmt.body)
-
-
-def walk_expressions(expr: Expr):
-    """Yield *expr* and every sub-expression below it."""
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from walk_expressions(expr.left)
-        yield from walk_expressions(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from walk_expressions(expr.operand)
-    elif isinstance(expr, Compare):
-        yield from walk_expressions(expr.left)
-        yield from walk_expressions(expr.right)
-    elif isinstance(expr, BoolOp):
-        for value in expr.values:
-            yield from walk_expressions(value)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            yield from walk_expressions(arg)
-        for arg in expr.kwargs.values():
-            if not isinstance(arg, (int, float, str, bool, type(None))):
-                yield from walk_expressions(arg)
-    elif isinstance(expr, IndexRef):
-        yield from walk_expressions(expr.base)
-        yield from walk_expressions(expr.index)
-    elif isinstance(expr, ListExpr):
-        for element in expr.elements:
-            yield from walk_expressions(element)

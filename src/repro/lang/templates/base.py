@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Tuple, Type
+from typing import Dict, Type
 
 from repro.exceptions import ProfileError
 from repro.lang.profile import Profile
@@ -62,10 +62,6 @@ class TemplateRegistry:
             return cls._templates[app_id]()
         except KeyError as exc:
             raise ProfileError(f"no template registered for app {app_id!r}") from exc
-
-    @classmethod
-    def known_apps(cls) -> Tuple[str, ...]:
-        return tuple(sorted(cls._templates))
 
 
 def get_template(app_id: str) -> Template:

@@ -75,10 +75,6 @@ class EventLog:
         with self._lock:
             return dict(self._counts)
 
-    def to_jsonl(self, limit: Optional[int] = None) -> str:
-        return "\n".join(json.dumps(event, sort_keys=True, default=str)
-                         for event in self.recent(limit))
-
     def close(self) -> None:
         self.set_path(None)
 

@@ -118,28 +118,18 @@ class _CounterChild(_Child):
 
 
 class _GaugeChild(_Child):
-    __slots__ = ("value", "function")
+    __slots__ = ("value",)
 
     def __init__(self, family: "_Family") -> None:
         super().__init__(family)
         self.value = 0.0
-        self.function: Optional[Callable[[], float]] = None
 
     def set(self, value: float) -> None:
         if not self._live:
             return
         self.value = float(value)
 
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Sample *fn* at render time instead of storing a value."""
-        self.function = fn
-
     def current(self) -> float:
-        if self.function is not None:
-            try:
-                return float(self.function())
-            except Exception:
-                return self.value
         return self.value
 
 
@@ -211,9 +201,6 @@ class _Family:
 
     def set(self, value: float) -> None:
         self._solo().set(value)        # type: ignore[attr-defined]
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        self._solo().set_function(fn)  # type: ignore[attr-defined]
 
     def observe(self, value: float) -> None:
         self._solo().observe(value)    # type: ignore[attr-defined]

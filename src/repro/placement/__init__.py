@@ -15,23 +15,22 @@ This package implements ClickINC's placement pipeline:
    over the reduced topology tree (Algorithm 1), working from the
    per-content :mod:`repro.placement.facts` (block DAG, packing rows, scorer
    matrices) its :mod:`repro.placement.memo` keeps for repeating programs.
-6. :mod:`repro.placement.smt_baseline` — an exhaustive branch-and-bound
-   baseline standing in for the Z3/SMT approach of prior work.
-7. :mod:`repro.placement.plan` — the placement plan produced by either
-   algorithm, including per-device program snippets and step numbers.
+6. :mod:`repro.placement.plan` — the placement plan the search produces,
+   including per-device program snippets and step numbers.
+
+The comparison baselines (the exhaustive "SMT" placer of paper Table 4 /
+Fig. 14) are not part of the system and live in ``benchmarks/baselines.py``.
 """
 
 from repro.placement.depgraph import DependencyGraph, build_dependency_graph
 from repro.placement.blocks import Block, BlockDAG, build_block_dag
 from repro.placement.objective import ObjectiveWeights, PlacementObjective
-from repro.placement.intra import IntraDeviceAllocator, StageAssignment
+from repro.placement.intra import StageAssignment
 from repro.placement.memo import PlacementMemo
 from repro.placement.plan import BlockAssignment, PlacementPlan
 from repro.placement.scoring import IntervalScorer
 from repro.placement.facts import ProgramFacts, derive_program_facts
 from repro.placement.dp import DPPlacer, PlacementRequest
-from repro.placement.smt_baseline import ExhaustivePlacer
-from repro.placement.greedy import GreedySinglePathPlacer, ReplicateAllPlacer
 
 __all__ = [
     "DependencyGraph",
@@ -41,7 +40,6 @@ __all__ = [
     "build_block_dag",
     "ObjectiveWeights",
     "PlacementObjective",
-    "IntraDeviceAllocator",
     "StageAssignment",
     "BlockAssignment",
     "PlacementMemo",
@@ -51,7 +49,4 @@ __all__ = [
     "derive_program_facts",
     "DPPlacer",
     "PlacementRequest",
-    "ExhaustivePlacer",
-    "GreedySinglePathPlacer",
-    "ReplicateAllPlacer",
 ]

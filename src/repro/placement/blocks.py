@@ -27,7 +27,7 @@ instructions, so every live or cached plan would pin them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import networkx as nx
 
@@ -108,21 +108,6 @@ class BlockDAG:
         """Parameter bits that must travel from *src_block* to *dst_block*."""
         data = self.graph.get_edge_data(src_block, dst_block)
         return int(data.get("bits", 0)) if data else 0
-
-    def cut_cost_after(self, prefix_blocks: Sequence[int]) -> int:
-        """Bits crossing the boundary between *prefix_blocks* and the rest."""
-        prefix = set(prefix_blocks)
-        total = 0
-        for src, dst, data in self.graph.edges(data=True):
-            if src in prefix and dst not in prefix:
-                total += int(data.get("bits", 0))
-        return total
-
-    def block_of_instruction(self, uid: int) -> Block:
-        for block in self.blocks:
-            if uid in block.instruction_uids:
-                return block
-        raise PlacementError(f"instruction uid {uid} belongs to no block")
 
     def total_instructions(self) -> int:
         return sum(block.size for block in self.blocks)

@@ -48,14 +48,6 @@ class DependencyGraph:
     def instruction(self, uid: int) -> Instruction:
         return self.graph.nodes[uid]["instruction"]
 
-    def depends_on(self, later: int, earlier: int) -> bool:
-        """True if *later* (transitively) depends on *earlier*."""
-        return nx.has_path(self.graph, earlier, later)
-
-    def mutually_dependent_groups(self) -> List[List[int]]:
-        """Groups of uids that must stay together (shared persistent state)."""
-        return [uids for uids in self.state_groups.values() if len(uids) > 1]
-
     def topological_order(self) -> List[int]:
         """A topological order of the acyclic part of the graph.
 

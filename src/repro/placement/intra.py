@@ -37,17 +37,17 @@ running concurrently on other shards' placers — so what belongs to one
 search (the rows of each interval, every packing outcome, the
 ``packing_runs`` / ``packed_instructions`` tally) lives on the search's own
 ``_IntervalPacker``, which :meth:`PackingTable.pack` counts into.
-:class:`IntraDeviceAllocator` is the front for callers that hold a bare
-instruction list (the greedy and exhaustive baselines) and builds a
-throw-away table for it.  The previous allocator lives on as the oracle of
-the differential test (``tests/oracles/intra_reference.py``).
+:class:`benchmarks.baselines.IntraDeviceAllocator` is the front for
+callers that hold a bare instruction list (the exhaustive baseline) and
+builds a throw-away table for it.  The previous allocator lives on as the
+oracle of the differential test (``tests/oracles/intra_reference.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.devices.base import AllocState, Architecture, Device
 from repro.ir.instructions import InstrClass, Instruction
@@ -273,35 +273,3 @@ class PackingTable:
             stages_used=len(stage_demands),
             instruction_count=len(rows.ordered),
         )
-
-
-class IntraDeviceAllocator:
-    """Algorithm 2 for callers that hold a bare instruction list."""
-
-    def __init__(self, device: Device) -> None:
-        self.device = device
-
-    def allocate(
-        self,
-        program: IRProgram,
-        instructions: Sequence[Instruction],
-        commit: bool = False,
-        start_stage: int = 0,
-    ) -> Optional[StageAssignment]:
-        """Try to place *instructions* on the device.
-
-        Returns ``None`` when the placement is infeasible (unsupported
-        capability class or insufficient resources).  With ``commit=True``
-        the chosen resources are actually allocated on the device; otherwise
-        the device state is left untouched (the demands in the returned
-        assignment let the caller commit later).
-        """
-        table = PackingTable(program, instructions)
-        assignment = table.pack(self.device, table.select(), start_stage)
-        if assignment is not None and commit:
-            self.device.commit(assignment.stage_demands.items())
-        return assignment
-
-    def release(self, assignment: StageAssignment) -> None:
-        """Release a previously committed assignment."""
-        self.device.release(assignment.stage_demands.items())

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.devices.base import AllocState
-from repro.exceptions import PlacementError
 from repro.ir.program import IRProgram
 from repro.placement.blocks import BlockDAG
 from repro.placement.intra import StageAssignment
@@ -59,11 +58,6 @@ class PlacementPlan:
     #: would produce; any other state is a conflict.
     device_states: Dict[str, AllocState] = field(default_factory=dict)
 
-    @property
-    def device_fingerprints(self) -> Dict[str, str]:
-        """The digests of :attr:`device_states`."""
-        return {name: state.digest for name, state in self.device_states.items()}
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -86,12 +80,6 @@ class PlacementPlan:
                 blocks.setdefault(device, []).append(
                     (block.block_id, block.instruction_uids))
         return blocks
-
-    def assignment_for_block(self, block_id: int) -> BlockAssignment:
-        for assignment in self.assignments:
-            if assignment.block_id == block_id:
-                return assignment
-        raise PlacementError(f"block {block_id} is not assigned in this plan")
 
     def instructions_per_device(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

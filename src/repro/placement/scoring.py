@@ -122,9 +122,6 @@ class IntervalScorer:
     def instruction_count(self, start: int, end: int) -> int:
         return self._prefix[end] - self._prefix[start]
 
-    def cut_bits(self, start: int, end: int) -> int:
-        return int(self._cut[start][end])
-
     # ------------------------------------------------------------------ #
     # batched scoring
     # ------------------------------------------------------------------ #

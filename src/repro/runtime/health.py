@@ -22,7 +22,7 @@ never mutates the topology — reacting (migrating, draining) is the
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.emulator.metrics import RunMetrics
 from repro.obs.metrics import Sample
@@ -213,9 +213,3 @@ class HealthMonitor:
             return samples
 
         obs.registry.register_collector(_samples, key=("health", id(self)))
-
-    def last_event(self, kind: Optional[str] = None) -> Optional[TopologyEvent]:
-        for event in reversed(self.events):
-            if kind is None or event.kind == kind:
-                return event
-        return None

@@ -341,9 +341,6 @@ class RuntimeManager:
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
-    def last_migration(self) -> Optional[MigrationReport]:
-        return self.migration_log[-1] if self.migration_log else None
-
     def runtime_summary(self) -> Dict[str, object]:
         summary: Dict[str, object] = dict(self.stats.summary())
         summary["events"] = self.monitor.event_counts()

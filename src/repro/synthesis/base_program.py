@@ -38,9 +38,6 @@ class ParseNode:
         self.children.append(node)
         return node
 
-    def count_nodes(self) -> int:
-        return 1 + sum(child.count_nodes() for child in self.children)
-
 
 @dataclass
 class BaseProgram:

@@ -46,10 +46,6 @@ class SynthesisDelta:
     def num_affected_programs(self) -> int:
         return len(self.affected_programs)
 
-    @property
-    def num_affected_pods(self) -> int:
-        return len(self.affected_pods)
-
 
 class IncrementalSynthesizer:
     """Maintains the synthesised executables of every device in the network."""

@@ -29,8 +29,7 @@ class DeviceExecutable:
     """The synthesised program a device actually runs.
 
     It keeps the base program's head and tail plus the ordered list of user
-    snippets in between, and exposes a flattened IR view for the backend code
-    generators and the emulator.
+    snippets in between.
     """
 
     device_name: str
@@ -43,21 +42,6 @@ class DeviceExecutable:
     # ------------------------------------------------------------------ #
     def users(self) -> List[str]:
         return list(self.snippet_order)
-
-    def flattened(self) -> IRProgram:
-        """Base head + user snippets (in order) + base tail as one program."""
-        merged = IRProgram(f"{self.device_name}_exe_v{self.version}")
-        for source in [self.base.head] + [
-            self.snippets[user] for user in self.snippet_order
-        ] + [self.base.tail]:
-            for state in source.states.values():
-                if state.name not in merged.states:
-                    merged.declare_state(state)
-            for fld in source.header_fields.values():
-                merged.declare_header_field(fld)
-            for instr in source:
-                merged.append(instr.copy())
-        return merged
 
     def total_instructions(self) -> int:
         return (
@@ -130,7 +114,7 @@ def remove_from_executable(executable: DeviceExecutable, owner: str,
 
     With ``lazy=True`` (the paper's lazy enforcement) the snippet is only
     marked removed: traffic-matching is disabled (the snippet is dropped from
-    the flattened view) but the executable version is not bumped until the
+    the executable) but the executable version is not bumped until the
     next program addition forces a re-deployment.
     """
     if owner not in executable.snippets:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
-from repro.devices.base import AllocState, Device
+from repro.devices.base import AllocState
 from repro.exceptions import TopologyError
 from repro.topology.network import NetworkTopology
 
@@ -38,30 +38,6 @@ class EquivalenceClass:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def representative(self, topo: NetworkTopology) -> Device:
-        """The first *available* member, standing in for the whole class.
-
-        Guarded against stale classes: after ``fail_device``/``drain_device``
-        a class computed earlier may have shrunk to zero usable members, and
-        blindly returning ``members[0]`` would hand out a down device.
-        """
-        if not self.members:
-            raise TopologyError(
-                f"equivalence class {self.ec_id!r} has no members"
-            )
-        for name in self.members:
-            device = topo.device(name)
-            if device.is_available():
-                return device
-        raise TopologyError(
-            f"equivalence class {self.ec_id!r} has no available members "
-            f"(all of {self.members} are down or draining)"
-        )
-
-    def available_members(self, topo: NetworkTopology) -> List[str]:
-        """Member names that are currently up (may be empty for stale classes)."""
-        return [n for n in self.members if topo.device(n).is_available()]
 
 
 def compute_equivalence_classes(topo: NetworkTopology,
@@ -175,23 +151,6 @@ class ReducedTree:
     def all_nodes(self) -> List[ReducedNode]:
         return list(self.root.iter_nodes())
 
-    def server_subtree(self) -> List[ReducedNode]:
-        return [n for n in self.all_nodes() if n.side == "server"]
-
-    def device_count(self) -> int:
-        """Distinct devices the tree covers.
-
-        Guarded against (a) stale classes emptied by ``fail_device`` /
-        ``drain_device`` (they contribute zero instead of tripping on a
-        missing representative) and (b) nodes reachable through more than
-        one parent in group-wired fabrics, whose members would otherwise be
-        double-counted.
-        """
-        names: Set[str] = set()
-        for node in self.all_nodes():
-            if node.ec.members:
-                names.update(node.ec.members)
-        return len(names)
 
 
 def node_content_key(node: ReducedNode, topo: NetworkTopology,

@@ -8,7 +8,6 @@ uses to find the devices INC programs can occupy.
 
 from __future__ import annotations
 
-import hashlib
 import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -133,9 +132,6 @@ class NetworkTopology:
             return self.devices[name]
         except KeyError as exc:
             raise TopologyError(f"unknown device {name!r}") from exc
-
-    def devices_in_layer(self, layer: str) -> List[Device]:
-        return [dev for name, dev in self.devices.items() if self.layers[name] == layer]
 
     def neighbors(self, name: str) -> List[str]:
         return list(self.graph.neighbors(name))
@@ -325,36 +321,6 @@ class NetworkTopology:
             for src in sources
         }
 
-    def path_bandwidth(self, path: Sequence[str]) -> float:
-        """Bottleneck bandwidth along a device path in Gbps."""
-        if len(path) < 2:
-            return self.devices[path[0]].bandwidth_gbps if path else 0.0
-        capacities = []
-        for a, b in zip(path, path[1:]):
-            capacities.append(self.link(a, b).capacity_gbps)
-        return min(capacities)
-
-    # ------------------------------------------------------------------ #
-    # allocation fingerprints
-    # ------------------------------------------------------------------ #
-    def device_fingerprints(self, names: Optional[Iterable[str]] = None
-                            ) -> Dict[str, str]:
-        """Per-device allocation-state digests (all devices by default)."""
-        selected = sorted(names) if names is not None else sorted(self.devices)
-        return {name: self.device(name).state.digest for name in selected}
-
-    def allocation_fingerprint(self, names: Optional[Iterable[str]] = None
-                               ) -> str:
-        """Hash of the current allocations of *names* (default: all devices).
-
-        Committing a plan changes it; releasing the same plan restores it, so
-        "the fabric is back where it started" is one comparison.
-        """
-        payload = "|".join(
-            f"{name}:{fp}" for name, fp in self.device_fingerprints(names).items()
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
     # ------------------------------------------------------------------ #
     # shard-local views (controller sharding)
     # ------------------------------------------------------------------ #
@@ -419,11 +385,6 @@ class NetworkTopology:
         root._subviews = [ref for ref in root._subviews if ref() is not None]
         root._subviews.append(weakref.ref(view))
         return view
-
-    def reset_resources(self) -> None:
-        """Release every allocation on every device (between experiments)."""
-        for device in self.devices.values():
-            device.reset()
 
     def total_utilisation(self) -> float:
         if not self.devices:

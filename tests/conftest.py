@@ -7,6 +7,8 @@ they are session-scoped; tests that mutate them must copy first.
 from __future__ import annotations
 
 import importlib.util
+import pathlib
+import sys
 
 import pytest
 
@@ -14,6 +16,10 @@ from repro.frontend import FrontendCompiler, compile_template
 from repro.lang.profile import default_profile
 from repro.topology import build_paper_emulation_topology
 from repro.topology.fattree import build_chain, build_fattree
+
+# The comparison baselines (benchmarks/baselines.py) are imported as
+# ``benchmarks.baselines`` however pytest was started.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
 
 def pytest_addoption(parser):

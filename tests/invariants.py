@@ -6,7 +6,34 @@ module); tests import them by name.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import hashlib
+from typing import Dict, Iterable, List, Optional, Tuple
+
+
+def device_fingerprints(topology, names: Optional[Iterable[str]] = None
+                        ) -> Dict[str, str]:
+    """Per-device allocation-state digests (all devices by default)."""
+    selected = sorted(names) if names is not None else sorted(topology.devices)
+    return {name: topology.device(name).state.digest for name in selected}
+
+
+def plan_fingerprints(plan) -> Dict[str, str]:
+    """The digests of the states *plan* was placed against."""
+    return {name: state.digest for name, state in plan.device_states.items()}
+
+
+def allocation_fingerprint(topology,
+                           names: Optional[Iterable[str]] = None) -> str:
+    """Hash of the allocation states of *names* (default: every device).
+
+    Committing a plan changes it; releasing the same plan restores it, so
+    "the fabric is back where it started" (after a removal, a rollback or
+    a failed deploy) is one comparison.
+    """
+    payload = "|".join(
+        f"{name}:{fp}"
+        for name, fp in device_fingerprints(topology, names).items())
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def assert_resources_conserved(owner) -> None:

@@ -5,7 +5,7 @@ memo, equivalence-class pruning and vectorised scoring, moved here so the
 differential tests in ``tests/test_placement_scale.py`` and
 ``tests/test_program_facts.py`` have an independent oracle.  Every call
 derives the program facts from scratch, evaluates each interval with one
-:class:`~repro.placement.intra.IntraDeviceAllocator` per device plus an
+:class:`benchmarks.baselines.IntraDeviceAllocator` per device plus an
 edge walk over the block graph for its cut bits, and neither reads nor
 feeds a :class:`~repro.placement.memo.PlacementMemo`.  Plan construction —
 the reduced tree, the objective, materialisation, the state stamps,
@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from benchmarks.baselines import IntraDeviceAllocator
 from repro.exceptions import PlacementError
 from repro.placement.blocks import Block, BlockDAG
 from repro.placement.dp import (
@@ -29,7 +30,6 @@ from repro.placement.dp import (
     _product_limited,
 )
 from repro.placement.facts import derive_program_facts
-from repro.placement.intra import IntraDeviceAllocator
 from repro.placement.objective import PlacementObjective
 from repro.placement.plan import PlacementPlan
 from repro.topology.equivalence import ReducedNode, ReducedTree

@@ -10,12 +10,19 @@ writes) from the :class:`Instruction` objects and reads the device's
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.devices.base import Architecture, Device
 from repro.ir.instructions import Instruction
 from repro.ir.program import IRProgram
 from repro.placement.intra import StageAssignment
+
+
+def state_demand(program: IRProgram, state_names: Iterable[str]) -> Dict[str, float]:
+    """Memory demand of the persistent states named in *state_names*."""
+    return Device.memory_demand(
+        Device.state_bits(program.get_state(name)) for name in state_names
+    )
 
 
 class ReferenceAllocator:
@@ -49,7 +56,7 @@ class ReferenceAllocator:
                 instruction_count=0,
             )
         for instr in instructions:
-            if not self.device.supports_instruction(instr):
+            if instr.instr_class not in self.device.supported_classes:
                 return None
 
         if self.device.architecture is Architecture.RTC:
@@ -60,13 +67,13 @@ class ReferenceAllocator:
             return None
         if commit:
             for stage, demand in assignment.stage_demands.items():
-                self.device.allocate_stage(stage, demand)
+                self.device.commit([(stage, demand)])
         return assignment
 
     def release(self, assignment: StageAssignment) -> None:
         """Release a previously committed assignment."""
         for stage, demand in assignment.stage_demands.items():
-            self.device.release_stage(stage, demand)
+            self.device.release([(stage, demand)])
 
     # ------------------------------------------------------------------ #
     # pipeline devices
@@ -133,8 +140,8 @@ class ReferenceAllocator:
         # memory is spread over subsequent stages (RMT table spreading,
         # paper Eq. 13), anchored at the first stage that references it.
         for state_name, anchor in state_anchor.items():
-            state_demand = device.state_demand(program, [state_name])
-            for key, amount in state_demand.items():
+            memory = state_demand(program, [state_name])
+            for key, amount in memory.items():
                 remaining = amount
                 for stage_index in range(anchor, device.num_stages):
                     if remaining <= 1e-12:
@@ -181,7 +188,7 @@ class ReferenceAllocator:
                 total[key] = total.get(key, 0.0) + amount
             if instr.state is not None:
                 states.add(instr.state)
-        for key, amount in device.state_demand(program, states).items():
+        for key, amount in state_demand(program, states).items():
             total[key] = total.get(key, 0.0) + amount
 
         # greedily spread over islands (pseudo-stages), filling each in turn

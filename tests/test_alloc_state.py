@@ -54,14 +54,14 @@ class TestInterning:
         a, b = TofinoDevice("a"), TofinoDevice("b")
         assert a.state is b.state
         assert a.state is not Tofino2Device("c").state    # another model
-        a.allocate_stage(3, {"alu": 2.0})
+        a.commit([(3, {"alu": 2.0})])
         assert a.state is not b.state
-        b.allocate_stage(3, {"alu": 2.0})
+        b.commit([(3, {"alu": 2.0})])
         assert a.state is b.state
 
     def test_a_state_is_frozen_and_pickles_to_itself(self):
         device = TofinoDevice("a")
-        device.allocate_stage(0, {"alu": 1.0})
+        device.commit([(0, {"alu": 1.0})])
         state = device.state
         with pytest.raises(AttributeError):
             state.status = "down"
@@ -69,14 +69,14 @@ class TestInterning:
 
     def test_digest_and_availability_are_derived_once(self, monkeypatch):
         device = TofinoDevice("a")
-        device.allocate_stage(5, {"sram_kb": 3 / 8192})   # a fresh state
+        device.commit([(5, {"sram_kb": 3 / 8192})])   # a fresh state
         renders = []
         dumps = base.json.dumps
         monkeypatch.setattr(base.json, "dumps",
                             lambda *a, **k: renders.append(1) or dumps(*a, **k))
         state = device.state
         assert {state.digest for _ in range(3)} == {
-            device.allocation_fingerprint()}
+            device.state.digest}
         assert len(renders) == 1
         assert state.stage_availability() is state.stage_availability()
 
@@ -89,7 +89,7 @@ class TestInterning:
         def walk(states):
             device = TofinoDevice("t")
             for step in range(1200):
-                device.allocate_stage(step % 12, {"alu": 0.25})
+                device.commit([(step % 12, {"alu": 0.25})])
                 states.append(device.state)
 
         threads = [threading.Thread(target=walk, args=(states,))

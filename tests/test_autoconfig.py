@@ -1,13 +1,34 @@
 """Unit tests for the learning-based parameter auto-configuration."""
 
+from typing import Callable, Dict
+
+import numpy as np
 import pytest
 
-from repro.apps.autoconfig import (
-    ParameterAutoConfigurator,
-    ResourceModel,
-    kvs_hit_ratio_simulator,
-)
+from repro.apps.autoconfig import ParameterAutoConfigurator, ResourceModel
 from repro.exceptions import ProfileError
+
+
+def kvs_hit_ratio_simulator(num_keys: int = 10000, skew: float = 1.2
+                            ) -> Callable[[Dict[str, float]], Dict[str, float]]:
+    """Analytic simulator of KVS cache hit ratio / heavy-hitter accuracy.
+
+    Used to build the historical record the auto-configurator learns from,
+    standing in for the paper's empirical measurements.
+    """
+    ranks = np.arange(1, num_keys + 1, dtype=float)
+    weights = ranks ** (-skew)
+    weights /= weights.sum()
+
+    def simulate(params: Dict[str, float]) -> Dict[str, float]:
+        depth = int(params.get("depth", 1000))
+        cms_size = int(params.get("cms_size", 1024))
+        hit = float(weights[: min(depth, num_keys)].sum())
+        # count-min error decays with counter array size relative to key count
+        accuracy = float(1.0 - min(1.0, num_keys / (4.0 * max(1, cms_size))))
+        return {"hit_ratio": hit, "accuracy": accuracy}
+
+    return simulate
 
 
 def make_configurator():

@@ -5,6 +5,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from invariants import (
+    allocation_fingerprint,
+    device_fingerprints,
+    plan_fingerprints,
+)
 
 from repro.core import cache as cache_module
 from repro.core.cache import (
@@ -12,7 +17,6 @@ from repro.core.cache import (
     canonical_json,
     content_key,
     fingerprint_ir,
-    topology_resource_fingerprint,
 )
 from repro.frontend import compile_template
 from repro.frontend.compiler import profile_compile_key, source_compile_key
@@ -128,17 +132,17 @@ class TestFingerprints:
     def test_topology_fingerprint_tracks_allocations(self, paper_topology,
                                                      kvs_program):
         placer = DPPlacer(paper_topology)
-        before = topology_resource_fingerprint(paper_topology)
+        before = allocation_fingerprint(paper_topology)
         plan = placer.place(PlacementRequest(
             program=kvs_program, source_groups=["pod0(a)"],
             destination_group="pod2(b)",
         ))
-        assert topology_resource_fingerprint(paper_topology) == before
+        assert allocation_fingerprint(paper_topology) == before
         placer.commit(plan)
-        committed = topology_resource_fingerprint(paper_topology)
+        committed = allocation_fingerprint(paper_topology)
         assert committed != before
         placer.release(plan)
-        assert topology_resource_fingerprint(paper_topology) == before
+        assert allocation_fingerprint(paper_topology) == before
 
     def test_canonical_json_is_order_insensitive(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
@@ -200,10 +204,10 @@ class TestPlanCacheStaleness:
         inc = ClickINC(build_fattree(k=4))
 
         def matching():
-            live = inc.topology.device_fingerprints()
+            live = device_fingerprints(inc.topology)
             return [key for key in self._plan_entries(inc.cache)
                     if all(live[name] == fp for name, fp in
-                           inc.cache._entries[key].device_fingerprints.items())]
+                           plan_fingerprints(inc.cache._entries[key]).items())]
 
         inc.deploy_many([self._request("a")])   # first sight: not stored
         assert self._plan_entries(inc.cache) == []

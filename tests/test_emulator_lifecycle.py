@@ -178,7 +178,7 @@ class TestEmulatorObservers:
         controller.emulator.add_observer(seen.append)
         metrics = controller.run_traffic([])
         assert seen == [metrics]
-        controller.emulator.remove_observer(seen.append)
+        controller.emulator.observers.remove(seen.append)
         controller.run_traffic([])
         assert len(seen) == 1
 

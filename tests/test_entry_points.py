@@ -11,8 +11,10 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from invariants import device_fingerprints
 
 from repro.core import ClickINC, DeployRequest, INCService
+from repro.exceptions import DeploymentError
 from repro.lang.profile import default_profile
 from repro.sharding import ShardCoordinator
 from repro.topology import build_fattree
@@ -119,7 +121,7 @@ SHARDED = ("coordinator", "service-sharded", "service-unsharded")
 @pytest.fixture(scope="module")
 def reference():
     topology = build_fattree(k=4)
-    return batch(topology), topology.device_fingerprints()
+    return batch(topology), device_fingerprints(topology)
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -132,7 +134,7 @@ def test_every_entry_point_yields_the_same_deployments(entry, reference):
         assert outcomes[DUPLICATE][3] == ()
         outcomes[DUPLICATE] = expected[DUPLICATE]
     assert outcomes == expected
-    assert topology.device_fingerprints() == fingerprints
+    assert device_fingerprints(topology) == fingerprints
 
 
 # --------------------------------------------------------------------- #
@@ -148,5 +150,5 @@ def test_no_entry_point_accepts_a_worker_count():
     with ClickINC(build_fattree(k=4)) as inc:
         with pytest.raises(TypeError):
             inc.deploy_many([], workers=2)
-        with pytest.raises(TypeError):
-            inc.as_service(workers=2)
+        with pytest.raises(DeploymentError):
+            INCService(inc, workers=2)

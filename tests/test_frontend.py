@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import CompileError, LanguageError, UnrollError
 from repro.frontend import FrontendCompiler, compile_source
-from repro.frontend.folding import ConstantEnv, is_constant, try_eval, unroll_range
+from repro.frontend.folding import ConstantEnv, try_eval, unroll_range
 from repro.ir.instructions import Opcode
 from repro.lang import ast_nodes as cn
 
@@ -32,11 +32,6 @@ class TestConstantFolding:
         env = ConstantEnv()
         assert try_eval(cn.Compare("<", cn.Constant(1), cn.Constant(2)), env) is True
         assert try_eval(cn.UnaryOp("-", cn.Constant(5)), env) == -5
-
-    def test_is_constant(self):
-        env = ConstantEnv({"N": 4})
-        assert is_constant(cn.BinOp("+", cn.Name("N"), cn.Constant(1)), env)
-        assert not is_constant(cn.Name("runtime_var"), env)
 
     def test_division_by_zero_is_not_constant(self):
         expr = cn.BinOp("/", cn.Constant(1), cn.Constant(0))

@@ -244,6 +244,71 @@ class TestLifecycle:
 
         run(drive())
 
+    def test_failed_update_is_reported_and_keeps_the_old_version(self):
+        """An update the fabric cannot place answers like a failed submit
+        (``200``, ``succeeded: false``), and the old version stays."""
+        async def drive():
+            service, gateway = await make_gateway()
+            try:
+                headers = auth("acme")
+                await gateway.handle("POST", "/v1/programs", headers,
+                                     submit_body("kvs0"))
+                coordinator = service.coordinator
+                old = coordinator.controller_for(
+                    "acme.kvs0").deployed["acme.kvs0"]
+                too_deep = json.dumps({
+                    "app": "KVS", "performance": {"depth": 10 ** 7}}).encode()
+                tor = coordinator.topology.host_group("pod0(a)").tor
+                replies = [await gateway.handle(
+                    "POST", "/v1/programs/kvs0/update", headers, too_deep)]
+                await service.drain_device(tor)
+                replies.append(await gateway.handle(
+                    "POST", "/v1/programs/kvs0/update", headers,
+                    json.dumps({"app": "KVS"}).encode()))
+                for status, _, report in replies:
+                    assert status == 200
+                    assert report["program"] == "kvs0"
+                    assert report["succeeded"] is False
+                    assert report["failed_stage"] == "placement"
+                    assert report["error"]
+                _, _, listing = await gateway.handle(
+                    "GET", "/v1/programs", headers)
+                assert listing == {"programs": ["kvs0"]}
+                assert coordinator.controller_for(
+                    "acme.kvs0").deployed["acme.kvs0"] is old
+            finally:
+                await close_gateway(service, gateway)
+
+        run(drive())
+
+    def test_delete_does_not_wait_behind_queued_submits(self):
+        """A wire ``DELETE`` goes to the service directly: it does not queue
+        behind other tenants' submits waiting in the gateway scheduler."""
+        registry = make_registry(
+            a=(1.0, None), b=(1.0, TenantQuota(max_in_flight=6)))
+
+        async def drive():
+            service, gateway = await make_gateway(registry, wave=1)
+            try:
+                await gateway.handle("POST", "/v1/programs", auth("a"),
+                                     submit_body("kvs0"))
+                queued = [asyncio.ensure_future(gateway.handle(
+                    "POST", "/v1/programs", auth("b"),
+                    submit_body(f"p{i}", pod=1,
+                                performance={"depth": 1000})))
+                    for i in range(6)]
+                await asyncio.sleep(0)      # every submit is enqueued
+                status, _, removed = await gateway.handle(
+                    "DELETE", "/v1/programs/kvs0", auth("a"))
+                assert (status, removed) == (200, {"removed": "kvs0"})
+                assert not queued[-1].done()
+                for status, _, report in await asyncio.gather(*queued):
+                    assert status == 200 and report["succeeded"]
+            finally:
+                await close_gateway(service, gateway)
+
+        run(drive())
+
 
 # --------------------------------------------------------------------- #
 # quotas
@@ -321,6 +386,36 @@ class TestQuota:
                     "POST", "/v1/programs", auth("acme"),
                     submit_body("p1", pod=1))
                 assert status == 200
+            finally:
+                await close_gateway(service, gateway)
+
+        run(drive())
+
+
+    def test_device_usage_follows_updates(self):
+        """``usage.devices`` is what the tenant's programs occupy now: an
+        update that moves a program to fewer devices is counted as such."""
+        async def drive():
+            service, gateway = await make_gateway()
+            try:
+                headers = auth("acme")
+                body = json.dumps({
+                    "name": "kvs0", "app": "KVS",
+                    "source_groups": ["pod0(a)", "pod1(a)"],
+                    "destination_group": "pod2(b)"}).encode()
+                _, _, report = await gateway.handle(
+                    "POST", "/v1/programs", headers, body)
+                _, _, page = await gateway.handle(
+                    "GET", "/v1/status", headers)
+                assert page["usage"]["devices"] == len(report["devices"])
+                _, _, updated = await gateway.handle(
+                    "POST", "/v1/programs/kvs0/update", headers,
+                    json.dumps({"app": "DQAcc"}).encode())
+                assert updated["succeeded"]
+                assert len(updated["devices"]) < len(report["devices"])
+                _, _, page = await gateway.handle(
+                    "GET", "/v1/status", headers)
+                assert page["usage"]["devices"] == len(updated["devices"])
             finally:
                 await close_gateway(service, gateway)
 

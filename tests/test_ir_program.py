@@ -1,9 +1,17 @@
 """Unit tests for the IRProgram container."""
 
+import collections
+
 import pytest
 
 from repro.exceptions import IRError
-from repro.ir.instructions import InstrClass, Opcode, StateDecl, StateKind
+from repro.ir.instructions import (
+    InstrClass,
+    Opcode,
+    StateDecl,
+    StateKind,
+    resource_footprint,
+)
 from repro.ir.program import HeaderField, IRProgram
 
 
@@ -64,7 +72,7 @@ class TestConstruction:
 class TestAnalysis:
     def test_instruction_classes_histogram(self):
         program = make_small_program()
-        histogram = program.instruction_classes()
+        histogram = collections.Counter(i.instr_class for i in program)
         assert histogram[InstrClass.BAF] == 1
         assert histogram[InstrClass.BSO] == 1
         assert histogram[InstrClass.BIN] == 1
@@ -72,11 +80,11 @@ class TestAnalysis:
 
     def test_used_classes(self):
         program = make_small_program()
-        assert InstrClass.BSO in program.used_classes()
+        assert InstrClass.BSO in {i.instr_class for i in program}
 
     def test_stateful_variables(self):
         program = make_small_program()
-        assert program.stateful_variables() == frozenset({"ctr"})
+        assert {i.state for i in program if i.state is not None} == {"ctr"}
 
     def test_temporary_variables_exclude_states(self):
         program = make_small_program()
@@ -85,9 +93,9 @@ class TestAnalysis:
 
     def test_resource_summary_includes_state_bits(self):
         program = make_small_program()
-        summary = program.resource_summary()
-        assert summary["state_bits"] == 16 * 32
-        assert summary["salu"] >= 1
+        state_bits = sum(s.total_bits for s in program.states.values())
+        assert state_bits == 16 * 32
+        assert sum(resource_footprint(i).get("salu", 0) for i in program) >= 1
 
     def test_loc_equals_instruction_count(self):
         program = make_small_program()
@@ -123,24 +131,6 @@ class TestTransforms:
         program = make_small_program()
         program.renamed("user1")
         assert "ctr" in program.states
-
-    def test_without_owner_removes_everything_for_single_owner(self):
-        program = make_small_program("solo")
-        stripped = program.without_owner("solo")
-        assert len(stripped) == 0
-        assert not stripped.states
-
-    def test_without_owner_keeps_shared_instructions(self):
-        program = IRProgram("base")
-        program.declare_state(StateDecl("s", StateKind.REGISTER_ARRAY, size=4, width=8))
-        shared = program.emit(Opcode.REG_ADD, "x", 0, 1, state="s")
-        shared.annotations.update({"base", "user1"})
-        only_user = program.emit(Opcode.ADD, "y", "x", 1)
-        only_user.annotations = {"user1"}
-        only_user.owner = "user1"
-        stripped = program.without_owner("user1")
-        assert len(stripped) == 1
-        assert stripped[0].opcode is Opcode.REG_ADD
 
     def test_pretty_output_mentions_states_and_instructions(self):
         program = make_small_program()

@@ -189,11 +189,3 @@ class TestExpressions:
         assert call.func == "back"
         assert "hdr" in call.kwargs
 
-    def test_walk_helpers(self):
-        module = parse_program(
-            "x = 1\nif x == 1:\n    for i in range(2):\n        y = i + x"
-        )
-        statements = list(cn.walk_statements(module.body))
-        assert any(isinstance(s, cn.ForLoop) for s in statements)
-        exprs = list(cn.walk_expressions(cn.BinOp("+", cn.Name("a"), cn.Constant(1))))
-        assert len(exprs) == 3

@@ -11,6 +11,11 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from invariants import (
+    allocation_fingerprint,
+    device_fingerprints,
+    plan_fingerprints,
+)
 
 from repro.core import ClickINC, DeployRequest, PipelineReport
 from repro.exceptions import (
@@ -69,7 +74,7 @@ class TestPickling:
         assert clone.program_name == plan.program_name
         assert clone.devices_used() == plan.devices_used()
         assert clone.gain == plan.gain
-        assert clone.device_fingerprints == plan.device_fingerprints
+        assert plan_fingerprints(clone) == plan_fingerprints(plan)
         assert clone.program_fingerprint == plan.program_fingerprint
         assert clone.step_table() == plan.step_table()
         # the clone is committable on an equivalent topology
@@ -103,12 +108,12 @@ class TestSpeculativePlacement:
 
     def test_place_is_commit_free(self):
         topology = build_fattree(k=4)
-        baseline = topology.allocation_fingerprint()
+        baseline = allocation_fingerprint(topology)
         placer = DPPlacer(topology)
         plan = self._place(placer, topology, "free")
-        assert topology.allocation_fingerprint() == baseline
-        assert plan.device_fingerprints == topology.device_fingerprints(
-            plan.device_fingerprints)
+        assert allocation_fingerprint(topology) == baseline
+        assert plan_fingerprints(plan) == device_fingerprints(
+            topology, plan.device_states)
         assert placer.validate(plan) == []
 
     def test_conflicting_commit_raises_and_leaves_state_clean(self):
@@ -119,12 +124,12 @@ class TestSpeculativePlacement:
         placer.commit(plan_a, validate=True)
         conflicts = placer.validate(plan_b)
         assert conflicts  # both tenants consulted the same pod-0 devices
-        fingerprint = topology.allocation_fingerprint()
+        fingerprint = allocation_fingerprint(topology)
         with pytest.raises(PlacementConflictError) as excinfo:
             placer.commit(plan_b, validate=True)
         assert excinfo.value.conflicts == conflicts
         # validation failed before any allocation happened
-        assert topology.allocation_fingerprint() == fingerprint
+        assert allocation_fingerprint(topology) == fingerprint
 
     def test_release_restores_fingerprints(self):
         topology = build_fattree(k=4)

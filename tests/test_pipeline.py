@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from invariants import allocation_fingerprint
 
 from repro.apps import KVSApplication
 from repro.core import ArtifactCache, ClickINC, DeployRequest
-from repro.core.cache import topology_resource_fingerprint
 from repro.core.pipeline import STAGE_ORDER
 from repro.emulator.interpreter import DeviceRuntime
 from repro.exceptions import BackendError, DeploymentError, EmulationError
@@ -221,7 +221,7 @@ class TestDeployMany:
 
 class TestRollback:
     def _assert_clean(self, controller, fingerprint):
-        assert topology_resource_fingerprint(controller.topology) == fingerprint
+        assert allocation_fingerprint(controller.topology) == fingerprint
         assert controller.synthesizer.deployed_programs() == []
         assert controller.emulator.deployments == {}
         assert controller.deployed == {}
@@ -230,7 +230,7 @@ class TestRollback:
 
     def test_emulator_failure_rolls_back_placer_and_synth(self, controller,
                                                           monkeypatch):
-        fingerprint = topology_resource_fingerprint(controller.topology)
+        fingerprint = allocation_fingerprint(controller.topology)
         monkeypatch.setattr(
             controller.emulator, "deploy",
             lambda *a, **k: (_ for _ in ()).throw(EmulationError("injected")),
@@ -258,7 +258,7 @@ class TestRollback:
             return real_snippets(plan)
 
         monkeypatch.setattr(PlacementPlan, "device_snippets", counted)
-        fingerprint = topology_resource_fingerprint(controller.topology)
+        fingerprint = allocation_fingerprint(controller.topology)
         installs = []
         real_install = DeviceRuntime.install_snippet
 
@@ -286,7 +286,7 @@ class TestRollback:
 
     def test_codegen_failure_rolls_back_everything(self, controller,
                                                    monkeypatch):
-        fingerprint = topology_resource_fingerprint(controller.topology)
+        fingerprint = allocation_fingerprint(controller.topology)
         monkeypatch.setattr(
             "repro.core.pipeline.generate_for_device",
             lambda *a, **k: (_ for _ in ()).throw(BackendError("injected")),
@@ -319,7 +319,7 @@ class TestRollback:
     def test_remove_is_atomic(self, controller, monkeypatch):
         controller.deploy_profile(default_profile("KVS"), ["pod0(a)"],
                                   "pod2(b)", name="kvs_rm")
-        fingerprint = topology_resource_fingerprint(controller.topology)
+        fingerprint = allocation_fingerprint(controller.topology)
         monkeypatch.setattr(
             controller.emulator, "undeploy",
             lambda *a, **k: (_ for _ in ()).throw(EmulationError("injected")),
@@ -329,20 +329,20 @@ class TestRollback:
         # the program is still fully recorded and resources re-installed
         assert "kvs_rm" in controller.deployed
         assert controller.synthesizer.deployed_programs() == ["kvs_rm"]
-        assert topology_resource_fingerprint(controller.topology) == fingerprint
+        assert allocation_fingerprint(controller.topology) == fingerprint
         monkeypatch.undo()
         controller.remove("kvs_rm")
         assert controller.deployed == {}
         assert controller.synthesizer.deployed_programs() == []
 
     def test_remove_then_redeploy_round_trips(self, controller):
-        baseline = topology_resource_fingerprint(controller.topology)
+        baseline = allocation_fingerprint(controller.topology)
         for _ in range(2):
             controller.deploy_profile(default_profile("MLAgg"),
                                       ["pod1(a)", "pod1(b)"], "pod2(b)",
                                       name="mlagg_rt")
             controller.remove("mlagg_rt")
-        assert topology_resource_fingerprint(controller.topology) == baseline
+        assert allocation_fingerprint(controller.topology) == baseline
 
 
 class TestSharedCache:
@@ -361,4 +361,4 @@ class TestSharedCache:
         assert "frontend" in hits
         # same reduced tree, same (fresh) state of its devices ⇒ same key
         assert "placement" in hits
-        assert second.cache_summary()["program"]["hits"] >= 1
+        assert second.cache.summary()["program"]["hits"] >= 1

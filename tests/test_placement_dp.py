@@ -1,19 +1,15 @@
-"""Integration tests for the DP placer, the SMT baseline and the naive placers."""
+"""Integration tests for the DP placer and the exhaustive (SMT) baseline."""
 
 import pytest
 
+from benchmarks.baselines import ExhaustivePlacer
 from repro.devices import TofinoDevice
 from repro.exceptions import PlacementError
 from repro.frontend import compile_source, compile_template
 from repro.lang.profile import default_profile
-from repro.placement import (
-    DPPlacer,
-    ExhaustivePlacer,
-    GreedySinglePathPlacer,
-    PlacementRequest,
-    ReplicateAllPlacer,
-)
+from repro.placement import DPPlacer, PlacementRequest
 from repro.topology.fattree import build_chain
+
 
 
 def simple_counter_program(name="counter"):
@@ -182,24 +178,6 @@ class TestExhaustiveBaseline:
             ExhaustivePlacer(devices, timeout_s=5).place(program)
 
 
-class TestNaiveBaselines:
-    def test_greedy_single_path(self, paper_topology):
-        program = compile_template(default_profile("DQAcc"), name="dq_greedy")
-        plan = GreedySinglePathPlacer(paper_topology).place(
-            program, "pod0(a)", "pod2(b)"
-        )
-        assert plan.is_complete()
-        assert plan.served_traffic_fraction <= 1.0
-
-    def test_replicate_all(self, paper_topology):
-        program = simple_counter_program("ctr_rep")
-        plan = ReplicateAllPlacer(paper_topology).place(
-            program, ["pod0(a)", "pod1(a)"], "pod2(b)"
-        )
-        assert plan.is_complete()
-        assert plan.normalized_resource() >= 2.0   # replicated on two ToRs
-
-
 class TestPlanQueries:
     def test_summary_and_snippets(self, chain_topology):
         program = compile_template(default_profile("KVS"), name="kvs_sum")
@@ -227,12 +205,3 @@ class TestPlanQueries:
         steps = plan.step_table()
         order = [b.block_id for b in plan.block_dag.topological_order()]
         assert [steps[b] for b in order] == sorted(steps[b] for b in order)
-
-    def test_assignment_for_unknown_block_raises(self, chain_topology):
-        program = simple_counter_program("ctr_q")
-        plan = DPPlacer(chain_topology).place(
-            PlacementRequest(program=program, source_groups=["client"],
-                             destination_group="server")
-        )
-        with pytest.raises(PlacementError):
-            plan.assignment_for_block(99999)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.intra_reference import ReferenceAllocator
 
+from benchmarks.baselines import IntraDeviceAllocator
+
 from repro.devices import NetronomeNFPDevice, TofinoDevice, XilinxFPGADevice
 from repro.frontend import compile_source, compile_template
 from repro.ir.instructions import Opcode, StateDecl, StateKind
@@ -15,7 +17,6 @@ from repro.lang.profile import default_profile
 from repro.lang.templates import sparse_mlagg_source
 from repro.placement import (
     DPPlacer,
-    IntraDeviceAllocator,
     ObjectiveWeights,
     PlacementObjective,
     PlacementRequest,
@@ -221,11 +222,11 @@ def one_device_per_type(rng: random.Random):
         for index in rng.sample(range(device.num_stages),
                                 k=rng.randrange(0, device.num_stages + 1)):
             stage = device.stages[index]
-            device.allocate_stage(index, {
+            device.commit([(index, {
                 key: stage.available(key) * rng.choice((0.0, rng.random(), 1.0))
                 for key in rng.sample(sorted(stage.capacities),
                                       k=rng.randrange(1, 4))
-            })
+            })])
     return [by_type[dev_type] for dev_type in sorted(by_type)]
 
 
@@ -282,13 +283,13 @@ class TestPackingTableMatchesReference:
                     got = IntraDeviceAllocator(device).allocate(
                         program, instructions, commit=True)
                     assert_same_assignment(got, expected)
-                    assert (device.allocation_fingerprint()
-                            == twin.allocation_fingerprint())
+                    assert (device.state.digest
+                            == twin.state.digest)
                     if expected is not None:
                         ReferenceAllocator(twin).release(expected)
                         IntraDeviceAllocator(device).release(got)
-                        assert (device.allocation_fingerprint()
-                                == twin.allocation_fingerprint())
+                        assert (device.state.digest
+                                == twin.state.digest)
 
 
 class TestPackingWorkIsCounted:
@@ -354,6 +355,6 @@ class TestObjective:
         objective = PlacementObjective(100, 1000, adaptive=True)
         devices = [TofinoDevice("t")]
         fresh = objective.current_weights(devices)
-        devices[0].allocate_stage(0, {"salu": 4.0})
+        devices[0].commit([(0, {"salu": 4.0})])
         used = objective.current_weights(devices)
         assert used.w_r > fresh.w_r

@@ -80,8 +80,42 @@ def plan_key(plan):
             )
             for a in plan.assignments
         ),
-        tuple(sorted(plan.device_fingerprints.items())),
+        tuple(sorted((name, state.digest)
+                     for name, state in plan.device_states.items())),
     )
+
+
+# --------------------------------------------------------------------- #
+# test-side views of an equivalence class and a reduced tree
+# --------------------------------------------------------------------- #
+def representative(ec, topo):
+    """The first *available* member of *ec*, standing in for the class.
+
+    Guarded against stale classes: after ``fail_device``/``drain_device``
+    a class computed earlier may have shrunk to zero usable members, and
+    blindly returning ``members[0]`` would hand out a down device.
+    """
+    if not ec.members:
+        raise TopologyError(f"equivalence class {ec.ec_id!r} has no members")
+    for name in ec.members:
+        device = topo.device(name)
+        if device.is_available():
+            return device
+    raise TopologyError(
+        f"equivalence class {ec.ec_id!r} has no available members "
+        f"(all of {ec.members} are down or draining)"
+    )
+
+
+def available_members(ec, topo):
+    """Member names of *ec* that are currently up."""
+    return [n for n in ec.members if topo.device(n).is_available()]
+
+
+def device_count(tree):
+    """Distinct devices *tree* covers; an emptied class contributes none
+    and a node reachable through two parents is counted once."""
+    return len({name for node in tree.all_nodes() for name in node.ec.members})
 
 
 def apply_drift(topo, rng, fraction=1.0):
@@ -93,7 +127,7 @@ def apply_drift(topo, rng, fraction=1.0):
         stages = rng.sample(range(device.num_stages),
                             k=min(2, device.num_stages))
         for stage in stages:
-            device.allocate_stage(stage, {"instructions": float(rng.randint(1, 5))})
+            device.commit([(stage, {"instructions": float(rng.randint(1, 5))})])
 
 
 def make_request(program, sources, destination, max_block_size=8,
@@ -178,9 +212,9 @@ class TestPlanIdentity:
             elif action == 1:
                 name = rng.choice(sorted(topo.devices))
                 device = topo.devices[name]
-                device.allocate_stage(
+                device.commit([(
                     rng.randrange(device.num_stages),
-                    {"instructions": float(rng.randint(1, 4))})
+                    {"instructions": float(rng.randint(1, 4))})])
             else:
                 for name in list(topo.devices):
                     topo.set_device_status(name, "up")
@@ -524,8 +558,8 @@ class TestEquivalencePruning:
         topo = build_fattree(k=8)
         tree = build_reduced_tree(topo, ["pod0(a)", "pod1(a)"], "pod7(a)")
         client_roots = [c for c in tree.root.children if c.side == "client"]
-        victim = topo.device(client_roots[0].ec.representative(topo).name)
-        victim.allocate_stage(0, {"instructions": 3.0})
+        victim = topo.device(representative(client_roots[0].ec, topo).name)
+        victim.commit([(0, {"instructions": 3.0})])
         tree2 = build_reduced_tree(topo, ["pod0(a)", "pod1(a)"], "pod7(a)")
         roots2 = [c for c in tree2.root.children if c.side == "client"]
         cache = {}
@@ -544,31 +578,31 @@ class TestEquivalencePruning:
         ec = EquivalenceClass(ec_id="ghost", members=[], layer="tor",
                               pod=0, dev_type="tofino")
         with pytest.raises(TopologyError):
-            ec.representative(chain_topology)
+            representative(ec, chain_topology)
 
     def test_representative_skips_down_members(self, chain_topology):
         classes = compute_equivalence_classes(chain_topology)
         ec = next(c for c in classes if c.size >= 1)
         chain_topology.set_device_status(ec.members[0], "down")
         if len(ec.members) > 1:
-            rep = ec.representative(chain_topology)
+            rep = representative(ec, chain_topology)
             assert rep.name != ec.members[0]
             assert rep.is_available()
         else:
             with pytest.raises(TopologyError):
-                ec.representative(chain_topology)
-        assert ec.members[0] not in ec.available_members(chain_topology)
+                representative(ec, chain_topology)
+        assert ec.members[0] not in available_members(ec, chain_topology)
 
     def test_device_count_survives_emptied_class(self):
         topo = build_chain(4)
         tree = build_reduced_tree(topo, ["client"], "server")
-        baseline = tree.device_count()
+        baseline = device_count(tree)
         assert baseline == 4
         # Emptying a class after the tree was built must not raise.
         for node in tree.all_nodes():
             node.ec.members.clear()
             break
-        assert tree.device_count() <= baseline
+        assert device_count(tree) <= baseline
 
 
 # --------------------------------------------------------------------- #
@@ -595,7 +629,7 @@ class TestIntervalScorer:
                 expected = objective.gain(
                     served_fraction=0.375,
                     instruction_count=scorer.instruction_count(start, end),
-                    transfer_bits=scorer.cut_bits(start, end),
+                    transfer_bits=int(scorer._cut[start][end]),
                     weights=weights,
                     replicas=2,
                 )
@@ -614,7 +648,7 @@ class TestIntervalScorer:
                     len(b.instructions(dag.program))
                     for b in ordered[start:end])
                 assert scorer.instruction_count(start, end) == expected_count
-                assert scorer.cut_bits(start, end) == (
+                assert int(scorer._cut[start][end]) == (
                     interval_cut_bits(dag, ordered, start, end))
 
 
@@ -713,3 +747,86 @@ def test_every_definition_under_src_is_named_somewhere_else():
                if not (name.startswith("__") and name.endswith("__"))
                and words[name] <= sites[name]]
     assert not unnamed
+
+
+def _uses(tree):
+    """``(name, line)`` of every name, attribute, keyword and word in a
+    string literal of *tree*; imports, ``__all__`` and docstrings are not
+    uses (comments never reach the AST)."""
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)}
+    word = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+    found, pending = [], [tree]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets):
+                continue
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.keyword) and node.arg:
+            found.append((node.arg, node.value.lineno))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            found.extend((w, node.lineno) for w in word.findall(node.value))
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_definition_under_src_is_reached_by_the_system():
+    """``src/`` holds the system: a function, method or class there (dunders
+    aside) must be reached by other ``src/`` code, by ``docs/api.md`` (the
+    public API) or by ``examples/``.  What only tests, benchmarks or tools
+    reach belongs beside them.
+
+    In ``src/`` and ``examples/`` a use is a name, attribute, keyword or a
+    word in a string literal (a ``getattr`` target, the gateway's route
+    table) outside the definition itself; imports, ``__all__`` and
+    docstrings are not uses.  In ``docs/api.md`` any word is.  A definition
+    decorated by a ``src/`` function (``@TemplateRegistry.register``) is
+    reached through the registry it joins.
+    """
+    root = pathlib.Path(__file__).resolve().parents[1]
+    definitions, src_uses = [], collections.defaultdict(list)
+    for path in sorted((root / "src").rglob("*.py")):
+        where = str(path.relative_to(root))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, line in _uses(tree):
+            src_uses[name].append((where, line))
+        definitions.extend(
+            (node, where) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)))
+    defined = {node.name for node, _ in definitions}
+    outside = collections.Counter(re.findall(
+        r"[A-Za-z_][A-Za-z0-9_]*",
+        (root / "docs" / "api.md").read_text(encoding="utf-8")))
+    for path in sorted((root / "examples").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside.update(name for name, _ in _uses(tree))
+
+    def reached(node, where):
+        if outside[node.name]:
+            return True
+        if any(ast.unparse(d).split("(")[0].split(".")[-1] in defined
+               for d in node.decorator_list):
+            return True
+        return any(path != where or not node.lineno <= line <= node.end_lineno
+                   for path, line in src_uses[node.name])
+
+    unreached = [f"{where}:{node.lineno} {node.name}"
+                 for node, where in definitions
+                 if not (node.name.startswith("__") and node.name.endswith("__"))
+                 and not reached(node, where)]
+    assert not unreached

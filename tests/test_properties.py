@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.baselines import IntraDeviceAllocator
 from repro.core.stats import DataplaneStats
 from repro.devices import TofinoDevice
 from repro.emulator import DeviceRuntime, Packet
@@ -15,7 +16,6 @@ from repro.frontend import compile_source
 from repro.ir.instructions import Opcode, StateDecl, StateKind
 from repro.ir.program import HeaderField, IRProgram
 from repro.placement import build_block_dag, build_dependency_graph
-from repro.placement.intra import IntraDeviceAllocator
 from repro.placement.objective import ObjectiveWeights
 
 
@@ -92,9 +92,10 @@ class TestBlockDAGProperties:
     def test_state_users_stay_together(self, program):
         dag = build_block_dag(program)
         state_blocks = {
-            dag.block_of_instruction(i.uid).block_id
+            block.block_id
+            for block in dag.blocks
             for i in program
-            if i.state == "ctr"
+            if i.state == "ctr" and i.uid in block.instruction_uids
         }
         assert len(state_blocks) <= 1
 

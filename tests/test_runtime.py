@@ -249,7 +249,7 @@ class TestDeviceFailureMigration:
         manager = controller.runtime()
         controller.topology.set_device_status("Agg1_0", "down")
         manager.monitor.poll()
-        report = manager.last_migration()
+        report = manager.migration_log[-1]
         assert report is not None and report.migrated == ["kvs1"]
         assert "Agg1_0" not in controller.deployed["kvs1"].devices()
 
@@ -291,7 +291,7 @@ class TestDeviceFailureMigration:
         manager = controller.runtime()
         manager.fail_link("ToR0_0", "Agg0_0")
         assert manager.monitor.event_counts().get(ev.LINK_DOWN, 0) == 1
-        event = manager.monitor.last_event(ev.LINK_DOWN)
+        event = [e for e in manager.monitor.events if e.kind == ev.LINK_DOWN][-1]
         assert event.link == ("Agg0_0", "ToR0_0")
 
     def test_runtime_accessor_reconfigures_auto_migrate(self, controller):
@@ -310,7 +310,7 @@ class TestDeviceFailureMigration:
         controller.topology.set_device_status("Agg1_0", "down")
         events = manager.monitor.poll()
         assert [e.kind for e in events] == [ev.DEVICE_DOWN]
-        assert manager.last_migration() is None      # nothing happened
+        assert not manager.migration_log             # nothing happened
         report = manager.migrate_device("Agg1_0", trigger=ev.DEVICE_DOWN,
                                         state_lost=True)
         assert report.migrated == ["kvs1"]

@@ -112,7 +112,7 @@ class TestServiceBasics:
         )
 
         async def drive():
-            async with controller.as_service() as svc:
+            async with INCService(controller) as svc:
                 await svc.submit(tenant_request(1, "async"))
                 await svc.remove("kvs_sync")
                 return svc.deployed_programs()

@@ -15,7 +15,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from invariants import assert_resources_conserved
+from invariants import assert_resources_conserved, device_fingerprints
 
 from repro.core import ClickINC, DeployRequest, INCService
 from repro.core.stats import ShardCounters
@@ -333,7 +333,7 @@ class TestCrossShardCommit:
             # the status flip bumps ToR0_0's fingerprint (prepare conflict)
             # and makes pod0(a) unreachable (re-place infeasible)
             coord.topology.set_device_status("ToR0_0", "down")
-            snapshot["fps"] = coord.topology.device_fingerprints()
+            snapshot["fps"] = device_fingerprints(coord.topology)
             snapshot["plan_keys"] = {
                 sid: plan_cache_keys(shard.controller)
                 for sid, shard in coord.shards.items()
@@ -350,7 +350,7 @@ class TestCrossShardCommit:
         assert coord.stats.aborted_prepares == 1
         assert coord.stats.cross_shard_commits == 0
         # byte-identical world: allocations, plan caches, registries
-        assert coord.topology.device_fingerprints() == snapshot["fps"]
+        assert device_fingerprints(coord.topology) == snapshot["fps"]
         assert {
             sid: plan_cache_keys(shard.controller)
             for sid, shard in coord.shards.items()
@@ -434,7 +434,7 @@ class TestEventRouting:
         # pod1 stored its plan: the snapshot below is not vacuous
         assert plan_keys_b
         devices_b = pod1.controller.deployed["kvs_b"].devices()
-        fps_b = {n: pod1.view.device(n).allocation_fingerprint()
+        fps_b = {n: pod1.view.device(n).state.digest
                  for n in devices_b}
 
         victim = next(d for d in
@@ -449,7 +449,7 @@ class TestEventRouting:
                 if d.state is not states_b[n]] == []
         assert plan_cache_keys(pod1.controller) == plan_keys_b
         assert pod1.controller.deployed["kvs_b"].devices() == devices_b
-        assert {n: pod1.view.device(n).allocation_fingerprint()
+        assert {n: pod1.view.device(n).state.digest
                 for n in devices_b} == fps_b
         assert pod1.stats.migrations == 0
         # pod1 never even built a runtime manager for this event

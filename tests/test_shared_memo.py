@@ -65,7 +65,8 @@ def plan_key(plan):
         plan.gain,
         tuple((a.block_id, a.ec_id, tuple(a.device_names), a.step)
               for a in plan.assignments),
-        tuple(sorted(plan.device_fingerprints.items())),
+        tuple(sorted((name, state.digest)
+                     for name, state in plan.device_states.items())),
     )
 
 
@@ -258,7 +259,7 @@ class TestMidSearchCommit:
                     demand = {key: stage.available(key)
                               for key in stage.capacities
                               if stage.available(key) > 0}
-                    device.allocate_stage(index, demand)
+                    device.commit([(index, demand)])
                     filled.append((device, index, demand))
             return pack(table, device, *args, **kwargs)
 
@@ -274,7 +275,7 @@ class TestMidSearchCommit:
         assert filled
         # the commit is released: the fabric is back in its pre-race state
         for device, index, demand in filled:
-            device.release_stage(index, demand)
+            device.release([(index, demand)])
 
         expected = plan_key(ReferencePlacer(paper_topology).place(request))
         assert plan_key(raced) == expected

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import SynthesisError
 from repro.frontend import compile_template
-from repro.ir.instructions import Opcode
+from repro.ir.instructions import PACKET_FLOW_OPCODES, Opcode
 from repro.ir.program import IRProgram
 from repro.lang.profile import default_profile
 from repro.placement import DPPlacer, PlacementRequest
@@ -19,6 +19,11 @@ from repro.synthesis import (
 from repro.synthesis.merge import merge_parse_tree, remove_from_executable
 from repro.topology import build_paper_emulation_topology
 
+
+
+def count_nodes(node):
+    """Nodes of a parse tree rooted at *node*."""
+    return 1 + sum(count_nodes(child) for child in node.children)
 
 class TestBaseProgram:
     def test_default_base_program_has_head_and_tail(self):
@@ -61,7 +66,7 @@ class TestIsolation:
         # every stateful or packet-flow instruction (the ones with side
         # effects) must be guarded; predicate-combination helpers may not be
         for instr in list(isolated)[1:]:
-            if instr.is_stateful or instr.is_packet_flow:
+            if instr.is_stateful or instr.opcode in PACKET_FLOW_OPCODES:
                 assert instr.guard is not None
 
     def test_gate_can_be_disabled(self, dqacc_program):
@@ -98,10 +103,10 @@ class TestIsolation:
 class TestMerging:
     def test_parse_tree_merge_adds_inc_header(self, kvs_program):
         base = default_base_program()
-        before = base.parse_tree.count_nodes()
+        before = count_nodes(base.parse_tree)
         added = merge_parse_tree(base.parse_tree, kvs_program, "kvs_0")
         assert added == 1
-        assert base.parse_tree.count_nodes() == before + 1
+        assert count_nodes(base.parse_tree) == before + 1
         inc_node = base.parse_tree.find("inc_kvs_0")
         assert inc_node is not None
         assert "key" in inc_node.fields
@@ -121,12 +126,15 @@ class TestMerging:
             executable, isolate_program(dqacc_program, "dq_0", 2), "dq_0"
         )
         assert executable.users() == ["kvs_0", "dq_0"]
-        flat = executable.flattened()
         # base head + both snippets + base tail
-        assert len(flat) == executable.total_instructions()
+        sources = ([executable.base.head]
+                   + [executable.snippets[u] for u in executable.snippet_order]
+                   + [executable.base.tail])
+        assert sum(len(p) for p in sources) == executable.total_instructions()
         # user states are present and disjoint
-        assert any(s.startswith("kvs_0_") for s in flat.states)
-        assert any(s.startswith("dq_0_") for s in flat.states)
+        states = [s for p in sources for s in p.states]
+        assert any(s.startswith("kvs_0_") for s in states)
+        assert any(s.startswith("dq_0_") for s in states)
 
     def test_duplicate_user_rejected(self, kvs_program):
         executable = DeviceExecutable("sw0", default_base_program())

@@ -18,7 +18,8 @@ from repro.lang.templates import (
 
 class TestRegistry:
     def test_templates_registered(self):
-        assert set(("KVS", "MLAgg", "DQAcc")) <= set(TemplateRegistry.known_apps())
+        for app in ("KVS", "MLAgg", "DQAcc"):
+            assert TemplateRegistry.get(app).app_id == app
 
     def test_get_template_returns_instances(self):
         assert isinstance(get_template("KVS"), KVSTemplate)
@@ -54,7 +55,7 @@ class TestKVSTemplate:
         assert output.constants["STATEFUL_CACHE"] is True
 
     def test_compiles_and_uses_expected_classes(self, kvs_program):
-        classes = kvs_program.used_classes()
+        classes = {i.instr_class for i in kvs_program}
         assert InstrClass.BSO in classes        # hit counter / sketch
         assert InstrClass.BAF in classes        # hashes
         assert InstrClass.BBPF in classes       # drop / reply
@@ -73,7 +74,8 @@ class TestMLAggTemplate:
         states = set(mlagg_program.states)
         assert any("agg_data" in s for s in states)
         assert any("bitmap" in s for s in states)
-        assert InstrClass.BAPF in mlagg_program.used_classes()  # mirror on overflow
+        # mirror on overflow
+        assert InstrClass.BAPF in {i.instr_class for i in mlagg_program}
 
 
 class TestDQAccTemplate:
@@ -88,7 +90,7 @@ class TestDQAccTemplate:
     def test_compiles_with_rolling_cache(self, dqacc_program):
         assert any("rolling" in s for s in dqacc_program.states)
         # modulus was strength-reduced, so no BIC instructions survive
-        assert InstrClass.BIC not in dqacc_program.used_classes()
+        assert InstrClass.BIC not in {i.instr_class for i in dqacc_program}
 
 
 class TestSparseMLAgg:

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from invariants import allocation_fingerprint
 
 from repro.devices import TofinoDevice, XilinxFPGADevice
 from repro.exceptions import TopologyError
@@ -16,6 +17,11 @@ from repro.topology import (
     compute_equivalence_classes,
 )
 from repro.topology.fattree import build_chain
+
+
+def layer_devices(topo, layer):
+    """Names of the devices *topo* places in *layer*."""
+    return [name for name, at in topo.layers.items() if at == layer]
 
 
 class TestNetworkTopology:
@@ -46,7 +52,9 @@ class TestNetworkTopology:
     def test_path_bandwidth_is_bottleneck(self):
         topo = build_chain(3)
         paths = topo.paths_between_groups("client", "server")
-        assert topo.path_bandwidth(paths[0]) == 100.0
+        path = paths[0]
+        assert min(topo.link(a, b).capacity_gbps
+                   for a, b in zip(path, path[1:])) == 100.0
 
     def test_unknown_queries_raise(self):
         topo = build_chain(2)
@@ -59,27 +67,28 @@ class TestNetworkTopology:
 
     def test_reset_resources(self):
         topo = build_chain(2)
-        topo.device("SW0").allocate_stage(0, {"alu": 5.0})
-        topo.reset_resources()
+        topo.device("SW0").commit([(0, {"alu": 5.0})])
+        for device in topo.devices.values():
+            device.reset()
         assert topo.total_utilisation() == pytest.approx(0.0)
 
     def test_allocation_epoch_advances_on_any_change(self):
         topo = build_chain(2)
         before = topo.device("SW0").state
-        topo.device("SW0").allocate_stage(0, {"alu": 5.0})
+        topo.device("SW0").commit([(0, {"alu": 5.0})])
         assert topo.device("SW0").state is not before
-        topo.device("SW0").release_stage(0, {"alu": 5.0})
+        topo.device("SW0").release([(0, {"alu": 5.0})])
         assert topo.device("SW0").state is before  # a value: content, not history
 
     def test_allocation_fingerprint_memo_tracks_mutations(self):
         topo = build_chain(2)
-        baseline = topo.allocation_fingerprint()
-        assert topo.allocation_fingerprint() == baseline  # memoised
-        topo.device("SW0").allocate_stage(0, {"alu": 5.0})
-        changed = topo.allocation_fingerprint()
+        baseline = allocation_fingerprint(topo)
+        assert allocation_fingerprint(topo) == baseline  # memoised
+        topo.device("SW0").commit([(0, {"alu": 5.0})])
+        changed = allocation_fingerprint(topo)
         assert changed != baseline
-        topo.device("SW0").release_stage(0, {"alu": 5.0})
-        assert topo.allocation_fingerprint() == baseline  # content-addressed
+        topo.device("SW0").release([(0, {"alu": 5.0})])
+        assert allocation_fingerprint(topo) == baseline  # content-addressed
 
 
 class TestSubview:
@@ -102,9 +111,9 @@ class TestSubview:
             return [name for name, device in view.devices.items()
                     if device.state is not states[name]]
 
-        topo.device("ToR1_0").allocate_stage(0, {"alu": 1.0})  # outside the view
+        topo.device("ToR1_0").commit([(0, {"alu": 1.0})])  # outside the view
         assert changed() == []
-        topo.device("Agg0_0").allocate_stage(0, {"alu": 1.0})  # inside the view
+        topo.device("Agg0_0").commit([(0, {"alu": 1.0})])  # inside the view
         assert changed() == ["Agg0_0"]
 
     def test_remove_link_propagates_across_view_family(self):
@@ -131,9 +140,9 @@ class TestBuilders:
     def test_fattree_counts(self):
         topo = build_fattree(k=4)
         # k=4: 4 cores, 8 agg, 8 tor
-        assert len(topo.devices_in_layer("core")) == 4
-        assert len(topo.devices_in_layer("agg")) == 8
-        assert len(topo.devices_in_layer("tor")) == 8
+        assert len(layer_devices(topo, "core")) == 4
+        assert len(layer_devices(topo, "agg")) == 8
+        assert len(layer_devices(topo, "tor")) == 8
         assert len(topo.host_groups) == 8
 
     def test_fattree_rejects_odd_k(self):
@@ -148,8 +157,8 @@ class TestBuilders:
 
     def test_spineleaf_structure(self):
         topo = build_spineleaf(num_spines=3, num_leaves=4)
-        assert len(topo.devices_in_layer("core")) == 3
-        assert len(topo.devices_in_layer("tor")) == 4
+        assert len(layer_devices(topo, "core")) == 3
+        assert len(layer_devices(topo, "tor")) == 4
         paths = topo.paths_between_groups("rack0", "rack3")
         assert len(paths) == 3
         assert all(len(path) == 3 for path in paths)
@@ -169,11 +178,11 @@ class TestBuilders:
 
     def test_paper_topology_shape(self):
         topo = build_paper_emulation_topology()
-        assert len(topo.devices_in_layer("core")) == 4
-        assert len(topo.devices_in_layer("agg")) == 6
-        assert len(topo.devices_in_layer("tor")) == 6
-        assert len(topo.devices_in_layer("nic")) == 3
-        assert len(topo.devices_in_layer("accel")) == 2
+        assert len(layer_devices(topo, "core")) == 4
+        assert len(layer_devices(topo, "agg")) == 6
+        assert len(layer_devices(topo, "tor")) == 6
+        assert len(layer_devices(topo, "nic")) == 3
+        assert len(layer_devices(topo, "accel")) == 2
         assert set(topo.host_groups) == {
             "pod0(a)", "pod0(b)", "pod1(a)", "pod1(b)", "pod2(a)", "pod2(b)"
         }
@@ -211,7 +220,7 @@ class TestEquivalenceClasses:
         topo = build_paper_emulation_topology()
         classes = compute_equivalence_classes(topo)
         core = next(c for c in classes if c.layer == "core")
-        assert core.representative(topo).dev_type == "tofino2"
+        assert {topo.device(name).dev_type for name in core.members} == {"tofino2"}
 
 
 class TestReducedTree:
@@ -240,7 +249,7 @@ class TestReducedTree:
     def test_server_side_carries_all_traffic(self):
         topo = build_paper_emulation_topology()
         tree = build_reduced_tree(topo, ["pod0(a)", "pod1(a)"], "pod2(b)")
-        for node in tree.server_subtree():
+        for node in (n for n in tree.all_nodes() if n.side == "server"):
             assert node.traffic_share == pytest.approx(1.0)
 
     def test_bypass_attached_to_reduced_node(self):
@@ -252,7 +261,7 @@ class TestReducedTree:
     def test_chain_reduces_to_path(self):
         topo = build_chain(4)
         tree = build_reduced_tree(topo, ["client"], "server")
-        assert tree.device_count() == 4
+        assert len({m for node in tree.all_nodes() for m in node.ec.members}) == 4
 
     def test_requires_sources(self):
         topo = build_chain(2)
@@ -319,12 +328,12 @@ class TestOperationalStatus:
     def test_device_status_bumps_epoch_and_fingerprint(self):
         topo = build_fattree(k=4)
         state = topo.device("Agg0_0").state
-        fingerprint = topo.allocation_fingerprint()
-        device_fp = topo.device("Agg0_0").allocation_fingerprint()
+        fingerprint = allocation_fingerprint(topo)
+        device_fp = topo.device("Agg0_0").state.digest
         assert topo.set_device_status("Agg0_0", "down") is True
         assert topo.device("Agg0_0").state is not state
-        assert topo.allocation_fingerprint() != fingerprint
-        assert topo.device("Agg0_0").allocation_fingerprint() != device_fp
+        assert allocation_fingerprint(topo) != fingerprint
+        assert topo.device("Agg0_0").state.digest != device_fp
         # idempotent: setting the same status again changes nothing
         state = topo.device("Agg0_0").state
         assert topo.set_device_status("Agg0_0", "down") is False
@@ -355,13 +364,13 @@ class TestOperationalStatus:
         topo = build_fattree(k=4)
         state_a = topo.device("ToR0_0").state
         state_b = topo.device("Agg0_0").state
-        fp_a = topo.device("ToR0_0").allocation_fingerprint()
-        fp_b = topo.device("Agg0_0").allocation_fingerprint()
+        fp_a = topo.device("ToR0_0").state.digest
+        fp_b = topo.device("Agg0_0").state.digest
         assert topo.set_link_status("ToR0_0", "Agg0_0", "down") is True
         assert topo.device("ToR0_0").state is not state_a
         assert topo.device("Agg0_0").state is not state_b
-        assert topo.device("ToR0_0").allocation_fingerprint() != fp_a
-        assert topo.device("Agg0_0").allocation_fingerprint() != fp_b
+        assert topo.device("ToR0_0").state.digest != fp_a
+        assert topo.device("Agg0_0").state.digest != fp_b
         paths = topo.paths_between_groups("pod0(a)", "pod0(b)")
         assert all(["ToR0_0", "Agg0_0"] != p[:2] for p in paths)
         assert topo.set_link_status("ToR0_0", "Agg0_0", "down") is False
@@ -437,10 +446,10 @@ class TestForwardingCache:
         assert built == [topo.name, "pod0"]
         epochs = topo.forwarding_epoch(), view.forwarding_epoch()
         for cycle in range(20):
-            allocation = topo.allocation_fingerprint()
+            allocation = allocation_fingerprint(topo)
             inc.deploy_profile(default_profile("KVS", user=f"c{cycle}"),
                                ["pod0(a)"], "pod0(b)", name=f"kvs_c{cycle}")
-            assert topo.allocation_fingerprint() != allocation
+            assert allocation_fingerprint(topo) != allocation
             self.route(topo, view)
             inc.remove(f"kvs_c{cycle}")
             self.route(topo, view)
